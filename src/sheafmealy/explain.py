@@ -77,11 +77,12 @@ def judge(
 ) -> Judge:
     ii = finset(interp_inputs) if interp_inputs is not None else finset(set(i_map.values()))
     io = finset(interp_outputs) if interp_outputs is not None else finset(set(o_map.values()))
+    ii_set, io_set = set(ii), set(io)
     for v in i_map.values():
-        if v not in set(ii):
+        if v not in ii_set:
             raise CheckerError(f"judged input {v!r} outside the interpretable inputs")
     for v in o_map.values():
-        if v not in set(io):
+        if v not in io_set:
             raise CheckerError(f"judged output {v!r} outside the interpretable outputs")
     return Judge(ii, io, tuple(sorted(i_map.items())), tuple(sorted(o_map.items())))
 
@@ -209,78 +210,90 @@ def restrict_section(s: Section, n: OpenImmersion) -> Section:
     )
 
 
-def _pair_levels(
-    m1: MealySystem,
-    m2: MealySystem,
-    alphabet: tuple[Ident, ...],
-) -> dict[tuple[Ident, Ident], int]:
-    """Length of the shortest distinguishing word for every state pair; pairs
-    absent from the result are behaviorally equal over ``alphabet``."""
-    levels: dict[tuple[Ident, Ident], int] = {}
-    for x in m1.before:
-        for y in m2.before:
-            if any(m1.transition(x, c)[1] != m2.transition(y, c)[1] for c in alphabet):
-                levels[(x, y)] = 1
-    changed = True
-    k = 1
-    while changed:
-        changed = False
-        k += 1
-        for x in m1.before:
-            for y in m2.before:
-                if (x, y) in levels:
-                    continue
-                hit = any(
-                    levels.get((m1.transition(x, c)[0], m2.transition(y, c)[0])) == k - 1
-                    for c in alphabet
-                )
-                if hit:
-                    levels[(x, y)] = k
-                    changed = True
-    return levels
+def _refine(outs: Sequence[tuple[Ident, ...]], succs: Sequence[tuple[int, ...]]) -> list[int]:
+    """Moore partition refinement of states given by their per-letter
+    outputs and successor indices; returns a block number per state.
+
+    Blocks start as the ranks of the sorted output rows.  Each round ranks
+    the sorted set of (block, successor blocks) signatures, and the rounds
+    stop once a round splits nothing: the numbering is that of the last
+    splitting round, so states end in the same block exactly when they emit
+    equal outputs on every word."""
+    rank = {k: r for r, k in enumerate(sorted(set(outs)))}
+    block = [rank[o] for o in outs]
+    n_blocks = len(rank)
+    while True:
+        sig = [(b, tuple([block[t] for t in row])) for b, row in zip(block, succs)]
+        keys = sorted(set(sig))
+        if len(keys) == n_blocks:
+            return block
+        rank = {k: r for r, k in enumerate(keys)}
+        block = [rank[x] for x in sig]
+        n_blocks = len(keys)
 
 
-def _word_from_pair(
-    m1: MealySystem,
-    m2: MealySystem,
+def _pool(
+    machines: Sequence[MealySystem], alphabet: tuple[Ident, ...]
+) -> tuple[list[tuple[Ident, ...]], list[tuple[int, ...]], list[int]]:
+    """One-step tables of the disjoint union of homogeneous machines over
+    ``alphabet`` and its refinement.  States are numbered machine by machine
+    in carrier order; rows hold the emitted outputs and successor numbers."""
+    outs: list[tuple[Ident, ...]] = []
+    succs: list[tuple[int, ...]] = []
+    base = 0
+    for m in machines:
+        if not m.homogeneous:
+            raise HeterogeneousInput("behavior is defined for homogeneous machines")
+        cols = [m.i_index[c] for c in alphabet]
+        for row in m.step:
+            outs.append(tuple([m.outputs[row[k][1]] for k in cols]))
+            succs.append(tuple([base + row[k][0] for k in cols]))
+        base += len(m.before)
+    return outs, succs, _refine(outs, succs)
+
+
+def _classes(
+    outs: Sequence[tuple[Ident, ...]], succs: Sequence[tuple[int, ...]], block: Sequence[int]
+) -> tuple[list[tuple[Ident, ...]], list[tuple[int, ...]]]:
+    """Per-block output and successor-block rows, read off each block's
+    first state."""
+    rep: dict[int, int] = {}
+    for st, b in enumerate(block):
+        rep.setdefault(b, st)
+    firsts = [rep[b] for b in range(len(rep))]
+    return ([outs[st] for st in firsts],
+            [tuple([block[t] for t in succs[st]]) for st in firsts])
+
+
+def _class_word(
     alphabet: tuple[Ident, ...],
-    levels: Mapping[tuple[Ident, Ident], int],
-    x: Ident,
-    y: Ident,
+    out_table: Sequence[Sequence],
+    succ_table: Sequence[Sequence[int]],
+    b1: int,
+    b2: int,
 ) -> tuple[Ident, ...]:
-    """Lexicographically least shortest distinguishing word from a pair."""
-    k = levels[(x, y)]
-    word: list[Ident] = []
-    while k > 1:
-        for c in alphabet:
-            nxt = (m1.transition(x, c)[0], m2.transition(y, c)[0])
-            if levels.get(nxt) == k - 1:
-                word.append(c)
-                x, y = nxt
-                k -= 1
-                break
-        else:
-            raise InternalConsistencyError("level table is not decreasing")
-    for c in alphabet:
-        if m1.transition(x, c)[1] != m2.transition(y, c)[1]:
-            word.append(c)
-            return tuple(word)
-    raise InternalConsistencyError("level-one pair has no separating letter")
-
-
-def distinguishing_word(
-    m1: MealySystem,
-    x: Ident,
-    m2: MealySystem,
-    y: Ident,
-    alphabet: tuple[Ident, ...],
-) -> tuple[Ident, ...] | None:
-    """Shortest lexicographically least word over ``alphabet`` on which the
-    two states emit different output sequences; None if none exists."""
-    levels = _pair_levels(m1, m2, alphabet)
-    if (x, y) not in levels:
-        return None
-    return _word_from_pair(m1, m2, alphabet, levels, x, y)
+    """Breadth-first walk of the class automaton from two distinct classes.
+    Pairs are expanded in the order of the words reaching them and letters
+    in alphabet order, so the first divergence found ends the shortest,
+    lexicographically least separating word."""
+    letters = range(len(alphabet))
+    seen: set[tuple[int, int]] = set()
+    frontier: list[tuple[int, int, tuple[Ident, ...]]] = [(b1, b2, ())]
+    while frontier:
+        nxt: list[tuple[int, int, tuple[Ident, ...]]] = []
+        for x, y, w in frontier:
+            ox, oy = out_table[x], out_table[y]
+            for k in letters:
+                if ox[k] != oy[k]:
+                    return w + (alphabet[k],)
+            sx, sy = succ_table[x], succ_table[y]
+            for k in letters:
+                pair = (sx[k], sy[k])
+                if pair[0] != pair[1] and pair not in seen:
+                    seen.add(pair)
+                    nxt.append((pair[0], pair[1], w + (alphabet[k],)))
+        frontier = nxt
+    raise InternalConsistencyError("distinct behavior classes admit no separating word")
 
 
 @dataclass(frozen=True)
@@ -299,7 +312,12 @@ def behavioral_equiv(
 
     For every before-state of the patch, the images under the two sections
     must emit identical output sequences on every word over ``alphabet``.
-    On failure the witness minimizes (word length, word, state).
+    The two machines may have different output sets.  Their states are
+    pooled and refined as in :func:`pooled_behavior`; an image pair in two
+    classes is separated by the shortest word, least in alphabet order, that
+    the class walk of :func:`block_distinguishing_word` finds.  On failure
+    the witness minimizes (word length, word, state) over the patch's
+    before-states.
     """
     if s1.patch.source != s2.patch.source:
         raise CheckerError("behavioral comparison needs sections of one patch")
@@ -311,15 +329,21 @@ def behavioral_equiv(
     for c in alphabet:
         if c not in m1.i_index or c not in m2.i_index:
             raise CheckerError(f"alphabet letter {c!r} outside an explanatory interface")
-    levels = _pair_levels(m1, m2, alphabet)
+    outs, succs, block = _pool((m1, m2), alphabet)
+    out_table, succ_table = _classes(outs, succs, block)
+    n1 = len(m1.before)
+    words: dict[tuple[int, int], tuple[Ident, ...]] = {}
     best: tuple[int, tuple[Ident, ...], Ident] | None = None
     for s in s1.patch.source.before:
-        pair = (s1.psi_b(s), s2.psi_b(s))
-        if pair in levels:
-            word = _word_from_pair(m1, m2, alphabet, levels, *pair)
-            key = (len(word), word, s)
-            if best is None or key < best:
-                best = key
+        pair = (block[m1.b_index[s1.psi_b(s)]], block[n1 + m2.b_index[s2.psi_b(s)]])
+        if pair[0] == pair[1]:
+            continue
+        if pair not in words:
+            words[pair] = _class_word(alphabet, out_table, succ_table, *pair)
+        word = words[pair]
+        key = (len(word), word, s)
+        if best is None or key < best:
+            best = key
     if best is None:
         return BehEquivReport(True)
     return BehEquivReport(False, best[2], best[1])
@@ -449,36 +473,20 @@ def minimize(system: MealySystem, j: Judge | None = None) -> MinimizeResult:
         validate_judge(j, system)
     out_of = (lambda o: j.j_o[o]) if j is not None else (lambda o: o)
     alphabet = system.inputs
-    block: dict[Ident, int] = {}
-    sig0 = {s: tuple(out_of(system.transition(s, c)[1]) for c in alphabet)
-            for s in system.before}
-    keys = sorted(set(sig0.values()))
-    for s in system.before:
-        block[s] = keys.index(sig0[s])
-    while True:
-        sig = {
-            s: (block[s], tuple(block[system.transition(s, c)[0]] for c in alphabet))
-            for s in system.before
-        }
-        keys2 = sorted(set(sig.values()))
-        nxt = {s: keys2.index(sig[s]) for s in system.before}
-        if len(keys2) == len(set(block.values())):
-            break
-        block = nxt
-    order: list[int] = []
-    for s in system.before:
-        if block[s] not in order:
-            order.append(block[s])
-    rename = {b: f"p{k}" for k, b in enumerate(order)}
+    outs = [tuple([out_of(system.outputs[o]) for _, o in row]) for row in system.step]
+    succs = [tuple([a for a, _ in row]) for row in system.step]
+    block = _refine(outs, succs)
+    rename: dict[int, str] = {}
+    for b in block:
+        rename.setdefault(b, f"p{len(rename)}")
     dyn: dict[tuple[Ident, Ident], tuple[Ident, Ident]] = {}
-    for s in system.before:
-        for c in alphabet:
-            s2, o = system.transition(s, c)
-            dyn[(rename[block[s]], c)] = (rename[block[s2]], out_of(o))
+    for b, row_out, row_succ in zip(block, outs, succs):
+        for c, o, t in zip(alphabet, row_out, row_succ):
+            dyn[(rename[b], c)] = (rename[block[t]], o)
     carrier = sorted(rename.values())
-    outs = system.outputs if j is None else j.interp_outputs
-    machine = make_system(carrier, carrier, alphabet, outs, dyn)
-    state_map = tuple((s, rename[block[s]]) for s in system.before)
+    machine = make_system(carrier, carrier, alphabet,
+                          system.outputs if j is None else j.interp_outputs, dyn)
+    state_map = tuple((s, rename[b]) for s, b in zip(system.before, block))
     return MinimizeResult(machine, state_map)
 
 
@@ -521,22 +529,27 @@ class BehaviorPartition:
     succ_table: tuple[tuple[int, ...], ...]
     outputs: tuple[Ident, ...]
 
-    def block_of(self, machine: int, state: Ident) -> int:
-        for k, members in enumerate(self.blocks):
-            if (machine, state) in members:
-                return k
-        raise CheckerError(f"state ({machine}, {state!r}) not in the partition")
+    @cached_property
+    def letter_index(self) -> dict[Ident, int]:
+        return {c: k for k, c in enumerate(self.alphabet)}
 
     def out(self, block: int, letter: Ident) -> Ident:
-        return self.outputs[self.out_table[block][self.alphabet.index(letter)]]
+        return self.outputs[self.out_table[block][self.letter_index[letter]]]
 
     def succ(self, block: int, letter: Ident) -> int:
-        return self.succ_table[block][self.alphabet.index(letter)]
+        return self.succ_table[block][self.letter_index[letter]]
 
 
 def pooled_behavior(machines: Sequence[MealySystem], alphabet: tuple[Ident, ...]) -> BehaviorPartition:
     """Partition the disjoint union of the machines' states by behavioral
-    equality over ``alphabet``."""
+    equality over ``alphabet``.
+
+    Blocks are numbered by the sorted ranks of the refinement signatures of
+    the last round that split a block (in the first round, the sorted rows
+    of outputs over ``alphabet``); :func:`localglobal.glue_behavioral` names
+    glued states and picks obstruction classes by these numbers.  Members
+    of a block are sorted, and its table rows are read off its first member
+    in machine-then-carrier order."""
     if not machines:
         raise CheckerError("behavior pooling needs at least one machine")
     outputs = machines[0].outputs
@@ -546,47 +559,18 @@ def pooled_behavior(machines: Sequence[MealySystem], alphabet: tuple[Ident, ...]
         for c in alphabet:
             if c not in m.i_index:
                 raise CheckerError(f"letter {c!r} missing from a pooled machine")
+    outs, succs, block = _pool(machines, alphabet)
+    out_rows, succ_rows = _classes(outs, succs, block)
     states = [(k, s) for k, m in enumerate(machines) for s in m.before]
-
-    def tr(ks: tuple[int, Ident], c: Ident) -> tuple[tuple[int, Ident], Ident]:
-        k, s = ks
-        s2, o = machines[k].transition(s, c)
-        return (k, s2), o
-
-    block: dict[tuple[int, Ident], int] = {}
-    sig0 = {ks: tuple(tr(ks, c)[1] for c in alphabet) for ks in states}
-    keys = sorted(set(sig0.values()))
-    for ks in states:
-        block[ks] = keys.index(sig0[ks])
-    while True:
-        sig = {ks: (block[ks], tuple(block[tr(ks, c)[0]] for c in alphabet)) for ks in states}
-        keys2 = sorted(set(sig.values()))
-        nxt = {ks: keys2.index(sig[ks]) for ks in states}
-        if len(keys2) == len(set(block.values())):
-            break
-        block = nxt
-    n_blocks = len(set(block.values()))
-    members: list[list[tuple[int, Ident]]] = [[] for _ in range(n_blocks)]
-    for ks in states:
-        members[block[ks]].append(ks)
-    out_table: list[tuple[int, ...]] = []
-    succ_table: list[tuple[int, ...]] = []
+    members: list[list[tuple[int, Ident]]] = [[] for _ in out_rows]
+    for ks, b in zip(states, block):
+        members[b].append(ks)
     o_ix = {o: k for k, o in enumerate(outputs)}
-    for b in range(n_blocks):
-        rep = members[b][0]
-        outs: list[int] = []
-        succs: list[int] = []
-        for c in alphabet:
-            nxt_ks, o = tr(rep, c)
-            outs.append(o_ix[o])
-            succs.append(block[nxt_ks])
-        out_table.append(tuple(outs))
-        succ_table.append(tuple(succs))
     return BehaviorPartition(
         tuple(alphabet),
         tuple(tuple(sorted(ms)) for ms in members),
-        tuple(out_table),
-        tuple(succ_table),
+        tuple(tuple([o_ix[o] for o in row]) for row in out_rows),
+        tuple(succ_rows),
         outputs,
     )
 
@@ -598,18 +582,4 @@ def block_distinguishing_word(
     by walking the class automaton."""
     if b1 == b2:
         return None
-    seen: set[tuple[int, int]] = set()
-    frontier: list[tuple[int, int, tuple[Ident, ...]]] = [(b1, b2, ())]
-    while frontier:
-        nxt: list[tuple[int, int, tuple[Ident, ...]]] = []
-        for x, y, w in frontier:
-            for c in part.alphabet:
-                if part.out(x, c) != part.out(y, c):
-                    return w + (c,)
-            for c in part.alphabet:
-                pair = (part.succ(x, c), part.succ(y, c))
-                if pair[0] != pair[1] and pair not in seen:
-                    seen.add(pair)
-                    nxt.append((pair[0], pair[1], w + (c,)))
-        frontier = nxt
-    raise InternalConsistencyError("distinct behavior classes admit no separating word")
+    return _class_word(part.alphabet, part.out_table, part.succ_table, b1, b2)

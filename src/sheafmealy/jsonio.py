@@ -195,7 +195,8 @@ def certificate_payload(cert: RobustDisconnectionCertificate) -> dict:
             {"rects": [_rect_payload(r, comp.dim) for r in comp.rects], "dim": comp.dim}
             for comp in cert.components
         ],
-        "fiber_points": [[_frac(x) for x in p] for p in cert.fiber_points],
+        "fiber_points": [None if p is None else [_frac(x) for x in p]
+                         for p in cert.fiber_points],
         "component_of_first_point": cert.v_index,
     }
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import (
     CheckerError,
@@ -110,10 +110,11 @@ def make_system(
     a = finset(after)
     i = finset(inputs)
     o = finset(outputs)
+    b_set, i_set = set(b), set(i)
     a_ix = {s: k for k, s in enumerate(a)}
     o_ix = {s: k for k, s in enumerate(o)}
     for (s, c), (s2, out) in dynamics.items():
-        if s not in set(b) or c not in set(i):
+        if s not in b_set or c not in i_set:
             raise ForeignElement(f"dynamics defined at foreign pair ({s!r}, {c!r})")
         if s2 not in a_ix:
             raise ForeignElement(f"successor {s2!r} of ({s!r}, {c!r}) is not an after-state")
@@ -135,6 +136,23 @@ def make_system(
 class Violation:
     kind: str
     detail: str
+
+
+def _member_test(carrier: tuple) -> Callable[[object], bool]:
+    """``x in carrier`` through a set.  Documents may hold unhashable values
+    (JSON lists and objects); those fall back to scanning the carrier."""
+    try:
+        pool = frozenset(carrier)
+    except TypeError:
+        return carrier.__contains__
+
+    def test(x: object) -> bool:
+        try:
+            return x in pool
+        except TypeError:
+            return x in carrier
+
+    return test
 
 
 def system_violations(candidate: Mapping | MealySystem) -> list[Violation]:
@@ -160,15 +178,16 @@ def system_violations(candidate: Mapping | MealySystem) -> list[Violation]:
         return [Violation("ForeignElement", str(exc))]
     if not i or not o:
         out.append(Violation("EmptyInterface", "inputs and outputs must be non-empty"))
+    in_b, in_a, in_i, in_o = (_member_test(x) for x in (b, a, i, o))
     seen: dict[tuple[Ident, Ident], tuple[Ident, Ident]] = {}
     for row in candidate.get("dynamics", []):
         s, c, s2, emit = row["s"], row["i"], row["s2"], row["o"]
-        if s not in b or c not in i:
+        if not in_b(s) or not in_i(c):
             out.append(Violation("ForeignElement", f"dynamics at foreign pair ({s!r}, {c!r})"))
             continue
-        if s2 not in a:
+        if not in_a(s2):
             out.append(Violation("ForeignElement", f"successor {s2!r} at ({s!r}, {c!r}) not an after-state"))
-        if emit not in o:
+        if not in_o(emit):
             out.append(Violation("ForeignElement", f"output {emit!r} at ({s!r}, {c!r}) not in output set"))
         if (s, c) in seen and seen[(s, c)] != (s2, emit):
             out.append(Violation("ForeignElement", f"conflicting dynamics entries at ({s!r}, {c!r})"))

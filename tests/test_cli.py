@@ -194,6 +194,27 @@ def test_tame_check_verb(capsys):
     assert "sheaf: no" in out and "gluing obstructed" in out
 
 
+def test_tame_check_band_component_missing_the_fiber(capsys, tmp_path):
+    # The half-open box [0,1)x[5,6] enters the band around x=1 but misses
+    # the fiber there, so the certificate holds a component without a
+    # fiber point; it is written as null.
+    doc = {"dim": 2, "axis": 0, "rects": [
+        {"x": ["1", "2"], "y": ["0", "1"]},
+        {"x": ["1", "2"], "y": ["2", "3"]},
+        {"x": ["0", "1"], "y": ["5", "6"], "open": [False, True, False, False]},
+    ]}
+    path = tmp_path / "band.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["check", "tame-check", str(path)])
+    assert code in (0, 1) and "Traceback" not in err
+    assert "sheaf: no" in out
+    code, report, err = _json_run(capsys, ["check", "tame-check", str(path)])
+    assert code in (0, 1) and "Traceback" not in err
+    cert = report["certificates"][0]
+    assert cert["t0"] == "1"
+    assert cert["fiber_points"] == [None, ["1", "1/2"], ["1", "5/2"]]
+
+
 def test_eps_depth_verb(capsys):
     code, out, _ = _run(capsys, ["check", "eps-depth", "triangle"])
     assert code == 0

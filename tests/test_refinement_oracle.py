@@ -1,0 +1,201 @@
+"""The refinement kernel of ``explain`` against the direct algorithms.
+
+``behavioral_equiv``, ``minimize`` and ``pooled_behavior`` share one
+partition-refinement kernel.  On seeded random machines, chain machines,
+one-letter and reordered alphabets, and machines with different output
+sets, their results must equal those of the pair-level scan and the
+index-ranked Moore loop in ``explain_oracles``: the same witnesses, the
+same quotient tables and the same block numbers.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from explain_oracles import moore_minimize, moore_pooled, pair_level_behavioral_equiv
+from sheafmealy import (
+    CheckerError,
+    behavioral_equiv,
+    judge,
+    make_system,
+    minimize,
+    morphism,
+    pooled_behavior,
+    section,
+    subsystem,
+)
+
+OUTS = ("0", "1", "2")
+
+
+def _names(rng: random.Random, prefix: str, n: int) -> list[str]:
+    # Seeded tags, so carrier order differs from construction order.
+    return [f"{prefix}{t}" for t in rng.sample(range(10 * n), n)]
+
+
+def _random_table(rng, states, inputs, outputs) -> dict:
+    return {(s, c): (rng.choice(states), rng.choice(outputs))
+            for s in states for c in inputs}
+
+
+def _chain_table(states, inputs) -> dict:
+    # ``a`` advances and only the last state emits 1 on it; every other
+    # letter resets, so refinement takes one round per chain position.
+    n = len(states)
+    d = {}
+    for k, s in enumerate(states):
+        for c in inputs:
+            if c == "a":
+                d[(s, c)] = (states[min(k + 1, n - 1)], "1" if k == n - 1 else "0")
+            else:
+                d[(s, c)] = (states[0], "0")
+    return d
+
+
+def _machine(d: dict, outputs=OUTS):
+    states = sorted({s for s, _ in d})
+    inputs = sorted({c for _, c in d})
+    return make_system(states, states, inputs, outputs, d)
+
+
+def _renamed(d: dict, prefix: str) -> dict:
+    return {(prefix + s, c): (prefix + s2, o) for (s, c), (s2, o) in d.items()}
+
+
+def _mutated(rng, d: dict, outputs) -> dict:
+    d = dict(d)
+    key = rng.choice(sorted(d))
+    s2, o = d[key]
+    if rng.random() < 0.5:
+        d[key] = (s2, rng.choice([x for x in outputs if x != o] or [o]))
+    else:
+        d[key] = (rng.choice(sorted({s for s, _ in d})), o)
+    return d
+
+
+def _table(rng, kind: str, prefix: str, inputs) -> dict:
+    if kind == "chain":
+        return _chain_table(_names(rng, prefix, rng.randint(3, 24)), inputs)
+    return _random_table(rng, _names(rng, prefix, rng.randint(1, 16)), inputs, OUTS[:2])
+
+
+def _sections(rng, m1, m2, n_patch: int):
+    # A patch of self-looping states mapped at random into both machines;
+    # behavioral comparison reads only the before-images.
+    states = [f"u{k}" for k in range(n_patch)]
+    u = make_system(states, states, ["x"], ["y"],
+                    {(s, "x"): (s, "y") for s in states})
+    patch = subsystem(u)
+
+    def sec(m):
+        f_b = {s: rng.choice(m.before) for s in states}
+        psi = morphism(u, m, f_b, f_b, {"x": m.inputs[0]}, {"y": m.outputs[0]})
+        return section(patch, m, psi)
+
+    return sec(m1), sec(m2)
+
+
+def _report(rep) -> tuple:
+    return (rep.ok, rep.state, rep.word)
+
+
+def test_behavioral_equiv_matches_pair_level_oracle(rng):
+    seen = {"equal": 0, "unequal": 0, "deep": 0}
+    for _ in range(160):
+        kind = rng.choice(("random", "chain"))
+        inputs = ["a", "b", "c"][: rng.randint(1, 3)]
+        d1 = _table(rng, kind, "p", inputs)
+        how = rng.choice(("copy", "mutate", "fresh"))
+        if how == "copy":
+            d2 = _renamed(d1, "q")
+        elif how == "mutate":
+            d2 = _renamed(_mutated(rng, d1, OUTS), "q")
+        else:
+            d2 = _table(rng, kind, "q", inputs)
+        outs2 = rng.choice((OUTS, OUTS + ("3",)))
+        if rng.random() < 0.3:
+            # A second machine with one more letter than the alphabet.
+            d2 = dict(d2)
+            for s in {s for s, _ in d2}:
+                d2[(s, "z")] = (s, outs2[-1])
+        m1, m2 = _machine(d1), _machine(d2, outs2)
+        shape = rng.choice(("full", "one", "reversed"))
+        alphabet = tuple(inputs)
+        if shape == "one":
+            alphabet = (rng.choice(inputs),)
+        elif shape == "reversed":
+            alphabet = alphabet[::-1]
+        s1, s2 = _sections(rng, m1, m2, rng.randint(1, 5))
+        got = _report(behavioral_equiv(s1, s2, alphabet))
+        assert got == pair_level_behavioral_equiv(s1, s2, alphabet)
+        if got[0]:
+            seen["equal"] += 1
+        else:
+            seen["unequal"] += 1
+            seen["deep"] += len(got[2]) > 3
+    assert min(seen.values()) > 0, seen
+
+
+def test_behavioral_equiv_checks_match_oracle(rng):
+    d = _random_table(rng, _names(rng, "p", 5), ["a", "b"], OUTS)
+    m_ab = _machine(d)
+    m_abz = _machine({**d, **{(s, "z"): (s, "0") for s, _ in d}})
+    s1, s2 = _sections(rng, m_ab, m_abz, 3)
+    other, _ = _sections(rng, m_ab, m_ab, 2)
+    for args in ((s1, other), (s1, s2), (s1, s2, ("a", "z"))):
+        with pytest.raises(CheckerError) as new:
+            behavioral_equiv(*args)
+        with pytest.raises(CheckerError) as old:
+            pair_level_behavioral_equiv(*args)
+        assert str(new.value) == str(old.value)
+    # Output sets may differ, which pooled_behavior refuses.
+    m_other = _machine({k: (s2, "9") for k, (s2, _) in d.items()}, ("9",))
+    t1, t2 = _sections(rng, m_ab, m_other, 3)
+    assert _report(behavioral_equiv(t1, t2)) == pair_level_behavioral_equiv(t1, t2)
+    with pytest.raises(CheckerError):
+        pooled_behavior([m_ab, m_other], ("a", "b"))
+
+
+def test_minimize_matches_moore_oracle(rng):
+    for _ in range(120):
+        kind = rng.choice(("random", "chain"))
+        inputs = ["a", "b", "c"][: rng.randint(1, 3)]
+        d = _table(rng, kind, "s", inputs)
+        # Planted duplicates: copies of existing rows under new names.
+        states = sorted({s for s, _ in d})
+        for k in range(rng.randint(0, 4)):
+            src = rng.choice(states)
+            for c in inputs:
+                d[(f"dup{k}", c)] = d[(src, c)]
+        m = _machine(d)
+        j = None
+        if rng.random() < 0.4:
+            j = judge({c: c for c in inputs}, {o: rng.choice("XY") for o in OUTS},
+                      interp_outputs=["X", "Y"])
+        res = minimize(m, j)
+        assert (res.machine, res.state_map) == moore_minimize(m, j)
+
+
+def test_pooled_behavior_matches_moore_oracle(rng):
+    for _ in range(120):
+        inputs = ["a", "b", "c"][: rng.randint(1, 3)]
+        machines = []
+        for k in range(rng.randint(1, 3)):
+            kind = rng.choice(("random", "chain"))
+            d = _table(rng, kind, f"m{k}_", inputs)
+            if machines and rng.random() < 0.5:
+                d = _renamed(_mutated(rng, d, OUTS), f"r{k}_")
+            machines.append(_machine(d))
+        alphabet = tuple(inputs)
+        if rng.random() < 0.4:
+            alphabet = (rng.choice(inputs),)
+        elif rng.random() < 0.3:
+            alphabet = alphabet[::-1]
+        part = pooled_behavior(machines, alphabet)
+        assert (part.blocks, part.out_table, part.succ_table) == moore_pooled(machines, alphabet)
+        for b in range(len(part.blocks)):
+            for i, c in enumerate(alphabet):
+                assert part.out(b, c) == part.outputs[part.out_table[b][i]]
+                assert part.succ(b, c) == part.succ_table[b][i]

@@ -22,6 +22,7 @@ from sheafmealy import (
     pushout_along_mono,
     restrict_immersion,
     subsystem,
+    system_violations,
     systems_isomorphic,
     verify_vk_square,
 )
@@ -113,6 +114,31 @@ def test_subsystem_requires_closure():
     )
     with pytest.raises(CheckerError):
         subsystem(system, before=["s0"], after=["s0"])
+
+
+def test_system_violations_order_and_unhashable_values():
+    doc = {
+        "before_states": ["p", "q"], "after_states": ["p"],
+        "inputs": ["a"], "outputs": ["0"],
+        "dynamics": [
+            {"s": ["p"], "i": "a", "s2": "p", "o": "0"},
+            {"s": "p", "i": "a", "s2": [], "o": {"x": 1}},
+            {"s": "p", "i": "a", "s2": "p", "o": "0"},
+            {"s": "r", "i": "a", "s2": "p", "o": "0"},
+        ],
+    }
+    assert [(v.kind, v.detail) for v in system_violations(doc)] == [
+        ("ForeignElement", "dynamics at foreign pair (['p'], 'a')"),
+        ("ForeignElement", "successor [] at ('p', 'a') not an after-state"),
+        ("ForeignElement", "output {'x': 1} at ('p', 'a') not in output set"),
+        ("ForeignElement", "conflicting dynamics entries at ('p', 'a')"),
+        ("ForeignElement", "dynamics at foreign pair ('r', 'a')"),
+        ("PartialDynamics", "dynamics missing at ('q', 'a')"),
+    ]
+    # A carrier of unhashable values is scanned, not hashed.
+    odd = {"before_states": [["p"]], "after_states": ["p"], "inputs": [],
+           "outputs": ["0"], "dynamics": [{"s": ["p"], "i": "a", "s2": "p", "o": "0"}]}
+    assert [v.kind for v in system_violations(odd)] == ["EmptyInterface", "ForeignElement"]
 
 
 def test_pullback_drops_disjoint_patches():
