@@ -28,7 +28,7 @@ from .localglobal import (
     search_bounded_behavioral_glue,
 )
 from .systems import check_covering, system_violations, validate_system
-from .tame import fiber, robustly_disconnected, sheaf_verdict, two_patch_counterexample
+from .tame import fiber, sheaf_verdict, two_patch_counterexample
 
 DEFAULT_SEED = 20250817
 
@@ -226,13 +226,13 @@ def _check_tame(args: argparse.Namespace) -> int:
         raise CheckerError(f"tame-check needs a rect-union fixture, got {kind!r}")
     u, pj = jsonio.union_from_json(payload)
     verdict = sheaf_verdict(u, pj)
+    robust = {cert.t0 for cert in verdict.certificates}
     lines = [f"sheaf: {'yes' if verdict.is_sheaf else 'no'}"]
     for t in verdict.candidates:
         pieces = fiber(u, pj, t)
-        cert = robustly_disconnected(u, pj, t)
         lines.append(
             f"disconnected fiber at {t}: {'yes' if len(pieces) > 1 else 'no'}; "
-            f"robust: {'yes' if cert is not None else 'no'}"
+            f"robust: {'yes' if t in robust else 'no'}"
         )
     doc = jsonio.sheaf_verdict_payload(verdict)
     if not verdict.is_sheaf:

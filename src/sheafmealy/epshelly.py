@@ -30,8 +30,6 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .errors import (
     CheckerError,
     EmptyInput,
@@ -271,16 +269,12 @@ def project_box(p: Sequence[float], box: Sequence[tuple[float, float]]) -> Vecto
 def project_simplex(p: Sequence[float]) -> Vector:
     """Euclidean projection onto the probability simplex (sort-based, exact
     up to floating point)."""
-    y = np.asarray(p, dtype=float)
-    n = y.shape[0]
-    u = -np.sort(-y)
-    css = np.cumsum(u)
-    ks = np.arange(1, n + 1)
-    cond = u + (1.0 - css) / ks > 0.0
-    k = int(np.nonzero(cond)[0][-1]) + 1
+    y = [float(x) for x in p]
+    u = sorted(y, reverse=True)
+    css = list(itertools.accumulate(u))
+    k = max(n for n, (x, c) in enumerate(zip(u, css), 1) if x + (1.0 - c) / n > 0.0)
     tau = (css[k - 1] - 1.0) / k
-    out = np.maximum(y - tau, 0.0)
-    return tuple(float(x) for x in out)
+    return tuple(max(x - tau, 0.0) for x in y)
 
 
 def _project(inst: EpsilonInstance, p: Sequence[float]) -> Vector:
@@ -307,19 +301,20 @@ def _constrained_minimax(inst: EpsilonInstance, pts: Sequence[Vector],
     start = _project(inst, meb.center)
     if math.dist(start, meb.center) <= MEB_REL_TOL * (1.0 + meb.radius):
         return start, _max_dist(start, pts)
-    y = np.asarray(start, dtype=float)
-    best_y, best_r = tuple(float(x) for x in y), _max_dist(start, pts)
+    y = start
+    best_y, best_r = y, _max_dist(start, pts)
     r0 = best_r + 1.0
     for t in range(1, SUBGRADIENT_ITERS + 1):
-        dists = [math.dist(tuple(y), p) for p in pts]
+        dists = [math.dist(y, p) for p in pts]
         far = max(range(len(pts)), key=lambda k: (dists[k], -k))
         if dists[far] > 0.0:
-            g = (y - np.asarray(pts[far])) / dists[far]
-            y = np.asarray(_project(inst, tuple(y - (r0 / math.sqrt(t)) * g)))
-        cur = _max_dist(tuple(float(x) for x in y), pts)
+            step = r0 / math.sqrt(t)
+            y = _project(inst, tuple(a - step * ((a - b) / dists[far])
+                                     for a, b in zip(y, pts[far])))
+        cur = _max_dist(y, pts)
         if cur < best_r:
             best_r = cur
-            best_y = tuple(float(x) for x in y)
+            best_y = y
     return best_y, best_r
 
 

@@ -153,6 +153,28 @@ def section(patch: OpenImmersion, explanatory: MealySystem, psi: SystemMorphism)
     return Section(patch, explanatory, psi)
 
 
+def judged_section(
+    patch: OpenImmersion,
+    machine: MealySystem,
+    j: Judge,
+    psi_b: Mapping[Ident, Ident],
+    psi_a: Mapping[Ident, Ident],
+) -> Section:
+    """Section of ``patch`` explained by ``machine`` with the given state
+    components of ``psi``; its input and output components are the ones the
+    judge and the patch force."""
+    src = patch.source
+    psi = morphism(
+        src,
+        machine,
+        psi_b,
+        psi_a,
+        {c: j.j_i[patch.morphism.map_i(c)] for c in src.inputs},
+        {o: j.j_o[patch.morphism.map_o(o)] for o in src.outputs},
+    )
+    return section(patch, machine, psi)
+
+
 @dataclass(frozen=True)
 class SectionCheck:
     ok: bool
@@ -532,6 +554,11 @@ class BehaviorPartition:
     @cached_property
     def letter_index(self) -> dict[Ident, int]:
         return {c: k for k, c in enumerate(self.alphabet)}
+
+    @cached_property
+    def block_index(self) -> dict[tuple[int, Ident], int]:
+        """Block of each ``(machine number, state)`` member."""
+        return {ks: bk for bk, members in enumerate(self.blocks) for ks in members}
 
     def out(self, block: int, letter: Ident) -> Ident:
         return self.outputs[self.out_table[block][self.letter_index[letter]]]

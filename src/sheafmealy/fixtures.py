@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import jsonio
 from .epshelly import EpsilonInstance, epsilon_instance
@@ -25,6 +26,7 @@ from .explain import (
     identity_judge,
     is_j_full,
     judge,
+    judged_section,
     restrict_section,
     section,
 )
@@ -41,10 +43,10 @@ from .localglobal import (
 from .systems import (
     Covering,
     MealySystem,
+    OpenImmersion,
     covering,
     identity_morphism,
     make_system,
-    morphism,
     open_immersion,
     subsystem,
 )
@@ -81,31 +83,11 @@ class SectionsFixture:
 
 
 def _identity_section(system: MealySystem) -> Section:
-    patch = open_immersion(identity_morphism(system))
-    return section(patch, system, identity_morphism(system))
+    return section(_whole(system), system, identity_morphism(system))
 
 
-def _global_section(system: MealySystem, machine: MealySystem, j: Judge,
-                    psi_b: dict, psi_a: dict) -> Section:
-    patch = open_immersion(identity_morphism(system))
-    psi = morphism(
-        system, machine, psi_b, psi_a,
-        {i: dict(j.i_map)[i] for i in system.inputs},
-        {o: dict(j.o_map)[o] for o in system.outputs},
-    )
-    return section(patch, machine, psi)
-
-
-def _local_section(patch, machine: MealySystem, j: Judge,
-                   psi_b: dict, psi_a: dict) -> Section:
-    src = patch.source
-    j_i, j_o = dict(j.i_map), dict(j.o_map)
-    psi = morphism(
-        src, machine, psi_b, psi_a,
-        {i: j_i[patch.morphism.map_i(i)] for i in src.inputs},
-        {o: j_o[patch.morphism.map_o(o)] for o in src.outputs},
-    )
-    return section(patch, machine, psi)
+def _whole(system: MealySystem) -> OpenImmersion:
+    return open_immersion(identity_morphism(system))
 
 
 # --------------------------------------------------- separation under splitting
@@ -137,8 +119,8 @@ def ri_separation_objects() -> SectionsFixture:
         },
     )
     s_id = _identity_section(sys2)
-    s_alt = _global_section(
-        sys2, alt, j,
+    s_alt = judged_section(
+        _whole(sys2), alt, j,
         {"s1": "t1", "s2": "t2"},
         {"s1": "u", "s2": "t2"},
     )
@@ -182,12 +164,12 @@ def beh_gluing_objects(repaired: bool = False) -> SectionsFixture:
         {("p0", DOT): ("p0", "0"), ("p1", DOT): ("p1", "1")},
     )
     m2 = make_system(["q"], ["q"], [DOT], ["0", "1"], {("q", DOT): ("q", "1")})
-    s1 = _local_section(
+    s1 = judged_section(
         p1, m1, j,
         {"s0": "p0", "s1": "p1", "s2": "p1"},
         {"s0": "p0", "s1": "p1", "s2": "p0"},
     )
-    s2 = _local_section(
+    s2 = judged_section(
         p2, m2, j,
         {"s1": "q", "s2": "q", "s3": "q"},
         {"s1": "q", "s2": "q", "s3": "q"},
@@ -215,8 +197,9 @@ def extra_states_objects() -> SectionsFixture:
         ["m0", "m1"], ["m0", "m1"], ["i"], ["0"],
         {("m0", "i"): ("m0", "0"), ("m1", "i"): ("m1", "0")},
     )
-    s_one = _global_section(es, one, j, {"v": "m", "w": "m"}, {"v": "m", "w": "m"})
-    s_pair = _global_section(es, pair, j, {"v": "m0", "w": "m1"}, {"v": "m0", "w": "m1"})
+    s_one = judged_section(_whole(es), one, j, {"v": "m", "w": "m"}, {"v": "m", "w": "m"})
+    s_pair = judged_section(_whole(es), pair, j, {"v": "m0", "w": "m1"},
+                            {"v": "m0", "w": "m1"})
     return SectionsFixture(es, j, c, (s_one, s_pair), "global")
 
 
@@ -234,7 +217,7 @@ def _three_state_global(sys4: MealySystem, j: Judge, junk: bool) -> Section:
     m = make_system(states, states, [DOT], ["0", "1"], dyn)
     psi_b = {"s0": "x0", "s1": "x12", "s2": "x12", "s3": "x3"}
     psi_a = {"s0": "x12", "s1": "x12", "s2": "x12", "s3": "x12"}
-    return _global_section(sys4, m, j, psi_b, psi_a)
+    return judged_section(_whole(sys4), m, j, psi_b, psi_a)
 
 
 def jfull_pair_objects() -> SectionsFixture:
@@ -345,7 +328,7 @@ def sections_from_payload(payload: dict) -> SectionsFixture:
     patches = [jsonio.immersion_from_payload(sys_, p) for p in payload["patches"]]
     c = covering(sys_, patches)
     if "global_sections" in payload:
-        whole = open_immersion(identity_morphism(sys_))
+        whole = _whole(sys_)
         secs = tuple(
             jsonio.section_from_payload(whole, j, p)
             for p in payload["global_sections"]
@@ -358,88 +341,101 @@ def sections_from_payload(payload: dict) -> SectionsFixture:
     return SectionsFixture(sys_, j, c, secs, "local")
 
 
-def all_fixtures() -> tuple[Fixture, ...]:
-    fixtures: list[Fixture] = []
+def _two_band_cut_payload() -> dict:
+    cut = two_band_cut_objects()
+    return {
+        "system": jsonio.system_payload(cut.system),
+        "judge": jsonio.judge_payload(cut.judge),
+    }
 
-    def add(name: str, kind: str, provenance: str, payload: dict) -> None:
-        fixtures.append(Fixture(name, kind, provenance, payload))
 
-    add(
-        "cex-ri-separation", "sections",
+_SIMPLEX_PROVENANCE = ("regular simplex vertices at the tolerance where only the full "
+                       "family is infeasible")
+
+# Name -> (kind, provenance, payload builder), in listing order.
+_REGISTRY: dict[str, tuple[str, str, Callable[[], dict]]] = {
+    "cex-ri-separation": (
+        "sections",
         "input-splitting covering where range-restricted separation fails "
         "on the mixed word (a, b)",
-        _sections_payload(ri_separation_objects()),
-    )
-    add(
-        "cex-beh-gluing", "sections",
+        lambda: _sections_payload(ri_separation_objects()),
+    ),
+    "cex-beh-gluing": (
+        "sections",
         "data-local covering whose compatible constant explanations force "
         "one after-state into two behavior classes",
-        _sections_payload(beh_gluing_objects()),
-    )
-    add(
-        "cex-beh-gluing-repaired", "sections",
+        lambda: _sections_payload(beh_gluing_objects()),
+    ),
+    "cex-beh-gluing-repaired": (
+        "sections",
         "the gluing conflict dissolved by rerouting one transition",
-        _sections_payload(beh_gluing_objects(repaired=True)),
-    )
-    add(
-        "cogerm-extra-states", "sections",
+        lambda: _sections_payload(beh_gluing_objects(repaired=True)),
+    ),
+    "cogerm-extra-states": (
+        "sections",
         "two fixed points explained by one state or two; the sections "
         "agree on every patch but share no common core globally",
-        _sections_payload(extra_states_objects()),
-    )
-    add(
-        "jfull-global-pair", "sections",
+        lambda: _sections_payload(extra_states_objects()),
+    ),
+    "jfull-global-pair": (
+        "sections",
         "a three-state global explanation and a junk-decorated copy over a "
         "covering whose patches all see the full judged range",
-        _sections_payload(jfull_pair_objects()),
-    )
-    u, pj = punctured_square_objects()
-    add(
-        "punctured-square", "rect-union",
+        lambda: _sections_payload(jfull_pair_objects()),
+    ),
+    "punctured-square": (
+        "rect-union",
         "open unit square minus its center: a momentary disconnection that "
         "heals in every nearby fiber",
-        jsonio.union_payload(u, pj),
-    )
-    u2, pj2 = two_band_objects()
-    add(
-        "two-band", "rect-union",
+        lambda: jsonio.union_payload(*punctured_square_objects()),
+    ),
+    "two-band": (
+        "rect-union",
         "two horizontal bands: every fiber splits and the split persists "
         "across whole strips",
-        jsonio.union_payload(u2, pj2),
-    )
-    cut = two_band_cut_objects()
-    add(
-        "two-band-cut", "judge",
+        lambda: jsonio.union_payload(*two_band_objects()),
+    ),
+    "two-band-cut": (
+        "judge",
         "stateless system discretized from the two-band split: locally "
         "forced assignments that disagree only at the cut",
-        {
-            "system": jsonio.system_payload(cut.system),
-            "judge": jsonio.judge_payload(cut.judge),
-        },
-    )
-    inst, patches, eps = triangle_objects()
-    add(
-        "triangle", "epsilon",
+        _two_band_cut_payload,
+    ),
+    "triangle": (
+        "epsilon",
         "equilateral sample points: pairs fit radius 1, the triple needs "
         "2/sqrt(3)",
-        jsonio.epsilon_payload(inst, patches, eps),
-    )
-    for d in (1, 2, 3):
-        inst_d, patches_d, eps_d = sharp_simplex_objects(d)
-        add(
-            f"simplex-sharp-{d}", "epsilon",
-            "regular simplex vertices at the tolerance where only the full "
-            "family is infeasible",
-            jsonio.epsilon_payload(inst_d, patches_d, eps_d),
-        )
-    return tuple(fixtures)
+        lambda: jsonio.epsilon_payload(*triangle_objects()),
+    ),
+    "simplex-sharp-1": (
+        "epsilon", _SIMPLEX_PROVENANCE,
+        lambda: jsonio.epsilon_payload(*sharp_simplex_objects(1)),
+    ),
+    "simplex-sharp-2": (
+        "epsilon", _SIMPLEX_PROVENANCE,
+        lambda: jsonio.epsilon_payload(*sharp_simplex_objects(2)),
+    ),
+    "simplex-sharp-3": (
+        "epsilon", _SIMPLEX_PROVENANCE,
+        lambda: jsonio.epsilon_payload(*sharp_simplex_objects(3)),
+    ),
+}
+
+
+def _build(name: str) -> Fixture:
+    kind, provenance, payload = _REGISTRY[name]
+    return Fixture(name, kind, provenance, payload())
+
+
+def all_fixtures() -> tuple[Fixture, ...]:
+    return tuple(_build(name) for name in _REGISTRY)
 
 
 def get_fixture(name: str) -> Fixture:
-    for fx in all_fixtures():
-        if fx.name == name:
-            return fx
-    raise CheckerError(f"no fixture named {name!r}")
+    """Build the named fixture, and only that one."""
+    if name not in _REGISTRY:
+        raise CheckerError(f"no fixture named {name!r}")
+    return _build(name)
 
 
 # ---------------------------------------------------------------- landscape
@@ -569,7 +565,9 @@ def landscape() -> tuple[LandscapeRow, ...]:
             ("discretized cut covering is compatible but unglueable",
              cut.obstruction is not None and not glue_cut.ok),
             ("stateless sections agreeing on every patch agree globally "
-             "here, since patch inputs jointly cover the raw inputs", True),
+             "here, since patch inputs jointly cover the raw inputs",
+             set().union(*(p.i_image for p in cut.covering.patches))
+             == set(cut.system.inputs)),
         ),
     ))
     return tuple(rows)

@@ -14,13 +14,13 @@ from typing import Any, Mapping
 
 from .epshelly import DepthReport, EpsilonInstance, epsilon_instance
 from .errors import CheckerError
-from .explain import Judge, Section, judge, section
+from .explain import Judge, Section, judge, judged_section
 from .localglobal import ObstructionReport, SeparationReport
 from .systems import (
     Covering,
     MealySystem,
     OpenImmersion,
-    SystemMorphism,
+    check_morphism,
     covering,
     morphism,
     open_immersion,
@@ -108,9 +108,15 @@ def immersion_payload(p: OpenImmersion) -> dict:
 
 
 def immersion_from_payload(target: MealySystem, payload: Mapping) -> OpenImmersion:
+    """A patch read from a document.  Its maps must form a morphism, so the
+    dynamics square is checked here: the checkers rely on patches, and so
+    on their overlaps, being closed under the target's dynamics."""
     src = validate_system(payload["source"])
     m = morphism(src, target, payload["f_b"], payload["f_a"],
                  payload["f_i"], payload["f_o"])
+    chk = check_morphism(m)
+    if not chk.ok:
+        raise CheckerError(f"patch does not commute with the dynamics at {chk.witness!r}")
     return open_immersion(m)
 
 
@@ -144,18 +150,7 @@ def section_payload(s: Section) -> dict:
 
 def section_from_payload(patch: OpenImmersion, j: Judge, payload: Mapping) -> Section:
     machine = validate_system(payload["machine"])
-    src = patch.source
-    j_i = dict(j.i_map)
-    j_o = dict(j.o_map)
-    psi = morphism(
-        src,
-        machine,
-        payload["psi_b"],
-        payload["psi_a"],
-        {c: j_i[patch.morphism.map_i(c)] for c in src.inputs},
-        {o: j_o[patch.morphism.map_o(o)] for o in src.outputs},
-    )
-    return section(patch, machine, psi)
+    return judged_section(patch, machine, j, payload["psi_b"], payload["psi_a"])
 
 
 # -------------------------------------------------------------- rect unions

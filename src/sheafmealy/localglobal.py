@@ -41,6 +41,7 @@ from .explain import (
     block_distinguishing_word,
     check_cogerm_witness,
     cogerm_equiv,
+    judged_section,
     pooled_behavior,
     restrict_section,
     restricted_interface,
@@ -55,7 +56,6 @@ from .systems import (
     check_covering,
     identity_morphism,
     make_system,
-    morphism,
     overlap_patch,
     restrict_immersion,
     subsystem,
@@ -103,12 +103,35 @@ def _overlap_restrictions(
     return restrict_section(sections[a], na), restrict_section(sections[b], nb)
 
 
-def _sections_aligned(c: Covering, sections: Sequence[Section]) -> None:
+def _check_family(
+    c: Covering,
+    j: Judge,
+    sections: Sequence[Section],
+    alphabet: tuple[Ident, ...] | None = None,
+    covered: bool = False,
+) -> None:
+    """Check a family of local sections, raising :class:`CheckerError` at
+    the first failure in this order: one section per covering patch, each
+    sitting on its patch; with ``covered``, joint surjectivity of the
+    covering; each section valid and, given an ``alphabet``, with that input
+    interface."""
     if len(sections) != len(c.patches):
         raise CheckerError("one section per covering patch is required")
     for k, (p, s) in enumerate(zip(c.patches, sections)):
         if s.patch != p:
             raise CheckerError(f"section {k} does not sit on covering patch {k}")
+    if covered:
+        chk = check_covering(c)
+        if not chk.ok:
+            raise CheckerError(
+                f"family covering leaves {chk.pair!r} uncovered on the {chk.side} side"
+            )
+    for k, s in enumerate(sections):
+        rep = validate_section(j, s)
+        if not rep.ok:
+            raise CheckerError(f"local section {k} invalid: {rep.reason}")
+        if alphabet is not None and s.explanatory.inputs != alphabet:
+            raise CheckerError("behavioral gluing needs full-interface local machines")
 
 
 @dataclass(frozen=True)
@@ -240,14 +263,7 @@ def compatible_family(
     sections: Sequence[Section],
     witnesses: Mapping[tuple[int, int], CogermWitness] | None = None,
 ) -> CompatibleFamily:
-    _sections_aligned(covering_, sections)
-    chk = check_covering(covering_)
-    if not chk.ok:
-        raise CheckerError(f"family covering leaves {chk.pair!r} uncovered on the {chk.side} side")
-    for k, s in enumerate(sections):
-        rep = validate_section(j, s)
-        if not rep.ok:
-            raise CheckerError(f"local section {k} invalid: {rep.reason}")
+    _check_family(covering_, j, sections, covered=True)
     wit = tuple(sorted((witnesses or {}).items()))
     return CompatibleFamily(covering_, j, tuple(sections), wit)
 
@@ -302,15 +318,7 @@ def glue_cogerm(family: CompatibleFamily) -> Section:
     missing_a = [x for x in tgt.after if x not in psi_a]
     if missing_b or missing_a:
         raise CheckerError(f"covering leaves states unexplained: {missing_b + missing_a!r}")
-    psi = morphism(
-        tgt,
-        amalgam.system,
-        psi_b,
-        psi_a,
-        {i: j.j_i[i] for i in tgt.inputs},
-        {o: j.j_o[o] for o in tgt.outputs},
-    )
-    glued = Section(_identity_patch(tgt), amalgam.system, psi)
+    glued = judged_section(_identity_patch(tgt), amalgam.system, j, psi_b, psi_a)
     rep = validate_section(j, glued)
     if not rep.ok:
         raise InternalConsistencyError(f"glued section fails validation: {rep.reason}")
@@ -327,41 +335,18 @@ def glue_behavioral(
     The local machines are pooled into one behavior partition; each
     before-state of the target takes the class of its image in the first
     patch containing it, which pairwise overlap compatibility (checked
-    first, raising :class:`IncompatibleFamily`) makes patch-independent.
-    Every transition of the target then forces a class on its successor;
+    first on the same partition, raising :class:`IncompatibleFamily`)
+    makes patch-independent.  Every transition of the target then forces a class on its successor;
     an after-state forced to two distinct classes is a gluing obstruction,
     returned as a replayable report.  Otherwise the forced classes, closed
     under one-step dynamics, form the global machine.
     """
-    _sections_aligned(c, sections)
     alphabet = j.interp_inputs
-    for k, s in enumerate(sections):
-        rep = validate_section(j, s)
-        if not rep.ok:
-            raise CheckerError(f"local section {k} invalid: {rep.reason}")
-        if s.explanatory.inputs != alphabet:
-            raise CheckerError("behavioral gluing needs full-interface local machines")
+    _check_family(c, j, sections, alphabet)
     machines = [s.explanatory for s in sections]
     part = pooled_behavior(machines, alphabet)
-    lookup: dict[tuple[int, Ident], int] = {}
-    for bk, members in enumerate(part.blocks):
-        for ks in members:
-            lookup[ks] = bk
-    for a in range(len(sections)):
-        for b in range(a + 1, len(sections)):
-            ra, rb = _overlap_restrictions(c, sections, a, b)
-            rep2 = behavioral_equiv(ra, rb, alphabet)
-            if not rep2.ok:
-                raise IncompatibleFamily(
-                    f"patches {a} and {b} disagree behaviorally at state {rep2.state!r} "
-                    f"on word {'/'.join(rep2.word)}"
-                )
     tgt = c.target
-    before_block: dict[Ident, int] = {}
-    for k, (p, s) in enumerate(zip(c.patches, sections)):
-        for u in p.source.before:
-            x = p.morphism.map_b(u)
-            before_block.setdefault(x, lookup[(k, s.psi_b(u))])
+    before_block = _forced_blocks(c, sections, part)
     missing = [x for x in tgt.before if x not in before_block]
     if missing:
         raise CheckerError(f"covering leaves before-states unexplained: {missing!r}")
@@ -408,7 +393,7 @@ def glue_behavioral(
     for k, (p, s) in enumerate(zip(c.patches, sections)):
         for u in p.source.after:
             x = p.morphism.map_a(u)
-            after_block.setdefault(x, lookup[(k, s.psi_a(u))])
+            after_block.setdefault(x, part.block_index[(k, s.psi_a(u))])
     missing = [x for x in tgt.after if x not in after_block]
     if missing:
         raise CheckerError(f"covering leaves after-states unexplained: {missing!r}")
@@ -430,15 +415,13 @@ def glue_behavioral(
             dyn[(names[blk], ch)] = (names[part.succ(blk, ch)], part.out(blk, ch))
     carrier = sorted(names.values())
     machine = make_system(carrier, carrier, alphabet, j.interp_outputs, dyn)
-    psi = morphism(
-        tgt,
+    glued = judged_section(
+        _identity_patch(tgt),
         machine,
+        j,
         {x: names[before_block[x]] for x in tgt.before},
         {x: names[after_block[x]] for x in tgt.after},
-        {i: j.j_i[i] for i in tgt.inputs},
-        {o: j.j_o[o] for o in tgt.outputs},
     )
-    glued = Section(_identity_patch(tgt), machine, psi)
     rep3 = validate_section(j, glued)
     if not rep3.ok:
         raise InternalConsistencyError(f"glued section fails validation: {rep3.reason}")
@@ -446,27 +429,46 @@ def glue_behavioral(
 
 
 def _forced_blocks(
-    c: Covering, sections: Sequence[Section], part: BehaviorPartition, offset: int = 0
+    c: Covering, sections: Sequence[Section], part: BehaviorPartition
 ) -> dict[Ident, int]:
     """Behavior class each target before-state must carry, read off the
-    patches.  Only the before-side is constrained: behavioral identity of
-    sections compares the images of before-states.  Raises
-    :class:`IncompatibleFamily` when two patches force different classes on
-    a shared before-state."""
-    lookup: dict[tuple[int, Ident], int] = {}
-    for bk, members in enumerate(part.blocks):
-        for ks in members:
-            lookup[ks] = bk
-    req_b: dict[Ident, int] = {}
-    for k, (p, s) in enumerate(zip(c.patches, sections)):
-        for u in p.source.before:
-            x = p.morphism.map_b(u)
-            blk = lookup[(k + offset, s.psi_b(u))]
-            if req_b.setdefault(x, blk) != blk:
-                raise IncompatibleFamily(
-                    f"patches force different behaviors on before-state {x!r}"
-                )
-    return req_b
+    first patch containing it, in the partition pooled from the sections'
+    machines in family order.  Only the before-side is constrained:
+    behavioral identity of sections compares the images of before-states.
+
+    Two patches are compatible when their sections put every shared
+    before-state in one class.  The overlap of two patches is closed, and
+    the shortest, least separating word of two states does not depend on
+    which other machines are pooled with them, so this is the comparison of
+    the two sections restricted to the overlap.  The first incompatible pair
+    of patches raises :class:`IncompatibleFamily` naming the witness that
+    minimizes (word length, word, state)."""
+    index = part.block_index
+    per_patch = [
+        {p.morphism.map_b(u): index[(k, s.psi_b(u))] for u in p.source.before}
+        for k, (p, s) in enumerate(zip(c.patches, sections))
+    ]
+    words: dict[tuple[int, int], tuple[Ident, ...]] = {}
+    for a, b in itertools.combinations(range(len(per_patch)), 2):
+        conflicts = []
+        for x, blk in per_patch[a].items():
+            other = per_patch[b].get(x, blk)
+            if other != blk:
+                if (blk, other) not in words:
+                    words[(blk, other)] = block_distinguishing_word(part, blk, other)
+                word = words[(blk, other)]
+                conflicts.append((len(word), word, x))
+        if conflicts:
+            _, word, x = min(conflicts)
+            raise IncompatibleFamily(
+                f"patches {a} and {b} disagree behaviorally at state {x!r} "
+                f"on word {'/'.join(word)}"
+            )
+    forced: dict[Ident, int] = {}
+    for blocks in per_patch:
+        for x, blk in blocks.items():
+            forced.setdefault(x, blk)
+    return forced
 
 
 def search_bounded_behavioral_glue(
@@ -490,21 +492,19 @@ def search_bounded_behavioral_glue(
     bound.  A size level whose table count exceeds ``cap`` raises
     :class:`ScaleExceeded` instead of being searched.
     """
-    _sections_aligned(c, sections)
     alphabet = j.interp_inputs
     outs = j.interp_outputs
-    for k, s in enumerate(sections):
-        rep = validate_section(j, s)
-        if not rep.ok:
-            raise CheckerError(f"local section {k} invalid: {rep.reason}")
-        if s.explanatory.inputs != alphabet:
-            raise CheckerError("behavioral gluing needs full-interface local machines")
+    _check_family(c, j, sections, alphabet)
     tgt = c.target
     locals_ = [s.explanatory for s in sections]
-    req0_b = _forced_blocks(c, sections, pooled_behavior(locals_, alphabet))
-    miss = [x for x in tgt.before if x not in req0_b]
+    part = pooled_behavior(locals_, alphabet)
+    forced = _forced_blocks(c, sections, part)
+    miss = [x for x in tgt.before if x not in forced]
     if miss:
         raise CheckerError(f"covering leaves before-states unexplained: {miss!r}")
+    # Behavior classes belong to states, not to pools: a member of each
+    # forced class stands for it when a candidate machine joins the pool.
+    reps = {x: part.blocks[blk][0] for x, blk in forced.items()}
     for n in range(1, max_states + 1):
         states = tuple(f"n{q}" for q in range(n))
         cells = [(st, ch) for st in states for ch in alphabet]
@@ -515,7 +515,7 @@ def search_bounded_behavioral_glue(
         for table in itertools.product(choices, repeat=len(cells)):
             machine = make_system(states, states, alphabet, outs,
                                   dict(zip(cells, table)))
-            glued = _assign_over_machine(c, sections, j, machine, locals_)
+            glued = _assign_over_machine(c, sections, j, machine, locals_, reps)
             if glued is not None:
                 return glued
     return None
@@ -527,17 +527,13 @@ def _assign_over_machine(
     j: Judge,
     machine: MealySystem,
     locals_: Sequence[MealySystem],
+    reps: Mapping[Ident, tuple[int, Ident]],
 ) -> Section | None:
     alphabet = j.interp_inputs
-    part = pooled_behavior([machine, *locals_], alphabet)
-    lookup: dict[tuple[int, Ident], int] = {}
-    for bk, members in enumerate(part.blocks):
-        for ks in members:
-            lookup[ks] = bk
-    req_b = _forced_blocks(c, sections, part, offset=1)
+    index = pooled_behavior([machine, *locals_], alphabet).block_index
     tgt = c.target
-    cand_b = {x: [q for q in machine.before if lookup[(0, q)] == req_b[x]]
-              for x in tgt.before}
+    cand_b = {x: [q for q in machine.before if index[(0, q)] == index[(k + 1, st)]]
+              for x, (k, st) in reps.items()}
     if any(not v for v in cand_b.values()):
         return None
     psi_b = {x: cand_b[x][0] for x in tgt.before}
@@ -554,15 +550,7 @@ def _assign_over_machine(
     # first machine state.
     for x in tgt.after:
         psi_a.setdefault(x, machine.before[0])
-    psi = morphism(
-        tgt,
-        machine,
-        psi_b,
-        psi_a,
-        {i: j.j_i[i] for i in tgt.inputs},
-        {o: j.j_o[o] for o in tgt.outputs},
-    )
-    glued = Section(_identity_patch(tgt), machine, psi)
+    glued = judged_section(_identity_patch(tgt), machine, j, psi_b, psi_a)
     if not validate_section(j, glued).ok:
         return None
     for p, s in zip(c.patches, sections):
@@ -583,11 +571,7 @@ def glue_strict(c: Covering, sections: Sequence[Section], j: Judge) -> GlueStric
     All local machines must be one and the same machine and the maps must
     agree pointwise on overlaps; the global map is then read off pointwise.
     """
-    _sections_aligned(c, sections)
-    for k, s in enumerate(sections):
-        rep = validate_section(j, s)
-        if not rep.ok:
-            raise CheckerError(f"local section {k} invalid: {rep.reason}")
+    _check_family(c, j, sections)
     machine = sections[0].explanatory
     for k, s in enumerate(sections):
         if s.explanatory != machine:
@@ -612,15 +596,7 @@ def glue_strict(c: Covering, sections: Sequence[Section], j: Judge) -> GlueStric
     missing_a = [x for x in tgt.after if x not in psi_a]
     if missing_b or missing_a:
         raise CheckerError(f"covering leaves states unexplained: {missing_b + missing_a!r}")
-    psi = morphism(
-        tgt,
-        machine,
-        psi_b,
-        psi_a,
-        {i: j.j_i[i] for i in tgt.inputs},
-        {o: j.j_o[o] for o in tgt.outputs},
-    )
-    glued = Section(_identity_patch(tgt), machine, psi)
+    glued = judged_section(_identity_patch(tgt), machine, j, psi_b, psi_a)
     rep = validate_section(j, glued)
     if not rep.ok:
         raise InternalConsistencyError(f"strict glue fails validation: {rep.reason}")

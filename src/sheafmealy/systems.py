@@ -20,7 +20,6 @@ members and are checked structurally rather than through
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping
@@ -138,21 +137,24 @@ class Violation:
     detail: str
 
 
-def _member_test(carrier: tuple) -> Callable[[object], bool]:
-    """``x in carrier`` through a set.  Documents may hold unhashable values
-    (JSON lists and objects); those fall back to scanning the carrier."""
-    try:
-        pool = frozenset(carrier)
-    except TypeError:
-        return carrier.__contains__
-
-    def test(x: object) -> bool:
+def _position(carrier: tuple) -> Callable[[object], int | None]:
+    """Position of a value in a carrier, or None.  Documents may hold
+    unhashable values (JSON lists and objects); those are no identifiers,
+    so they belong to no carrier."""
+    index: dict[object, int] = {}
+    for k, x in enumerate(carrier):
         try:
-            return x in pool
+            index[x] = k
         except TypeError:
-            return x in carrier
+            pass
 
-    return test
+    def position(x: object) -> int | None:
+        try:
+            return index.get(x)
+        except TypeError:
+            return None
+
+    return position
 
 
 def system_violations(candidate: Mapping | MealySystem) -> list[Violation]:
@@ -176,25 +178,28 @@ def system_violations(candidate: Mapping | MealySystem) -> list[Violation]:
         return [Violation("ForeignElement", f"missing field {exc.args[0]!r}")]
     except CheckerError as exc:
         return [Violation("ForeignElement", str(exc))]
+    except TypeError as exc:
+        return [Violation("ForeignElement", f"carriers must hold comparable identifiers ({exc})")]
     if not i or not o:
         out.append(Violation("EmptyInterface", "inputs and outputs must be non-empty"))
-    in_b, in_a, in_i, in_o = (_member_test(x) for x in (b, a, i, o))
-    seen: dict[tuple[Ident, Ident], tuple[Ident, Ident]] = {}
+    pos_b, pos_a, pos_i, pos_o = (_position(x) for x in (b, a, i, o))
+    seen: dict[tuple[int, int], tuple[Ident, Ident]] = {}
     for row in candidate.get("dynamics", []):
         s, c, s2, emit = row["s"], row["i"], row["s2"], row["o"]
-        if not in_b(s) or not in_i(c):
+        key = (pos_b(s), pos_i(c))
+        if None in key:
             out.append(Violation("ForeignElement", f"dynamics at foreign pair ({s!r}, {c!r})"))
             continue
-        if not in_a(s2):
+        if pos_a(s2) is None:
             out.append(Violation("ForeignElement", f"successor {s2!r} at ({s!r}, {c!r}) not an after-state"))
-        if not in_o(emit):
+        if pos_o(emit) is None:
             out.append(Violation("ForeignElement", f"output {emit!r} at ({s!r}, {c!r}) not in output set"))
-        if (s, c) in seen and seen[(s, c)] != (s2, emit):
+        if key in seen and seen[key] != (s2, emit):
             out.append(Violation("ForeignElement", f"conflicting dynamics entries at ({s!r}, {c!r})"))
-        seen[(s, c)] = (s2, emit)
-    for s in b:
-        for c in i:
-            if (s, c) not in seen:
+        seen[key] = (s2, emit)
+    for kb, s in enumerate(b):
+        for ki, c in enumerate(i):
+            if (kb, ki) not in seen:
                 out.append(Violation("PartialDynamics", f"dynamics missing at ({s!r}, {c!r})"))
     return out
 
@@ -877,7 +882,3 @@ def systems_isomorphic(s1: MealySystem, s2: MealySystem) -> bool:
 
     return extend({}, set(), list(s1.before))
 
-
-def product_pairs(system: MealySystem) -> Iterable[tuple[Ident, Ident]]:
-    """Iterator over the before x input product in carrier order."""
-    return itertools.product(system.before, system.inputs)

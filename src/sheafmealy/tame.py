@@ -45,7 +45,7 @@ from .localglobal import (
     glue_stateless,
     stateless_ri_section,
 )
-from .systems import Covering, MealySystem, covering, make_system, subsystem
+from .systems import Covering, MealySystem, _UnionFind, covering, make_system, subsystem
 
 Point = tuple[Fraction, ...]
 
@@ -230,23 +230,14 @@ def components(u: RectUnion) -> tuple[RectUnion, ...]:
     """Connected components, each as a rectangle union."""
     rects = list(u.rects)
     n = len(rects)
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = _UnionFind(n)
     for i in range(n):
         for k in range(i + 1, n):
             if _rects_linked(rects[i], rects[k]):
-                ri, rk = find(i), find(k)
-                if ri != rk:
-                    parent[max(ri, rk)] = min(ri, rk)
+                uf.union(i, k)
     groups: dict[int, list[Rect]] = {}
     for i in range(n):
-        groups.setdefault(find(i), []).append(rects[i])
+        groups.setdefault(uf.find(i), []).append(rects[i])
     return tuple(
         rect_union(u.dim, groups[r]) for r in sorted(groups, key=lambda r: sorted(groups[r]))
     )
@@ -590,10 +581,6 @@ def disjoint(u1: RectUnion, u2: RectUnion) -> bool:
                 if not a.x.intersect(b.x).empty and not a.y.intersect(b.y).empty:
                     return False
     return True
-
-
-def parse_fraction(text: str | int) -> Fraction:
-    return Fraction(text)
 
 
 def union_from_payload(payload: Mapping) -> tuple[RectUnion, ProjectionJudge]:

@@ -69,6 +69,39 @@ def test_validate_exit_one_on_invalid_document(capsys, tmp_path):
     assert "EmptyInterface" in kinds
 
 
+def test_validate_exit_one_on_list_valued_carrier(capsys, tmp_path):
+    # JSON lists are no identifiers: a state written as ["p"] belongs to no
+    # carrier, so its dynamics row is foreign and its own row is missing.
+    doc = {"before_states": [["p"]], "after_states": ["p"], "inputs": ["a"],
+           "outputs": ["0"], "dynamics": [{"s": ["p"], "i": "a", "s2": "p", "o": "0"}]}
+    path = tmp_path / "list-state.json"
+    path.write_text(json.dumps(doc))
+    code, report, err = _json_run(capsys, ["validate", str(path)])
+    assert code == 1 and err == ""
+    assert report["violations"] == [
+        {"kind": "ForeignElement", "detail": "dynamics at foreign pair (['p'], 'a')"},
+        {"kind": "PartialDynamics", "detail": "dynamics missing at (['p'], 'a')"},
+    ]
+    doc["before_states"] = [["p"], "q"]
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["validate", str(path)])
+    assert code == 1 and err == ""
+    assert out.startswith("invalid: ForeignElement: carriers must hold comparable identifiers")
+
+
+def test_patch_that_breaks_the_dynamics_is_invalid(capsys, tmp_path):
+    # The first patch sends its after-state s1 to s3: its maps are no
+    # morphism, and its overlap with the second patch is not closed.
+    doc = fx.get_fixture("cex-beh-gluing").payload
+    doc["patches"][0]["f_a"] = {"s0": "s0", "s1": "s3", "s2": "s2"}
+    path = tmp_path / "broken-patch.json"
+    path.write_text(json.dumps(doc))
+    for verb in (["validate"], ["check", "glue-beh"], ["check", "glue-cogerm"]):
+        code, out, err = _run(capsys, [*verb, str(path)])
+        assert (code, out) == (1, "")
+        assert err == "CheckerError: patch does not commute with the dynamics at ('s1', 'a')\n"
+
+
 def test_validate_exit_two_on_malformed_input(capsys, tmp_path):
     truncated = tmp_path / "broken.json"
     truncated.write_text('{"before_states": ["p", ')
@@ -111,6 +144,34 @@ def test_dump_round_trips_to_identical_bytes(capsys, tmp_path, name):
     # stdout dump matches the file byte for byte
     code, out, _ = _run(capsys, ["fixtures", "dump", name])
     assert code == 0 and out.encode("utf-8") == first
+
+
+def test_dumps_equal_the_fixture_list(capsys):
+    for fixture in fx.all_fixtures():
+        assert fx.get_fixture(fixture.name) == fixture
+        code, out, _ = _run(capsys, ["fixtures", "dump", fixture.name])
+        assert code == 0
+        assert out.encode("utf-8") == jsonio.canonical_bytes({
+            "name": fixture.name, "kind": fixture.kind,
+            "provenance": fixture.provenance, "payload": fixture.payload,
+        })
+
+
+def test_get_fixture_builds_only_the_named_fixture(monkeypatch):
+    def broken():
+        raise AssertionError("built a fixture nobody asked for")
+
+    monkeypatch.setattr(fx, "two_band_cut_objects", broken)
+    assert fx.get_fixture("triangle").kind == "epsilon"
+    with pytest.raises(AssertionError):
+        fx.get_fixture("two-band-cut")
+
+
+def test_cli_import_loads_no_numpy():
+    probe = "import sys, sheafmealy.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_typed_round_trips_reproduce_payloads():
@@ -192,6 +253,59 @@ def test_tame_check_verb(capsys):
     assert doc["counterexample_obstructed"] is True
     code, out, _ = _run(capsys, ["check", "tame-check", "two-band"])
     assert "sheaf: no" in out and "gluing obstructed" in out
+
+
+TWO_BAND_TEXT = """\
+sheaf: no
+disconnected fiber at 0: yes; robust: yes
+disconnected fiber at 1/2: yes; robust: yes
+disconnected fiber at 1: yes; robust: yes
+two-patch covering from the certificate: compatible patches, gluing obstructed
+"""
+
+TWO_BAND_JSON = (
+    '{"candidates":["0","1/2","1"],"certificates":['
+    '{"band":["-1/2","1/2"],"component_of_first_point":0,"components":['
+    '{"dim":2,"rects":[{"open":[false,true,false,false],"x":["0","1/2"],"y":["0","2/5"]}]},'
+    '{"dim":2,"rects":[{"open":[false,true,false,false],"x":["0","1/2"],"y":["3/5","1"]}]}],'
+    '"fiber_points":[["0","1/5"],["0","4/5"]],"t0":"0"},'
+    '{"band":["1/4","3/4"],"component_of_first_point":0,"components":['
+    '{"dim":2,"rects":[{"open":[true,true,false,false],"x":["1/4","3/4"],"y":["0","2/5"]}]},'
+    '{"dim":2,"rects":[{"open":[true,true,false,false],"x":["1/4","3/4"],"y":["3/5","1"]}]}],'
+    '"fiber_points":[["1/2","1/5"],["1/2","4/5"]],"t0":"1/2"},'
+    '{"band":["1/2","3/2"],"component_of_first_point":0,"components":['
+    '{"dim":2,"rects":[{"open":[true,false,false,false],"x":["1/2","1"],"y":["0","2/5"]}]},'
+    '{"dim":2,"rects":[{"open":[true,false,false,false],"x":["1/2","1"],"y":["3/5","1"]}]}],'
+    '"fiber_points":[["1","1/5"],["1","4/5"]],"t0":"1"}],'
+    '"counterexample_obstructed":true,"is_sheaf":false,'
+    '"notes":["output side assumed connected with at least two values; '
+    'the verdict covers the topological condition only"]}\n'
+)
+
+PUNCTURED_SQUARE_TEXT = """\
+sheaf: yes
+disconnected fiber at 0: no; robust: no
+disconnected fiber at 1/4: no; robust: no
+disconnected fiber at 1/2: yes; robust: no
+disconnected fiber at 3/4: no; robust: no
+disconnected fiber at 1: no; robust: no
+"""
+
+PUNCTURED_SQUARE_JSON = (
+    '{"candidates":["0","1/4","1/2","3/4","1"],"certificates":[],"is_sheaf":true,'
+    '"notes":["domain has open edges: the compactness hypothesis of the '
+    'characterization was not verified","output side assumed connected with at '
+    'least two values; the verdict covers the topological condition only"]}\n'
+)
+
+
+@pytest.mark.parametrize("name,text,doc", [
+    ("two-band", TWO_BAND_TEXT, TWO_BAND_JSON),
+    ("punctured-square", PUNCTURED_SQUARE_TEXT, PUNCTURED_SQUARE_JSON),
+])
+def test_tame_check_full_output(capsys, name, text, doc):
+    assert _run(capsys, ["check", "tame-check", name]) == (0, text, "")
+    assert _run(capsys, ["--format", "json", "check", "tame-check", name]) == (0, doc, "")
 
 
 def test_tame_check_band_component_missing_the_fiber(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Separation and gluing across coverings, from literal to stateless."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -599,3 +600,20 @@ def test_landscape_matrix():
     for row in rows:
         for line, ok in row.evidence:
             assert ok, f"{row.presheaf}: {line}"
+
+
+def test_landscape_stateless_coverage_evidence_is_computed(monkeypatch):
+    # Drop the patch that holds the sample "w": the remaining patch leaves
+    # that input uncovered, so the coverage evidence must read False.
+    real = fx.two_band_cut_objects()
+    assert "w" not in real.covering.patches[0].i_image
+    partial = dataclasses.replace(
+        real,
+        covering=covering(real.system, [real.covering.patches[0]]),
+        assignments=real.assignments[:1],
+    )
+    monkeypatch.setattr(fx, "two_band_cut_objects", lambda: partial)
+    row = {r.presheaf: r for r in fx.landscape()}["stateless"]
+    assert row.evidence[-1] == (
+        "stateless sections agreeing on every patch agree globally here, "
+        "since patch inputs jointly cover the raw inputs", False)
