@@ -17,7 +17,7 @@ from typing import Any
 from . import fixtures as fx
 from . import jsonio
 from .epshelly import obstruction_depth
-from .errors import CheckerError, IncompatibleFamily
+from .errors import CheckerError, IncompatibleFamily, MalformedDocument
 from .explain import Section, validate_section
 from .localglobal import (
     ObstructionReport,
@@ -56,9 +56,9 @@ def _load_document(target: str) -> tuple[str, dict]:
             with open(target, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise _Malformed(f"cannot read {target}: {exc}") from exc
+            raise MalformedDocument(f"cannot read {target}: {exc}") from exc
         if not isinstance(doc, dict):
-            raise _Malformed("top-level JSON value must be an object")
+            raise MalformedDocument("top-level JSON value must be an object")
         if "kind" in doc and "payload" in doc:
             return doc["kind"], doc["payload"]
         if "global_sections" in doc or "local_sections" in doc:
@@ -73,13 +73,9 @@ def _load_document(target: str) -> tuple[str, dict]:
             return "judge", doc
         if "patches" in doc and "system" in doc:
             return "covering", doc
-        raise _Malformed("document shape not recognized")
+        raise MalformedDocument("document shape not recognized")
     fixture = fx.get_fixture(target)
     return fixture.kind, fixture.payload
-
-
-class _Malformed(Exception):
-    pass
 
 
 def _validate(args: argparse.Namespace) -> int:
@@ -125,7 +121,7 @@ def _validate(args: argparse.Namespace) -> int:
     elif kind == "epsilon":
         jsonio.epsilon_from_payload(payload)
     else:
-        raise _Malformed(f"unknown fixture kind {kind!r}")
+        raise MalformedDocument(f"unknown fixture kind {kind!r}")
     _emit(args, {"valid": True, "kind": kind}, [f"valid {kind}"])
     return 0
 
@@ -397,8 +393,8 @@ def main(argv: list[str] | None = None) -> int:
             return _CHECKS[args.what](args)
         if args.verb == "fixtures":
             return _fixtures_list(args) if args.what == "list" else _fixtures_dump(args)
-        raise _Malformed(f"unknown verb {args.verb!r}")
-    except _Malformed as exc:
+        raise MalformedDocument(f"unknown verb {args.verb!r}")
+    except MalformedDocument as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return 2
     except CheckerError as exc:

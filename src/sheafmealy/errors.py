@@ -12,6 +12,10 @@ class CheckerError(ValueError):
     """Base class for precondition violations."""
 
 
+class MalformedDocument(CheckerError):
+    """An input document lacks a field or holds a value of the wrong shape."""
+
+
 class EmptyInterface(CheckerError):
     """A top-level system has an empty input or output set."""
 

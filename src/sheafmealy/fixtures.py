@@ -323,9 +323,21 @@ def _sections_payload(fx: SectionsFixture) -> dict:
 
 
 def sections_from_payload(payload: dict) -> SectionsFixture:
+    """A sections document read whole.  Each patch must be listed once: the
+    covering collapses repeats, and the gluers need one local section per
+    covering patch."""
+    jsonio.require(payload, "a sections document", "system", "judge", "patches")
+    if "global_sections" not in payload:
+        jsonio.require(payload, "a sections document", "local_sections")
     sys_ = jsonio.system_from_payload(payload["system"])
     j = jsonio.judge_from_payload(payload["judge"])
     patches = [jsonio.immersion_from_payload(sys_, p) for p in payload["patches"]]
+    for k, p in enumerate(patches):
+        if p in patches[:k]:
+            raise CheckerError(
+                f"patches {patches.index(p)} and {k} are the same patch; "
+                "list each patch once"
+            )
     c = covering(sys_, patches)
     if "global_sections" in payload:
         whole = _whole(sys_)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from .epshelly import DepthReport, EpsilonInstance, epsilon_instance
-from .errors import CheckerError
+from .errors import CheckerError, MalformedDocument
 from .explain import Judge, Section, judge, judged_section
 from .localglobal import ObstructionReport, SeparationReport
 from .systems import (
@@ -46,6 +46,13 @@ def canonical_bytes(obj: Any) -> bytes:
 
 def loads(text: str | bytes) -> Any:
     return json.loads(text)
+
+
+def require(payload: Mapping, what: str, *keys: str) -> None:
+    """Raise :class:`MalformedDocument` when the document lacks a field."""
+    missing = [k for k in keys if k not in payload]
+    if missing:
+        raise MalformedDocument(f"{what} lacks {', '.join(map(repr, missing))}")
 
 
 # ---------------------------------------------------------------- systems
@@ -225,6 +232,7 @@ def epsilon_payload(inst: EpsilonInstance, patches: list[list[str]],
 
 
 def epsilon_from_payload(payload: Mapping) -> tuple[EpsilonInstance, list[list[str]], float | None]:
+    require(payload, "an epsilon document", "dim", "domain", "values", "i_map")
     inst = epsilon_instance(
         int(payload["dim"]),
         payload["domain"],

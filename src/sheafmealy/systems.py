@@ -30,6 +30,7 @@ from .errors import (
     ForeignElement,
     InterfaceMismatch,
     InternalConsistencyError,
+    MalformedDocument,
     PartialDynamics,
     ScaleExceeded,
 )
@@ -184,8 +185,11 @@ def system_violations(candidate: Mapping | MealySystem) -> list[Violation]:
         out.append(Violation("EmptyInterface", "inputs and outputs must be non-empty"))
     pos_b, pos_a, pos_i, pos_o = (_position(x) for x in (b, a, i, o))
     seen: dict[tuple[int, int], tuple[Ident, Ident]] = {}
-    for row in candidate.get("dynamics", []):
-        s, c, s2, emit = row["s"], row["i"], row["s2"], row["o"]
+    for k, row in enumerate(candidate.get("dynamics", [])):
+        try:
+            s, c, s2, emit = row["s"], row["i"], row["s2"], row["o"]
+        except (KeyError, TypeError) as exc:
+            raise MalformedDocument(f"dynamics row {k} needs the fields s, i, s2 and o") from exc
         key = (pos_b(s), pos_i(c))
         if None in key:
             out.append(Violation("ForeignElement", f"dynamics at foreign pair ({s!r}, {c!r})"))

@@ -33,11 +33,12 @@ the fiber.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import CheckerError, InternalConsistencyError
+from .errors import CheckerError, InternalConsistencyError, MalformedDocument
 from .explain import Judge, judge as make_judge
 from .localglobal import (
     GlueStatelessResult,
@@ -186,29 +187,69 @@ def _try_merge(a: Rect, b: Rect) -> Rect | None:
 
 
 def rect_union(dim: int, rects: Iterable[Rect]) -> RectUnion:
-    """Normalize: drop empty boxes, merge aligned neighbours, sort."""
+    """Normalize: drop empty boxes, merge aligned neighbours, sort.
+
+    Merging repeats one step until no pair merges: take the first mergeable
+    pair ``(a, k)`` in list order, put the merged box at ``k`` and drop
+    ``a``.  The steps are replayed here without rescanning.  Boxes keep
+    their slots, and a pair merges only if it shares an x or a y interval
+    (in dimension 1 every pair shares ``y = None``), so row ``i`` tries only
+    the later slots indexed under its two intervals.  Rows before ``i`` have
+    no mergeable pair, and a merge changes only the pairs of the new box, so
+    until no earlier row merges with it the next step pairs it with the
+    earliest such row.
+    """
     if dim not in (1, 2):
         raise CheckerError("only dimensions 1 and 2 are supported")
-    kept = [r for r in rects if not r.empty]
-    for r in kept:
+    slots: list[Rect | None] = [r for r in rects if not r.empty]
+    for r in slots:
         if dim == 1 and r.y is not None:
             raise CheckerError("1-dimensional unions take bare intervals")
         if dim == 2 and r.y is None:
             raise CheckerError("2-dimensional unions need both axes")
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(kept)):
-            for k in range(i + 1, len(kept)):
-                merged = _try_merge(kept[i], kept[k])
-                if merged is not None:
-                    kept[k] = merged
-                    del kept[i]
-                    changed = True
-                    break
-            if changed:
-                break
-    return RectUnion(dim, tuple(sorted(kept)))
+    if len(slots) < 2:
+        return RectUnion(dim, tuple(slots))
+    # Live slots by x interval and by y interval, ascending; each slot keeps
+    # its two groups, so intervals are hashed only when a box is placed.
+    groups: dict[tuple[int, Interval | None], list[int]] = {}
+
+    def place(k: int, r: Rect) -> tuple[list[int], list[int]]:
+        pair = groups.setdefault((0, r.x), []), groups.setdefault((1, r.y), [])
+        for g in pair:
+            insort(g, k)
+        return pair
+
+    own = [place(k, r) for k, r in enumerate(slots)]
+
+    def sharing(k: int) -> list[int]:
+        """Live slots sharing an interval with slot ``k``, ascending."""
+        gx, gy = own[k]
+        return sorted(set(gx).union(gy))
+
+    def put(k: int, new: Rect | None) -> None:
+        for g in own[k]:
+            g.remove(k)
+        slots[k] = new
+        if new is not None:
+            own[k] = place(k, new)
+
+    def first_merge(pairs: Iterable[tuple[int, int]]) -> tuple[int, int, Rect] | None:
+        for a, k in pairs:
+            merged = _try_merge(slots[a], slots[k])
+            if merged is not None:
+                return a, k, merged
+        return None
+
+    for i, row in enumerate(slots):
+        if row is None:
+            continue
+        step = first_merge((i, k) for k in sharing(i) if k > i)
+        while step is not None:
+            a, k, merged = step
+            put(a, None)
+            put(k, merged)
+            step = first_merge((j, k) for j in sharing(k) if j < i)
+    return RectUnion(dim, tuple(sorted(r for r in slots if r is not None)))
 
 
 def _rects_linked(a: Rect, b: Rect) -> bool:
@@ -354,6 +395,12 @@ def preimage_components_near(
                 raise CheckerError(
                     f"band width {delta} reaches the critical abscissa {v}"
                 )
+    return _band_components(u, pj, t0, delta)
+
+
+def _band_components(
+    u: RectUnion, pj: ProjectionJudge, t0: Fraction, delta: Fraction
+) -> StripComponents:
     band = Interval(t0 - delta, t0 + delta, True, True)
     strip = clip_band(u, pj.axis, band)
     comps = components(strip)
@@ -398,7 +445,12 @@ def robustly_disconnected(
 ) -> RobustDisconnectionCertificate | None:
     """Certificate that the fiber at ``t0`` splits across band components,
     or None when every admissible band keeps it inside one component."""
-    sc = preimage_components_near(u, pj, t0, delta)
+    return _certificate(preimage_components_near(u, pj, t0, delta), pj)
+
+
+def _certificate(
+    sc: StripComponents, pj: ProjectionJudge
+) -> RobustDisconnectionCertificate | None:
     hits = [k for k, m in enumerate(sc.meets_fiber) if m]
     if len(hits) < 2:
         return None
@@ -429,13 +481,29 @@ def sheaf_verdict(u: RectUnion, pj: ProjectionJudge) -> SheafVerdict:
     the interval endpoints on the judged axis and one midpoint per gap.
     """
     crit = critical_values(u, pj.axis)
-    candidates: list[Fraction] = list(crit)
-    for a, b in zip(crit, crit[1:]):
-        candidates.append((a + b) / 2)
-    candidates = sorted(set(candidates))
+    # Endpoints at even positions, gap midpoints at odd ones, each with the
+    # default band width: half the nearest gap at an endpoint, a quarter of
+    # the gap at a midpoint.
+    candidates: list[Fraction] = []
+    widths: list[Fraction] = []
+    for k, t in enumerate(crit):
+        if k:
+            a = crit[k - 1]
+            candidates.append((a + t) / 2)
+            widths.append((t - a) / 4)
+        near = [abs(v - t) for v in crit[max(k - 1, 0):k + 2] if v != t]
+        candidates.append(t)
+        widths.append(min(near) / 2 if near else Fraction(1))
+    # A box clips to nothing in the bands of candidates outside its extent.
+    position = {t: k for k, t in enumerate(candidates)}
+    reach: list[list[Rect]] = [[] for _ in candidates]
+    for r in u.rects:
+        iv = r.axis(pj.axis)
+        for k in range(position[iv.lo], position[iv.hi] + 1):
+            reach[k].append(r)
     certs = []
-    for t in candidates:
-        cert = robustly_disconnected(u, pj, t)
+    for t, delta, boxes in zip(candidates, widths, reach):
+        cert = _certificate(_band_components(RectUnion(u.dim, tuple(boxes)), pj, t, delta), pj)
         if cert is not None:
             certs.append(cert)
     notes: list[str] = []
@@ -586,15 +654,41 @@ def disjoint(u1: RectUnion, u2: RectUnion) -> bool:
 def union_from_payload(payload: Mapping) -> tuple[RectUnion, ProjectionJudge]:
     """Build a domain and projection from the JSON shape used by fixtures:
     ``{"dim": 2, "axis": 0, "rects": [{"x": ["0","1"], "y": ["0","1/2"],
-    "open": [left, right, bottom, top]}, ...]}``."""
-    dim = int(payload["dim"])
+    "open": [left, right, bottom, top]}, ...]}``.  A missing field, a value
+    of the wrong type, an endpoint that is not a finite rational, or an
+    ``open`` list of the wrong length raises :class:`MalformedDocument`."""
+    if "dim" not in payload or "rects" not in payload:
+        raise MalformedDocument("a rectangle union needs the fields dim and rects")
+    dim, axis = _integer(payload, "dim"), _integer(payload, "axis", 0)
+    if not isinstance(payload["rects"], list):
+        raise MalformedDocument("rects must be a list of rectangles")
     rects = []
-    for row in payload["rects"]:
+    for k, row in enumerate(payload["rects"]):
+        if not isinstance(row, Mapping):
+            raise MalformedDocument(f"rectangle {k} must be an object")
         ox = row.get("open", [False] * (2 * dim))
-        x = Interval(Fraction(row["x"][0]), Fraction(row["x"][1]), bool(ox[0]), bool(ox[1]))
-        if dim == 1:
-            rects.append(Rect(x, None))
-        else:
-            y = Interval(Fraction(row["y"][0]), Fraction(row["y"][1]), bool(ox[2]), bool(ox[3]))
-            rects.append(Rect(x, y))
-    return rect_union(dim, rects), ProjectionJudge(int(payload.get("axis", 0)))
+        if not isinstance(ox, (list, tuple)) or len(ox) != 2 * dim:
+            raise MalformedDocument(f"rectangle {k}: open needs {2 * dim} flags")
+        x = _side(row, k, "x", ox[:2])
+        rects.append(Rect(x, _side(row, k, "y", ox[2:]) if dim == 2 else None))
+    return rect_union(dim, rects), ProjectionJudge(axis)
+
+
+def _integer(payload: Mapping, key: str, default: int | None = None) -> int:
+    try:
+        return int(payload.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise MalformedDocument(f"{key} must be an integer, got {payload.get(key)!r}") from exc
+
+
+def _side(row: Mapping, k: int, key: str, flags: Sequence) -> Interval:
+    """The interval ``row[key]`` of rectangle ``k`` with its open flags."""
+    if not isinstance(row.get(key), (list, tuple)) or len(row[key]) != 2:
+        raise MalformedDocument(f"rectangle {k}: {key} needs two endpoints")
+    try:
+        lo, hi = (Fraction(v) for v in row[key])
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise MalformedDocument(
+            f"rectangle {k}: {key} endpoints must be finite rationals, got {row[key]!r}"
+        ) from exc
+    return Interval(lo, hi, bool(flags[0]), bool(flags[1]))

@@ -119,6 +119,44 @@ def test_validate_exit_two_on_malformed_input(capsys, tmp_path):
     assert code == 2 and "not recognized" in err
 
 
+_JUDGE_DOC = {"interp_inputs": ["a"], "interp_outputs": ["0"],
+              "i_map": {"a": "a"}, "o_map": {"0": "0"}}
+
+
+@pytest.mark.parametrize("doc", [
+    {"before_states": ["p"], "after_states": ["p"], "inputs": ["i"], "outputs": ["o"],
+     "dynamics": [{"s": "p", "i": "i", "o": "o"}]},
+    {"dim": 2, "axis": 0, "rects": [{"x": ["0", "1/0"], "y": ["0", "1"]}]},
+    {"dim": 2, "axis": 0, "rects": [{"x": ["0", "1"]}]},
+    {"dim": 1, "axis": 0, "rects": [{"x": ["0", "one"]}]},
+    {"dim": 2, "axis": 0, "rects": [{"x": ["0", "1"], "y": ["0", "1"], "open": [True, False]}]},
+    {"dim": "two", "axis": 0, "rects": []},
+    {"dim": 1, "axis": 0, "rects": [["0", "1"]]},
+    {"domain": "euclidean", "values": {"v": [0.0, 0.0]}, "i_map": {"v": "c"}},
+    {"judge": _JUDGE_DOC, "patches": [], "global_sections": []},
+], ids=["row-without-s2", "endpoint-1-over-0", "rect-without-y", "endpoint-not-a-number",
+        "open-flags-too-few", "dim-not-an-integer", "rectangle-not-an-object",
+        "epsilon-without-dim", "sections-without-system"])
+def test_validate_exit_two_on_malformed_document(capsys, tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["validate", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("malformed input:") and "Traceback" not in err
+
+
+def test_sections_listing_a_patch_twice_are_invalid(capsys, tmp_path):
+    doc = fx.get_fixture("cex-beh-gluing").payload
+    doc["patches"].append(doc["patches"][0])
+    doc["local_sections"].append(doc["local_sections"][0])
+    path = tmp_path / "repeated-patch.json"
+    path.write_text(json.dumps(doc))
+    for verb in (["validate"], ["check", "glue-beh"], ["check", "glue-cogerm"]):
+        code, out, err = _run(capsys, [*verb, str(path)])
+        assert (code, out) == (1, "")
+        assert err == "CheckerError: patches 0 and 2 are the same patch; list each patch once\n"
+
+
 def test_unknown_fixture_name_is_invalid_not_a_crash(capsys):
     code, _, err = _run(capsys, ["validate", "no-such-fixture"])
     assert code == 1 and "no fixture named" in err
