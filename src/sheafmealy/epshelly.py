@@ -9,7 +9,8 @@ non-empty exactly when the minimax radius is at most ``eps``.
 
 Domains: all of Euclidean space, an axis-aligned box, or the probability
 simplex.  On the unconstrained domain the minimax radius is the minimum
-enclosing ball radius (computed exactly up to 1e-12 relative tolerance);
+enclosing ball radius, computed by the move-to-front method exactly up to
+1e-12 relative tolerance, with recursion at most d+2 calls deep;
 constrained domains run projected subgradient descent (500 iterations, step
 ``r0 / sqrt(t)`` from the projected unconstrained center) and certify the
 best iterate against ``eps`` with tolerance 1e-9.  Results within 1e-9 of
@@ -17,9 +18,13 @@ best iterate against ``eps`` with tolerance 1e-9.  Results within 1e-9 of
 
 Because ``eps``-balls are convex, a family of patches over a common judged
 input obeys the Helly bound: in dimension ``d``, if every ``d+1`` of them
-are jointly feasible then all of them are.  ``obstruction_depth`` searches
-for the smallest jointly infeasible subfamily; under the discrete metric
-(exact-match explanations) the corresponding bound is 2.
+are jointly feasible then all of them are (``d`` on the simplex).
+``obstruction_depth`` searches for the smallest jointly infeasible
+subfamily up to that size, and decides most subfamilies without a ball
+solve: half the diameter of their targets bounds the radius from below,
+and on the euclidean domain Jung's theorem and the centroid bound it from
+above.  Under the discrete metric (exact-match explanations) the bound is
+2 and the depth takes one pass.
 """
 
 from __future__ import annotations
@@ -61,18 +66,6 @@ class EpsilonInstance:
     i_map: tuple[tuple[str, str], ...]
     interp_inputs: tuple[str, ...]
     box: tuple[tuple[float, float], ...] | None = None
-
-    def value_of(self, raw: str) -> Vector:
-        for k, v in self.values:
-            if k == raw:
-                return v
-        raise CheckerError(f"unknown raw input {raw!r}")
-
-    def judged(self, raw: str) -> str:
-        for k, v in self.i_map:
-            if k == raw:
-                return v
-        raise CheckerError(f"raw input {raw!r} has no judged value")
 
     @property
     def raw_inputs(self) -> tuple[str, ...]:
@@ -143,11 +136,27 @@ class TargetSet:
         return not self.points
 
 
+def _patch_targets(inst: EpsilonInstance, patches: Sequence[Sequence[str]]
+                   ) -> dict[str, list[set[Vector]]]:
+    """Each patch's target points for each judged input, in one pass over
+    the patches."""
+    judged, value = dict(inst.i_map), dict(inst.values)
+    targets: dict[str, list[set[Vector]]] = {
+        i_prime: [set() for _ in patches] for i_prime in inst.interp_inputs
+    }
+    for k, patch in enumerate(patches):
+        for raw in patch:
+            if raw not in judged:
+                raise CheckerError(f"raw input {raw!r} has no judged value")
+            if raw not in value:
+                raise CheckerError(f"unknown raw input {raw!r}")
+            if judged[raw] in targets:
+                targets[judged[raw]][k].add(value[raw])
+    return targets
+
+
 def target_set(inst: EpsilonInstance, i_prime: str, patch: Iterable[str]) -> TargetSet:
-    pts: set[Vector] = set()
-    for raw in patch:
-        if inst.judged(raw) == i_prime:
-            pts.add(inst.value_of(raw))
+    (pts,) = _patch_targets(inst, [patch]).get(i_prime, [set()])
     return TargetSet(i_prime, tuple(sorted(pts)))
 
 
@@ -213,9 +222,12 @@ class Ball:
 def min_enclosing_ball(points: Sequence[Sequence[float]], seed: int | None = None) -> Ball:
     """Minimum enclosing ball in up to 8 dimensions.
 
-    Randomized incremental computation over a deterministic shuffle of the
-    deduplicated points; the result is exact up to 1e-12 relative tolerance
-    and independent of the seed, which only permutes the recursion order.
+    Move-to-front computation (Welzl 1991, Gärtner 1999) over a
+    deterministic shuffle of the deduplicated points.  It recurses only
+    when a point joins the boundary, so the recursion is at most d+2 calls
+    deep whatever the number of points.  The result is exact up to 1e-12
+    relative tolerance and independent of the seed, which only permutes
+    the order the points are visited in.
     """
     pts = [tuple(float(x) for x in p) for p in points]
     if not pts:
@@ -232,23 +244,27 @@ def min_enclosing_ball(points: Sequence[Sequence[float]], seed: int | None = Non
     rng = random.Random(20250817 if seed is None else seed)
     rng.shuffle(uniq)
 
-    def welzl(idx: int, boundary: list[Vector]) -> tuple[Vector, float] | None:
-        if idx == len(uniq) or len(boundary) == d + 1:
-            if not boundary:
-                return None
-            ball = _circumball(boundary)
-            if ball is None:
-                # Affinely dependent boundary: the last point is inside the
-                # ball of the others whenever the set was reachable.
-                ball = _circumball(boundary[:-1])
-            return ball
-        ball = welzl(idx + 1, boundary)
-        p = uniq[idx]
-        if ball is not None and _ball_contains(ball, p):
-            return ball
-        return welzl(idx + 1, boundary + [p])
+    def mtf(end: int, boundary: list[Vector],
+            outer: tuple[Vector, float] | None) -> tuple[Vector, float] | None:
+        """Smallest ball with ``boundary`` on its rim holding ``uniq[:end]``;
+        ``outer`` is the rim ball of the boundary without its last point.
+        Each point found outside moves to the front of ``uniq``."""
+        rim = _circumball(boundary) if boundary else None
+        if rim is None:
+            # Affinely dependent boundary: the last point is inside the
+            # ball of the others whenever the set was reachable.
+            rim = outer
+        if len(boundary) == d + 1:
+            return rim
+        ball = rim
+        for k in range(end):
+            p = uniq[k]
+            if not _ball_contains(ball, p):
+                ball = mtf(k, boundary + [p], rim)
+                uniq.insert(0, uniq.pop(k))
+        return ball
 
-    ball = welzl(0, [])
+    ball = mtf(len(uniq), [], None)
     if ball is None:
         raise CheckerError("ball computation failed")
     return Ball(ball[0], ball[1])
@@ -365,12 +381,35 @@ def feasibility(
     )
 
 
-def _union_points(inst: EpsilonInstance, patches: Sequence[Sequence[str]],
-                  subset: Sequence[int], i_prime: str) -> tuple[Vector, ...]:
-    pts: set[Vector] = set()
-    for k in subset:
-        pts.update(target_set(inst, i_prime, patches[k]).points)
-    return tuple(sorted(pts))
+def _farthest(a: Iterable[Vector], b: Iterable[Vector]) -> float:
+    return max((math.dist(p, q) for p in a for q in b), default=0.0)
+
+
+def _certified(inst: EpsilonInstance, pts: set[Vector], diameter: float,
+               eps: float) -> bool | None:
+    """Feasibility of ``pts`` when a bound alone decides it, clear of the
+    1e-9 band, so that the solver would agree and not flag it marginal;
+    None when only a solve can tell.
+
+    Any center is at least half the diameter from some point, on every
+    domain.  On the euclidean domain the radius is at most the diameter
+    times sqrt(m / (2(m+1))) with m the dimension of the points' affine
+    hull (Jung's theorem), and at most the farthest point's distance from
+    the centroid.  On a box or simplex the subgradient solver may overstate
+    the radius, so an upper bound could contradict its verdict; there only
+    the lower bound is used.
+    """
+    if diameter / 2.0 > eps + COMPARISON_TOL:
+        return False
+    if inst.domain != "euclidean":
+        return None
+    m = min(inst.dim, len(pts) - 1)
+    if diameter * math.sqrt(m / (2.0 * (m + 1))) < eps - COMPARISON_TOL:
+        return True
+    centroid = tuple(sum(xs) / len(pts) for xs in zip(*pts))
+    if all(math.dist(centroid, p) < eps - COMPARISON_TOL for p in pts):
+        return True
+    return None
 
 
 @dataclass(frozen=True)
@@ -382,6 +421,9 @@ class DepthReport:
     marginal: bool
 
 
+MAX_SUBFAMILIES = 2**20 - 1
+
+
 def obstruction_depth(
     inst: EpsilonInstance,
     patches: Sequence[Sequence[str]],
@@ -389,35 +431,64 @@ def obstruction_depth(
     seed: int | None = None,
 ) -> DepthReport:
     """Size of the smallest jointly infeasible subfamily, judged input by
-    judged input; None when the whole family is feasible.  The full family
-    is checked first, then subfamilies in increasing size, index order."""
+    judged input; None when the whole family is feasible.
+
+    The full family is checked first, then subfamilies in increasing size,
+    index order, up to the Helly number h: d+1, or d on the simplex, whose
+    points span d-1 dimensions.  An infeasible family whose subfamilies of
+    at most h patches are all feasible (possible only within the 1e-9
+    tolerance, or where the subgradient solver overstates a radius) gets
+    depth None.  A subfamily is solved only when :func:`_certified` cannot
+    decide it from the diameter of its targets, read from a table of the
+    farthest pair of targets of every two patches.  More than 2**20 - 1
+    subfamilies to search raise :class:`ScaleExceeded`.
+    """
     if eps < 0:
         raise NegativeEpsilon("tolerances must be non-negative")
-    if len(patches) > 20:
-        raise ScaleExceeded("obstruction search is capped at 20 patches")
+    n = len(patches)
+    helly = inst.dim if inst.domain == "simplex" else inst.dim + 1
+    sizes = range(1, min(helly, n) + 1)
+    if sum(math.comb(n, size) for size in sizes) > MAX_SUBFAMILIES:
+        raise ScaleExceeded(
+            f"obstruction search over {n} patches up to size {helly} "
+            f"exceeds {MAX_SUBFAMILIES} subfamilies"
+        )
+    targets = _patch_targets(inst, patches)
     marginal = False
-    full = range(len(patches))
     full_bad = None
     for i_prime in inst.interp_inputs:
-        pts = _union_points(inst, patches, list(full), i_prime)
+        pts = set().union(*targets[i_prime])
         if not pts:
             continue
-        res = feasibility(inst, pts, eps, seed)
+        res = feasibility(inst, sorted(pts), eps, seed)
         marginal = marginal or res.marginal
         if not res.feasible:
             full_bad = i_prime
             break
     if full_bad is None:
         return DepthReport(True, None, None, None, marginal)
-    for size in range(1, len(patches) + 1):
-        for combo in itertools.combinations(range(len(patches)), size):
+    far = {i_prime: {(k, k): _farthest(t, t) for k, t in enumerate(groups)}
+           for i_prime, groups in targets.items()}
+    for size in sizes:
+        if size == 2:
+            for i_prime, groups in targets.items():
+                far[i_prime].update(
+                    ((a, b), _farthest(groups[a], groups[b]))
+                    for a, b in itertools.combinations(range(n), 2)
+                )
+        for combo in itertools.combinations(range(n), size):
+            pairs = list(itertools.combinations_with_replacement(combo, 2))
             for i_prime in inst.interp_inputs:
-                pts = _union_points(inst, patches, combo, i_prime)
+                pts = set().union(*(targets[i_prime][k] for k in combo))
                 if not pts:
                     continue
-                res = feasibility(inst, pts, eps, seed)
-                marginal = marginal or res.marginal
-                if not res.feasible:
+                diameter = max(far[i_prime][pair] for pair in pairs)
+                ok = _certified(inst, pts, diameter, eps)
+                if ok is None:
+                    res = feasibility(inst, sorted(pts), eps, seed)
+                    marginal = marginal or res.marginal
+                    ok = res.feasible
+                if not ok:
                     return DepthReport(False, size, combo, i_prime, marginal)
     return DepthReport(False, None, None, full_bad, marginal)
 
@@ -451,9 +522,9 @@ def eps_glue(
     radii: list[tuple[str, float]] = []
     unconstrained: list[str] = []
     marginal: list[str] = []
+    targets = _patch_targets(inst, patches)
     for i_prime in inst.interp_inputs:
-        pts = _union_points(inst, patches, list(range(len(patches))), i_prime)
-        res = feasibility(inst, pts, eps, seed)
+        res = feasibility(inst, sorted(set().union(*targets[i_prime])), eps, seed)
         if not res.feasible:
             err = Infeasible(
                 f"no point is within {eps} of every target for judged input {i_prime!r}"
@@ -484,17 +555,13 @@ def discrete_feasible(points: Sequence[Sequence[float]], eps: float) -> bool:
 def discrete_obstruction_depth(
     patch_points: Sequence[Sequence[Sequence[float]]], eps: float
 ) -> int | None:
-    """Smallest jointly infeasible subfamily under the discrete metric; the
-    bound here is 2: any infeasible family contains an infeasible pair
-    (two patches forcing different exact values)."""
-    if len(patch_points) > 20:
-        raise ScaleExceeded("obstruction search is capped at 20 patches")
-    union = [p for pts in patch_points for p in pts]
-    if discrete_feasible(union, eps):
+    """Smallest jointly infeasible subfamily under the discrete metric, in
+    one pass: None when the family is feasible, 1 when some patch forces
+    two different exact values, otherwise 2 (two patches forcing different
+    values), the Helly number of the discrete metric."""
+    if eps < 0:
+        raise NegativeEpsilon("tolerances must be non-negative")
+    parts = [{tuple(float(x) for x in p) for p in pts} for pts in patch_points]
+    if eps >= 1.0 or len(set().union(*parts)) <= 1:
         return None
-    for size in range(1, len(patch_points) + 1):
-        for combo in itertools.combinations(range(len(patch_points)), size):
-            pts = [p for k in combo for p in patch_points[k]]
-            if pts and not discrete_feasible(pts, eps):
-                return size
-    return None
+    return 1 if any(len(part) > 1 for part in parts) else 2

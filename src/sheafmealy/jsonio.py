@@ -232,18 +232,39 @@ def epsilon_payload(inst: EpsilonInstance, patches: list[list[str]],
 
 
 def epsilon_from_payload(payload: Mapping) -> tuple[EpsilonInstance, list[list[str]], float | None]:
-    require(payload, "an epsilon document", "dim", "domain", "values", "i_map")
-    inst = epsilon_instance(
-        int(payload["dim"]),
-        payload["domain"],
-        payload["values"],
-        payload["i_map"],
-        payload.get("interp_inputs"),
-        payload.get("box"),
-    )
-    patches = [list(p) for p in payload.get("patches", [])]
-    eps = payload.get("eps")
-    return inst, patches, None if eps is None else float(eps)
+    """An epsilon instance, its patches and its tolerance.  A missing field,
+    ``values`` or ``i_map`` that is no object, ``patches``, ``box`` or
+    ``interp_inputs`` that is no list, an input name that is no string, or
+    a ``dim``, coordinate, box bound or ``eps`` that is no number raises
+    :class:`MalformedDocument`."""
+    what = "an epsilon document"
+    require(payload, what, "dim", "domain", "values", "i_map")
+    for key, kind, name in (("values", Mapping, "an object"), ("i_map", Mapping, "an object"),
+                            ("patches", list, "a list"), ("box", list, "a list"),
+                            ("interp_inputs", list, "a list")):
+        if payload.get(key) is not None and not isinstance(payload[key], kind):
+            raise MalformedDocument(f"{what}: {key} must be {name}, got {payload[key]!r}")
+    patches = payload.get("patches") or []
+    if not all(isinstance(p, list) for p in patches):
+        raise MalformedDocument(f"{what}: each patch must be a list of raw inputs")
+    names = [*payload["i_map"].values(), *(payload.get("interp_inputs") or []),
+             *(raw for p in patches for raw in p)]
+    if not all(isinstance(x, str) for x in names):
+        raise MalformedDocument(f"{what}: raw and judged inputs must be strings")
+    try:
+        dim = int(payload["dim"])
+        values = {raw: [float(x) for x in v] for raw, v in payload["values"].items()}
+        box = None if payload.get("box") is None else [
+            (float(lo), float(hi)) for lo, hi in payload["box"]
+        ]
+        eps = None if payload.get("eps") is None else float(payload["eps"])
+    except (TypeError, ValueError) as exc:
+        raise MalformedDocument(
+            f"{what} needs an integer dim and numeric values, box bounds and eps ({exc})"
+        ) from exc
+    inst = epsilon_instance(dim, payload["domain"], values, payload["i_map"],
+                            payload.get("interp_inputs"), box)
+    return inst, [list(p) for p in patches], eps
 
 
 # ---------------------------------------------------------------- reports

@@ -744,12 +744,9 @@ def discrete_stateless_sheaf_check(system: MealySystem, j: Judge) -> StatelessSh
     report carries the canonical witness: the covering that splits off each
     input as its own patch, whose forced local family is compatible (the
     overlaps see no shared judged input) yet unglueable at the named fiber.
-    At most 12 inputs are accepted.
     """
     if len(system.before) != 1 or len(system.after) != 1 or not system.homogeneous:
         raise NotStateless("the discrete sheaf check needs a single-state system")
-    if len(system.inputs) > 12:
-        raise ScaleExceeded("the discrete sheaf check is capped at 12 inputs")
     s0 = system.before[0]
     fibers: dict[Ident, list[Ident]] = {}
     for i_raw in system.inputs:

@@ -185,7 +185,10 @@ def system_violations(candidate: Mapping | MealySystem) -> list[Violation]:
         out.append(Violation("EmptyInterface", "inputs and outputs must be non-empty"))
     pos_b, pos_a, pos_i, pos_o = (_position(x) for x in (b, a, i, o))
     seen: dict[tuple[int, int], tuple[Ident, Ident]] = {}
-    for k, row in enumerate(candidate.get("dynamics", [])):
+    dynamics = candidate.get("dynamics", [])
+    if not isinstance(dynamics, list):
+        raise MalformedDocument(f"dynamics must be a list of rows, got {dynamics!r}")
+    for k, row in enumerate(dynamics):
         try:
             s, c, s2, emit = row["s"], row["i"], row["s2"], row["o"]
         except (KeyError, TypeError) as exc:

@@ -1,0 +1,90 @@
+"""Reference versions of the epsilon layer's ball solver and depth search.
+
+``welzl_ball`` is the recursive randomized incremental solver (Welzl 1991):
+the same dedupe, sort, seeded shuffle and circumball subroutine as the
+library, but one recursion level per point, so it needs a raised recursion
+limit on large sets.  ``combination_depth`` is the plain obstruction
+search: the full family, then every subfamily of every size in
+``itertools.combinations`` order, one ``feasibility`` solve per subfamily
+and judged input.  The library recurses over the boundary only, stops at
+the Helly number and skips the solves a bound decides; the seeded tests
+hold it to these results.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+import sys
+
+from sheafmealy.epshelly import (
+    Ball,
+    DepthReport,
+    _ball_contains,
+    _circumball,
+    feasibility,
+    target_set,
+)
+
+
+def welzl_ball(points, seed=None) -> Ball:
+    uniq = sorted({tuple(float(x) for x in p) for p in points})
+    d = len(uniq[0])
+    rng = random.Random(20250817 if seed is None else seed)
+    rng.shuffle(uniq)
+
+    def welzl(idx, boundary):
+        if idx == len(uniq) or len(boundary) == d + 1:
+            if not boundary:
+                return None
+            ball = _circumball(boundary)
+            if ball is None:
+                ball = _circumball(boundary[:-1])
+            return ball
+        ball = welzl(idx + 1, boundary)
+        p = uniq[idx]
+        if ball is not None and _ball_contains(ball, p):
+            return ball
+        return welzl(idx + 1, boundary + [p])
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 4 * len(uniq) + 200))
+    try:
+        center, radius = welzl(0, [])
+    finally:
+        sys.setrecursionlimit(limit)
+    return Ball(center, radius)
+
+
+def _union_points(inst, patches, subset, i_prime):
+    pts = set()
+    for k in subset:
+        pts.update(target_set(inst, i_prime, patches[k]).points)
+    return tuple(sorted(pts))
+
+
+def combination_depth(inst, patches, eps, seed=None) -> DepthReport:
+    marginal = False
+    full_bad = None
+    for i_prime in inst.interp_inputs:
+        pts = _union_points(inst, patches, range(len(patches)), i_prime)
+        if not pts:
+            continue
+        res = feasibility(inst, pts, eps, seed)
+        marginal = marginal or res.marginal
+        if not res.feasible:
+            full_bad = i_prime
+            break
+    if full_bad is None:
+        return DepthReport(True, None, None, None, marginal)
+    for size in range(1, len(patches) + 1):
+        for combo in itertools.combinations(range(len(patches)), size):
+            for i_prime in inst.interp_inputs:
+                pts = _union_points(inst, patches, combo, i_prime)
+                if not pts:
+                    continue
+                res = feasibility(inst, pts, eps, seed)
+                marginal = marginal or res.marginal
+                if not res.feasible:
+                    return DepthReport(False, size, combo, i_prime, marginal)
+    return DepthReport(False, None, None, full_bad, marginal)

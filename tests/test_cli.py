@@ -121,6 +121,7 @@ def test_validate_exit_two_on_malformed_input(capsys, tmp_path):
 
 _JUDGE_DOC = {"interp_inputs": ["a"], "interp_outputs": ["0"],
               "i_map": {"a": "a"}, "o_map": {"0": "0"}}
+_EPS_DOC = {"dim": 2, "domain": "euclidean", "values": {"v": [0.0, 0.0]}, "i_map": {"v": "c"}}
 
 
 @pytest.mark.parametrize("doc", [
@@ -134,9 +135,20 @@ _JUDGE_DOC = {"interp_inputs": ["a"], "interp_outputs": ["0"],
     {"dim": 1, "axis": 0, "rects": [["0", "1"]]},
     {"domain": "euclidean", "values": {"v": [0.0, 0.0]}, "i_map": {"v": "c"}},
     {"judge": _JUDGE_DOC, "patches": [], "global_sections": []},
+    {"before_states": ["p"], "after_states": ["p"], "inputs": ["i"], "outputs": ["o"],
+     "dynamics": 5},
+    {**_EPS_DOC, "dim": "x"},
+    {**_EPS_DOC, "values": 5},
+    {**_EPS_DOC, "patches": 5},
+    {**_EPS_DOC, "eps": "big"},
+    {**_EPS_DOC, "domain": "box", "box": [[0, "a"], [0, 1]]},
+    {**_EPS_DOC, "i_map": {"v": 5}},
 ], ids=["row-without-s2", "endpoint-1-over-0", "rect-without-y", "endpoint-not-a-number",
         "open-flags-too-few", "dim-not-an-integer", "rectangle-not-an-object",
-        "epsilon-without-dim", "sections-without-system"])
+        "epsilon-without-dim", "sections-without-system", "dynamics-not-a-list",
+        "epsilon-dim-not-an-integer", "epsilon-values-not-an-object",
+        "epsilon-patches-not-a-list", "epsilon-eps-not-a-number", "epsilon-box-not-numbers",
+        "epsilon-judged-input-not-a-string"])
 def test_validate_exit_two_on_malformed_document(capsys, tmp_path, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

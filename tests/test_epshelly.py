@@ -15,6 +15,7 @@ import randgen as rg
 
 from sheafmealy import (
     CheckerError,
+    DepthReport,
     EmptyInput,
     Infeasible,
     NegativeEpsilon,
@@ -455,8 +456,18 @@ def test_feasibility_flags_and_guards():
         {f"r{k}": (float(k),) for k in range(21)},
         {f"r{k}": "c" for k in range(21)},
     )
+    # 21 patches on a line: the search stops at the Helly number 2 and finds
+    # the pair (0, 3) at radius 1.5 after the marginal pair (0, 2) at radius 1
+    report = obstruction_depth(many, [[f"r{k}"] for k in range(21)], 1.0)
+    assert report == DepthReport(False, 2, (0, 3), "c", True)
+    # 50 patches in dimension 4: 2,369,935 subfamilies of at most 5 patches
+    crowd = epsilon_instance(
+        4, "euclidean",
+        {f"r{k}": (float(k), 0.0, 0.0, 0.0) for k in range(50)},
+        {f"r{k}": "c" for k in range(50)},
+    )
     with pytest.raises(ScaleExceeded):
-        obstruction_depth(many, [[f"r{k}"] for k in range(21)], 1.0)
+        obstruction_depth(crowd, [[f"r{k}"] for k in range(50)], 1.0)
 
 
 def test_instance_validation():

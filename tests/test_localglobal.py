@@ -516,9 +516,13 @@ def test_discrete_sheaf_check_trivial_cases():
     with pytest.raises(NotStateless):
         discrete_stateless_sheaf_check(two, identity_judge(two))
 
-    wide = _stateless_system({f"i{k:02d}": "0" for k in range(13)})
-    with pytest.raises(ScaleExceeded):
-        discrete_stateless_sheaf_check(wide, identity_judge(wide))
+    # No input cap: 13 inputs, one fiber holding two judged outputs.
+    wide = _stateless_system({f"i{k:02d}": str(k % 2) for k in range(13)})
+    j_wide = judge({c: "A" if c in ("i00", "i01") else c for c in wide.inputs},
+                   {"0": "o0", "1": "o1"})
+    verdict = discrete_stateless_sheaf_check(wide, j_wide)
+    assert not verdict.is_sheaf
+    assert verdict.is_sheaf == _brute_force_stateless_sheaf(wide, j_wide, max_patches=1)
 
 
 def _brute_force_stateless_sheaf(system, j, max_patches=3):
