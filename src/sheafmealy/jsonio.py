@@ -12,8 +12,8 @@ import json
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .epshelly import DepthReport, EpsilonInstance, epsilon_instance
-from .errors import CheckerError, MalformedDocument
+from .epshelly import DepthReport, EpsilonInstance, _patch_targets, epsilon_instance
+from .errors import CheckerError, MalformedDocument, NegativeEpsilon
 from .explain import Judge, Section, judge, judged_section
 from .localglobal import ObstructionReport, SeparationReport
 from .systems import (
@@ -27,6 +27,7 @@ from .systems import (
     validate_system,
 )
 from .tame import (
+    SIDE_KEYS,
     ProjectionJudge,
     Rect,
     RectUnion,
@@ -166,14 +167,9 @@ def _frac(x: Fraction) -> str:
     return str(x)
 
 
-def _rect_payload(r: Rect, dim: int) -> dict:
-    out: dict[str, Any] = {
-        "x": [_frac(r.x.lo), _frac(r.x.hi)],
-        "open": [r.x.lo_open, r.x.hi_open],
-    }
-    if dim == 2:
-        out["open"] = [r.x.lo_open, r.x.hi_open, r.y.lo_open, r.y.hi_open]
-        out["y"] = [_frac(r.y.lo), _frac(r.y.hi)]
+def _rect_payload(r: Rect) -> dict:
+    out: dict[str, Any] = {key: [_frac(s.lo), _frac(s.hi)] for key, s in zip(SIDE_KEYS, r)}
+    out["open"] = [flag for s in r for flag in (s.lo_open, s.hi_open)]
     return out
 
 
@@ -181,7 +177,7 @@ def union_payload(u: RectUnion, pj: ProjectionJudge) -> dict:
     return {
         "dim": u.dim,
         "axis": pj.axis,
-        "rects": [_rect_payload(r, u.dim) for r in u.rects],
+        "rects": [_rect_payload(r) for r in u.rects],
     }
 
 
@@ -194,7 +190,7 @@ def certificate_payload(cert: RobustDisconnectionCertificate) -> dict:
         "t0": _frac(cert.t0),
         "band": [_frac(cert.n_lo), _frac(cert.n_hi)],
         "components": [
-            {"rects": [_rect_payload(r, comp.dim) for r in comp.rects], "dim": comp.dim}
+            {"rects": [_rect_payload(r) for r in comp.rects], "dim": comp.dim}
             for comp in cert.components
         ],
         "fiber_points": [None if p is None else [_frac(x) for x in p]
@@ -236,7 +232,9 @@ def epsilon_from_payload(payload: Mapping) -> tuple[EpsilonInstance, list[list[s
     ``values`` or ``i_map`` that is no object, ``patches``, ``box`` or
     ``interp_inputs`` that is no list, an input name that is no string, or
     a ``dim``, coordinate, box bound or ``eps`` that is no number raises
-    :class:`MalformedDocument`."""
+    :class:`MalformedDocument`; a patch input without a judged value or
+    point raises :class:`CheckerError`, and a negative ``eps``
+    :class:`NegativeEpsilon`, as the checks themselves would."""
     what = "an epsilon document"
     require(payload, what, "dim", "domain", "values", "i_map")
     for key, kind, name in (("values", Mapping, "an object"), ("i_map", Mapping, "an object"),
@@ -264,7 +262,11 @@ def epsilon_from_payload(payload: Mapping) -> tuple[EpsilonInstance, list[list[s
         ) from exc
     inst = epsilon_instance(dim, payload["domain"], values, payload["i_map"],
                             payload.get("interp_inputs"), box)
-    return inst, [list(p) for p in patches], eps
+    patches = [list(p) for p in patches]
+    _patch_targets(inst, patches)
+    if eps is not None and eps < 0:
+        raise NegativeEpsilon("tolerances must be non-negative")
+    return inst, patches, eps
 
 
 # ---------------------------------------------------------------- reports

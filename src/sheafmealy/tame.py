@@ -2,7 +2,11 @@
 
 Domains are finite unions of open/half-open/closed axis-aligned rectangles
 in the plane (or intervals on the line) with rational endpoints; the judged
-input map is the projection onto one axis.  Everything here is computed in
+input map is the projection onto one axis.  A box is the product of its
+sides, one interval per axis (a cell in the sense of o-minimal cell
+decomposition), and every box operation is written once over the sides:
+two boxes merge when they agree on every side but one and are linked on
+that one, and clipping replaces one side.  Everything here is computed in
 exact rational arithmetic; there are no tolerances in this module.
 
 Two facts, proved directly for this class of domains, drive the algorithms:
@@ -20,7 +24,8 @@ Two facts, proved directly for this class of domains, drive the algorithms:
   endpoints of the union on that axis: component structure and fiber
   membership are constant on each open gap between consecutive endpoints.
   A full sheaf verdict therefore needs only the endpoints themselves plus
-  one interior point per gap; midpoints are used.
+  one interior point per gap; midpoints are used.  The same fact decides
+  the equality of two unions from their fibers at those points.
 
 A robustly disconnected fiber at ``t0`` means: some open band around ``t0``
 has its preimage split by two disjoint relatively open sets, both meeting
@@ -36,6 +41,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CheckerError, InternalConsistencyError, MalformedDocument
@@ -67,9 +73,9 @@ class Interval:
     def contains(self, x: Fraction) -> bool:
         if x < self.lo or x > self.hi:
             return False
-        if x == self.lo and self.lo_open:
+        if self.lo_open and x == self.lo:
             return False
-        if x == self.hi and self.hi_open:
+        if self.hi_open and x == self.hi:
             return False
         return True
 
@@ -133,26 +139,55 @@ def merge_intervals(parts: Iterable[Interval]) -> tuple[Interval, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, order=True)
-class Rect:
-    x: Interval
-    y: Interval | None = None
+class Rect(tuple):
+    """A box: the product of its sides, one interval per axis.
+
+    ``Rect(x)`` is a segment on the line and ``Rect(x, y)`` a rectangle in
+    the plane; :meth:`of` builds a box from a sequence of sides.  Boxes
+    compare, sort and hash as the tuples of their sides.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x: Interval, y: Interval | None = None) -> Rect:
+        return tuple.__new__(cls, (x,) if y is None else (x, y))
+
+    @classmethod
+    def of(cls, sides: Iterable[Interval]) -> Rect:
+        return tuple.__new__(cls, sides)
+
+    def __reduce__(self):
+        return Rect.of, (tuple(self),)
+
+    def __repr__(self) -> str:
+        return f"Rect{tuple(self)!r}"
+
+    @property
+    def x(self) -> Interval:
+        return self[0]
+
+    @property
+    def y(self) -> Interval | None:
+        return self[1] if len(self) > 1 else None
 
     @property
     def empty(self) -> bool:
-        return self.x.empty or (self.y is not None and self.y.empty)
+        return any(s.empty for s in self)
 
     def axis(self, k: int) -> Interval:
-        if k == 0:
-            return self.x
-        if k == 1 and self.y is not None:
-            return self.y
-        raise CheckerError(f"axis {k} out of range")
+        if not 0 <= k < len(self):
+            raise CheckerError(f"axis {k} out of range")
+        return self[k]
+
+    def coface(self, k: int) -> tuple[Interval, ...]:
+        """The sides left when axis ``k`` is dropped."""
+        return self[:k] + self[k + 1:]
+
+    def with_side(self, k: int, side: Interval) -> Rect:
+        return Rect.of((*self[:k], side, *self[k + 1:]))
 
     def contains(self, p: Point) -> bool:
-        if self.y is None:
-            return len(p) == 1 and self.x.contains(p[0])
-        return len(p) == 2 and self.x.contains(p[0]) and self.y.contains(p[1])
+        return len(p) == len(self) and all(map(Interval.contains, self, p))
 
 
 @dataclass(frozen=True)
@@ -161,7 +196,7 @@ class RectUnion:
     rects: tuple[Rect, ...]
 
     def contains(self, p: Point) -> bool:
-        return any(r.contains(p) for r in self.rects)
+        return any(map(Rect.contains, self.rects, repeat(p)))
 
     @property
     def empty(self) -> bool:
@@ -169,20 +204,13 @@ class RectUnion:
 
 
 def _try_merge(a: Rect, b: Rect) -> Rect | None:
-    if a.y is None:
-        if _linked_1d(a.x, b.x):
-            merged = merge_intervals([a.x, b.x])
+    """The box ``a | b`` when the two agree on every side but one and are
+    linked on that one (the earliest such axis), else None."""
+    for k, (s, t) in enumerate(zip(a, b)):
+        if a.coface(k) == b.coface(k) and _linked_1d(s, t):
+            merged = merge_intervals([s, t])
             if len(merged) == 1:
-                return Rect(merged[0], None)
-        return None
-    if a.y == b.y and _linked_1d(a.x, b.x):
-        merged = merge_intervals([a.x, b.x])
-        if len(merged) == 1:
-            return Rect(merged[0], a.y)
-    if a.x == b.x and _linked_1d(a.y, b.y):
-        merged = merge_intervals([a.y, b.y])
-        if len(merged) == 1:
-            return Rect(a.x, merged[0])
+                return a.with_side(k, merged[0])
     return None
 
 
@@ -192,39 +220,35 @@ def rect_union(dim: int, rects: Iterable[Rect]) -> RectUnion:
     Merging repeats one step until no pair merges: take the first mergeable
     pair ``(a, k)`` in list order, put the merged box at ``k`` and drop
     ``a``.  The steps are replayed here without rescanning.  Boxes keep
-    their slots, and a pair merges only if it shares an x or a y interval
-    (in dimension 1 every pair shares ``y = None``), so row ``i`` tries only
-    the later slots indexed under its two intervals.  Rows before ``i`` have
-    no mergeable pair, and a merge changes only the pairs of the new box, so
-    until no earlier row merges with it the next step pairs it with the
-    earliest such row.
+    their slots, and a pair merges only if it shares a coface (the sides
+    left when one axis is dropped; in dimension 1 every pair shares the
+    empty one), so row ``i`` tries only the later slots indexed under its
+    cofaces.  Rows before ``i`` have no mergeable pair, and a merge changes
+    only the pairs of the new box, so until no earlier row merges with it
+    the next step pairs it with the earliest such row.
     """
     if dim not in (1, 2):
         raise CheckerError("only dimensions 1 and 2 are supported")
     slots: list[Rect | None] = [r for r in rects if not r.empty]
-    for r in slots:
-        if dim == 1 and r.y is not None:
-            raise CheckerError("1-dimensional unions take bare intervals")
-        if dim == 2 and r.y is None:
-            raise CheckerError("2-dimensional unions need both axes")
+    if any(len(r) != dim for r in slots):
+        raise CheckerError(f"{dim}-dimensional unions need {dim} sides per box")
     if len(slots) < 2:
         return RectUnion(dim, tuple(slots))
-    # Live slots by x interval and by y interval, ascending; each slot keeps
-    # its two groups, so intervals are hashed only when a box is placed.
-    groups: dict[tuple[int, Interval | None], list[int]] = {}
+    # Live slots by axis and coface, ascending; each slot keeps its groups,
+    # so cofaces are hashed only when a box is placed.
+    groups: dict[tuple[int, tuple[Interval, ...]], list[int]] = {}
 
-    def place(k: int, r: Rect) -> tuple[list[int], list[int]]:
-        pair = groups.setdefault((0, r.x), []), groups.setdefault((1, r.y), [])
-        for g in pair:
+    def place(k: int, r: Rect) -> list[list[int]]:
+        own = [groups.setdefault((a, r.coface(a)), []) for a in range(dim)]
+        for g in own:
             insort(g, k)
-        return pair
+        return own
 
     own = [place(k, r) for k, r in enumerate(slots)]
 
     def sharing(k: int) -> list[int]:
-        """Live slots sharing an interval with slot ``k``, ascending."""
-        gx, gy = own[k]
-        return sorted(set(gx).union(gy))
+        """Live slots sharing a coface with slot ``k``, ascending."""
+        return sorted(set().union(*own[k]))
 
     def put(k: int, new: Rect | None) -> None:
         for g in own[k]:
@@ -252,19 +276,18 @@ def rect_union(dim: int, rects: Iterable[Rect]) -> RectUnion:
     return RectUnion(dim, tuple(sorted(r for r in slots if r is not None)))
 
 
+def _closure_meets(s: Interval, t: Interval) -> bool:
+    """Whether the closure of ``s`` meets ``t``: ``cl(s) & t`` without
+    building it."""
+    lo, lo_open = (t.lo, t.lo_open) if t.lo >= s.lo else (s.lo, False)
+    hi, hi_open = (t.hi, t.hi_open) if t.hi <= s.hi else (s.hi, False)
+    return lo < hi or (lo == hi and not (lo_open or hi_open))
+
+
 def _rects_linked(a: Rect, b: Rect) -> bool:
-    """Whether the union of two non-empty boxes is connected."""
-    if a.y is None:
-        return _linked_1d(a.x, b.x)
-    fwd = (
-        not a.x.closure().intersect(b.x).empty
-        and not a.y.closure().intersect(b.y).empty
-    )
-    bwd = (
-        not a.x.intersect(b.x.closure()).empty
-        and not a.y.intersect(b.y.closure()).empty
-    )
-    return fwd or bwd
+    """Whether the union of two non-empty boxes is connected: the closure of
+    one meets the other, side by side."""
+    return all(map(_closure_meets, a, b)) or all(map(_closure_meets, b, a))
 
 
 def components(u: RectUnion) -> tuple[RectUnion, ...]:
@@ -293,6 +316,8 @@ class ProjectionJudge:
 
 def critical_values(u: RectUnion, axis: int) -> tuple[Fraction, ...]:
     """Interval endpoints of the union on the given axis, sorted."""
+    if not 0 <= axis < u.dim:
+        raise CheckerError(f"axis {axis} out of range")
     vals: set[Fraction] = set()
     for r in u.rects:
         iv = r.axis(axis)
@@ -302,30 +327,23 @@ def critical_values(u: RectUnion, axis: int) -> tuple[Fraction, ...]:
 
 
 def fiber(u: RectUnion, pj: ProjectionJudge, t: Fraction) -> tuple[Interval, ...]:
-    """The fiber of the projection at ``t`` as merged interval components.
-
-    In dimension 1 the fiber is the point itself (a degenerate interval)
-    when it lies in the union.
+    """The fiber of the projection at ``t`` as merged interval components:
+    the cofaces of the boxes over ``t``.  A box in the plane has one side in
+    its coface; on the line the coface is empty and the fiber is the point
+    itself (a degenerate interval) when it lies in the union.
     """
     t = Fraction(t)
-    if u.dim == 1:
-        if pj.axis != 0:
-            raise CheckerError("1-dimensional unions project on axis 0")
-        return (Interval(t, t),) if u.contains((t,)) else ()
-    if pj.axis not in (0, 1):
-        raise CheckerError("projection axis must be 0 or 1")
-    other = 1 - pj.axis
-    parts = [r.axis(other) for r in u.rects if r.axis(pj.axis).contains(t)]
-    return merge_intervals(parts)
+    if not 0 <= pj.axis < u.dim:
+        raise CheckerError(f"axis {pj.axis} out of range")
+    point = (Interval(t, t),)
+    return merge_intervals(
+        (r.coface(pj.axis) or point)[0] for r in u.rects if r[pj.axis].contains(t)
+    )
 
 
 def _clip_axis(r: Rect, axis: int, band: Interval) -> Rect | None:
     iv = r.axis(axis).intersect(band)
-    if iv.empty:
-        return None
-    if r.y is None:
-        return Rect(iv, None)
-    return Rect(iv, r.y) if axis == 0 else Rect(r.x, iv)
+    return None if iv.empty else r.with_side(axis, iv)
 
 
 def clip_band(u: RectUnion, axis: int, band: Interval) -> RectUnion:
@@ -341,15 +359,7 @@ def subtract_closed_band(u: RectUnion, axis: int, lo: Fraction, hi: Fraction) ->
         iv = r.axis(axis)
         left = iv.intersect(Interval(iv.lo, lo, iv.lo_open, True))
         right = iv.intersect(Interval(hi, iv.hi, True, iv.hi_open))
-        for piece in (left, right):
-            if piece.empty:
-                continue
-            if r.y is None:
-                out.append(Rect(piece, None))
-            elif axis == 0:
-                out.append(Rect(piece, r.y))
-            else:
-                out.append(Rect(r.x, piece))
+        out.extend(r.with_side(axis, piece) for piece in (left, right) if not piece.empty)
     return rect_union(u.dim, out)
 
 
@@ -431,10 +441,8 @@ def _fiber_point(comp: RectUnion, pj: ProjectionJudge, t0: Fraction) -> Point | 
     pieces = fiber(comp, pj, t0)
     if not pieces:
         return None
-    if comp.dim == 1:
-        return (t0,)
-    y = pieces[0].representative()
-    return (t0, y) if pj.axis == 0 else (y, t0)
+    other = pieces[0].representative()
+    return tuple(t0 if k == pj.axis else other for k in range(comp.dim))
 
 
 def robustly_disconnected(
@@ -507,11 +515,7 @@ def sheaf_verdict(u: RectUnion, pj: ProjectionJudge) -> SheafVerdict:
         if cert is not None:
             certs.append(cert)
     notes: list[str] = []
-    if any(
-        r.axis(k).lo_open or r.axis(k).hi_open
-        for r in u.rects
-        for k in range(u.dim)
-    ):
+    if any(s.lo_open or s.hi_open for r in u.rects for s in r):
         notes.append(
             "domain has open edges: the compactness hypothesis of the "
             "characterization was not verified"
@@ -562,9 +566,7 @@ def two_patch_counterexample(
     w_point = cert.fiber_points[w_index]
     samples: list[tuple[str, Point]] = [("v", v_point), ("w", w_point)]
     for k, r in enumerate(off_band.rects):
-        x = r.x.representative()
-        point: Point = (x,) if r.y is None else (x, r.y.representative())
-        samples.append((f"c{k}", point))
+        samples.append((f"c{k}", tuple(s.representative() for s in r)))
     # Sanity: every sample lies in the domain.
     for name, p in samples:
         if not u.contains(p):
@@ -596,59 +598,29 @@ def two_patch_counterexample(
     )
 
 
-def _atom_intervals(values: Sequence[Fraction]) -> list[Interval]:
-    atoms: list[Interval] = []
-    vals = sorted(set(values))
-    for k, v in enumerate(vals):
-        atoms.append(Interval(v, v))
-        if k + 1 < len(vals):
-            atoms.append(Interval(v, vals[k + 1], True, True))
-    return atoms
-
-
-def _covers_atom(iv: Interval, atom: Interval) -> bool:
-    """Whether the interval contains the atom.  Gap atoms are open intervals
-    between consecutive grid values, and the interval's endpoints lie on the
-    grid, so containment is a plain endpoint comparison."""
-    if atom.lo == atom.hi:
-        return iv.contains(atom.lo)
-    return not iv.empty and iv.lo <= atom.lo and iv.hi >= atom.hi
-
-
 def regions_equal(u1: RectUnion, u2: RectUnion) -> bool:
-    """Exact set equality of two rectangle unions via a shared atom grid."""
+    """Exact set equality of two rectangle unions: their fibers over axis 0
+    agree at every endpoint on that axis and at the midpoint of each gap,
+    the candidate abscissae of both."""
     if u1.dim != u2.dim:
         return False
-    xs = list(critical_values(u1, 0)) + list(critical_values(u2, 0))
-    if not xs:
-        return u1.empty and u2.empty
-    atoms_x = _atom_intervals(xs)
-    if u1.dim == 1:
-        for atom in atoms_x:
-            in1 = any(_covers_atom(r.x, atom) for r in u1.rects)
-            in2 = any(_covers_atom(r.x, atom) for r in u2.rects)
-            if in1 != in2:
-                return False
-        return True
-    for atom in atoms_x:
-        ys1 = merge_intervals([r.y for r in u1.rects if _covers_atom(r.x, atom)])
-        ys2 = merge_intervals([r.y for r in u2.rects if _covers_atom(r.x, atom)])
-        if ys1 != ys2:
-            return False
-    return True
+    xs = sorted(set(critical_values(u1, 0)).union(critical_values(u2, 0)))
+    pj = ProjectionJudge(0)
+    ts = [*xs, *((a + b) / 2 for a, b in zip(xs, xs[1:]))]
+    return all(fiber(u1, pj, t) == fiber(u2, pj, t) for t in ts)
 
 
 def disjoint(u1: RectUnion, u2: RectUnion) -> bool:
     """Whether two rectangle unions share no point."""
-    for a in u1.rects:
-        for b in u2.rects:
-            if a.y is None:
-                if not a.x.intersect(b.x).empty:
-                    return False
-            else:
-                if not a.x.intersect(b.x).empty and not a.y.intersect(b.y).empty:
-                    return False
-    return True
+    return not any(
+        all(not s.intersect(t).empty for s, t in zip(a, b))
+        for a in u1.rects
+        for b in u2.rects
+    )
+
+
+SIDE_KEYS = ("x", "y")
+"""The JSON key of each side of a box, by axis."""
 
 
 def union_from_payload(payload: Mapping) -> tuple[RectUnion, ProjectionJudge]:
@@ -656,21 +628,27 @@ def union_from_payload(payload: Mapping) -> tuple[RectUnion, ProjectionJudge]:
     ``{"dim": 2, "axis": 0, "rects": [{"x": ["0","1"], "y": ["0","1/2"],
     "open": [left, right, bottom, top]}, ...]}``.  A missing field, a value
     of the wrong type, an endpoint that is not a finite rational, or an
-    ``open`` list of the wrong length raises :class:`MalformedDocument`."""
+    ``open`` list of the wrong length raises :class:`MalformedDocument`; a
+    dimension other than 1 or 2, or an axis outside ``[0, dim)``, raises
+    :class:`CheckerError`."""
     if "dim" not in payload or "rects" not in payload:
         raise MalformedDocument("a rectangle union needs the fields dim and rects")
     dim, axis = _integer(payload, "dim"), _integer(payload, "axis", 0)
     if not isinstance(payload["rects"], list):
         raise MalformedDocument("rects must be a list of rectangles")
+    if not 1 <= dim <= len(SIDE_KEYS):
+        raise CheckerError("only dimensions 1 and 2 are supported")
+    if not 0 <= axis < dim:
+        raise CheckerError(f"axis {axis} out of range")
     rects = []
     for k, row in enumerate(payload["rects"]):
         if not isinstance(row, Mapping):
             raise MalformedDocument(f"rectangle {k} must be an object")
-        ox = row.get("open", [False] * (2 * dim))
-        if not isinstance(ox, (list, tuple)) or len(ox) != 2 * dim:
+        flags = row.get("open", [False] * (2 * dim))
+        if not isinstance(flags, (list, tuple)) or len(flags) != 2 * dim:
             raise MalformedDocument(f"rectangle {k}: open needs {2 * dim} flags")
-        x = _side(row, k, "x", ox[:2])
-        rects.append(Rect(x, _side(row, k, "y", ox[2:]) if dim == 2 else None))
+        rects.append(Rect.of(_side(row, k, key, flags[2 * a:2 * a + 2])
+                             for a, key in enumerate(SIDE_KEYS[:dim])))
     return rect_union(dim, rects), ProjectionJudge(axis)
 
 

@@ -7,6 +7,11 @@ own: the band width from all critical values, every box clipped to the band,
 the strip normalized by the loop here.  The library replays the same merges
 without rescanning and works through the candidates in one pass; the
 differential suite holds it to these results.
+
+The box helpers here (merging, linkage, clipping, fibers, fiber points and
+region equality) are written per dimension, reading a box's ``x`` and ``y``
+sides by name, so that they stay independent of the library's versions,
+which work over the sides of a box in any order.
 """
 
 from __future__ import annotations
@@ -18,17 +23,119 @@ from sheafmealy.systems import _UnionFind
 from sheafmealy.tame import (
     Interval,
     ProjectionJudge,
+    Rect,
     RectUnion,
     RobustDisconnectionCertificate,
     SheafVerdict,
     StripComponents,
-    _clip_axis,
-    _fiber_point,
-    _rects_linked,
-    _try_merge,
+    _linked_1d,
     critical_values,
-    fiber,
+    merge_intervals,
 )
+
+
+def _try_merge(a: Rect, b: Rect) -> Rect | None:
+    if a.y is None:
+        if _linked_1d(a.x, b.x):
+            merged = merge_intervals([a.x, b.x])
+            if len(merged) == 1:
+                return Rect(merged[0], None)
+        return None
+    if a.y == b.y and _linked_1d(a.x, b.x):
+        merged = merge_intervals([a.x, b.x])
+        if len(merged) == 1:
+            return Rect(merged[0], a.y)
+    if a.x == b.x and _linked_1d(a.y, b.y):
+        merged = merge_intervals([a.y, b.y])
+        if len(merged) == 1:
+            return Rect(a.x, merged[0])
+    return None
+
+
+def _rects_linked(a: Rect, b: Rect) -> bool:
+    if a.y is None:
+        return _linked_1d(a.x, b.x)
+    fwd = (
+        not a.x.closure().intersect(b.x).empty
+        and not a.y.closure().intersect(b.y).empty
+    )
+    bwd = (
+        not a.x.intersect(b.x.closure()).empty
+        and not a.y.intersect(b.y.closure()).empty
+    )
+    return fwd or bwd
+
+
+def _clip_axis(r: Rect, axis: int, band: Interval) -> Rect | None:
+    iv = r.axis(axis).intersect(band)
+    if iv.empty:
+        return None
+    if r.y is None:
+        return Rect(iv, None)
+    return Rect(iv, r.y) if axis == 0 else Rect(r.x, iv)
+
+
+def fiber(u: RectUnion, pj: ProjectionJudge, t: Fraction) -> tuple[Interval, ...]:
+    t = Fraction(t)
+    if u.dim == 1:
+        if pj.axis != 0:
+            raise CheckerError("1-dimensional unions project on axis 0")
+        return (Interval(t, t),) if u.contains((t,)) else ()
+    if pj.axis not in (0, 1):
+        raise CheckerError("projection axis must be 0 or 1")
+    other = 1 - pj.axis
+    parts = [r.axis(other) for r in u.rects if r.axis(pj.axis).contains(t)]
+    return merge_intervals(parts)
+
+
+def _fiber_point(comp: RectUnion, pj: ProjectionJudge, t0: Fraction):
+    pieces = fiber(comp, pj, t0)
+    if not pieces:
+        return None
+    if comp.dim == 1:
+        return (t0,)
+    y = pieces[0].representative()
+    return (t0, y) if pj.axis == 0 else (y, t0)
+
+
+def _atom_intervals(values) -> list[Interval]:
+    atoms: list[Interval] = []
+    vals = sorted(set(values))
+    for k, v in enumerate(vals):
+        atoms.append(Interval(v, v))
+        if k + 1 < len(vals):
+            atoms.append(Interval(v, vals[k + 1], True, True))
+    return atoms
+
+
+def _covers_atom(iv: Interval, atom: Interval) -> bool:
+    if atom.lo == atom.hi:
+        return iv.contains(atom.lo)
+    return not iv.empty and iv.lo <= atom.lo and iv.hi >= atom.hi
+
+
+def regions_equal(u1: RectUnion, u2: RectUnion) -> bool:
+    """Set equality on the grid of atoms: each endpoint on axis 0 and each
+    open gap between two of them."""
+    if u1.dim != u2.dim:
+        return False
+    xs = list(critical_values(u1, 0)) + list(critical_values(u2, 0))
+    if not xs:
+        return u1.empty and u2.empty
+    atoms_x = _atom_intervals(xs)
+    if u1.dim == 1:
+        for atom in atoms_x:
+            in1 = any(_covers_atom(r.x, atom) for r in u1.rects)
+            in2 = any(_covers_atom(r.x, atom) for r in u2.rects)
+            if in1 != in2:
+                return False
+        return True
+    for atom in atoms_x:
+        ys1 = merge_intervals([r.y for r in u1.rects if _covers_atom(r.x, atom)])
+        ys2 = merge_intervals([r.y for r in u2.rects if _covers_atom(r.x, atom)])
+        if ys1 != ys2:
+            return False
+    return True
 
 
 def rect_union(dim, rects) -> RectUnion:

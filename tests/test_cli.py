@@ -157,6 +157,41 @@ def test_validate_exit_two_on_malformed_document(capsys, tmp_path, doc):
     assert err.startswith("malformed input:") and "Traceback" not in err
 
 
+_RECT_ROWS = [{"x": ["0", "1"], "y": ["0", "1"]}]
+
+
+@pytest.mark.parametrize("doc, err", [
+    ({"dim": 0, "axis": 0, "rects": [{"x": ["0", "1"]}]},
+     "CheckerError: only dimensions 1 and 2 are supported\n"),
+    ({"dim": -1, "axis": 0, "rects": [{"x": ["0", "1"]}]},
+     "CheckerError: only dimensions 1 and 2 are supported\n"),
+    ({"dim": 3, "axis": 0, "rects": _RECT_ROWS},
+     "CheckerError: only dimensions 1 and 2 are supported\n"),
+    ({"dim": 2, "axis": 5, "rects": _RECT_ROWS}, "CheckerError: axis 5 out of range\n"),
+    ({"dim": 2, "axis": -1, "rects": _RECT_ROWS}, "CheckerError: axis -1 out of range\n"),
+    ({"dim": 1, "axis": 1, "rects": [{"x": ["0", "1"]}]},
+     "CheckerError: axis 1 out of range\n"),
+], ids=["dim-0", "dim-negative", "dim-3", "axis-5", "axis-negative", "axis-1-on-the-line"])
+def test_rect_union_outside_its_dimensions_is_invalid(capsys, tmp_path, doc, err):
+    """Both verbs read the document the same way and refuse it with exit 1."""
+    path = tmp_path / "rects.json"
+    path.write_text(json.dumps(doc))
+    for verb in (["validate"], ["check", "tame-check"]):
+        assert _run(capsys, [*verb, str(path)]) == (1, "", err)
+
+
+@pytest.mark.parametrize("change, err", [
+    ({"patches": [["zz"]]}, "CheckerError: raw input 'zz' has no judged value\n"),
+    ({"eps": -1}, "NegativeEpsilon: tolerances must be non-negative\n"),
+], ids=["unknown-raw-input", "negative-eps"])
+def test_epsilon_document_the_check_refuses_is_invalid(capsys, tmp_path, change, err):
+    """What ``check eps-depth`` refuses, ``validate`` refuses too."""
+    path = tmp_path / "eps.json"
+    path.write_text(json.dumps({**fx.get_fixture("triangle").payload, **change}))
+    for verb in (["validate"], ["check", "eps-depth"]):
+        assert _run(capsys, [*verb, str(path)]) == (1, "", err)
+
+
 def test_sections_listing_a_patch_twice_are_invalid(capsys, tmp_path):
     doc = fx.get_fixture("cex-beh-gluing").payload
     doc["patches"].append(doc["patches"][0])

@@ -1,5 +1,7 @@
 """Exact rectangle-union geometry: fibers, robust disconnection, verdicts."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -119,6 +121,33 @@ def test_fiber_one_dimensional():
     assert fiber(u, ProjectionJudge(0), Fraction(2)) == ()
     with pytest.raises(CheckerError):
         fiber(u, ProjectionJudge(1), HALF)
+
+
+def test_projection_axis_outside_the_dimension_is_refused():
+    """Sides are read by position, so a negative axis must not read the
+    last side."""
+    for u in (rect_union(2, [box(0, 1, 0, 2)]), rect_union(1, [seg(0, 1)]), rect_union(2, [])):
+        for axis in (-1, u.dim):
+            with pytest.raises(CheckerError):
+                fiber(u, ProjectionJudge(axis), HALF)
+            with pytest.raises(CheckerError):
+                sheaf_verdict(u, ProjectionJudge(axis))
+
+
+def test_rect_is_the_tuple_of_its_sides():
+    x, y = interval(0, 1), interval(2, 3, True, False)
+    r = Rect(x, y)
+    assert r == Rect.of([x, y]) == (x, y) and len(seg(0, 1)) == 1
+    assert (r.x, r.y, seg(0, 1).y) == (x, y, None)
+    assert r.coface(0) == (y,) and r.coface(1) == (x,) and seg(0, 1).coface(0) == ()
+    assert r.with_side(1, x) == Rect(x, x) and r.with_side(0, y) == Rect(y, y)
+    assert copy.deepcopy(r) == pickle.loads(pickle.dumps(r)) == r
+    assert type(pickle.loads(pickle.dumps(r))) is Rect
+    assert eval(repr(r)) == r
+    assert r.contains((HALF, Fraction(3))) and not r.contains((HALF, Fraction(2)))
+    assert not r.contains((HALF,)) and Rect(x, interval(1, 0)).empty
+    with pytest.raises(CheckerError):
+        r.axis(-1)
 
 
 # ---------------------------------------------------------- strip components

@@ -108,3 +108,20 @@ def test_rect_union_merge_attempts_stay_linear(rng, monkeypatch):
     u, _ = tame.union_from_payload({"dim": 2, "axis": 0, "rects": rows})
     assert attempts < 5 * len(rows)
     assert len(u.rects) < len(rows)
+
+
+def test_regions_equal_matches_the_atom_grid(rng):
+    """Fibers at the candidate abscissae decide equality exactly as the
+    reference's grid of atoms does."""
+    seen = {True: 0, False: 0}
+    for trial in range(300):
+        dim = 1 + trial % 2
+        share = (0, 0.3, 0.7)[trial % 3]
+        boxes = _boxes(rng, dim, rng.randint(1, 20), share)
+        u = tame.rect_union(dim, boxes)
+        for other in (RectUnion(dim, tuple(boxes)), RectUnion(dim, tuple(boxes[1:])),
+                      tame.rect_union(dim, _boxes(rng, dim, rng.randint(0, 3), share))):
+            want = oracle.regions_equal(u, other)
+            assert tame.regions_equal(u, other) == tame.regions_equal(other, u) == want, trial
+            seen[want] += 1
+    assert seen[True] > 300 and seen[False] > 300
