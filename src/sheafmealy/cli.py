@@ -111,6 +111,7 @@ def _validate(args: argparse.Namespace) -> int:
                   [f"invalid: not jointly surjective on {cov.side}"])
             return 1
     elif kind == "judge":
+        jsonio.require(payload, "a judge document", "system", "judge")
         sys_ = validate_system(payload["system"])
         j = jsonio.judge_from_payload(payload["judge"])
         from .explain import validate_judge
@@ -200,14 +201,8 @@ def _check_glue_beh(args: argparse.Namespace) -> int:
                 "max_states": args.max_states,
                 "found": found is not None,
             }
-            if found is None:
-                lines.append(
-                    f"no explanatory machine with at most {args.max_states} "
-                    f"states glues the family"
-                )
-            else:
-                lines.append("bounded search found a glued section; the "
-                             "pointwise assembly missed it")
+            lines.append(f"no explanatory machine with at most {args.max_states} "
+                         f"states glues the family")
         _emit(args, payload, lines)
         return 0
     _emit(args,
@@ -353,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gb = chk.add_parser("glue-beh")
     p_gb.add_argument("target")
     p_gb.add_argument("--max-states", type=int, default=4,
-                      help="bounded search cap after an obstruction; 0 skips")
+                      help="state bound of the bounded search after an obstruction; 0 skips")
 
     p_tc = chk.add_parser("tame-check")
     p_tc.add_argument("target")

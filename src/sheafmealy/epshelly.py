@@ -67,9 +67,11 @@ class EpsilonInstance:
     interp_inputs: tuple[str, ...]
     box: tuple[tuple[float, float], ...] | None = None
 
-    @property
-    def raw_inputs(self) -> tuple[str, ...]:
-        return tuple(k for k, _ in self.values)
+
+def _check_eps(eps: float) -> None:
+    """Refuse a negative tolerance, and NaN, which no comparison refuses."""
+    if not eps >= 0:
+        raise NegativeEpsilon("tolerances must be non-negative")
 
 
 def _on_simplex(p: Vector, tol: float = COMPARISON_TOL) -> bool:
@@ -352,8 +354,7 @@ class FeasibilityResult:
     unconstrained: bool
 
     def feasible_at(self, eps: float) -> bool:
-        if eps < 0:
-            raise NegativeEpsilon("tolerances must be non-negative")
+        _check_eps(eps)
         return self.radius <= eps + COMPARISON_TOL
 
 
@@ -364,8 +365,7 @@ def feasibility(
     seed: int | None = None,
 ) -> FeasibilityResult:
     """Whether some domain point is within ``eps`` of every target point."""
-    if eps < 0:
-        raise NegativeEpsilon("tolerances must be non-negative")
+    _check_eps(eps)
     pts = [tuple(float(x) for x in p) for p in points]
     if not pts:
         center = canonical_point(inst)
@@ -443,8 +443,7 @@ def obstruction_depth(
     farthest pair of targets of every two patches.  More than 2**20 - 1
     subfamilies to search raise :class:`ScaleExceeded`.
     """
-    if eps < 0:
-        raise NegativeEpsilon("tolerances must be non-negative")
+    _check_eps(eps)
     n = len(patches)
     helly = inst.dim if inst.domain == "simplex" else inst.dim + 1
     sizes = range(1, min(helly, n) + 1)
@@ -516,8 +515,7 @@ def eps_glue(
     Raises :class:`Infeasible` naming the first judged input whose union
     target is infeasible.
     """
-    if eps < 0:
-        raise NegativeEpsilon("tolerances must be non-negative")
+    _check_eps(eps)
     assignment: list[tuple[str, Vector]] = []
     radii: list[tuple[str, float]] = []
     unconstrained: list[str] = []
@@ -546,8 +544,7 @@ def discrete_feasible(points: Sequence[Sequence[float]], eps: float) -> bool:
     """Feasibility under the discrete metric: some value is within ``eps``
     of every target exactly when the targets agree or ``eps`` allows a full
     mismatch (distance 1)."""
-    if eps < 0:
-        raise NegativeEpsilon("tolerances must be non-negative")
+    _check_eps(eps)
     pts = {tuple(float(x) for x in p) for p in points}
     return len(pts) <= 1 or eps >= 1.0
 
@@ -559,8 +556,7 @@ def discrete_obstruction_depth(
     one pass: None when the family is feasible, 1 when some patch forces
     two different exact values, otherwise 2 (two patches forcing different
     values), the Helly number of the discrete metric."""
-    if eps < 0:
-        raise NegativeEpsilon("tolerances must be non-negative")
+    _check_eps(eps)
     parts = [{tuple(float(x) for x in p) for p in pts} for pts in patch_points]
     if eps >= 1.0 or len(set().union(*parts)) <= 1:
         return None

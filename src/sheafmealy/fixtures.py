@@ -323,12 +323,15 @@ def _sections_payload(fx: SectionsFixture) -> dict:
 
 
 def sections_from_payload(payload: dict) -> SectionsFixture:
-    """A sections document read whole.  Each patch must be listed once: the
-    covering collapses repeats, and the gluers need one local section per
-    covering patch."""
-    jsonio.require(payload, "a sections document", "system", "judge", "patches")
-    if "global_sections" not in payload:
-        jsonio.require(payload, "a sections document", "local_sections")
+    """A sections document read whole.  Each patch must be listed once, and
+    local sections must match the patches one for one: the covering
+    collapses repeats, and the gluers need one local section per covering
+    patch."""
+    what = "a sections document"
+    jsonio.require(payload, what, "system", "judge", "patches",
+                   lists=("patches", "local_sections", "global_sections"))
+    if payload.get("global_sections") is None:
+        jsonio.require(payload, what, "local_sections")
     sys_ = jsonio.system_from_payload(payload["system"])
     j = jsonio.judge_from_payload(payload["judge"])
     patches = [jsonio.immersion_from_payload(sys_, p) for p in payload["patches"]]
@@ -339,13 +342,15 @@ def sections_from_payload(payload: dict) -> SectionsFixture:
                 "list each patch once"
             )
     c = covering(sys_, patches)
-    if "global_sections" in payload:
+    if payload.get("global_sections") is not None:
         whole = _whole(sys_)
         secs = tuple(
             jsonio.section_from_payload(whole, j, p)
             for p in payload["global_sections"]
         )
         return SectionsFixture(sys_, j, c, secs, "global")
+    if len(payload["local_sections"]) != len(patches):
+        raise CheckerError("one section per covering patch is required")
     secs = tuple(
         jsonio.section_from_payload(patch, j, p)
         for patch, p in zip(patches, payload["local_sections"])

@@ -12,8 +12,14 @@ import json
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .epshelly import DepthReport, EpsilonInstance, _patch_targets, epsilon_instance
-from .errors import CheckerError, MalformedDocument, NegativeEpsilon
+from .epshelly import (
+    DepthReport,
+    EpsilonInstance,
+    _check_eps,
+    _patch_targets,
+    epsilon_instance,
+)
+from .errors import CheckerError, MalformedDocument
 from .explain import Judge, Section, judge, judged_section
 from .localglobal import ObstructionReport, SeparationReport
 from .systems import (
@@ -49,11 +55,21 @@ def loads(text: str | bytes) -> Any:
     return json.loads(text)
 
 
-def require(payload: Mapping, what: str, *keys: str) -> None:
-    """Raise :class:`MalformedDocument` when the document lacks a field."""
-    missing = [k for k in keys if k not in payload]
+def require(payload: Any, what: str, *keys: str, objects: tuple[str, ...] = (),
+            lists: tuple[str, ...] = ()) -> None:
+    """Raise :class:`MalformedDocument` when the document is no object,
+    lacks one of ``keys``, or holds something other than an object under a
+    name in ``objects`` or a list under a name in ``lists``.  A null field
+    counts as absent."""
+    if not isinstance(payload, Mapping):
+        raise MalformedDocument(f"{what} must be an object, got {payload!r}")
+    missing = [k for k in keys if payload.get(k) is None]
     if missing:
         raise MalformedDocument(f"{what} lacks {', '.join(map(repr, missing))}")
+    for names, kind, name in ((objects, Mapping, "an object"), (lists, list, "a list")):
+        for key in names:
+            if payload.get(key) is not None and not isinstance(payload[key], kind):
+                raise MalformedDocument(f"{what}: {key} must be {name}, got {payload[key]!r}")
 
 
 # ---------------------------------------------------------------- systems
@@ -89,6 +105,8 @@ def judge_payload(j: Judge) -> dict:
 
 
 def judge_from_payload(payload: Mapping) -> Judge:
+    require(payload, "a judge", "i_map", "o_map", objects=("i_map", "o_map"),
+            lists=("interp_inputs", "interp_outputs"))
     return judge(
         payload["i_map"],
         payload["o_map"],
@@ -98,10 +116,6 @@ def judge_from_payload(payload: Mapping) -> Judge:
 
 
 # ------------------------------------------------------------- immersions
-
-def _map_payload(pairs: tuple[tuple[str, str], ...]) -> dict:
-    return {k: v for k, v in pairs}
-
 
 def immersion_payload(p: OpenImmersion) -> dict:
     m = p.morphism
@@ -119,6 +133,8 @@ def immersion_from_payload(target: MealySystem, payload: Mapping) -> OpenImmersi
     """A patch read from a document.  Its maps must form a morphism, so the
     dynamics square is checked here: the checkers rely on patches, and so
     on their overlaps, being closed under the target's dynamics."""
+    maps = ("f_b", "f_a", "f_i", "f_o")
+    require(payload, "a patch", "source", *maps, objects=("source", *maps))
     src = validate_system(payload["source"])
     m = morphism(src, target, payload["f_b"], payload["f_a"],
                  payload["f_i"], payload["f_o"])
@@ -136,6 +152,7 @@ def covering_payload(c: Covering) -> dict:
 
 
 def covering_from_payload(payload: Mapping) -> Covering:
+    require(payload, "a covering", "system", "patches", lists=("patches",))
     tgt = validate_system(payload["system"])
     patches = [immersion_from_payload(tgt, p) for p in payload["patches"]]
     return covering(tgt, patches)
@@ -157,6 +174,8 @@ def section_payload(s: Section) -> dict:
 
 
 def section_from_payload(patch: OpenImmersion, j: Judge, payload: Mapping) -> Section:
+    require(payload, "a section", "machine", "psi_b", "psi_a",
+            objects=("machine", "psi_b", "psi_a"))
     machine = validate_system(payload["machine"])
     return judged_section(patch, machine, j, payload["psi_b"], payload["psi_a"])
 
@@ -182,6 +201,7 @@ def union_payload(u: RectUnion, pj: ProjectionJudge) -> dict:
 
 
 def union_from_json(payload: Mapping) -> tuple[RectUnion, ProjectionJudge]:
+    require(payload, "a rectangle union")
     return union_from_payload(payload)
 
 
@@ -233,15 +253,11 @@ def epsilon_from_payload(payload: Mapping) -> tuple[EpsilonInstance, list[list[s
     ``interp_inputs`` that is no list, an input name that is no string, or
     a ``dim``, coordinate, box bound or ``eps`` that is no number raises
     :class:`MalformedDocument`; a patch input without a judged value or
-    point raises :class:`CheckerError`, and a negative ``eps``
+    point raises :class:`CheckerError`, and a negative or NaN ``eps``
     :class:`NegativeEpsilon`, as the checks themselves would."""
     what = "an epsilon document"
-    require(payload, what, "dim", "domain", "values", "i_map")
-    for key, kind, name in (("values", Mapping, "an object"), ("i_map", Mapping, "an object"),
-                            ("patches", list, "a list"), ("box", list, "a list"),
-                            ("interp_inputs", list, "a list")):
-        if payload.get(key) is not None and not isinstance(payload[key], kind):
-            raise MalformedDocument(f"{what}: {key} must be {name}, got {payload[key]!r}")
+    require(payload, what, "dim", "domain", "values", "i_map", objects=("values", "i_map"),
+            lists=("patches", "box", "interp_inputs"))
     patches = payload.get("patches") or []
     if not all(isinstance(p, list) for p in patches):
         raise MalformedDocument(f"{what}: each patch must be a list of raw inputs")
@@ -264,8 +280,8 @@ def epsilon_from_payload(payload: Mapping) -> tuple[EpsilonInstance, list[list[s
                             payload.get("interp_inputs"), box)
     patches = [list(p) for p in patches]
     _patch_targets(inst, patches)
-    if eps is not None and eps < 0:
-        raise NegativeEpsilon("tolerances must be non-negative")
+    if eps is not None:
+        _check_eps(eps)
     return inst, patches, eps
 
 

@@ -29,7 +29,6 @@ from .errors import (
     IncompatibleFamily,
     InternalConsistencyError,
     NotStateless,
-    ScaleExceeded,
 )
 from .explain import (
     BehEquivReport,
@@ -92,6 +91,34 @@ class ObstructionReport:
 
 def _identity_patch(system: MealySystem) -> OpenImmersion:
     return OpenImmersion(identity_morphism(system))
+
+
+def _glued_section(
+    tgt: MealySystem,
+    machine: MealySystem,
+    j: Judge,
+    psi_b: Mapping[Ident, Ident],
+    psi_a: Mapping[Ident, Ident],
+) -> Section:
+    """The judged section of the whole target that a gluer assembled; it is
+    valid by construction, so a failure is a bug."""
+    glued = judged_section(_identity_patch(tgt), machine, j, psi_b, psi_a)
+    rep = validate_section(j, glued)
+    if not rep.ok:
+        raise InternalConsistencyError(f"glued section fails validation: {rep.reason}")
+    return glued
+
+
+def _closure(seeds, successors) -> set:
+    """The seeds and everything ``successors`` reaches from them."""
+    reach = set(seeds)
+    frontier = list(reach)
+    while frontier:
+        for nxt in successors(frontier.pop()):
+            if nxt not in reach:
+                reach.add(nxt)
+                frontier.append(nxt)
+    return reach
 
 
 def _overlap_restrictions(
@@ -318,11 +345,7 @@ def glue_cogerm(family: CompatibleFamily) -> Section:
     missing_a = [x for x in tgt.after if x not in psi_a]
     if missing_b or missing_a:
         raise CheckerError(f"covering leaves states unexplained: {missing_b + missing_a!r}")
-    glued = judged_section(_identity_patch(tgt), amalgam.system, j, psi_b, psi_a)
-    rep = validate_section(j, glued)
-    if not rep.ok:
-        raise InternalConsistencyError(f"glued section fails validation: {rep.reason}")
-    return glued
+    return _glued_section(tgt, amalgam.system, j, psi_b, psi_a)
 
 
 def glue_behavioral(
@@ -354,6 +377,10 @@ def glue_behavioral(
         for i_raw in tgt.inputs:
             _, o = tgt.transition(x, i_raw)
             if part.out(before_block[x], j.j_i[i_raw]) != j.j_o[o]:
+                # Valid, compatible local sections explain every covered step.
+                if not any(x in p.b_image and i_raw in p.i_image for p in c.patches):
+                    raise CheckerError(f"family covering leaves {(x, i_raw)!r} "
+                                       "uncovered on the before side")
                 raise InternalConsistencyError(
                     f"pooled class misexplains the step at ({x!r}, {i_raw!r})"
                 )
@@ -397,35 +424,22 @@ def glue_behavioral(
     missing = [x for x in tgt.after if x not in after_block]
     if missing:
         raise CheckerError(f"covering leaves after-states unexplained: {missing!r}")
-    needed = sorted(set(before_block.values()) | set(after_block.values()))
-    frontier = list(needed)
-    reach = set(needed)
-    while frontier:
-        blk = frontier.pop()
-        for ch in alphabet:
-            nxt = part.succ(blk, ch)
-            if nxt not in reach:
-                reach.add(nxt)
-                frontier.append(nxt)
-    ordered = sorted(reach)
-    names = {blk: f"b{k}" for k, blk in enumerate(ordered)}
+    reach = _closure(set(before_block.values()) | set(after_block.values()),
+                     lambda blk: (part.succ(blk, ch) for ch in alphabet))
+    names = {blk: f"b{k}" for k, blk in enumerate(sorted(reach))}
     dyn: dict[tuple[Ident, Ident], tuple[Ident, Ident]] = {}
-    for blk in ordered:
+    for blk in names:
         for ch in alphabet:
             dyn[(names[blk], ch)] = (names[part.succ(blk, ch)], part.out(blk, ch))
     carrier = sorted(names.values())
     machine = make_system(carrier, carrier, alphabet, j.interp_outputs, dyn)
-    glued = judged_section(
-        _identity_patch(tgt),
+    return _glued_section(
+        tgt,
         machine,
         j,
         {x: names[before_block[x]] for x in tgt.before},
         {x: names[after_block[x]] for x in tgt.after},
     )
-    rep3 = validate_section(j, glued)
-    if not rep3.ok:
-        raise InternalConsistencyError(f"glued section fails validation: {rep3.reason}")
-    return glued
 
 
 def _forced_blocks(
@@ -476,87 +490,44 @@ def search_bounded_behavioral_glue(
     sections: Sequence[Section],
     j: Judge,
     max_states: int = 4,
-    cap: int = 200_000,
 ) -> Section | None:
-    """Exhaustive search for a global section matching the family's behavior,
-    over explanatory machines with at most ``max_states`` states.
+    """A global section matching the family's behavior whose explanatory
+    machine has at most ``max_states`` states, or None when there is none.
 
-    Machines over the interpretable interface are enumerated in size order.
-    For each candidate, every target state must take the behavior class its
-    patches force, and the dynamics squares then propagate a concrete
-    assignment; any consistent one is returned as a validated section.  If a
-    machine admits an assignment, so does its quotient by behavioral
-    equality of states, where class membership determines the assignment
-    outright, and that quotient is enumerated no later than the machine
-    itself; a None return therefore rules out every machine within the
-    bound.  A size level whose table count exceeds ``cap`` raises
-    :class:`ScaleExceeded` instead of being searched.
+    Decided from :func:`glue_behavioral`, without enumerating machines.  An
+    obstruction forces one after-state into two behavior classes, so no
+    machine of any size glues.  Otherwise the glued machine's states are
+    pairwise inequivalent classes, and every machine that glues carries
+    each class reachable from the images of the target's before-states on
+    a state of its own (Moore's minimal machine).  The glued machine cut
+    down to those classes R still glues once each after-state that no
+    transition reaches points into R.  So the least size is |R|, or one
+    state when the target has after-states but no before-states; that
+    least section is returned when it fits the bound.
     """
-    alphabet = j.interp_inputs
-    outs = j.interp_outputs
-    _check_family(c, j, sections, alphabet)
-    tgt = c.target
-    locals_ = [s.explanatory for s in sections]
-    part = pooled_behavior(locals_, alphabet)
-    forced = _forced_blocks(c, sections, part)
-    miss = [x for x in tgt.before if x not in forced]
-    if miss:
-        raise CheckerError(f"covering leaves before-states unexplained: {miss!r}")
-    # Behavior classes belong to states, not to pools: a member of each
-    # forced class stands for it when a candidate machine joins the pool.
-    reps = {x: part.blocks[blk][0] for x, blk in forced.items()}
-    for n in range(1, max_states + 1):
-        states = tuple(f"n{q}" for q in range(n))
-        cells = [(st, ch) for st in states for ch in alphabet]
-        count = (n * len(outs)) ** len(cells)
-        if count > cap:
-            raise ScaleExceeded(f"machine enumeration at {n} states needs {count} tables")
-        choices = [(st2, o) for st2 in states for o in outs]
-        for table in itertools.product(choices, repeat=len(cells)):
-            machine = make_system(states, states, alphabet, outs,
-                                  dict(zip(cells, table)))
-            glued = _assign_over_machine(c, sections, j, machine, locals_, reps)
-            if glued is not None:
-                return glued
-    return None
-
-
-def _assign_over_machine(
-    c: Covering,
-    sections: Sequence[Section],
-    j: Judge,
-    machine: MealySystem,
-    locals_: Sequence[MealySystem],
-    reps: Mapping[Ident, tuple[int, Ident]],
-) -> Section | None:
-    alphabet = j.interp_inputs
-    index = pooled_behavior([machine, *locals_], alphabet).block_index
-    tgt = c.target
-    cand_b = {x: [q for q in machine.before if index[(0, q)] == index[(k + 1, st)]]
-              for x, (k, st) in reps.items()}
-    if any(not v for v in cand_b.values()):
+    glued = glue_behavioral(c, sections, j)
+    if isinstance(glued, ObstructionReport):
         return None
-    psi_b = {x: cand_b[x][0] for x in tgt.before}
-    psi_a: dict[Ident, Ident] = {}
-    for x in tgt.before:
-        for i_raw in tgt.inputs:
-            x2, o = tgt.transition(x, i_raw)
-            q2, oo = machine.transition(psi_b[x], j.j_i[i_raw])
-            if oo != j.j_o[o]:
-                return None
-            if psi_a.setdefault(x2, q2) != q2:
-                return None
-    # After-states no transition reaches are unconstrained; park them on the
-    # first machine state.
-    for x in tgt.after:
-        psi_a.setdefault(x, machine.before[0])
-    glued = judged_section(_identity_patch(tgt), machine, j, psi_b, psi_a)
-    if not validate_section(j, glued).ok:
+    tgt = c.target
+    m = glued.explanatory
+    reach = _closure({glued.psi_b(x) for x in tgt.before},
+                     lambda q: (m.transition(q, ch)[0] for ch in m.inputs))
+    keep = sorted(reach) or list(m.before[:1])
+    if len(keep) > max_states:
         return None
-    for p, s in zip(c.patches, sections):
-        if not behavioral_equiv(restrict_section(glued, p), s, alphabet).ok:
-            return None
-    return glued
+    if len(keep) == len(m.before):
+        return glued
+    # Only the one-state machine of a target without before-states has
+    # steps leaving ``reach``; they loop back.
+    dyn = {}
+    for q in keep:
+        for ch in m.inputs:
+            q2, o = m.transition(q, ch)
+            dyn[(q, ch)] = (q2 if q2 in reach else q, o)
+    machine = make_system(keep, keep, m.inputs, m.outputs, dyn)
+    kept = set(keep)
+    psi_a = {x: glued.psi_a(x) if glued.psi_a(x) in kept else keep[0] for x in tgt.after}
+    return _glued_section(tgt, machine, j, {x: glued.psi_b(x) for x in tgt.before}, psi_a)
 
 
 @dataclass(frozen=True)
@@ -596,11 +567,7 @@ def glue_strict(c: Covering, sections: Sequence[Section], j: Judge) -> GlueStric
     missing_a = [x for x in tgt.after if x not in psi_a]
     if missing_b or missing_a:
         raise CheckerError(f"covering leaves states unexplained: {missing_b + missing_a!r}")
-    glued = judged_section(_identity_patch(tgt), machine, j, psi_b, psi_a)
-    rep = validate_section(j, glued)
-    if not rep.ok:
-        raise InternalConsistencyError(f"strict glue fails validation: {rep.reason}")
-    return GlueStrictResult(glued, None)
+    return GlueStrictResult(_glued_section(tgt, machine, j, psi_b, psi_a), None)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from sheafmealy import (
     SystemMorphism,
     covering,
     judge,
+    judged_section,
     make_system,
     morphism,
     restrict_section,
@@ -334,6 +335,22 @@ def rand_cogerm_family(
         for k, p in enumerate(cov.patches)
     ]
     return system, jdg, cov, locals_, sec
+
+
+def uncovered_step_family() -> tuple[Covering, Judge, list[Section]]:
+    """Two states under inputs a and b, one patch that sees input a only,
+    and a valid local section whose machine emits 1 on b where the system
+    emits 0, so the step at (s1, b) is neither covered nor explained."""
+    system = make_system(["s1", "s2"], ["s1", "s2"], ["a", "b"], ["0", "1"],
+                         {("s1", "a"): ("s2", "0"), ("s1", "b"): ("s1", "0"),
+                          ("s2", "a"): ("s1", "0"), ("s2", "b"): ("s2", "0")})
+    j = judge({"a": "a", "b": "b"}, {"0": "0", "1": "1"})
+    patch = subsystem(system, inputs=["a"])
+    mach = make_system(["m1", "m2"], ["m1", "m2"], ["a", "b"], ["0", "1"],
+                       {("m1", "a"): ("m2", "0"), ("m1", "b"): ("m1", "1"),
+                        ("m2", "a"): ("m1", "0"), ("m2", "b"): ("m2", "1")})
+    states = {"s1": "m1", "s2": "m2"}
+    return covering(system, [patch]), j, [judged_section(patch, mach, j, states, states)]
 
 
 # --------------------------------------------------------------- pushouts

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+import randgen as rg
 
 from sheafmealy import fixtures as fx
 from sheafmealy import jsonio
@@ -122,6 +123,21 @@ def test_validate_exit_two_on_malformed_input(capsys, tmp_path):
 _JUDGE_DOC = {"interp_inputs": ["a"], "interp_outputs": ["0"],
               "i_map": {"a": "a"}, "o_map": {"0": "0"}}
 _EPS_DOC = {"dim": 2, "domain": "euclidean", "values": {"v": [0.0, 0.0]}, "i_map": {"v": "c"}}
+_SECTIONS_DOC = fx.get_fixture("cex-beh-gluing").payload
+
+
+def _sections_with(*path, value=None):
+    """The gluing fixture's document with one field replaced, or dropped
+    when no value is given."""
+    doc = json.loads(json.dumps(_SECTIONS_DOC))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is None:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
 
 
 @pytest.mark.parametrize("doc", [
@@ -143,18 +159,35 @@ _EPS_DOC = {"dim": 2, "domain": "euclidean", "values": {"v": [0.0, 0.0]}, "i_map
     {**_EPS_DOC, "eps": "big"},
     {**_EPS_DOC, "domain": "box", "box": [[0, "a"], [0, 1]]},
     {**_EPS_DOC, "i_map": {"v": 5}},
+    _sections_with("judge", "i_map"),
+    _sections_with("judge", value=["a"]),
+    _sections_with("patches", 0, "f_b"),
+    _sections_with("patches", 0, "f_b", value=["s0"]),
+    _sections_with("local_sections", 0, "psi_b"),
+    _sections_with("local_sections", 0, "psi_b", value=7),
+    _sections_with("patches", value=5),
+    _sections_with("local_sections", value=5),
+    {"kind": "judge", "payload": {"judge": _JUDGE_DOC}},
+    {"kind": "covering", "payload": {"system": _SECTIONS_DOC["system"]}},
 ], ids=["row-without-s2", "endpoint-1-over-0", "rect-without-y", "endpoint-not-a-number",
         "open-flags-too-few", "dim-not-an-integer", "rectangle-not-an-object",
         "epsilon-without-dim", "sections-without-system", "dynamics-not-a-list",
         "epsilon-dim-not-an-integer", "epsilon-values-not-an-object",
         "epsilon-patches-not-a-list", "epsilon-eps-not-a-number", "epsilon-box-not-numbers",
-        "epsilon-judged-input-not-a-string"])
+        "epsilon-judged-input-not-a-string", "judge-without-i-map", "judge-a-list",
+        "patch-without-f-b", "patch-f-b-a-list", "section-without-psi-b", "section-psi-b-7",
+        "patches-5", "local-sections-5", "wrapped-judge-without-system",
+        "wrapped-covering-without-patches"])
 def test_validate_exit_two_on_malformed_document(capsys, tmp_path, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    code, out, err = _run(capsys, ["validate", str(path)])
-    assert (code, out) == (2, "")
-    assert err.startswith("malformed input:") and "Traceback" not in err
+    verbs = [["validate"]]
+    if "local_sections" in doc:
+        verbs.append(["check", "glue-beh"])
+    for verb in verbs:
+        code, out, err = _run(capsys, [*verb, str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("malformed input:") and "Traceback" not in err
 
 
 _RECT_ROWS = [{"x": ["0", "1"], "y": ["0", "1"]}]
@@ -183,7 +216,8 @@ def test_rect_union_outside_its_dimensions_is_invalid(capsys, tmp_path, doc, err
 @pytest.mark.parametrize("change, err", [
     ({"patches": [["zz"]]}, "CheckerError: raw input 'zz' has no judged value\n"),
     ({"eps": -1}, "NegativeEpsilon: tolerances must be non-negative\n"),
-], ids=["unknown-raw-input", "negative-eps"])
+    ({"eps": float("nan")}, "NegativeEpsilon: tolerances must be non-negative\n"),
+], ids=["unknown-raw-input", "negative-eps", "nan-eps"])
 def test_epsilon_document_the_check_refuses_is_invalid(capsys, tmp_path, change, err):
     """What ``check eps-depth`` refuses, ``validate`` refuses too."""
     path = tmp_path / "eps.json"
@@ -202,6 +236,35 @@ def test_sections_listing_a_patch_twice_are_invalid(capsys, tmp_path):
         code, out, err = _run(capsys, [*verb, str(path)])
         assert (code, out) == (1, "")
         assert err == "CheckerError: patches 0 and 2 are the same patch; list each patch once\n"
+
+
+@pytest.mark.parametrize("count", [1, 3], ids=["one-fewer", "one-more"])
+def test_sections_not_one_per_patch_are_invalid(capsys, tmp_path, count):
+    """``validate`` and the checks refuse a section count that differs from
+    the patch count alike, rather than dropping the difference."""
+    doc = fx.get_fixture("cex-beh-gluing").payload
+    doc["local_sections"] = (doc["local_sections"] * 2)[:count]
+    path = tmp_path / "sections.json"
+    path.write_text(json.dumps(doc))
+    for verb in (["validate"], ["check", "glue-beh"], ["check", "glue-cogerm"]):
+        assert _run(capsys, [*verb, str(path)]) == (
+            1, "", "CheckerError: one section per covering patch is required\n")
+
+
+def test_glue_beh_refuses_a_covering_that_misses_a_step(capsys, tmp_path):
+    """One patch sees input a only, and its valid local machine emits 1 on
+    b where the system emits 0: both gluing checks name the uncovered step
+    instead of failing inside the gluer."""
+    c, j, locals_ = rg.uncovered_step_family()
+    doc = {"system": jsonio.system_payload(c.target), "judge": jsonio.judge_payload(j),
+           "patches": [jsonio.immersion_payload(p) for p in c.patches],
+           "local_sections": [jsonio.section_payload(s) for s in locals_]}
+    path = tmp_path / "uncovered.json"
+    path.write_text(json.dumps(doc))
+    for verb in (["check", "glue-beh"], ["check", "glue-cogerm"]):
+        assert _run(capsys, [*verb, str(path)]) == (
+            1, "", "CheckerError: family covering leaves ('s1', 'b') uncovered "
+                   "on the before side\n")
 
 
 def test_unknown_fixture_name_is_invalid_not_a_crash(capsys):

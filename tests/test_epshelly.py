@@ -309,6 +309,22 @@ def test_discrete_feasibility_basics():
         discrete_feasible([(0.0,)], -0.5)
 
 
+def test_nan_tolerance_is_refused_everywhere():
+    """NaN compares false with everything, so no ``eps < 0`` test sees it;
+    every entry point that takes a tolerance refuses it as negative ones."""
+    inst, patches, _ = fx.triangle_objects()
+    nan = float("nan")
+    res = feasibility(inst, [(0.0, 0.0)], 1.0)
+    for call in (lambda: feasibility(inst, [(0.0, 0.0)], nan),
+                 lambda: res.feasible_at(nan),
+                 lambda: obstruction_depth(inst, patches, nan),
+                 lambda: eps_glue(inst, patches, nan),
+                 lambda: discrete_feasible([(0.0,)], nan),
+                 lambda: discrete_obstruction_depth([[(0.0,)]], nan)):
+        with pytest.raises(NegativeEpsilon, match="tolerances must be non-negative"):
+            call()
+
+
 def test_projection_helpers(rng):
     box = [(0.0, 1.0), (-1.0, 2.0)]
     assert project_box((5.0, -3.0), box) == (1.0, -1.0)

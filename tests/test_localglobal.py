@@ -12,7 +12,6 @@ from sheafmealy import (
     IncompatibleFamily,
     NotStateless,
     ObstructionReport,
-    ScaleExceeded,
     Section,
     behavioral_equiv,
     check_cogerm_witness,
@@ -381,18 +380,36 @@ def test_glue_behavioral_single_identity_patch(rng):
     assert behavioral_equiv(got, sec, jdg.interp_inputs).ok
 
 
+def test_glue_behavioral_names_the_step_a_covering_misses():
+    """A patch that sees input a only leaves the step at (s1, b) to its
+    machine, which emits 1 where the system emits 0.  Outside the covering
+    nothing forces the pooled class, so both behavioral gluers refuse the
+    family the way the covering check words it."""
+    c, j, locals_ = rg.uncovered_step_family()
+    assert validate_section(j, locals_[0]).ok
+    for glue in (glue_behavioral, search_bounded_behavioral_glue):
+        with pytest.raises(CheckerError) as exc:
+            glue(c, locals_, j)
+        assert type(exc.value) is CheckerError
+        assert str(exc.value) == "family covering leaves ('s1', 'b') uncovered on the before side"
+
+
 def test_bounded_search_confirms_fixture_obstruction():
     f = fx.beh_gluing_objects()
-    assert search_bounded_behavioral_glue(f.covering, list(f.sections), f.judge,
-                                          max_states=4) is None
+    for bound in (4, 12):
+        assert search_bounded_behavioral_glue(f.covering, list(f.sections), f.judge,
+                                              max_states=bound) is None
     r = fx.beh_gluing_objects(repaired=True)
     found = search_bounded_behavioral_glue(r.covering, list(r.sections), r.judge,
                                            max_states=4)
     assert isinstance(found, Section)
     assert validate_section(r.judge, found).ok
-    with pytest.raises(ScaleExceeded):
-        search_bounded_behavioral_glue(f.covering, list(f.sections), f.judge,
-                                       max_states=12, cap=1000)
+    assert search_bounded_behavioral_glue(r.covering, list(r.sections), r.judge,
+                                          max_states=1) is None
+    least = search_bounded_behavioral_glue(r.covering, list(r.sections), r.judge,
+                                           max_states=2)
+    assert len(least.explanatory.before) == 2
+    assert validate_section(r.judge, least).ok
 
 
 # --------------------------------------------------------- gluing: strict
