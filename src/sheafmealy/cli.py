@@ -25,7 +25,6 @@ from .localglobal import (
     compatible_family,
     glue_behavioral,
     glue_cogerm,
-    search_bounded_behavioral_glue,
 )
 from .systems import check_covering, system_violations, validate_system
 from .tame import fiber, sheaf_verdict, two_patch_counterexample
@@ -55,7 +54,7 @@ def _load_document(target: str) -> tuple[str, dict]:
         try:
             with open(target, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise MalformedDocument(f"cannot read {target}: {exc}") from exc
         if not isinstance(doc, dict):
             raise MalformedDocument("top-level JSON value must be an object")
@@ -194,13 +193,8 @@ def _check_glue_beh(args: argparse.Namespace) -> int:
         for f in result.forced:
             lines.append(f"{f.label}: outputs ({', '.join(f.outputs)})")
         if args.max_states > 0:
-            found = search_bounded_behavioral_glue(
-                sf.covering, secs, sf.judge, max_states=args.max_states
-            )
-            payload["bounded_search"] = {
-                "max_states": args.max_states,
-                "found": found is not None,
-            }
+            # An obstruction rules out every machine, whatever its size.
+            payload["bounded_search"] = {"max_states": args.max_states, "found": False}
             lines.append(f"no explanatory machine with at most {args.max_states} "
                          f"states glues the family")
         _emit(args, payload, lines)

@@ -8,13 +8,10 @@ feasible set is the intersection of ``eps``-balls around the sample points,
 non-empty exactly when the minimax radius is at most ``eps``.
 
 Domains: all of Euclidean space, an axis-aligned box, or the probability
-simplex.  On the unconstrained domain the minimax radius is the minimum
-enclosing ball radius, computed by the move-to-front method exactly up to
-1e-12 relative tolerance, with recursion at most d+2 calls deep;
-constrained domains run projected subgradient descent (500 iterations, step
-``r0 / sqrt(t)`` from the projected unconstrained center) and certify the
-best iterate against ``eps`` with tolerance 1e-9.  Results within 1e-9 of
-``eps`` are flagged marginal rather than silently classified.
+simplex.  One move-to-front solver computes the minimax radius on all
+three, exactly up to 1e-12 relative tolerance, with the domain's facets as
+constraints on the center.  The radius is compared with ``eps`` to 1e-9,
+and results within that band are flagged marginal, not silently classified.
 
 Because ``eps``-balls are convex, a family of patches over a common judged
 input obeys the Helly bound: in dimension ``d``, if every ``d+1`` of them
@@ -45,9 +42,10 @@ from .errors import (
 
 COMPARISON_TOL = 1e-9
 MEB_REL_TOL = 1e-12
-SUBGRADIENT_ITERS = 500
 
 Vector = tuple[float, ...]
+# (axis, bound, side): a center y keeps it when side * (y[axis] - bound) >= 0.
+Facet = tuple[int, float, float]
 
 
 @dataclass(frozen=True)
@@ -189,23 +187,41 @@ def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float] | None:
     return out
 
 
-def _circumball(boundary: Sequence[Vector]) -> tuple[Vector, float] | None:
-    """Smallest ball with all the given affinely independent points on its
-    boundary; None when they are affinely dependent."""
+def _circumball(boundary: Sequence[Vector], tight: Sequence[Facet] = (),
+                simplex: bool = False) -> tuple[Vector, float] | None:
+    """Smallest ball with the given points on its rim and its center on the
+    ``tight`` facets (and at coordinate sum one for the simplex), from the
+    Gram system of the points' offsets and the facet normals, these scaled
+    to the longest offset so that the singularity test is free of scale;
+    None when the constraints are dependent.  Tight coordinates are then
+    set to their bounds, so that rounding breaks neither a tight facet nor
+    the other facet of a box side with lo == hi."""
     p0 = boundary[0]
-    if len(boundary) == 1:
-        return p0, 0.0
     vs = [tuple(x - y for x, y in zip(p, p0)) for p in boundary[1:]]
     gram = [[2.0 * _dot(vk, vl) for vl in vs] for vk in vs]
     rhs = [_dot(vk, vk) for vk in vs]
+    normals = [tuple(float(k == axis) for k in range(len(p0))) for axis, _, _ in tight]
+    if simplex:
+        normals.append((1.0,) * len(p0))
+    if not vs and not normals:
+        return p0, 0.0
+    if normals:
+        s = math.sqrt(max(rhs, default=1.0))
+        normals = [tuple(s * x for x in n) for n in normals]
+        for row, vk in zip(gram, vs):
+            row.extend(2.0 * _dot(vk, n) for n in normals)
+        gram.extend([_dot(n, v) for v in vs + normals] for n in normals)
+        rhs.extend(s * (bound - p0[axis]) for axis, bound, _ in tight)
+        if simplex:
+            rhs.append(s * (1.0 - sum(p0)))
     lam = _solve(gram, rhs)
     if lam is None:
         return None
-    center = tuple(
-        x0 + sum(l * v[k] for l, v in zip(lam, vs))
-        for k, x0 in enumerate(p0)
-    )
-    return center, math.dist(center, p0)
+    center = [x0 + sum(l * v[k] for l, v in zip(lam, vs + normals))
+              for k, x0 in enumerate(p0)]
+    for axis, bound, _ in tight:
+        center[axis] = bound
+    return tuple(center), math.dist(center, p0)
 
 
 def _ball_contains(ball: tuple[Vector, float] | None, p: Vector) -> bool:
@@ -215,21 +231,25 @@ def _ball_contains(ball: tuple[Vector, float] | None, p: Vector) -> bool:
     return math.dist(center, p) <= r * (1.0 + MEB_REL_TOL) + 1e-14
 
 
-@dataclass(frozen=True)
-class Ball:
-    center: Vector
-    radius: float
+def _minimax(points: Sequence[Sequence[float]], seed: int | None,
+             facets: Sequence[Facet] = (), simplex: bool = False) -> tuple[Vector, float]:
+    """Center and radius of the smallest ball holding ``points`` whose
+    center keeps every facet, and has coordinate sum one on the simplex.
 
+    Move-to-front computation (Welzl 1991, Gärtner 1999) over a seeded
+    shuffle of the deduplicated points, inside a recursion over the facets.
+    A point outside the ball joins the boundary and the points before it
+    are redone; once all points are held, a facet the center breaks becomes
+    tight, an equality on the center, and all points and the earlier facets
+    are redone.  A basis has at most d+1 constraints (d on the simplex), so
+    the recursion is at most d+2 calls deep.
 
-def min_enclosing_ball(points: Sequence[Sequence[float]], seed: int | None = None) -> Ball:
-    """Minimum enclosing ball in up to 8 dimensions.
-
-    Move-to-front computation (Welzl 1991, Gärtner 1999) over a
-    deterministic shuffle of the deduplicated points.  It recurses only
-    when a point joins the boundary, so the recursion is at most d+2 calls
-    deep whatever the number of points.  The result is exact up to 1e-12
-    relative tolerance and independent of the seed, which only permutes
-    the order the points are visited in.
+    This is exact because the problem is LP-type (Sharir & Welzl 1992).
+    The optimum is unique: between two candidate balls every ball keeps
+    every point both hold, every rim point on its rim and every facet both
+    centers keep, and has a smaller radius.  So a constraint that the
+    optimum without it breaks is tight at the optimum with it, which is
+    the lemma Welzl's proof uses.  A ball that misses a point is refused.
     """
     pts = [tuple(float(x) for x in p) for p in points]
     if not pts:
@@ -245,31 +265,51 @@ def min_enclosing_ball(points: Sequence[Sequence[float]], seed: int | None = Non
     uniq = sorted(set(pts))
     rng = random.Random(20250817 if seed is None else seed)
     rng.shuffle(uniq)
+    full = d if simplex else d + 1
 
-    def mtf(end: int, boundary: list[Vector],
+    def mtf(end: int, boundary: list[Vector], tight: list[Facet],
             outer: tuple[Vector, float] | None) -> tuple[Vector, float] | None:
-        """Smallest ball with ``boundary`` on its rim holding ``uniq[:end]``;
-        ``outer`` is the rim ball of the boundary without its last point.
-        Each point found outside moves to the front of ``uniq``."""
-        rim = _circumball(boundary) if boundary else None
-        if rim is None:
-            # Affinely dependent boundary: the last point is inside the
-            # ball of the others whenever the set was reachable.
-            rim = outer
-        if len(boundary) == d + 1:
+        """Smallest ball with ``boundary`` on its rim and its center on the
+        ``tight`` facets that holds ``uniq[:end]``; ``outer`` is the rim
+        ball of the boundary without its last point.  Each point found
+        outside moves to the front of ``uniq``."""
+        # On dependent constraints the point added last is on the outer rim.
+        rim = (_circumball(boundary, tight, simplex) if boundary else None) or outer
+        if len(boundary) + len(tight) == full:
             return rim
         ball = rim
         for k in range(end):
             p = uniq[k]
             if not _ball_contains(ball, p):
-                ball = mtf(k, boundary + [p], rim)
+                ball = mtf(k, boundary + [p], tight, rim)
                 uniq.insert(0, uniq.pop(k))
         return ball
 
-    ball = mtf(len(uniq), [], None)
-    if ball is None:
+    def keep(cut: int, tight: list[Facet]) -> tuple[Vector, float] | None:
+        """Smallest ball holding every point, centered on ``tight``, keeping ``facets[:cut]``."""
+        ball = mtf(len(uniq), [], tight, None)
+        for j in range(cut):
+            axis, bound, side = facets[j]
+            if ball is not None and side * (ball[0][axis] - bound) < 0.0:
+                ball = keep(j, tight + [facets[j]])
+        return ball
+
+    ball = keep(len(facets), [])
+    if ball is None or not all(_ball_contains(ball, p) for p in uniq):
         raise CheckerError("ball computation failed")
-    return Ball(ball[0], ball[1])
+    return ball
+
+
+@dataclass(frozen=True)
+class Ball:
+    center: Vector
+    radius: float
+
+
+def min_enclosing_ball(points: Sequence[Sequence[float]], seed: int | None = None) -> Ball:
+    """Minimum enclosing ball in up to 8 dimensions, exact up to 1e-12
+    relative tolerance; the seed only orders the points (:func:`_minimax`)."""
+    return Ball(*_minimax(points, seed))
 
 
 def canonical_point(inst: EpsilonInstance) -> Vector:
@@ -293,47 +333,6 @@ def project_simplex(p: Sequence[float]) -> Vector:
     k = max(n for n, (x, c) in enumerate(zip(u, css), 1) if x + (1.0 - c) / n > 0.0)
     tau = (css[k - 1] - 1.0) / k
     return tuple(max(x - tau, 0.0) for x in y)
-
-
-def _project(inst: EpsilonInstance, p: Sequence[float]) -> Vector:
-    if inst.domain == "euclidean":
-        return tuple(float(x) for x in p)
-    if inst.domain == "box":
-        return project_box(p, inst.box)
-    return project_simplex(p)
-
-
-def _max_dist(y: Vector, pts: Sequence[Vector]) -> float:
-    return max(math.dist(y, p) for p in pts)
-
-
-def _constrained_minimax(inst: EpsilonInstance, pts: Sequence[Vector],
-                         seed: int | None) -> tuple[Vector, float]:
-    """Best center inside the domain by projected subgradient descent.
-
-    Deterministic schedule: start at the projection of the unconstrained
-    center, step ``r0 / sqrt(t)`` for 500 iterations toward the farthest
-    point (least index on ties), track the best iterate.
-    """
-    meb = min_enclosing_ball(pts, seed)
-    start = _project(inst, meb.center)
-    if math.dist(start, meb.center) <= MEB_REL_TOL * (1.0 + meb.radius):
-        return start, _max_dist(start, pts)
-    y = start
-    best_y, best_r = y, _max_dist(start, pts)
-    r0 = best_r + 1.0
-    for t in range(1, SUBGRADIENT_ITERS + 1):
-        dists = [math.dist(y, p) for p in pts]
-        far = max(range(len(pts)), key=lambda k: (dists[k], -k))
-        if dists[far] > 0.0:
-            step = r0 / math.sqrt(t)
-            y = _project(inst, tuple(a - step * ((a - b) / dists[far])
-                                     for a, b in zip(y, pts[far])))
-        cur = _max_dist(y, pts)
-        if cur < best_r:
-            best_r = cur
-            best_y = y
-    return best_y, best_r
 
 
 @dataclass(frozen=True)
@@ -368,17 +367,18 @@ def feasibility(
     _check_eps(eps)
     pts = [tuple(float(x) for x in p) for p in points]
     if not pts:
-        center = canonical_point(inst)
-        return FeasibilityResult(inst.domain, eps, center, 0.0, True, False, True)
-    if inst.domain == "euclidean":
-        meb = min_enclosing_ball(pts, seed)
-        center, radius = meb.center, meb.radius
-    else:
-        center, radius = _constrained_minimax(inst, pts, seed)
-    marginal = abs(radius - eps) <= COMPARISON_TOL
-    return FeasibilityResult(
-        inst.domain, eps, center, radius, radius <= eps + COMPARISON_TOL, marginal, False
-    )
+        return FeasibilityResult(inst.domain, eps, canonical_point(inst), 0.0, True, False, True)
+    if any(len(p) != inst.dim for p in pts):
+        raise CheckerError(f"target points must have {inst.dim} coordinates")
+    simplex = inst.domain == "simplex"
+    if simplex:
+        facets = [(k, 0.0, 1.0) for k in range(inst.dim)]
+    else:  # a box's sides; the euclidean domain has none
+        facets = [(k, b, side) for k, (lo, hi) in enumerate(inst.box or ())
+                  for b, side in ((lo, 1.0), (hi, -1.0))]
+    center, radius = _minimax(pts, seed, facets, simplex)
+    return FeasibilityResult(inst.domain, eps, center, radius, radius <= eps + COMPARISON_TOL,
+                             abs(radius - eps) <= COMPARISON_TOL, False)
 
 
 def _farthest(a: Iterable[Vector], b: Iterable[Vector]) -> float:
@@ -391,13 +391,12 @@ def _certified(inst: EpsilonInstance, pts: set[Vector], diameter: float,
     1e-9 band, so that the solver would agree and not flag it marginal;
     None when only a solve can tell.
 
-    Any center is at least half the diameter from some point, on every
-    domain.  On the euclidean domain the radius is at most the diameter
-    times sqrt(m / (2(m+1))) with m the dimension of the points' affine
-    hull (Jung's theorem), and at most the farthest point's distance from
-    the centroid.  On a box or simplex the subgradient solver may overstate
-    the radius, so an upper bound could contradict its verdict; there only
-    the lower bound is used.
+    Any center is at least half the diameter from some point.  On the
+    euclidean domain the radius is at most the diameter times
+    sqrt(m / (2(m+1))), m the dimension of the points' affine hull (Jung's
+    theorem), and the farthest point's distance from the centroid.  These
+    bound the unconstrained radius only, and targets may lie 1e-9 outside
+    a box or simplex, so those domains use the lower bound alone.
     """
     if diameter / 2.0 > eps + COMPARISON_TOL:
         return False
@@ -437,11 +436,10 @@ def obstruction_depth(
     index order, up to the Helly number h: d+1, or d on the simplex, whose
     points span d-1 dimensions.  An infeasible family whose subfamilies of
     at most h patches are all feasible (possible only within the 1e-9
-    tolerance, or where the subgradient solver overstates a radius) gets
-    depth None.  A subfamily is solved only when :func:`_certified` cannot
-    decide it from the diameter of its targets, read from a table of the
-    farthest pair of targets of every two patches.  More than 2**20 - 1
-    subfamilies to search raise :class:`ScaleExceeded`.
+    tolerance) gets depth None.  A subfamily is solved only when
+    :func:`_certified` cannot decide it from the diameter of its targets,
+    read from a table of the farthest pair of targets of every two patches.
+    More than 2**20 - 1 subfamilies to search raise :class:`ScaleExceeded`.
     """
     _check_eps(eps)
     n = len(patches)

@@ -75,15 +75,24 @@ def judge(
     interp_inputs: Iterable[Ident] | None = None,
     interp_outputs: Iterable[Ident] | None = None,
 ) -> Judge:
-    ii = finset(interp_inputs) if interp_inputs is not None else finset(set(i_map.values()))
-    io = finset(interp_outputs) if interp_outputs is not None else finset(set(o_map.values()))
-    ii_set, io_set = set(ii), set(io)
-    for v in i_map.values():
-        if v not in ii_set:
-            raise CheckerError(f"judged input {v!r} outside the interpretable inputs")
-    for v in o_map.values():
-        if v not in io_set:
-            raise CheckerError(f"judged output {v!r} outside the interpretable outputs")
+    """A judge from its maps and carriers; an identifier that is unhashable,
+    or of another type than the first, raises :class:`CheckerError` naming it."""
+    interp = [list(xs) if xs is not None else None for xs in (interp_inputs, interp_outputs)]
+    try:
+        ii = finset(interp[0]) if interp[0] is not None else finset(set(i_map.values()))
+        io = finset(interp[1]) if interp[1] is not None else finset(set(o_map.values()))
+        ii_set, io_set = set(ii), set(io)
+        for v in i_map.values():
+            if v not in ii_set:
+                raise CheckerError(f"judged input {v!r} outside the interpretable inputs")
+        for v in o_map.values():
+            if v not in io_set:
+                raise CheckerError(f"judged output {v!r} outside the interpretable outputs")
+    except TypeError:
+        names = [*i_map.values(), *o_map.values(), *(x for xs in interp for x in xs or ())]
+        bad = next((x for x in names if type(x).__hash__ is None),
+                   next((x for x in names if type(x) is not type(names[0])), None))
+        raise CheckerError(f"judge names {bad!r}, which is no identifier") from None
     return Judge(ii, io, tuple(sorted(i_map.items())), tuple(sorted(o_map.items())))
 
 

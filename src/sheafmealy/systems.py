@@ -20,6 +20,7 @@ members and are checked structurally rather than through
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping
@@ -283,9 +284,10 @@ def _index_map(
         if s not in mapping:
             raise CheckerError(f"{label} map undefined at {s!r}")
         v = mapping[s]
-        if v not in t_ix:
-            raise CheckerError(f"{label} map sends {s!r} to foreign element {v!r}")
-        out.append(t_ix[v])
+        try:
+            out.append(t_ix[v])
+        except (KeyError, TypeError):  # TypeError: an unhashable value
+            raise CheckerError(f"{label} map sends {s!r} to foreign element {v!r}") from None
     return tuple(out)
 
 
@@ -634,16 +636,13 @@ def amalgamate(
             classes.setdefault(uf.find(offsets[k] + comp.b_index[s]), []).append((k, s))
     # Deterministic readable names: member names joined, disambiguated on clash.
     roots = sorted(classes, key=lambda r: sorted(classes[r]))
-    base_names = {}
-    for r in roots:
-        base_names[r] = "+".join(sorted({s for _, s in classes[r]}))
-    counts: dict[str, int] = {}
+    base_names = {r: "+".join(sorted({s for _, s in classes[r]})) for r in roots}
+    totals, seen = Counter(base_names.values()), Counter()
     names: dict[int, Ident] = {}
     for r in roots:
         n = base_names[r]
-        seen = counts.get(n, 0)
-        counts[n] = seen + 1
-        names[r] = n if sum(1 for x in roots if base_names[x] == n) == 1 else f"{n}#{seen}"
+        names[r] = n if totals[n] == 1 else f"{n}#{seen[n]}"
+        seen[n] += 1
     if len(set(names.values())) != len(roots):
         # Pathological identifier clash; fall back to opaque canonical names.
         names = {r: f"q{k}" for k, r in enumerate(roots)}

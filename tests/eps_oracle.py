@@ -8,7 +8,9 @@ search: the full family, then every subfamily of every size in
 ``itertools.combinations`` order, one ``feasibility`` solve per subfamily
 and judged input.  The library recurses over the boundary only, stops at
 the Helly number and skips the solves a bound decides; the seeded tests
-hold it to these results.
+hold it to these results.  ``basis_minimax`` solves the box and simplex
+minimax problem apart from the library, with numpy least squares over
+every candidate basis of rim points and tight facets.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+
+import numpy as np
 
 from sheafmealy.epshelly import (
     Ball,
@@ -88,3 +92,44 @@ def combination_depth(inst, patches, eps, seed=None) -> DepthReport:
                 if not res.feasible:
                     return DepthReport(False, size, combo, i_prime, marginal)
     return DepthReport(False, None, None, full_bad, marginal)
+
+
+def basis_minimax(points, facets=(), simplex=False):
+    """Center and radius of the smallest ball holding ``points`` whose center
+    keeps every facet ``(axis, bound, side)`` and, for the simplex, has
+    coordinate sum one, by trying every basis: each set of rim points and
+    tight facets, at most d+1 constraints (d on the simplex).  Each center
+    is the least-squares, least-norm solution of its equalities; the least
+    radius whose center meets them, holds every point and keeps every facet
+    wins."""
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    d = pts.shape[1]
+    full = d if simplex else d + 1
+    best = None
+    for size in range(1, min(full, len(pts)) + 1):
+        for rim in itertools.combinations(pts, size):
+            p0 = rim[0]
+            vs = [p - p0 for p in rim[1:]]
+            for count in range(full - size + 1):
+                for tight in itertools.combinations(facets, count):
+                    rows = [2.0 * v for v in vs] + [np.eye(d)[axis] for axis, _, _ in tight]
+                    rhs = [v @ v for v in vs] + [bound - p0[axis] for axis, bound, _ in tight]
+                    if simplex:
+                        rows.append(np.ones(d))
+                        rhs.append(1.0 - p0.sum())
+                    if not rows:
+                        x = np.zeros(d)
+                    else:
+                        a, b = np.array(rows), np.array(rhs)
+                        x = np.linalg.lstsq(a, b, rcond=None)[0]
+                        if np.abs(a @ x - b).max() > 1e-9 * (1.0 + np.abs(b).max()):
+                            continue
+                    center, radius = p0 + x, float(np.linalg.norm(x))
+                    if best is not None and radius >= best[1]:
+                        continue
+                    if np.linalg.norm(pts - center, axis=1).max() > radius * (1 + 1e-10) + 1e-12:
+                        continue
+                    if any(side * (center[axis] - bound) < -1e-12 for axis, bound, side in facets):
+                        continue
+                    best = center, radius
+    return tuple(float(x) for x in best[0]), best[1]

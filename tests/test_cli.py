@@ -169,6 +169,8 @@ def _sections_with(*path, value=None):
     _sections_with("local_sections", value=5),
     {"kind": "judge", "payload": {"judge": _JUDGE_DOC}},
     {"kind": "covering", "payload": {"system": _SECTIONS_DOC["system"]}},
+    "[" * 200000 + "]" * 200000,
+    '{"a":' * 200000 + "1" + "}" * 200000,
 ], ids=["row-without-s2", "endpoint-1-over-0", "rect-without-y", "endpoint-not-a-number",
         "open-flags-too-few", "dim-not-an-integer", "rectangle-not-an-object",
         "epsilon-without-dim", "sections-without-system", "dynamics-not-a-list",
@@ -177,17 +179,49 @@ def _sections_with(*path, value=None):
         "epsilon-judged-input-not-a-string", "judge-without-i-map", "judge-a-list",
         "patch-without-f-b", "patch-f-b-a-list", "section-without-psi-b", "section-psi-b-7",
         "patches-5", "local-sections-5", "wrapped-judge-without-system",
-        "wrapped-covering-without-patches"])
+        "wrapped-covering-without-patches", "nested-200000-arrays", "nested-200000-objects"])
 def test_validate_exit_two_on_malformed_document(capsys, tmp_path, doc):
+    """Documents given as text are written as they are: JSON too deep for
+    the reader, which either verb must refuse as malformed."""
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     verbs = [["validate"]]
-    if "local_sections" in doc:
+    if isinstance(doc, str) or "local_sections" in doc:
         verbs.append(["check", "glue-beh"])
     for verb in verbs:
         code, out, err = _run(capsys, [*verb, str(path)])
         assert (code, out) == (2, "")
         assert err.startswith("malformed input:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("path, value, named", [
+    (("local_sections", 0, "psi_b", "s0"), ["p0"],
+     "before map sends 's0' to foreign element ['p0']"),
+    (("local_sections", 0, "psi_a", "s0"), ["p0"],
+     "after map sends 's0' to foreign element ['p0']"),
+    (("patches", 0, "f_b", "s0"), ["s0"], "before map sends 's0' to foreign element ['s0']"),
+    (("patches", 0, "f_i", "a"), ["a"], "input map sends 'a' to foreign element ['a']"),
+    (("patches", 0, "f_o", "0"), {"o": 1}, "output map sends '0' to foreign element {'o': 1}"),
+    (("judge", "i_map", "a"), ["x"], "judge names ['x'], which is no identifier"),
+    (("judge", "o_map", "0"), {"k": 1}, "judge names {'k': 1}, which is no identifier"),
+    (("judge", "interp_inputs"), ["\u2022", ["x"]], "judge names ['x'], which is no identifier"),
+    (("judge", "interp_inputs"), ["\u2022", 5], "judge names 5, which is no identifier"),
+    (("judge", "interp_outputs"), ["0", "1", {"k": 1}],
+     "judge names {'k': 1}, which is no identifier"),
+    (("judge",), {"interp_inputs": [7], "interp_outputs": [0, 1, [2]],
+                  "i_map": {"a": 7, "b": 7}, "o_map": {"0": 0, "1": 1}},
+     "judge names [2], which is no identifier"),
+], ids=["psi-b-list", "psi-a-list", "f-b-list", "f-i-list", "f-o-object", "i-map-list",
+        "o-map-object", "interp-inputs-list", "interp-inputs-number", "interp-outputs-object",
+        "integer-judge-with-a-list"])
+def test_identifier_that_is_no_string_is_invalid(capsys, tmp_path, path, value, named):
+    """A list, object or stray number where an identifier belongs is refused
+    with one line naming it, as the number 5 is, by every verb."""
+    doc = _sections_with(*path, value=value)
+    file = tmp_path / "sections.json"
+    file.write_text(json.dumps(doc))
+    for verb in (["validate"], ["check", "glue-beh"], ["check", "glue-cogerm"]):
+        assert _run(capsys, [*verb, str(file)]) == (1, "", f"CheckerError: {named}\n")
 
 
 _RECT_ROWS = [{"x": ["0", "1"], "y": ["0", "1"]}]

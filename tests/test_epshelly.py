@@ -357,34 +357,6 @@ def _np_project_simplex(p):
     return tuple(float(x) for x in np.maximum(y - (css[k - 1] - 1.0) / k, 0.0))
 
 
-def _np_constrained_minimax(inst, pts, seed):
-    """Projected subgradient descent as written with numpy vectors: the
-    reference the plain-float path must reproduce bit for bit."""
-    def project(q):
-        if inst.domain == "box":
-            return project_box(q, inst.box)
-        return _np_project_simplex(q)
-
-    meb = min_enclosing_ball(pts, seed)
-    start = project(meb.center)
-    if math.dist(start, meb.center) <= 1e-12 * (1.0 + meb.radius):
-        return start, max(math.dist(start, p) for p in pts)
-    y = np.asarray(start, dtype=float)
-    best_y, best_r = tuple(float(x) for x in y), max(math.dist(start, p) for p in pts)
-    r0 = best_r + 1.0
-    for t in range(1, 501):
-        dists = [math.dist(tuple(y), p) for p in pts]
-        far = max(range(len(pts)), key=lambda k: (dists[k], -k))
-        if dists[far] > 0.0:
-            g = (y - np.asarray(pts[far])) / dists[far]
-            y = np.asarray(project(tuple(y - (r0 / math.sqrt(t)) * g)))
-        cur = max(math.dist(tuple(float(x) for x in y), p) for p in pts)
-        if cur < best_r:
-            best_r = cur
-            best_y = tuple(float(x) for x in y)
-    return best_y, best_r
-
-
 def _bits(xs):
     return [struct.pack("<d", x) for x in xs]
 
@@ -395,20 +367,6 @@ def test_float_paths_match_numpy_formulas_bit_for_bit(rng):
         if k % 5 == 0:
             y[0] = -0.0
         assert _bits(project_simplex(y)) == _bits(_np_project_simplex(y))
-    for k in range(120):
-        dim = rng.randint(1, 4)
-        if k % 2 == 0:
-            box = [(rng.uniform(-2.0, 0.0), rng.uniform(0.0, 2.0)) for _ in range(dim)]
-            inst = epsilon_instance(dim, "box", {"a": [lo for lo, _ in box]}, {"a": "c"},
-                                    box=box)
-        else:
-            inst = epsilon_instance(dim, "simplex", {"a": [1.0 / dim] * dim}, {"a": "c"})
-        pts = [tuple(rng.uniform(-3.0, 3.0) for _ in range(dim))
-               for _ in range(rng.randint(1, 4))]
-        res = feasibility(inst, pts, rng.uniform(0.0, 2.0), seed=k)
-        center, radius = _np_constrained_minimax(inst, pts, k)
-        assert _bits(res.center) == _bits(center)
-        assert _bits((res.radius,)) == _bits((radius,))
 
 
 def test_box_domain_feasibility():

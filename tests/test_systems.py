@@ -335,6 +335,28 @@ def test_amalgamate_conflicting_identification_is_internal_error():
         amalgamate([cycle("a"), cycle("b")], [(0, "a0", 1, "b0")])
 
 
+def test_amalgamate_names_classes_by_their_members():
+    """A class is named by its members' names joined with '+'; classes
+    sharing a name get '#k' in class order; if names still clash, every
+    class is 'q<k>' in class order."""
+    def loops(*states):
+        return make_system(states, states, ["u"], ["0"], {(s, "u"): (s, "0") for s in states})
+
+    def names(comps, idents):
+        am = amalgamate(comps, idents)
+        maps = [[e.map_b(s) for s in c.before] for e, c in zip(am.embeddings, comps)]
+        return am.system.before, maps
+
+    assert names([loops("a", "b"), loops("c")], [(0, "a", 1, "c")]) == (
+        ("a+c", "b"), [["a+c", "b"], ["a+c"]])
+    assert names([loops("s", "t"), loops("s", "t")], [(0, "s", 1, "s")]) == (
+        ("s", "t#0", "t#1"), [["s", "t#0"], ["s", "t#1"]])
+    assert names([loops("s", "t"), loops("s", "t")], []) == (
+        ("s#0", "s#1", "t#0", "t#1"), [["s#0", "t#0"], ["s#1", "t#1"]])
+    assert names([loops("x", "x#0"), loops("x")], []) == (
+        ("q0", "q1", "q2"), [["q0", "q1"], ["q2"]])
+
+
 # ------------------------------------------------------------ cube checks
 
 def test_vk_identity_test_morphism():
