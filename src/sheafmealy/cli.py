@@ -389,6 +389,9 @@ def main(argv: list[str] | None = None) -> int:
     except CheckerError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("ScaleExceeded: the check ran out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -6,10 +6,11 @@ input map is the projection onto one axis.  A box is the product of its
 sides, one interval per axis (a cell in the sense of o-minimal cell
 decomposition), and every box operation is written once over the sides:
 two boxes merge when they agree on every side but one and are linked on
-that one, and clipping replaces one side.  Everything here is computed in
-exact rational arithmetic; there are no tolerances in this module.
+that one, and clipping replaces one side.  Everything here is exact:
+endpoints are rationals or their integer ranks, and there are no
+tolerances in this module.
 
-Two facts, proved directly for this class of domains, drive the algorithms:
+Three facts, proved directly for this class of domains, drive the algorithms:
 
 * Components by pairwise linkage.  Boxes A and B satisfy
   ``cl(A) meets B or A meets cl(B)`` exactly when their union is connected,
@@ -27,6 +28,25 @@ Two facts, proved directly for this class of domains, drive the algorithms:
   one interior point per gap; midpoints are used.  The same fact decides
   the equality of two unions from their fibers at those points.
 
+* Order, not values.  Normalization (``rect_union``, ``_try_merge``,
+  ``merge_intervals``), linkage (``_linked_1d``, ``_closure_meets``),
+  clipping and membership (``Interval.intersect``, ``empty`` and
+  ``contains``) and the sort of boxes as tuples only compare endpoints;
+  none of them does arithmetic on one.  So each commutes with any strictly
+  increasing relabelling of the coordinates: the same merges happen in the
+  same order, with the same coface grouping and the same sorted output.
+  ``sheaf_verdict`` therefore sorts each axis's endpoints once, together
+  with every candidate and both ends of its band on the judged axis,
+  replaces every endpoint by its rank, and runs clipping, normalization,
+  linkage and the fiber marks of every band on integers.  Components are
+  mapped back to rationals only when their candidate certifies, before
+  ``representative`` (the one piece of arithmetic) picks their fiber points.
+
+Linkage is found by a sweep along axis 0: closures of two sides meet only
+if neither side ends before the other begins, so each box, taken in order
+of its low endpoint, is tested only against the earlier boxes whose high
+endpoint is not below that low endpoint.
+
 A robustly disconnected fiber at ``t0`` means: some open band around ``t0``
 has its preimage split by two disjoint relatively open sets, both meeting
 the fiber.  Components of the preimage are relatively open (the domains are
@@ -38,7 +58,8 @@ the fiber.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right, insort
+from heapq import heappop, heappush
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -57,7 +78,7 @@ from .systems import Covering, MealySystem, _UnionFind, covering, make_system, s
 Point = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Interval:
     lo: Fraction
     hi: Fraction
@@ -290,21 +311,28 @@ def _rects_linked(a: Rect, b: Rect) -> bool:
     return all(map(_closure_meets, a, b)) or all(map(_closure_meets, b, a))
 
 
+def _linked_groups(rects: Sequence[Rect]) -> list[list[Rect]]:
+    """The boxes grouped by the transitive closure of linkage, each group in
+    list order, the groups in the order of their sorted boxes."""
+    uf = _UnionFind(len(rects))
+    active: list[tuple[Fraction, int]] = []  # heap of (high end on axis 0, index)
+    for i in sorted(range(len(rects)), key=lambda i: rects[i][0].lo):
+        lo = rects[i][0].lo
+        while active and active[0][0] < lo:
+            heappop(active)
+        for _, k in active:
+            if _rects_linked(rects[k], rects[i]):
+                uf.union(k, i)
+        heappush(active, (rects[i][0].hi, i))
+    groups: dict[int, list[Rect]] = {}
+    for i, r in enumerate(rects):
+        groups.setdefault(uf.find(i), []).append(r)
+    return sorted(groups.values(), key=sorted)
+
+
 def components(u: RectUnion) -> tuple[RectUnion, ...]:
     """Connected components, each as a rectangle union."""
-    rects = list(u.rects)
-    n = len(rects)
-    uf = _UnionFind(n)
-    for i in range(n):
-        for k in range(i + 1, n):
-            if _rects_linked(rects[i], rects[k]):
-                uf.union(i, k)
-    groups: dict[int, list[Rect]] = {}
-    for i in range(n):
-        groups.setdefault(uf.find(i), []).append(rects[i])
-    return tuple(
-        rect_union(u.dim, groups[r]) for r in sorted(groups, key=lambda r: sorted(groups[r]))
-    )
+    return tuple(rect_union(u.dim, g) for g in _linked_groups(u.rects))
 
 
 @dataclass(frozen=True)
@@ -408,14 +436,49 @@ def preimage_components_near(
     return _band_components(u, pj, t0, delta)
 
 
+def _ranks(
+    u: RectUnion, axis: int, extra: Iterable[Fraction]
+) -> tuple[list[list[Fraction]], list[dict[Fraction, int]]]:
+    """Each axis's endpoints in increasing order, with ``extra`` on the
+    judged axis, and the rank of each endpoint on its axis."""
+    ends = [{e for r in u.rects for e in (r[k].lo, r[k].hi)} for k in range(u.dim)]
+    ends[axis].update(extra)
+    values = [sorted(vs) for vs in ends]
+    return values, [{v: i for i, v in enumerate(vs)} for vs in values]
+
+
+def _relabel(rects: Iterable[Rect], tables: Sequence[Mapping | Sequence]) -> tuple[Rect, ...]:
+    """Each box with every endpoint ``e`` of its side on axis ``k`` replaced
+    by ``tables[k][e]``: ranks for endpoints, or endpoints for ranks."""
+    return tuple(
+        Rect.of(Interval(m[s.lo], m[s.hi], s.lo_open, s.hi_open) for m, s in zip(tables, r))
+        for r in rects
+    )
+
+
+def _band(
+    dim: int, axis: int, boxes: Sequence[Rect], lo: int, t: int, hi: int
+) -> tuple[RectUnion, list[list[Rect]], list[bool]]:
+    """On ranks: the strip of ``boxes`` over the open band ``(lo, hi)``, its
+    components, and whether each meets the fiber at ``t``.  The strip is
+    normalized and every subset of a merge-free set is merge-free, so the
+    components need no normalization of their own."""
+    strip = clip_band(RectUnion(dim, tuple(boxes)), axis, Interval(lo, hi, True, True))
+    groups = _linked_groups(strip.rects)
+    return strip, groups, [any(r[axis].contains(t) for r in g) for g in groups]
+
+
 def _band_components(
     u: RectUnion, pj: ProjectionJudge, t0: Fraction, delta: Fraction
 ) -> StripComponents:
-    band = Interval(t0 - delta, t0 + delta, True, True)
-    strip = clip_band(u, pj.axis, band)
-    comps = components(strip)
-    marks = tuple(bool(fiber(comp, pj, t0)) for comp in comps)
-    return StripComponents(t0, delta, strip, comps, marks)
+    lo, hi = t0 - delta, t0 + delta
+    values, ranks = _ranks(u, pj.axis, (t0, lo, hi))
+    at = ranks[pj.axis]
+    strip, groups, marks = _band(u.dim, pj.axis, _relabel(u.rects, ranks), at[lo], at[t0], at[hi])
+    comps = tuple(RectUnion(u.dim, _relabel(g, values)) for g in groups)
+    return StripComponents(
+        t0, delta, RectUnion(u.dim, _relabel(strip.rects, values)), comps, tuple(marks)
+    )
 
 
 @dataclass(frozen=True)
@@ -453,23 +516,19 @@ def robustly_disconnected(
 ) -> RobustDisconnectionCertificate | None:
     """Certificate that the fiber at ``t0`` splits across band components,
     or None when every admissible band keeps it inside one component."""
-    return _certificate(preimage_components_near(u, pj, t0, delta), pj)
-
-
-def _certificate(
-    sc: StripComponents, pj: ProjectionJudge
-) -> RobustDisconnectionCertificate | None:
-    hits = [k for k, m in enumerate(sc.meets_fiber) if m]
-    if len(hits) < 2:
+    sc = preimage_components_near(u, pj, t0, delta)
+    if sum(sc.meets_fiber) < 2:
         return None
-    points = tuple(_fiber_point(comp, pj, sc.t0) for comp in sc.components)
+    return _certificate(sc.t0, sc.delta, sc.components, sc.meets_fiber, pj)
+
+
+def _certificate(t0: Fraction, delta: Fraction, comps: tuple[RectUnion, ...],
+                 marks: Sequence[bool], pj: ProjectionJudge) -> RobustDisconnectionCertificate:
+    """The certificate of a band whose components meet the fiber at least
+    twice."""
+    points = tuple(_fiber_point(comp, pj, t0) for comp in comps)
     return RobustDisconnectionCertificate(
-        sc.t0,
-        sc.t0 - sc.delta,
-        sc.t0 + sc.delta,
-        sc.components,
-        points,
-        hits[0],
+        t0, t0 - delta, t0 + delta, comps, points, marks.index(True)
     )
 
 
@@ -502,18 +561,22 @@ def sheaf_verdict(u: RectUnion, pj: ProjectionJudge) -> SheafVerdict:
         near = [abs(v - t) for v in crit[max(k - 1, 0):k + 2] if v != t]
         candidates.append(t)
         widths.append(min(near) / 2 if near else Fraction(1))
+    ends = [(t - d, t + d) for t, d in zip(candidates, widths)]
+    values, ranks = _ranks(u, pj.axis, [*candidates, *(e for pair in ends for e in pair)])
+    at = ranks[pj.axis]
     # A box clips to nothing in the bands of candidates outside its extent.
-    position = {t: k for k, t in enumerate(candidates)}
+    position = {at[t]: k for k, t in enumerate(candidates)}
     reach: list[list[Rect]] = [[] for _ in candidates]
-    for r in u.rects:
-        iv = r.axis(pj.axis)
+    for r in _relabel(u.rects, ranks):
+        iv = r[pj.axis]
         for k in range(position[iv.lo], position[iv.hi] + 1):
             reach[k].append(r)
     certs = []
-    for t, delta, boxes in zip(candidates, widths, reach):
-        cert = _certificate(_band_components(RectUnion(u.dim, tuple(boxes)), pj, t, delta), pj)
-        if cert is not None:
-            certs.append(cert)
+    for t, delta, (lo, hi), boxes in zip(candidates, widths, ends, reach):
+        _, groups, marks = _band(u.dim, pj.axis, boxes, at[lo], at[t], at[hi])
+        if sum(marks) >= 2:
+            comps = tuple(RectUnion(u.dim, _relabel(g, values)) for g in groups)
+            certs.append(_certificate(t, delta, comps, marks, pj))
     notes: list[str] = []
     if any(s.lo_open or s.hi_open for r in u.rects for s in r):
         notes.append(
@@ -567,9 +630,12 @@ def two_patch_counterexample(
     samples: list[tuple[str, Point]] = [("v", v_point), ("w", w_point)]
     for k, r in enumerate(off_band.rects):
         samples.append((f"c{k}", tuple(s.representative() for s in r)))
-    # Sanity: every sample lies in the domain.
+    # Sanity: every sample lies in the domain.  Only boxes whose low end on
+    # axis 0 is at most the sample's can hold it; the nearest are tried first.
+    boxes = sorted(u.rects, key=lambda r: r[0].lo)
+    lows = [r[0].lo for r in boxes]
     for name, p in samples:
-        if not u.contains(p):
+        if not any(map(Rect.contains, reversed(boxes[:bisect_right(lows, p[0])]), repeat(p))):
             raise InternalConsistencyError(f"sample {name} fell outside the domain")
     i_map = {name: str(p[pj.axis]) for name, p in samples}
     o_map = {"0": "0", "1": "1"}

@@ -575,3 +575,17 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True, text=True,
     )
     assert missing.returncode == 1
+
+
+def test_memory_error_is_reported_as_scale_exceeded(capsys, monkeypatch):
+    """A check that runs out of memory exits 1 with one ScaleExceeded line;
+    the error is raised by a stand-in checker, nothing is allocated."""
+    from sheafmealy import cli
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._CHECKS, "tame-check", exhausted)
+    code, out, err = _run(capsys, ["check", "tame-check", "two-band"])
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["ScaleExceeded: the check ran out of memory"]

@@ -1,15 +1,18 @@
 """The tame layer against its reference versions in ``tame_oracle``.
 
-``rect_union`` replays the reference loop's merges without rescanning, and
+``rect_union`` replays the reference loop's merges without rescanning,
 ``sheaf_verdict`` takes its band widths and the boxes of each band in one
-pass; both must give the reference results exactly: the same normalized
-boxes, candidates, notes and certificates, and the same band components.
+pass and works every band on the ranks of the endpoints, and ``components``
+links boxes by a sweep along axis 0; all must give the reference results
+exactly: the same normalized boxes, candidates, notes and certificates, and
+the same band components.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from sheafmealy import jsonio, tame
-from sheafmealy.tame import Interval, ProjectionJudge, Rect, RectUnion
+from sheafmealy.tame import Interval, ProjectionJudge, Rect, RectUnion, interval
 
 import tame_oracle as oracle
 
@@ -84,6 +87,97 @@ def test_sheaf_verdict_on_unnormalized_unions(rng):
             got, want = tame.sheaf_verdict(u, pj), oracle.sheaf_verdict(u, pj)
             assert got.candidates == want.candidates
             assert _cert_bytes(got.certificates) == _cert_bytes(want.certificates)
+
+
+def _touching_pairs(rng, dim: int) -> list[Rect]:
+    """Two boxes meeting at x = 2k + 1 for each of the four open/closed
+    combinations of the shared edge, their other sides overlapping."""
+    out = []
+    for k, (left, right) in enumerate(product((False, True), repeat=2)):
+        y = _side(rng, 3, 0.3) if dim == 2 else None
+        out += [Rect(interval(2 * k, 2 * k + 1, rng.random() < 0.3, left), y),
+                Rect(interval(2 * k + 1, 2 * k + 2, right, rng.random() < 0.3),
+                     interval(y.lo, y.hi + 1, y.lo_open, rng.random() < 0.3) if y else None)]
+    return out
+
+
+def test_sheaf_verdict_where_neighbouring_bands_share_an_end(rng):
+    """Judged-axis endpoints 0, 1, 3, 4, 6, 7: neighbouring gaps in a 2:1
+    ratio, so one candidate's band ends where the next one's begins (at 1
+    the band is (1/2, 3/2), at the midpoint 2 it is (3/2, 5/2)), and both
+    bands take that end from one entry of the rank table.  The unions come
+    normalized and raw, with a repeated box, an empty box and boxes touching
+    under each combination of open flags."""
+    ends = [Fraction(v) for v in (0, 1, 3, 4, 6, 7)]
+
+    def side() -> Interval:
+        lo, hi = sorted(rng.sample(range(len(ends)), 2))
+        if rng.random() < 0.1:
+            hi = lo
+        return Interval(ends[lo], ends[hi], rng.random() < 0.4, rng.random() < 0.4)
+
+    seen = {"certificates": 0, "shared ends": 0}
+    for trial in range(48):
+        dim = 1 if trial % 4 == 0 else 2
+        boxes = [Rect.of(side() for _ in range(dim)) for _ in range(rng.randint(1, 14))]
+        for left, right in product((False, True), repeat=2):
+            k, y = rng.randrange(1, len(ends) - 1), side()
+            boxes += [Rect.of((Interval(ends[k - 1], ends[k], False, left), y)[:dim]),
+                      Rect.of((Interval(ends[k], ends[k + 1], right, False), y)[:dim])]
+        boxes += [boxes[0], Rect.of((Interval(ends[2], ends[1]),) * dim)]
+        for u in (tame.rect_union(dim, boxes), RectUnion(dim, tuple(boxes))):
+            for axis in range(dim):
+                pj = ProjectionJudge(axis)
+                got, want = tame.sheaf_verdict(u, pj), oracle.sheaf_verdict(u, pj)
+                assert got.candidates == want.candidates, trial
+                assert _cert_bytes(got.certificates) == _cert_bytes(want.certificates), trial
+                seen["certificates"] += len(got.certificates)
+                bands = {(c.n_lo, c.n_hi) for c in got.certificates}
+                seen["shared ends"] += any(hi == lo for _, hi in bands for lo, _ in bands)
+                for t in got.candidates:
+                    assert _strip_key(tame.preimage_components_near(u, pj, t)) == _strip_key(
+                        oracle.preimage_components_near(u, pj, t)), (trial, t)
+    assert seen["certificates"] > 40 and seen["shared ends"] > 5
+
+
+def test_components_match_the_pairwise_reference(rng):
+    """The sweep links exactly the pairs the reference's scan of all pairs
+    links, on normalized and raw unions whose boxes share axis-0 endpoints
+    with every combination of open and closed sides there.  The raw unions
+    hold no empty box: the library gives one a component of its own with no
+    boxes, the reference links it on the line, and neither is a region."""
+    split = 0
+    for trial in range(200):
+        dim = 1 + trial % 2
+        boxes = _boxes(rng, dim, rng.randint(1, 30), (0, 0.3, 0.7)[trial % 3])
+        boxes += _touching_pairs(rng, dim)
+        raw = RectUnion(dim, tuple(b for b in boxes if not b.empty))
+        for u in (tame.rect_union(dim, boxes), raw):
+            want = oracle.components(u)
+            assert tame.components(u) == want, trial
+            split += len(want) > 1
+    assert split > 300
+
+
+def test_components_links_a_row_of_boxes_in_linear_time(monkeypatch):
+    """200 boxes in a row along axis 0, each meeting the next at a closed
+    edge, form one component.  The sweep tests each box against the boxes
+    still open at its low end, one here; a test of all pairs makes 19,900."""
+    n = 200
+    u = tame.rect_union(2, [Rect(interval(k, k + 1), interval(k % 2, k % 2 + 2))
+                            for k in range(n)])
+    assert len(u.rects) == n
+    tests = 0
+    linked = tame._rects_linked
+
+    def counting(a, b):
+        nonlocal tests
+        tests += 1
+        return linked(a, b)
+
+    monkeypatch.setattr(tame, "_rects_linked", counting)
+    assert len(tame.components(u)) == 1
+    assert tests < 2 * n
 
 
 def test_rect_union_merge_attempts_stay_linear(rng, monkeypatch):
