@@ -29,16 +29,6 @@ from .localglobal import (
 from .systems import check_covering, system_violations, validate_system
 from .tame import fiber, sheaf_verdict, two_patch_counterexample
 
-DEFAULT_SEED = 20250817
-
-
-def _seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("SHEAFMEALY_SEED")
-    return int(env) if env else DEFAULT_SEED
-
-
 def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
         print(jsonio.canonical_dumps(payload))
@@ -241,7 +231,7 @@ def _check_eps_depth(args: argparse.Namespace) -> int:
         eps = args.eps
     if eps is None:
         raise CheckerError("no tolerance: fixture has none and --eps not given")
-    rep = obstruction_depth(inst, patches, eps, seed=_seed(args))
+    rep = obstruction_depth(inst, patches, eps)
     lines = []
     if rep.feasible:
         lines.append(f"feasible at eps={eps}")
@@ -320,9 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "explanations of finite transducers",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized numerics "
-                             "(default: SHEAFMEALY_SEED or 20250817)")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_val = sub.add_parser("validate", help="validate a JSON document or fixture")

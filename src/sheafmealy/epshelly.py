@@ -42,6 +42,9 @@ from .errors import (
 
 COMPARISON_TOL = 1e-9
 MEB_REL_TOL = 1e-12
+# The one order in which the minimax solver visits points; no verdict
+# depends on it (see :func:`_minimax`).
+_ORDER_SEED = 20250817
 
 Vector = tuple[float, ...]
 # (axis, bound, side): a center y keeps it when side * (y[axis] - bound) >= 0.
@@ -231,13 +234,14 @@ def _ball_contains(ball: tuple[Vector, float] | None, p: Vector) -> bool:
     return math.dist(center, p) <= r * (1.0 + MEB_REL_TOL) + 1e-14
 
 
-def _minimax(points: Sequence[Sequence[float]], seed: int | None,
-             facets: Sequence[Facet] = (), simplex: bool = False) -> tuple[Vector, float]:
+def _minimax(points: Sequence[Sequence[float]], facets: Sequence[Facet] = (),
+             simplex: bool = False) -> tuple[Vector, float]:
     """Center and radius of the smallest ball holding ``points`` whose
     center keeps every facet, and has coordinate sum one on the simplex.
 
-    Move-to-front computation (Welzl 1991, Gärtner 1999) over a seeded
-    shuffle of the deduplicated points, inside a recursion over the facets.
+    Move-to-front computation (Welzl 1991, Gärtner 1999) over the
+    deduplicated points in one fixed shuffled order, inside a recursion
+    over the facets.
     A point outside the ball joins the boundary and the points before it
     are redone; once all points are held, a facet the center breaks becomes
     tight, an equality on the center, and all points and the earlier facets
@@ -249,7 +253,8 @@ def _minimax(points: Sequence[Sequence[float]], seed: int | None,
     every point both hold, every rim point on its rim and every facet both
     centers keep, and has a smaller radius.  So a constraint that the
     optimum without it breaks is tight at the optimum with it, which is
-    the lemma Welzl's proof uses.  A ball that misses a point is refused.
+    the lemma Welzl's proof uses.  Hence the visiting order fixes only the
+    work, never the ball.  A ball that misses a point is refused.
     """
     pts = [tuple(float(x) for x in p) for p in points]
     if not pts:
@@ -263,8 +268,7 @@ def _minimax(points: Sequence[Sequence[float]], seed: int | None,
         if not all(math.isfinite(x) for x in p):
             raise CheckerError("points must be finite")
     uniq = sorted(set(pts))
-    rng = random.Random(20250817 if seed is None else seed)
-    rng.shuffle(uniq)
+    random.Random(_ORDER_SEED).shuffle(uniq)
     full = d if simplex else d + 1
 
     def mtf(end: int, boundary: list[Vector], tight: list[Facet],
@@ -306,10 +310,10 @@ class Ball:
     radius: float
 
 
-def min_enclosing_ball(points: Sequence[Sequence[float]], seed: int | None = None) -> Ball:
+def min_enclosing_ball(points: Sequence[Sequence[float]]) -> Ball:
     """Minimum enclosing ball in up to 8 dimensions, exact up to 1e-12
-    relative tolerance; the seed only orders the points (:func:`_minimax`)."""
-    return Ball(*_minimax(points, seed))
+    relative tolerance (:func:`_minimax`)."""
+    return Ball(*_minimax(points))
 
 
 def canonical_point(inst: EpsilonInstance) -> Vector:
@@ -361,7 +365,6 @@ def feasibility(
     inst: EpsilonInstance,
     points: Sequence[Sequence[float]],
     eps: float,
-    seed: int | None = None,
 ) -> FeasibilityResult:
     """Whether some domain point is within ``eps`` of every target point."""
     _check_eps(eps)
@@ -376,7 +379,7 @@ def feasibility(
     else:  # a box's sides; the euclidean domain has none
         facets = [(k, b, side) for k, (lo, hi) in enumerate(inst.box or ())
                   for b, side in ((lo, 1.0), (hi, -1.0))]
-    center, radius = _minimax(pts, seed, facets, simplex)
+    center, radius = _minimax(pts, facets, simplex)
     return FeasibilityResult(inst.domain, eps, center, radius, radius <= eps + COMPARISON_TOL,
                              abs(radius - eps) <= COMPARISON_TOL, False)
 
@@ -427,7 +430,6 @@ def obstruction_depth(
     inst: EpsilonInstance,
     patches: Sequence[Sequence[str]],
     eps: float,
-    seed: int | None = None,
 ) -> DepthReport:
     """Size of the smallest jointly infeasible subfamily, judged input by
     judged input; None when the whole family is feasible.
@@ -457,7 +459,7 @@ def obstruction_depth(
         pts = set().union(*targets[i_prime])
         if not pts:
             continue
-        res = feasibility(inst, sorted(pts), eps, seed)
+        res = feasibility(inst, sorted(pts), eps)
         marginal = marginal or res.marginal
         if not res.feasible:
             full_bad = i_prime
@@ -482,7 +484,7 @@ def obstruction_depth(
                 diameter = max(far[i_prime][pair] for pair in pairs)
                 ok = _certified(inst, pts, diameter, eps)
                 if ok is None:
-                    res = feasibility(inst, sorted(pts), eps, seed)
+                    res = feasibility(inst, sorted(pts), eps)
                     marginal = marginal or res.marginal
                     ok = res.feasible
                 if not ok:
@@ -502,7 +504,6 @@ def eps_glue(
     inst: EpsilonInstance,
     patches: Sequence[Sequence[str]],
     eps: float,
-    seed: int | None = None,
 ) -> EpsGlueResult:
     """Glue per-patch approximate explanations into one global assignment.
 
@@ -520,7 +521,7 @@ def eps_glue(
     marginal: list[str] = []
     targets = _patch_targets(inst, patches)
     for i_prime in inst.interp_inputs:
-        res = feasibility(inst, sorted(set().union(*targets[i_prime])), eps, seed)
+        res = feasibility(inst, sorted(set().union(*targets[i_prime])), eps)
         if not res.feasible:
             err = Infeasible(
                 f"no point is within {eps} of every target for judged input {i_prime!r}"

@@ -31,7 +31,6 @@ from .errors import (
     NotStateless,
 )
 from .explain import (
-    BehEquivReport,
     BehaviorPartition,
     CogermWitness,
     Judge,
@@ -172,10 +171,6 @@ class SeparationReport:
     obstruction: ObstructionReport | None
 
 
-def _strict_equal(s: Section, t: Section) -> bool:
-    return s.explanatory == t.explanatory and s.psi == t.psi
-
-
 def check_separation(
     kind: str,
     c: Covering,
@@ -196,32 +191,22 @@ def check_separation(
         raise CheckerError(f"unknown separation kind {kind!r}")
     if s.patch != t.patch or s.patch.source != c.target:
         raise CheckerError("separation compares sections of the covered system")
-    locally: list[bool] = []
-    local_wit: list[tuple[Ident, tuple[Ident, ...]] | None] = []
-    for p in c.patches:
-        rs = restrict_section(s, p)
-        rt = restrict_section(t, p)
+
+    def compare(a: Section, b: Section, patch: OpenImmersion
+                ) -> tuple[bool, tuple[Ident, tuple[Ident, ...]] | None]:
+        """Whether ``a`` and ``b``, sections over ``patch``, are equal at
+        this resolution, with a distinguishing state and word if not."""
         if kind == "strict":
-            locally.append(_strict_equal(rs, rt))
-            local_wit.append(None)
-        elif kind == "cogerm":
-            locally.append(cogerm_equiv(rs, rt) is not None)
-            local_wit.append(None)
-        else:
-            alphabet = j.interp_inputs if kind == "beh" else restricted_interface(j, p)
-            rep = behavioral_equiv(rs, rt, alphabet)
-            locally.append(rep.ok)
-            local_wit.append(None if rep.ok else (rep.state, rep.word))
-    if kind == "strict":
-        globally, gwit = _strict_equal(s, t), None
-    elif kind == "cogerm":
-        globally, gwit = cogerm_equiv(s, t) is not None, None
-    else:
-        alphabet = (
-            j.interp_inputs if kind == "beh" else restricted_interface(j, s.patch)
-        )
-        rep: BehEquivReport = behavioral_equiv(s, t, alphabet)
-        globally, gwit = rep.ok, (None if rep.ok else (rep.state, rep.word))
+            return a.explanatory == b.explanatory and a.psi == b.psi, None
+        if kind == "cogerm":
+            return cogerm_equiv(a, b) is not None, None
+        alphabet = j.interp_inputs if kind == "beh" else restricted_interface(j, patch)
+        rep = behavioral_equiv(a, b, alphabet)
+        return rep.ok, (None if rep.ok else (rep.state, rep.word))
+
+    local = [compare(restrict_section(s, p), restrict_section(t, p), p) for p in c.patches]
+    locally = tuple(ok for ok, _ in local)
+    globally, gwit = compare(s, t, s.patch)
     violated = all(locally) and not globally
     obstruction = None
     if violated and gwit is not None:
@@ -258,8 +243,8 @@ def check_separation(
         )
     return SeparationReport(
         kind,
-        tuple(locally),
-        tuple(local_wit),
+        locally,
+        tuple(wit for _, wit in local),
         globally,
         gwit,
         violated,
@@ -692,6 +677,24 @@ def glue_stateless(
     return GlueStatelessResult(True, tuple(sorted(merged.items())), None)
 
 
+def _unglueable_stateless(
+    system: MealySystem, j: Judge, c: Covering
+) -> tuple[tuple[tuple[tuple[Ident, Ident], ...], ...], ObstructionReport]:
+    """The forced stateless assignment of every patch of a witness
+    covering, and the obstruction to gluing them.  A witness is built to be
+    unglueable, so a patch without its forced explanation, or a family that
+    glues, is a bug."""
+    reports = [stateless_ri_section(system, j, p) for p in c.patches]
+    for k, rep in enumerate(reports):
+        if not rep.ok:
+            raise InternalConsistencyError(f"patch {k} lost its forced explanation")
+    assignments = tuple(rep.assignment for rep in reports)
+    res = glue_stateless(system, j, c, [dict(a) for a in assignments])
+    if res.ok or res.obstruction is None:
+        raise InternalConsistencyError("witness covering unexpectedly glues")
+    return assignments, res.obstruction
+
+
 @dataclass(frozen=True)
 class StatelessSheafReport:
     is_sheaf: bool
@@ -727,12 +730,5 @@ def discrete_stateless_sheaf_check(system: MealySystem, j: Judge) -> StatelessSh
                 for raw in system.inputs
             ]
             cov = Covering(system, tuple(patches))
-            assignments = []
-            for raw in system.inputs:
-                judged_out = j.j_o[system.transition(s0, raw)[1]]
-                assignments.append(((j.j_i[raw], judged_out),))
-            res = glue_stateless(system, j, cov, [dict(a) for a in assignments])
-            if res.ok or res.obstruction is None:
-                raise InternalConsistencyError("witness covering unexpectedly glues")
-            return StatelessSheafReport(False, cov, tuple(assignments), res.obstruction)
+            return StatelessSheafReport(False, cov, *_unglueable_stateless(system, j, cov))
     return StatelessSheafReport(True, None, None, None)

@@ -58,7 +58,7 @@ the fiber.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from heapq import heappop, heappush
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,12 +67,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import CheckerError, InternalConsistencyError, MalformedDocument
 from .explain import Judge, judge as make_judge
-from .localglobal import (
-    GlueStatelessResult,
-    ObstructionReport,
-    glue_stateless,
-    stateless_ri_section,
-)
+from .localglobal import ObstructionReport, _unglueable_stateless
 from .systems import Covering, MealySystem, _UnionFind, covering, make_system, subsystem
 
 Point = tuple[Fraction, ...]
@@ -331,8 +326,10 @@ def _linked_groups(rects: Sequence[Rect]) -> list[list[Rect]]:
 
 
 def components(u: RectUnion) -> tuple[RectUnion, ...]:
-    """Connected components, each as a rectangle union."""
-    return tuple(rect_union(u.dim, g) for g in _linked_groups(u.rects))
+    """Connected components, each as a rectangle union; empty boxes are
+    dropped first, as :func:`rect_union` drops them."""
+    boxes = [r for r in u.rects if not r.empty]
+    return tuple(rect_union(u.dim, g) for g in _linked_groups(boxes))
 
 
 @dataclass(frozen=True)
@@ -400,11 +397,16 @@ class StripComponents:
     meets_fiber: tuple[bool, ...]
 
 
-def _default_delta(u: RectUnion, pj: ProjectionJudge, t0: Fraction) -> Fraction:
-    others = [v for v in critical_values(u, pj.axis) if v != t0]
-    if not others:
-        return Fraction(1)
-    return min(abs(v - t0) for v in others) / 2
+def _width(crit: Sequence[Fraction], t: Fraction) -> Fraction:
+    """The default band width at ``t``: half the distance to the nearest
+    critical value other than ``t`` in the sorted ``crit``, or 1 when there
+    is none."""
+    k = bisect_left(crit, t)
+    after = k + (k < len(crit) and crit[k] == t)
+    gaps = [t - crit[k - 1]] if k else []
+    if after < len(crit):
+        gaps.append(crit[after] - t)
+    return min(gaps) / 2 if gaps else Fraction(1)
 
 
 def preimage_components_near(
@@ -423,7 +425,7 @@ def preimage_components_near(
     """
     t0 = Fraction(t0)
     if delta is None:
-        delta = _default_delta(u, pj, t0)
+        delta = _width(critical_values(u, pj.axis), t0)
     else:
         delta = Fraction(delta)
         if delta <= 0:
@@ -548,19 +550,11 @@ def sheaf_verdict(u: RectUnion, pj: ProjectionJudge) -> SheafVerdict:
     the interval endpoints on the judged axis and one midpoint per gap.
     """
     crit = critical_values(u, pj.axis)
-    # Endpoints at even positions, gap midpoints at odd ones, each with the
-    # default band width: half the nearest gap at an endpoint, a quarter of
-    # the gap at a midpoint.
-    candidates: list[Fraction] = []
-    widths: list[Fraction] = []
-    for k, t in enumerate(crit):
-        if k:
-            a = crit[k - 1]
-            candidates.append((a + t) / 2)
-            widths.append((t - a) / 4)
-        near = [abs(v - t) for v in crit[max(k - 1, 0):k + 2] if v != t]
-        candidates.append(t)
-        widths.append(min(near) / 2 if near else Fraction(1))
+    # The endpoints and the gap midpoints in increasing order, each with the
+    # default band width.
+    mids = [(a + b) / 2 for a, b in zip(crit, crit[1:])]
+    candidates = [*(t for pair in zip(crit, mids) for t in pair), *crit[-1:]]
+    widths = [_width(crit, t) for t in candidates]
     ends = [(t - d, t + d) for t, d in zip(candidates, widths)]
     values, ranks = _ranks(u, pj.axis, [*candidates, *(e for pair in ends for e in pair)])
     at = ranks[pj.axis]
@@ -649,19 +643,8 @@ def two_patch_counterexample(
     patch1 = subsystem(system, inputs=sorted(["v", *c_names]))
     patch2 = subsystem(system, inputs=sorted(["w", *c_names]))
     cov = covering(system, [patch1, patch2])
-    reports = [stateless_ri_section(system, jdg, p) for p in (patch1, patch2)]
-    for k, rep in enumerate(reports):
-        if not rep.ok:
-            raise InternalConsistencyError(f"patch {k} lost its forced explanation")
-    assignments = tuple(rep.assignment for rep in reports)
-    res: GlueStatelessResult = glue_stateless(
-        system, jdg, cov, [dict(a) for a in assignments]
-    )
-    if res.ok or res.obstruction is None:
-        raise InternalConsistencyError("disconnection witness unexpectedly glued")
-    return TameCounterexample(
-        system, jdg, cov, assignments, tuple(samples), res.obstruction
-    )
+    assignments, obstruction = _unglueable_stateless(system, jdg, cov)
+    return TameCounterexample(system, jdg, cov, assignments, tuple(samples), obstruction)
 
 
 def regions_equal(u1: RectUnion, u2: RectUnion) -> bool:

@@ -1,14 +1,15 @@
 """Reference versions of the epsilon layer's ball solver and depth search.
 
 ``welzl_ball`` is the recursive randomized incremental solver (Welzl 1991):
-the same dedupe, sort, seeded shuffle and circumball subroutine as the
-library, but one recursion level per point, so it needs a raised recursion
-limit on large sets.  ``combination_depth`` is the plain obstruction
+the same dedupe, sort, shuffle and circumball subroutine as the library,
+by default in the library's visiting order, but one recursion level per
+point, so it needs a raised recursion limit on large sets.  ``combination_depth`` is the plain obstruction
 search: the full family, then every subfamily of every size in
 ``itertools.combinations`` order, one ``feasibility`` solve per subfamily
 and judged input.  The library recurses over the boundary only, stops at
 the Helly number and skips the solves a bound decides; the seeded tests
-hold it to these results.  ``basis_minimax`` solves the box and simplex
+hold it to these results, in the visiting orders they choose by setting
+``epshelly._ORDER_SEED``.  ``basis_minimax`` solves the box and simplex
 minimax problem apart from the library, with numpy least squares over
 every candidate basis of rim points and tight facets.
 """
@@ -22,6 +23,7 @@ import sys
 import numpy as np
 
 from sheafmealy.epshelly import (
+    _ORDER_SEED,
     Ball,
     DepthReport,
     _ball_contains,
@@ -31,11 +33,10 @@ from sheafmealy.epshelly import (
 )
 
 
-def welzl_ball(points, seed=None) -> Ball:
+def welzl_ball(points, seed=_ORDER_SEED) -> Ball:
     uniq = sorted({tuple(float(x) for x in p) for p in points})
     d = len(uniq[0])
-    rng = random.Random(20250817 if seed is None else seed)
-    rng.shuffle(uniq)
+    random.Random(seed).shuffle(uniq)
 
     def welzl(idx, boundary):
         if idx == len(uniq) or len(boundary) == d + 1:
@@ -67,14 +68,14 @@ def _union_points(inst, patches, subset, i_prime):
     return tuple(sorted(pts))
 
 
-def combination_depth(inst, patches, eps, seed=None) -> DepthReport:
+def combination_depth(inst, patches, eps) -> DepthReport:
     marginal = False
     full_bad = None
     for i_prime in inst.interp_inputs:
         pts = _union_points(inst, patches, range(len(patches)), i_prime)
         if not pts:
             continue
-        res = feasibility(inst, pts, eps, seed)
+        res = feasibility(inst, pts, eps)
         marginal = marginal or res.marginal
         if not res.feasible:
             full_bad = i_prime
@@ -87,7 +88,7 @@ def combination_depth(inst, patches, eps, seed=None) -> DepthReport:
                 pts = _union_points(inst, patches, combo, i_prime)
                 if not pts:
                     continue
-                res = feasibility(inst, pts, eps, seed)
+                res = feasibility(inst, pts, eps)
                 marginal = marginal or res.marginal
                 if not res.feasible:
                     return DepthReport(False, size, combo, i_prime, marginal)

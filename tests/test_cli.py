@@ -545,19 +545,17 @@ def test_landscape_verb(capsys):
     assert "presheaf" in out and "[ok]" in out and "FAIL" not in out
 
 
-def test_seed_flag_and_env_do_not_change_verdicts(capsys, monkeypatch):
-    runs = []
-    for seed_args in (["--seed", "1"], ["--seed", "2"], []):
-        code, doc, _ = _json_run(
-            capsys, [*seed_args, "check", "eps-depth", "triangle"]
-        )
-        assert code == 0
-        runs.append(doc)
+def test_seed_flag_is_refused_and_seed_env_is_ignored(capsys, monkeypatch):
+    # The solver visits points in one fixed order, which nothing sets.
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "1", "check", "eps-depth", "triangle"])
+    assert exc.value.code == 2
+    assert "sheafmealy: error" in capsys.readouterr().err
+    argv = ["--format", "json", "check", "eps-depth", "triangle"]
+    code, plain, _ = _run(capsys, argv)
     monkeypatch.setenv("SHEAFMEALY_SEED", "987")
-    code, doc, _ = _json_run(capsys, ["check", "eps-depth", "triangle"])
-    assert code == 0
-    runs.append(doc)
-    assert all(r == runs[0] for r in runs[1:])
+    assert _run(capsys, argv) == (code, plain, "")
+    assert code == 0 and json.loads(plain)["depth"] == 3
 
 
 def test_console_script_entry_point(tmp_path):

@@ -7,7 +7,7 @@ import math
 import pytest
 from eps_oracle import basis_minimax
 
-from sheafmealy import CheckerError, epsilon_instance, feasibility
+from sheafmealy import CheckerError, epshelly, epsilon_instance, feasibility
 
 
 def _box_facets(box):
@@ -62,13 +62,14 @@ def _targets(rng, domain, dim, box):
 
 
 @pytest.mark.parametrize("domain", ["box", "simplex"])
-def test_feasibility_matches_basis_oracle(rng, domain):
+def test_feasibility_matches_basis_oracle(rng, monkeypatch, domain):
     for trial in range(160):
         dim = 1 + trial % 3
         box = _box(rng, dim) if domain == "box" else None
         facets = _box_facets(box) if box else [(k, 0.0, 1.0) for k in range(dim)]
         pts = _targets(rng, domain, dim, box)
-        res = feasibility(_instance(domain, dim, box), pts, 1.0, seed=trial)
+        monkeypatch.setattr(epshelly, "_ORDER_SEED", trial)
+        res = feasibility(_instance(domain, dim, box), pts, 1.0)
         _, want = basis_minimax(pts, facets, simplex=domain == "simplex")
         assert abs(res.radius - want) <= 1e-12 * max(want, 1.0), (box, pts)
         assert _in_domain(res.center, domain, box), (box, pts, res.center)
@@ -100,7 +101,7 @@ def _tiny_simplex(rng, dim):
 
 
 @pytest.mark.parametrize("domain", ["box", "simplex"])
-def test_feasibility_is_free_of_scale(rng, domain):
+def test_feasibility_is_free_of_scale(rng, monkeypatch, domain):
     """Boxes with sides near 1e7 and 1e-7, and simplex targets near 1e-7
     apart, held to the oracle on the same instance mapped exactly to unit
     scale: the box divided by its scale, the simplex around c as
@@ -122,7 +123,8 @@ def test_feasibility_is_free_of_scale(rng, domain):
             facets = [(k, (k == 0) - ck / SMALL, 1.0) for k, ck in enumerate(c)]
             _, unit_radius = basis_minimax(unit_pts, facets, simplex=True)
         want = unit_radius * scale
-        res = feasibility(_instance(domain, dim, box), pts, want, seed=trial)
+        monkeypatch.setattr(epshelly, "_ORDER_SEED", trial)
+        res = feasibility(_instance(domain, dim, box), pts, want)
         assert abs(res.radius - want) <= 1e-12 * want + 1e-14, (box, pts)
         assert _in_domain(res.center, domain, box), (box, pts, res.center)
         assert all(math.dist(res.center, p) <= res.radius * (1 + 1e-12) + 1e-14 for p in pts)
@@ -180,11 +182,12 @@ def _known_radius(rng, domain, dim):
 
 
 @pytest.mark.parametrize("domain", ["box", "simplex"])
-def test_feasibility_finds_radii_known_by_construction(rng, domain):
+def test_feasibility_finds_radii_known_by_construction(rng, monkeypatch, domain):
     for trial in range(100):
         dim = 2 + trial % 2 if domain == "box" else 3 + trial % 2
         box, pts, radius = _known_radius(rng, domain, dim)
-        res = feasibility(_instance(domain, dim, box), pts, radius * 1.005, seed=trial)
+        monkeypatch.setattr(epshelly, "_ORDER_SEED", trial)
+        res = feasibility(_instance(domain, dim, box), pts, radius * 1.005)
         assert abs(res.radius - radius) <= 1e-12 * radius, (box, pts)
         assert res.feasible and _in_domain(res.center, domain, box)
 

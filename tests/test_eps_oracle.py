@@ -53,13 +53,14 @@ def _family(rng, dim, domain, integer):
     return inst, patches, max(0.0, radius + rng.choice(EPS_OFFSETS))
 
 
-def test_depth_matches_combination_search_on_euclidean_families(rng):
+def test_depth_matches_combination_search_on_euclidean_families(rng, monkeypatch):
     seen = {"feasible": 0, "depth": 0, "marginal": 0}
     for trial in range(400):
         dim = 1 + trial % 4
         inst, patches, eps = _family(rng, dim, "euclidean", integer=trial % 2 == 1)
-        got = obstruction_depth(inst, patches, eps, seed=trial)
-        want = combination_depth(inst, patches, eps, seed=trial)
+        monkeypatch.setattr(epshelly, "_ORDER_SEED", trial)
+        got = obstruction_depth(inst, patches, eps)
+        want = combination_depth(inst, patches, eps)
         assert got == want, (dim, patches, eps)
         seen["feasible"] += got.feasible
         seen["depth"] += got.depth is not None

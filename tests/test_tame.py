@@ -93,6 +93,28 @@ def test_components_linkage():
     assert len(components(gap_1d)) == 2
 
 
+def test_components_ignore_empty_boxes():
+    # Unions built without rect_union may hold empty boxes; one whose sides'
+    # closures span both components of a union must not link them either.
+    tb, _ = fx.two_band_objects()
+    cases = [
+        (rect_union(1, [seg(0, 1)]), [seg(1, 0), seg(2, 2, True, False)]),
+        (rect_union(1, [seg(0, 1), seg(2, 3)]), [seg(3, 0), seg(1, 1, False, True)]),
+        (tb, [box(-5, 5, 1, 0), box(HALF, HALF, 0, 1, (True, False, False, False))]),
+        (rect_union(2, [box(0, 1, 0, 1), box(2, 3, 0, 1)]),
+         [box(0, 3, 1, 1, (False, False, True, False)), box(2, 1, 0, 1)]),
+    ]
+    for u, empties in cases:
+        assert all(r.empty for r in empties)
+        want = components(u)
+        assert len(want) >= 1
+        for k in range(len(empties) + 1):
+            padded = RectUnion(u.dim, (*empties[:k], *u.rects, *empties[k:]))
+            got = components(padded)
+            assert got == want, (u, empties[:k])
+            assert not any(comp.empty for comp in got)
+
+
 # ------------------------------------------------------------------ fibers
 
 def test_fiber_full_square():
