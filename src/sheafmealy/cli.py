@@ -3,7 +3,7 @@
 Exit codes: 0 when the requested check ran (negative verdicts such as a
 gluing obstruction are results, not errors), 1 when the input is readable
 but invalid (a validator rejected it), 2 when the input cannot be read or
-parsed at all.
+parsed at all, or when an output file cannot be written.
 """
 
 from __future__ import annotations
@@ -295,8 +295,12 @@ def _fixtures_dump(args: argparse.Namespace) -> int:
     }
     data = jsonio.canonical_bytes(doc)
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            print(f"cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(data.decode("utf-8"))

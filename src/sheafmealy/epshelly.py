@@ -20,8 +20,7 @@ are jointly feasible then all of them are (``d`` on the simplex).
 subfamily up to that size, and decides most subfamilies without a ball
 solve: half the diameter of their targets bounds the radius from below,
 and on the euclidean domain Jung's theorem and the centroid bound it from
-above.  Under the discrete metric (exact-match explanations) the bound is
-2 and the depth takes one pass.
+above.
 """
 
 from __future__ import annotations
@@ -70,9 +69,12 @@ class EpsilonInstance:
 
 
 def _check_eps(eps: float) -> None:
-    """Refuse a negative tolerance, and NaN, which no comparison refuses."""
+    """Refuse a negative tolerance, NaN, which no comparison refuses, and
+    infinity, which JSON cannot carry."""
     if not eps >= 0:
         raise NegativeEpsilon("tolerances must be non-negative")
+    if eps == math.inf:
+        raise NegativeEpsilon("tolerances must be finite")
 
 
 def _on_simplex(p: Vector, tol: float = COMPARISON_TOL) -> bool:
@@ -537,26 +539,3 @@ def eps_glue(
     return EpsGlueResult(
         tuple(assignment), tuple(radii), tuple(unconstrained), tuple(marginal)
     )
-
-
-def discrete_feasible(points: Sequence[Sequence[float]], eps: float) -> bool:
-    """Feasibility under the discrete metric: some value is within ``eps``
-    of every target exactly when the targets agree or ``eps`` allows a full
-    mismatch (distance 1)."""
-    _check_eps(eps)
-    pts = {tuple(float(x) for x in p) for p in points}
-    return len(pts) <= 1 or eps >= 1.0
-
-
-def discrete_obstruction_depth(
-    patch_points: Sequence[Sequence[Sequence[float]]], eps: float
-) -> int | None:
-    """Smallest jointly infeasible subfamily under the discrete metric, in
-    one pass: None when the family is feasible, 1 when some patch forces
-    two different exact values, otherwise 2 (two patches forcing different
-    values), the Helly number of the discrete metric."""
-    _check_eps(eps)
-    parts = [{tuple(float(x) for x in p) for p in pts} for pts in patch_points]
-    if eps >= 1.0 or len(set().union(*parts)) <= 1:
-        return None
-    return 1 if any(len(part) > 1 for part in parts) else 2

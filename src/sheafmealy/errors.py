@@ -49,7 +49,7 @@ class Infeasible(CheckerError):
 
 
 class NegativeEpsilon(CheckerError):
-    """Tolerance parameters must be non-negative."""
+    """Tolerance parameters must be finite and non-negative."""
 
 
 class EmptyInput(CheckerError):

@@ -521,34 +521,6 @@ def minimize(system: MealySystem, j: Judge | None = None) -> MinimizeResult:
     return MinimizeResult(machine, state_map)
 
 
-def extend_section_alphabet(j: Judge, s: Section) -> Section:
-    """Complete a section whose machine lives on the patch's judged range to
-    one on the full interpretable alphabet.  Missing letters become self
-    loops emitting the least interpretable output, the canonical completion;
-    behavior over the original range is unchanged."""
-    mach = s.explanatory
-    if mach.inputs == j.interp_inputs:
-        return s
-    least = j.interp_outputs[0]
-    dyn: dict[tuple[Ident, Ident], tuple[Ident, Ident]] = {}
-    for st in mach.before:
-        for c in j.interp_inputs:
-            if c in mach.i_index:
-                dyn[(st, c)] = mach.transition(st, c)
-            else:
-                dyn[(st, c)] = (st, least)
-    full = make_system(mach.before, mach.after, j.interp_inputs, j.interp_outputs, dyn)
-    psi = morphism(
-        s.patch.source,
-        full,
-        {st: s.psi.map_b(st) for st in s.patch.source.before},
-        {st: s.psi.map_a(st) for st in s.patch.source.after},
-        {c: s.psi.map_i(c) for c in s.patch.source.inputs},
-        {o: s.psi.map_o(o) for o in s.patch.source.outputs},
-    )
-    return Section(s.patch, full, psi)
-
-
 @dataclass(frozen=True)
 class BehaviorPartition:
     """Joint behavior classes of the states of several machines over one

@@ -39,6 +39,7 @@ from .tame import (
     RectUnion,
     RobustDisconnectionCertificate,
     SheafVerdict,
+    _integer,
     union_from_payload,
 )
 
@@ -250,11 +251,12 @@ def epsilon_payload(inst: EpsilonInstance, patches: list[list[str]],
 def epsilon_from_payload(payload: Mapping) -> tuple[EpsilonInstance, list[list[str]], float | None]:
     """An epsilon instance, its patches and its tolerance.  A missing field,
     ``values`` or ``i_map`` that is no object, ``patches``, ``box`` or
-    ``interp_inputs`` that is no list, an input name that is no string, or
-    a ``dim``, coordinate, box bound or ``eps`` that is no number raises
-    :class:`MalformedDocument`; a patch input without a judged value or
-    point raises :class:`CheckerError`, and a negative or NaN ``eps``
-    :class:`NegativeEpsilon`, as the checks themselves would."""
+    ``interp_inputs`` that is no list, an input name that is no string, a
+    ``dim`` that is no JSON integer, or a coordinate, box bound or ``eps``
+    that is no number raises :class:`MalformedDocument`; a patch input
+    without a judged value or point raises :class:`CheckerError`, and a
+    negative, NaN or infinite ``eps`` :class:`NegativeEpsilon`, as the
+    checks themselves would."""
     what = "an epsilon document"
     require(payload, what, "dim", "domain", "values", "i_map", objects=("values", "i_map"),
             lists=("patches", "box", "interp_inputs"))
@@ -265,8 +267,8 @@ def epsilon_from_payload(payload: Mapping) -> tuple[EpsilonInstance, list[list[s
              *(raw for p in patches for raw in p)]
     if not all(isinstance(x, str) for x in names):
         raise MalformedDocument(f"{what}: raw and judged inputs must be strings")
+    dim = _integer(payload, "dim")
     try:
-        dim = int(payload["dim"])
         values = {raw: [float(x) for x in v] for raw, v in payload["values"].items()}
         box = None if payload.get("box") is None else [
             (float(lo), float(hi)) for lo, hi in payload["box"]

@@ -50,6 +50,7 @@ from .systems import (
     Ident,
     MealySystem,
     OpenImmersion,
+    SystemMorphism,
     amalgamate,
     check_covering,
     identity_morphism,
@@ -106,6 +107,35 @@ def _glued_section(
     if not rep.ok:
         raise InternalConsistencyError(f"glued section fails validation: {rep.reason}")
     return glued
+
+
+def _paste(
+    c: Covering,
+    sections: Sequence[Section],
+    embeddings: Sequence[SystemMorphism] | None = None,
+) -> tuple[dict[Ident, Ident], dict[Ident, Ident], tuple[bool, Ident] | None]:
+    """The sections' state maps pasted patch by patch into before- and
+    after-state maps of the target, carried along ``embeddings`` when given,
+    and the first conflict ``(is_after, state)``, or None."""
+    psi_b: dict[Ident, Ident] = {}
+    psi_a: dict[Ident, Ident] = {}
+    for k, (p, s) in enumerate(zip(c.patches, sections)):
+        emb = None if embeddings is None else embeddings[k]
+        for u in p.source.before:
+            x = p.morphism.map_b(u)
+            v = s.psi_b(u) if emb is None else emb.map_b(s.psi_b(u))
+            if psi_b.setdefault(x, v) != v:
+                return psi_b, psi_a, (False, x)
+        for u in p.source.after:
+            x = p.morphism.map_a(u)
+            v = s.psi_a(u) if emb is None else emb.map_a(s.psi_a(u))
+            if psi_a.setdefault(x, v) != v:
+                return psi_b, psi_a, (True, x)
+    missing_b = [x for x in c.target.before if x not in psi_b]
+    missing_a = [x for x in c.target.after if x not in psi_a]
+    if missing_b or missing_a:
+        raise CheckerError(f"covering leaves states unexplained: {missing_b + missing_a!r}")
+    return psi_b, psi_a, None
 
 
 def _closure(seeds, successors) -> set:
@@ -311,26 +341,13 @@ def glue_cogerm(family: CompatibleFamily) -> Section:
             for r in w.core.before:
                 idents.append((a, w.i1.map_b(r), b, w.i2.map_b(r)))
     amalgam = amalgamate(machines, idents)
-    tgt = c.target
-    psi_b: dict[Ident, Ident] = {}
-    psi_a: dict[Ident, Ident] = {}
-    for k, (p, s) in enumerate(zip(c.patches, sections)):
-        emb = amalgam.embeddings[k]
-        for u in p.source.before:
-            x = p.morphism.map_b(u)
-            v = emb.map_b(s.psi_b(u))
-            if psi_b.setdefault(x, v) != v:
-                raise InternalConsistencyError(f"glued before-assignment conflicts at {x!r}")
-        for u in p.source.after:
-            x = p.morphism.map_a(u)
-            v = emb.map_a(s.psi_a(u))
-            if psi_a.setdefault(x, v) != v:
-                raise InternalConsistencyError(f"glued after-assignment conflicts at {x!r}")
-    missing_b = [x for x in tgt.before if x not in psi_b]
-    missing_a = [x for x in tgt.after if x not in psi_a]
-    if missing_b or missing_a:
-        raise CheckerError(f"covering leaves states unexplained: {missing_b + missing_a!r}")
-    return _glued_section(tgt, amalgam.system, j, psi_b, psi_a)
+    psi_b, psi_a, conflict = _paste(c, sections, amalgam.embeddings)
+    if conflict is not None:
+        after, x = conflict
+        raise InternalConsistencyError(
+            f"glued {'after' if after else 'before'}-assignment conflicts at {x!r}"
+        )
+    return _glued_section(c.target, amalgam.system, j, psi_b, psi_a)
 
 
 def glue_behavioral(
@@ -532,27 +549,13 @@ def glue_strict(c: Covering, sections: Sequence[Section], j: Judge) -> GlueStric
     for k, s in enumerate(sections):
         if s.explanatory != machine:
             return GlueStrictResult(None, f"patch {k} explains with a different machine")
-    tgt = c.target
-    psi_b: dict[Ident, Ident] = {}
-    psi_a: dict[Ident, Ident] = {}
-    for k, (p, s) in enumerate(zip(c.patches, sections)):
-        for u in p.source.before:
-            x = p.morphism.map_b(u)
-            v = s.psi_b(u)
-            if psi_b.setdefault(x, v) != v:
-                return GlueStrictResult(None, f"patches assign different images to state {x!r}")
-        for u in p.source.after:
-            x = p.morphism.map_a(u)
-            v = s.psi_a(u)
-            if psi_a.setdefault(x, v) != v:
-                return GlueStrictResult(
-                    None, f"patches assign different images to after-state {x!r}"
-                )
-    missing_b = [x for x in tgt.before if x not in psi_b]
-    missing_a = [x for x in tgt.after if x not in psi_a]
-    if missing_b or missing_a:
-        raise CheckerError(f"covering leaves states unexplained: {missing_b + missing_a!r}")
-    return GlueStrictResult(_glued_section(tgt, machine, j, psi_b, psi_a), None)
+    psi_b, psi_a, conflict = _paste(c, sections)
+    if conflict is not None:
+        after, x = conflict
+        return GlueStrictResult(
+            None, f"patches assign different images to {'after-' if after else ''}state {x!r}"
+        )
+    return GlueStrictResult(_glued_section(c.target, machine, j, psi_b, psi_a), None)
 
 
 @dataclass(frozen=True)
@@ -717,18 +720,12 @@ def discrete_stateless_sheaf_check(system: MealySystem, j: Judge) -> StatelessSh
     """
     if len(system.before) != 1 or len(system.after) != 1 or not system.homogeneous:
         raise NotStateless("the discrete sheaf check needs a single-state system")
+    if stateless_ri_section(system, j, _identity_patch(system)).ok:
+        return StatelessSheafReport(True, None, None, None)
     s0 = system.before[0]
-    fibers: dict[Ident, list[Ident]] = {}
-    for i_raw in system.inputs:
-        fibers.setdefault(j.j_i[i_raw], []).append(i_raw)
-    for i_p in sorted(fibers):
-        outs = {j.j_o[system.transition(s0, raw)[1]] for raw in fibers[i_p]}
-        if len(outs) > 1:
-            patches = [
-                subsystem(system, before=[s0], after=[s0], inputs=[raw],
-                          outputs=system.outputs)
-                for raw in system.inputs
-            ]
-            cov = Covering(system, tuple(patches))
-            return StatelessSheafReport(False, cov, *_unglueable_stateless(system, j, cov))
-    return StatelessSheafReport(True, None, None, None)
+    patches = [
+        subsystem(system, before=[s0], after=[s0], inputs=[raw], outputs=system.outputs)
+        for raw in system.inputs
+    ]
+    cov = Covering(system, tuple(patches))
+    return StatelessSheafReport(False, cov, *_unglueable_stateless(system, j, cov))

@@ -1,4 +1,4 @@
-"""Finite Mealy machines with split state sets, morphisms, coverings, pushouts.
+"""Finite Mealy machines with split state sets, morphisms and coverings.
 
 A machine here is a quadruple of finite carriers (before-states, after-states,
 inputs, outputs) together with a total dynamics table
@@ -12,10 +12,10 @@ Carriers are sets of string identifiers, stored sorted and duplicate-free, so
 structural equality of systems is plain dataclass equality.  Dynamics are
 stored as dense index tables over the sorted carriers.
 
-Top-level systems must have non-empty inputs and outputs.  Patches obtained
-from pullbacks may have empty carriers or interfaces; they are legal covering
-members and are checked structurally rather than through
-:func:`validate_system`.
+Top-level systems must have non-empty inputs and outputs.  Patches may have
+empty carriers or interfaces (the overlap of two patches can, and so can a
+patch pulled back along another); they are legal covering members and are
+checked structurally rather than through :func:`validate_system`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .errors import (
     InternalConsistencyError,
     MalformedDocument,
     PartialDynamics,
-    ScaleExceeded,
 )
 
 Ident = str
@@ -105,7 +104,7 @@ def make_system(
     """Build a machine from a dynamics mapping ``(state, input) -> (state, output)``.
 
     Totality and carrier membership are enforced; empty interfaces are
-    permitted here because pullback patches need them.
+    permitted here because patches, such as overlaps, may have them.
     """
     b = finset(before)
     a = finset(after)
@@ -165,12 +164,17 @@ def system_violations(candidate: Mapping | MealySystem) -> list[Violation]:
     Accepts either a built :class:`MealySystem` or a mapping with keys
     ``before_states``, ``after_states``, ``inputs``, ``outputs`` and a
     ``dynamics`` list of ``{"s":..., "i":..., "s2":..., "o":...}`` entries.
+    A carrier or ``dynamics`` that is no list raises :class:`MalformedDocument`.
     """
     out: list[Violation] = []
     if isinstance(candidate, MealySystem):
         if not candidate.inputs or not candidate.outputs:
             out.append(Violation("EmptyInterface", "inputs and outputs must be non-empty"))
         return out
+    if isinstance(candidate, Mapping):
+        for key in ("before_states", "after_states", "inputs", "outputs"):
+            if not isinstance(candidate.get(key, []), list):
+                raise MalformedDocument(f"a system: {key} must be a list, got {candidate[key]!r}")
     try:
         b = finset(candidate["before_states"])
         a = finset(candidate["after_states"])
@@ -552,32 +556,6 @@ def restrict_immersion(w: OpenImmersion, p: OpenImmersion) -> OpenImmersion:
     ))
 
 
-def pullback_covering(c: Covering, n: OpenImmersion) -> Covering:
-    """Restrict a covering along a patch ``n`` of the same target.
-
-    Each patch is intersected with ``n`` componentwise and re-expressed as a
-    patch of ``n``'s source.  Patches whose before x input and after x output
-    products are both empty are dropped; if everything drops (only possible
-    when the source itself is fully empty) the identity patch is kept so the
-    family stays non-empty.
-    """
-    if n.target != c.target:
-        raise CheckerError("cannot pull a covering back along a patch of another target")
-    src = n.source
-    patches: list[OpenImmersion] = []
-    for p in c.patches:
-        b = sorted(n.pre_b(s) for s in (p.b_image & n.b_image))
-        a = sorted(n.pre_a(s) for s in (p.a_image & n.a_image))
-        i = sorted(n.pre_i(ch) for ch in (p.i_image & n.i_image))
-        o = sorted(n.pre_o(x) for x in (p.o_image & n.o_image))
-        if (not b or not i) and (not a or not o):
-            continue
-        patches.append(subsystem(src, b, a, i, o))
-    if not patches:
-        patches.append(subsystem(src))
-    return covering(src, patches)
-
-
 class _UnionFind:
     def __init__(self, size: int) -> None:
         self.parent = list(range(size))
@@ -676,215 +654,3 @@ def amalgamate(
         for k, comp in enumerate(components)
     )
     return Amalgam(system, embeds)
-
-
-@dataclass(frozen=True)
-class PushoutResult:
-    apex: MealySystem
-    can_a: SystemMorphism
-    can_b: SystemMorphism
-
-
-def _require_state_map(m: SystemMorphism, label: str) -> None:
-    if m.source.inputs != m.target.inputs or m.source.outputs != m.target.outputs:
-        raise InterfaceMismatch(f"{label} must keep the interface fixed")
-    n_i, n_o = len(m.source.inputs), len(m.source.outputs)
-    if m.f_i != tuple(range(n_i)) or m.f_o != tuple(range(n_o)):
-        raise InterfaceMismatch(f"{label} must be the identity on inputs and outputs")
-    if m.f_b != m.f_a:
-        raise CheckerError(f"{label} must act the same on before- and after-states")
-
-
-def pushout_along_mono(
-    c: MealySystem,
-    a: MealySystem,
-    b: MealySystem,
-    m: SystemMorphism,
-    f: SystemMorphism,
-) -> PushoutResult:
-    """Pushout of homogeneous machines ``a <-m- c -f-> b`` with ``m`` injective.
-
-    Computed as the quotient of the disjoint union of ``a`` and ``b`` by
-    ``m(x) ~ f(x)``.  Injectivity of ``m`` guarantees the quotient dynamics
-    are well defined and that the canonical map from ``b`` is injective; a
-    post-hoc failure of well-definedness is therefore an internal error.
-    """
-    for sys_, label in ((c, "c"), (a, "a"), (b, "b")):
-        if not sys_.homogeneous:
-            raise CheckerError(f"pushout components must be homogeneous ({label} is not)")
-    if a.inputs != b.inputs or a.outputs != b.outputs:
-        raise InterfaceMismatch("pushout legs must share one interface")
-    if m.source != c or m.target != a or f.source != c or f.target != b:
-        raise CheckerError("pushout legs do not match the given span")
-    _require_state_map(m, "the mono leg")
-    _require_state_map(f, "the free leg")
-    if len(set(m.f_b)) != len(m.f_b):
-        raise CheckerError("the leg into the first component must be injective on states")
-    for leg, label in ((m, "mono leg"), (f, "free leg")):
-        chk = check_morphism(leg)
-        if not chk.ok:
-            raise CheckerError(f"{label} is not a morphism (square fails at {chk.witness!r})")
-    amalgam = amalgamate([a, b], [(0, m.map_b(s), 1, f.map_b(s)) for s in c.before])
-    return PushoutResult(amalgam.system, amalgam.embeddings[0], amalgam.embeddings[1])
-
-
-def _identity_interface_pullback(
-    h: SystemMorphism, g: SystemMorphism
-) -> tuple[MealySystem, dict[Ident, tuple[Ident, Ident]]]:
-    """State-pair pullback of two interface-fixing morphisms into one target."""
-    x_sys, w_sys = h.source, g.source
-    pairs = sorted(
-        (x, w)
-        for x in x_sys.before
-        for w in w_sys.before
-        if h.map_b(x) == g.map_b(w)
-    )
-    names: dict[tuple[Ident, Ident], Ident] = {}
-    for x, w in pairs:
-        if "|" in x or "|" in w:
-            raise InternalConsistencyError("state names with '|' break pair naming")
-        names[(x, w)] = f"{x}|{w}"
-    dyn: dict[tuple[Ident, Ident], tuple[Ident, Ident]] = {}
-    for x, w in pairs:
-        for ch in x_sys.inputs:
-            x2, o1 = x_sys.transition(x, ch)
-            w2, o2 = w_sys.transition(w, ch)
-            if o1 != o2 or (x2, w2) not in names:
-                raise InternalConsistencyError("pullback pair dynamics left the pair set")
-            dyn[(names[(x, w)], ch)] = (names[(x2, w2)], o1)
-    carrier = sorted(names.values())
-    system = make_system(carrier, carrier, x_sys.inputs, x_sys.outputs, dyn)
-    return system, {names[p]: p for p in pairs}
-
-
-@dataclass(frozen=True)
-class VKReport:
-    ok: bool
-    reason: str | None
-    pulled_sizes: tuple[int, int, int]
-
-
-def verify_vk_square(
-    c: MealySystem,
-    a: MealySystem,
-    b: MealySystem,
-    m: SystemMorphism,
-    f: SystemMorphism,
-    g: SystemMorphism,
-) -> VKReport:
-    """Stability of the pushout of ``a <-m- c -f-> b`` under pulling back.
-
-    ``g`` must be an interface-fixing morphism into the computed pushout
-    apex.  The three legs are pulled back along ``g``, the pushout of the
-    pulled-back span is computed, and the verdict says whether its canonical
-    comparison onto ``g``'s source is an isomorphism of machines.  Component
-    sizes above 5 states raise :class:`ScaleExceeded`.
-    """
-    for sys_, label in ((c, "c"), (a, "a"), (b, "b"), (g.source, "test source")):
-        if len(sys_.before) > 5:
-            raise ScaleExceeded(f"component {label} has more than 5 states")
-    po = pushout_along_mono(c, a, b, m, f)
-    if g.target != po.apex:
-        raise CheckerError("test morphism must map into the pushout apex")
-    _require_state_map(g, "the test morphism")
-    gchk = check_morphism(g)
-    if not gchk.ok:
-        raise CheckerError(f"test morphism square fails at {gchk.witness!r}")
-    w_sys = g.source
-
-    a_pb, a_members = _identity_interface_pullback(po.can_a, g)
-    b_pb, b_members = _identity_interface_pullback(po.can_b, g)
-    c_pb, c_members = _identity_interface_pullback(compose(m, po.can_a), g)
-
-    def pair_map(src: MealySystem, members: dict, tgt: MealySystem,
-                 tgt_members: dict, leg: SystemMorphism) -> SystemMorphism:
-        table: dict[Ident, Ident] = {}
-        rev = {v: k for k, v in tgt_members.items()}
-        for name in src.before:
-            x, w = members[name]
-            table[name] = rev[(leg.map_b(x), w)]
-        return morphism(src, tgt, table, table,
-                        {ch: ch for ch in src.inputs}, {o: o for o in src.outputs})
-
-    m_pb = pair_map(c_pb, c_members, a_pb, a_members, m)
-    f_pb = pair_map(c_pb, c_members, b_pb, b_members, f)
-    sizes = (len(a_pb.before), len(b_pb.before), len(c_pb.before))
-    top = pushout_along_mono(c_pb, a_pb, b_pb, m_pb, f_pb)
-
-    # Canonical comparison onto g's source: a class goes to the shared second
-    # coordinate of its members.
-    med_table: dict[Ident, Ident] = {}
-    for name in a_pb.before:
-        cls = top.can_a.map_b(name)
-        w = a_members[name][1]
-        if med_table.setdefault(cls, w) != w:
-            return VKReport(False, f"comparison map ill defined at class {cls!r}", sizes)
-    for name in b_pb.before:
-        cls = top.can_b.map_b(name)
-        w = b_members[name][1]
-        if med_table.setdefault(cls, w) != w:
-            return VKReport(False, f"comparison map ill defined at class {cls!r}", sizes)
-    if len(med_table) != len(top.apex.before):
-        raise InternalConsistencyError("canonical maps failed to cover the apex")
-    hit = set(med_table.values())
-    if hit != set(w_sys.before):
-        missing = sorted(set(w_sys.before) - hit)
-        return VKReport(False, f"comparison map misses states {missing!r}", sizes)
-    if len(hit) != len(top.apex.before):
-        return VKReport(False, "comparison map identifies distinct classes", sizes)
-    med = morphism(top.apex, w_sys, med_table, med_table,
-                   {ch: ch for ch in w_sys.inputs}, {o: o for o in w_sys.outputs})
-    chk = check_morphism(med)
-    if not chk.ok:
-        return VKReport(False, f"comparison map breaks dynamics at {chk.witness!r}", sizes)
-    return VKReport(True, None, sizes)
-
-
-def systems_isomorphic(s1: MealySystem, s2: MealySystem) -> bool:
-    """State-renaming isomorphism test for homogeneous machines on one
-    interface.  Backtracking over output signatures; at most 8 states."""
-    if not (s1.homogeneous and s2.homogeneous):
-        raise CheckerError("isomorphism test is for homogeneous machines")
-    if s1.inputs != s2.inputs or s1.outputs != s2.outputs:
-        return False
-    if len(s1.before) != len(s2.before):
-        return False
-    if len(s1.before) > 8:
-        raise ScaleExceeded("isomorphism test capped at 8 states")
-
-    def signature(sys_: MealySystem, s: Ident) -> tuple[Ident, ...]:
-        return tuple(sys_.transition(s, ch)[1] for ch in sys_.inputs)
-
-    candidates = {
-        s: [t for t in s2.before if signature(s2, t) == signature(s1, s)]
-        for s in s1.before
-    }
-
-    def extend(assign: dict[Ident, Ident], used: set[Ident], todo: list[Ident]) -> bool:
-        if not todo:
-            return all(
-                assign[s1.transition(s, ch)[0]] == s2.transition(assign[s], ch)[0]
-                for s in s1.before
-                for ch in s1.inputs
-            )
-        s = todo[0]
-        for t in candidates[s]:
-            if t in used:
-                continue
-            assign[s] = t
-            used.add(t)
-            ok = True
-            for ch in s1.inputs:
-                nxt1 = s1.transition(s, ch)[0]
-                nxt2 = s2.transition(t, ch)[0]
-                if nxt1 in assign and assign[nxt1] != nxt2:
-                    ok = False
-                    break
-            if ok and extend(assign, used, todo[1:]):
-                return True
-            del assign[s]
-            used.remove(t)
-        return False
-
-    return extend({}, set(), list(s1.before))
-

@@ -702,10 +702,12 @@ def union_from_payload(payload: Mapping) -> tuple[RectUnion, ProjectionJudge]:
 
 
 def _integer(payload: Mapping, key: str, default: int | None = None) -> int:
-    try:
-        return int(payload.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise MalformedDocument(f"{key} must be an integer, got {payload.get(key)!r}") from exc
+    """``payload[key]``, or ``default`` when absent, if it is a JSON integer:
+    a float, string or boolean is refused, not truncated or coerced."""
+    value = payload.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MalformedDocument(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def _side(row: Mapping, k: int, key: str, flags: Sequence) -> Interval:

@@ -12,6 +12,9 @@ hold it to these results, in the visiting orders they choose by setting
 ``epshelly._ORDER_SEED``.  ``basis_minimax`` solves the box and simplex
 minimax problem apart from the library, with numpy least squares over
 every candidate basis of rim points and tight facets.
+``discrete_feasible`` and ``discrete_obstruction_depth`` decide the
+discrete metric (exact-match explanations), whose Helly number is 2, in one
+pass; the property suites check that bound with them.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+from typing import Sequence
 
 import numpy as np
 
@@ -27,6 +31,7 @@ from sheafmealy.epshelly import (
     Ball,
     DepthReport,
     _ball_contains,
+    _check_eps,
     _circumball,
     feasibility,
     target_set,
@@ -134,3 +139,26 @@ def basis_minimax(points, facets=(), simplex=False):
                         continue
                     best = center, radius
     return tuple(float(x) for x in best[0]), best[1]
+
+
+def discrete_feasible(points: Sequence[Sequence[float]], eps: float) -> bool:
+    """Feasibility under the discrete metric: some value is within ``eps``
+    of every target exactly when the targets agree or ``eps`` allows a full
+    mismatch (distance 1)."""
+    _check_eps(eps)
+    pts = {tuple(float(x) for x in p) for p in points}
+    return len(pts) <= 1 or eps >= 1.0
+
+
+def discrete_obstruction_depth(
+    patch_points: Sequence[Sequence[Sequence[float]]], eps: float
+) -> int | None:
+    """Smallest jointly infeasible subfamily under the discrete metric, in
+    one pass: None when the family is feasible, 1 when some patch forces
+    two different exact values, otherwise 2 (two patches forcing different
+    values), the Helly number of the discrete metric."""
+    _check_eps(eps)
+    parts = [{tuple(float(x) for x in p) for p in pts} for pts in patch_points]
+    if eps >= 1.0 or len(set().union(*parts)) <= 1:
+        return None
+    return 1 if any(len(part) > 1 for part in parts) else 2

@@ -25,6 +25,7 @@ from sheafmealy import (
     section,
     subsystem,
 )
+from sheafmealy.systems import Ident
 
 RAW_INPUTS = ["a", "b", "c", "d"]
 RAW_OUTPUTS = ["0", "1", "2", "3"]
@@ -351,6 +352,34 @@ def uncovered_step_family() -> tuple[Covering, Judge, list[Section]]:
                         ("m2", "a"): ("m1", "0"), ("m2", "b"): ("m2", "1")})
     states = {"s1": "m1", "s2": "m2"}
     return covering(system, [patch]), j, [judged_section(patch, mach, j, states, states)]
+
+
+def extend_section_alphabet(j: Judge, s: Section) -> Section:
+    """Complete a section whose machine lives on the patch's judged range to
+    one on the full interpretable alphabet.  Missing letters become self
+    loops emitting the least interpretable output, the canonical completion;
+    behavior over the original range is unchanged."""
+    mach = s.explanatory
+    if mach.inputs == j.interp_inputs:
+        return s
+    least = j.interp_outputs[0]
+    dyn: dict[tuple[Ident, Ident], tuple[Ident, Ident]] = {}
+    for st in mach.before:
+        for c in j.interp_inputs:
+            if c in mach.i_index:
+                dyn[(st, c)] = mach.transition(st, c)
+            else:
+                dyn[(st, c)] = (st, least)
+    full = make_system(mach.before, mach.after, j.interp_inputs, j.interp_outputs, dyn)
+    psi = morphism(
+        s.patch.source,
+        full,
+        {st: s.psi.map_b(st) for st in s.patch.source.before},
+        {st: s.psi.map_a(st) for st in s.patch.source.after},
+        {c: s.psi.map_i(c) for c in s.patch.source.inputs},
+        {o: s.psi.map_o(o) for o in s.patch.source.outputs},
+    )
+    return Section(s.patch, full, psi)
 
 
 # --------------------------------------------------------------- pushouts

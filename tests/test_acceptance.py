@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 import randgen as rg
+from eps_oracle import discrete_feasible, discrete_obstruction_depth
 from test_systems import run_vk_trials
 
 from sheafmealy import (
@@ -20,8 +21,6 @@ from sheafmealy import (
     check_separation,
     cogerm_equiv,
     compatible_family,
-    discrete_feasible,
-    discrete_obstruction_depth,
     feasibility,
     epsilon_instance,
     fiber,

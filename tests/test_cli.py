@@ -251,13 +251,67 @@ def test_rect_union_outside_its_dimensions_is_invalid(capsys, tmp_path, doc, err
     ({"patches": [["zz"]]}, "CheckerError: raw input 'zz' has no judged value\n"),
     ({"eps": -1}, "NegativeEpsilon: tolerances must be non-negative\n"),
     ({"eps": float("nan")}, "NegativeEpsilon: tolerances must be non-negative\n"),
-], ids=["unknown-raw-input", "negative-eps", "nan-eps"])
+    ({"eps": float("inf")}, "NegativeEpsilon: tolerances must be finite\n"),
+], ids=["unknown-raw-input", "negative-eps", "nan-eps", "infinite-eps"])
 def test_epsilon_document_the_check_refuses_is_invalid(capsys, tmp_path, change, err):
     """What ``check eps-depth`` refuses, ``validate`` refuses too."""
     path = tmp_path / "eps.json"
     path.write_text(json.dumps({**fx.get_fixture("triangle").payload, **change}))
     for verb in (["validate"], ["check", "eps-depth"]):
         assert _run(capsys, [*verb, str(path)]) == (1, "", err)
+
+
+@pytest.mark.parametrize("eps", ["inf", "1e400"])
+def test_infinite_eps_flag_is_refused(capsys, eps):
+    """An infinite tolerance would print as ``"eps":Infinity``, which is no
+    JSON; ``--eps`` refuses it as the document reader does."""
+    argv = ["--format", "json", "check", "eps-depth", "triangle", "--eps", eps]
+    assert _run(capsys, argv) == (1, "", "NegativeEpsilon: tolerances must be finite\n")
+
+
+@pytest.mark.parametrize("value", ["ab", {"a": 1, "b": 2}], ids=["string", "object"])
+def test_carrier_that_is_no_list_is_malformed(capsys, tmp_path, value):
+    """A string carrier is not read as its letters, nor an object as its
+    keys: a top-level system, the covered system, a patch source and a
+    section machine refuse it alike."""
+    system = {"before_states": ["a", "b"], "after_states": ["a", "b"], "inputs": ["x"],
+              "outputs": ["0"], "dynamics": [{"s": s, "i": "x", "s2": s, "o": "0"}
+                                             for s in ("a", "b")]}
+    cases = [({**system, "before_states": value}, "before_states", [["validate"]])]
+    for where, key in ((("system",), "inputs"), (("patches", 0, "source"), "after_states"),
+                       (("local_sections", 0, "machine"), "outputs")):
+        cases.append((_sections_with(*where, key, value=value), key,
+                      [["validate"], ["check", "glue-beh"], ["check", "glue-cogerm"]]))
+    path = tmp_path / "doc.json"
+    for doc, key, verbs in cases:
+        path.write_text(json.dumps(doc))
+        for verb in verbs:
+            assert _run(capsys, [*verb, str(path)]) == (
+                2, "", f"malformed input: a system: {key} must be a list, got {value!r}\n")
+
+
+_TRIANGLE_DOC = fx.get_fixture("triangle").payload
+
+
+@pytest.mark.parametrize("doc, verb, err", [
+    ({"dim": 2.7, "axis": 0, "rects": _RECT_ROWS}, "tame-check", "dim must be an integer, got 2.7"),
+    ({"dim": 2, "axis": 0.9, "rects": _RECT_ROWS}, "tame-check", "axis must be an integer, got 0.9"),
+    ({"dim": "2", "axis": 0, "rects": _RECT_ROWS}, "tame-check", "dim must be an integer, got '2'"),
+    ({"dim": 2, "axis": False, "rects": _RECT_ROWS}, "tame-check",
+     "axis must be an integer, got False"),
+    ({**_TRIANGLE_DOC, "dim": 2.9}, "eps-depth", "dim must be an integer, got 2.9"),
+    ({**_TRIANGLE_DOC, "dim": 2.0}, "eps-depth", "dim must be an integer, got 2.0"),
+    ({**_TRIANGLE_DOC, "dim": "2"}, "eps-depth", "dim must be an integer, got '2'"),
+    ({**_TRIANGLE_DOC, "dim": True}, "eps-depth", "dim must be an integer, got True"),
+], ids=["rect-dim-float", "rect-axis-float", "rect-dim-string", "rect-axis-boolean",
+        "epsilon-dim-float", "epsilon-dim-integral-float", "epsilon-dim-string",
+        "epsilon-dim-boolean"])
+def test_integer_field_that_is_no_json_integer_is_malformed(capsys, tmp_path, doc, verb, err):
+    """``dim`` and ``axis`` are not truncated or coerced to integers."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["validate"], ["check", verb]):
+        assert _run(capsys, [*argv, str(path)]) == (2, "", f"malformed input: {err}\n")
 
 
 def test_sections_listing_a_patch_twice_are_invalid(capsys, tmp_path):
@@ -326,6 +380,14 @@ def test_dump_round_trips_to_identical_bytes(capsys, tmp_path, name):
     # stdout dump matches the file byte for byte
     code, out, _ = _run(capsys, ["fixtures", "dump", name])
     assert code == 0 and out.encode("utf-8") == first
+
+
+def test_dump_to_a_path_that_cannot_be_written_exits_two(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = _run(capsys, ["fixtures", "dump", "triangle", "--out", str(target)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot write {target}: ") and err.count("\n") == 1
+    assert "Traceback" not in err and not target.exists()
 
 
 def test_dumps_equal_the_fixture_list(capsys):

@@ -12,6 +12,7 @@ import struct
 import numpy as np
 import pytest
 import randgen as rg
+from eps_oracle import discrete_feasible, discrete_obstruction_depth
 
 from sheafmealy import (
     CheckerError,
@@ -21,8 +22,6 @@ from sheafmealy import (
     NegativeEpsilon,
     ScaleExceeded,
     canonical_point,
-    discrete_feasible,
-    discrete_obstruction_depth,
     eps_glue,
     epsilon_instance,
     feasibility,
@@ -324,6 +323,20 @@ def test_nan_tolerance_is_refused_everywhere():
                  lambda: discrete_feasible([(0.0,)], nan),
                  lambda: discrete_obstruction_depth([[(0.0,)]], nan)):
         with pytest.raises(NegativeEpsilon, match="tolerances must be non-negative"):
+            call()
+
+
+def test_infinite_tolerance_is_refused_everywhere():
+    """Reports carry their tolerance, and JSON has no infinity, so every
+    entry point that takes a tolerance refuses an infinite one."""
+    inst, patches, _ = fx.triangle_objects()
+    inf = float("inf")
+    res = feasibility(inst, [(0.0, 0.0)], 1.0)
+    for call in (lambda: feasibility(inst, [(0.0, 0.0)], inf),
+                 lambda: res.feasible_at(inf),
+                 lambda: obstruction_depth(inst, patches, inf),
+                 lambda: eps_glue(inst, patches, inf)):
+        with pytest.raises(NegativeEpsilon, match="tolerances must be finite"):
             call()
 
 

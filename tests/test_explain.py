@@ -7,11 +7,11 @@ import itertools
 import pytest
 
 import randgen as rg
+from randgen import extend_section_alphabet
 from sheafmealy import (
     behavioral_equiv,
     check_cogerm_witness,
     cogerm_equiv,
-    extend_section_alphabet,
     identity_judge,
     is_j_full,
     judge,

@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 import randgen as rg
+from randgen import extend_section_alphabet
 from sheafmealy import (
     CheckerError,
     CogermWitness,
@@ -20,7 +21,6 @@ from sheafmealy import (
     compatible_family,
     covering,
     discrete_stateless_sheaf_check,
-    extend_section_alphabet,
     glue_behavioral,
     glue_cogerm,
     glue_stateless,
@@ -28,6 +28,7 @@ from sheafmealy import (
     identity_judge,
     is_j_full,
     judge,
+    judged_section,
     make_system,
     overlap_patch,
     restrict_immersion,
@@ -428,6 +429,32 @@ def test_glue_strict_roundtrip_and_conflict(rng):
             bad = glue_strict(cov, [renamed, *locals_[1:]], jdg)
             assert bad.section is None
             assert "different machine" in bad.conflict
+
+
+def test_glue_strict_names_the_state_where_patches_conflict():
+    """Two self-looping states explained by one two-state machine: a patch
+    that sends a state, or only its after copy, elsewhere than the whole
+    system's section does is a conflict named at that state, and a family
+    that misses a state is refused."""
+    system = make_system(["s0", "s1"], ["s0", "s1"], ["a"], ["0"],
+                         {("s0", "a"): ("s0", "0"), ("s1", "a"): ("s1", "0")})
+    machine = make_system(["p", "q"], ["p", "q"], ["a"], ["0"],
+                          {("p", "a"): ("p", "0"), ("q", "a"): ("q", "0")})
+    j = identity_judge(system)
+    whole = subsystem(system)
+    to_p = {"s0": "p", "s1": "p"}
+    first = judged_section(whole, machine, j, to_p, to_p)
+    for before, expected in ((["s0"], "state 's0'"), ([], "after-state 's0'")):
+        patch = subsystem(system, before=before, after=["s0"])
+        psi_b = {s: "q" for s in before}
+        second = judged_section(patch, machine, j, psi_b, {"s0": "q"})
+        got = glue_strict(covering(system, [whole, patch]), [first, second], j)
+        assert got.section is None
+        assert got.conflict == f"patches assign different images to {expected}"
+    patch = subsystem(system, before=["s0"], after=["s0"])
+    alone = judged_section(patch, machine, j, {"s0": "q"}, {"s0": "q"})
+    with pytest.raises(CheckerError, match=r"covering leaves states unexplained: \['s1', 's1'\]"):
+        glue_strict(covering(system, [patch]), [alone], j)
 
 
 # ------------------------------------------------------ stateless sections

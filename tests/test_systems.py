@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 import randgen as rg
+from site_oracle import pullback_covering, pushout_along_mono, systems_isomorphic, verify_vk_square
 from sheafmealy import (
     CheckerError,
     InternalConsistencyError,
@@ -18,13 +19,9 @@ from sheafmealy import (
     make_system,
     morphism,
     open_immersion,
-    pullback_covering,
-    pushout_along_mono,
     restrict_immersion,
     subsystem,
     system_violations,
-    systems_isomorphic,
-    verify_vk_square,
 )
 from sheafmealy.systems import OpenImmersion, identity_morphism
 
