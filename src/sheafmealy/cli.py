@@ -100,7 +100,7 @@ def _validate(args: argparse.Namespace) -> int:
                   [f"invalid: not jointly surjective on {cov.side}"])
             return 1
     elif kind == "judge":
-        jsonio.require(payload, "a judge document", "system", "judge")
+        jsonio.require(payload, "a judge document", "system", "judge", objects=("system",))
         sys_ = validate_system(payload["system"])
         j = jsonio.judge_from_payload(payload["judge"])
         from .explain import validate_judge

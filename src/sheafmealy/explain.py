@@ -245,22 +245,129 @@ def _refine(outs: Sequence[tuple[Ident, ...]], succs: Sequence[tuple[int, ...]])
     """Moore partition refinement of states given by their per-letter
     outputs and successor indices; returns a block number per state.
 
-    Blocks start as the ranks of the sorted output rows.  Each round ranks
-    the sorted set of (block, successor blocks) signatures, and the rounds
-    stop once a round splits nothing: the numbering is that of the last
-    splitting round, so states end in the same block exactly when they emit
-    equal outputs on every word."""
-    rank = {k: r for r, k in enumerate(sorted(set(outs)))}
-    block = [rank[o] for o in outs]
-    n_blocks = len(rank)
-    while True:
-        sig = [(b, tuple([block[t] for t in row])) for b, row in zip(block, succs)]
-        keys = sorted(set(sig))
-        if len(keys) == n_blocks:
-            return block
-        rank = {k: r for r, k in enumerate(keys)}
-        block = [rank[x] for x in sig]
-        n_blocks = len(keys)
+    The blocks are those of Moore's synchronous rounds: they start as the
+    ranks of the sorted output rows, each round splits every block by the
+    blocks of its states' successors, and the rounds stop once a round
+    splits nothing, so states end in the same block exactly when they emit
+    equal outputs on every word.  The numbering is that of the plain rounds:
+    each round ranks the sorted (block, successor blocks) signatures, and
+    the last round that splits a block fixes the numbers.
+
+    Each round works only where the last round split, with Hopcroft's
+    smaller-half bookkeeping (Hopcroft 1971; Valmari & Lehtinen 2008).  Two
+    states of one block have, on each letter, successors in one block of
+    the round before, so their signatures can differ only on letters whose
+    successor block split in the last round.  A round therefore reads the
+    predecessors of the children that the last round split off, except the
+    largest child of each split, and a block holding none of them cannot
+    split.  A state reached from none of them has every successor in a
+    largest child or in a block that did not split, so such states of one
+    block share one signature, read off any one of them.  A state lies
+    outside the largest child of a split at most log2 n times, so the rounds
+    read O(|alphabet| n log n) transitions, and build a signature of
+    |alphabet| entries for each state they reach, plus O(1) per round.
+
+    A signature is the tuple, over the letters, of each successor's
+    position among its siblings, the children of its block's last split.
+    On each letter the successors of one block's states are siblings or
+    share a block, and siblings sit in the block order by position, so
+    ordering a block's children by these tuples orders them as the plain
+    rounds do, by the successors' block numbers.  Blocks are kept in a
+    linked list, and each split puts its children, in that order, where the
+    parent sat.  The list is therefore in the order of the last splitting
+    round's sorted signatures, and it is numbered once, at the end."""
+    if not outs:
+        return []
+    rows = sorted(set(outs))
+    rank = {r: k for k, r in enumerate(rows)}
+    blk = [rank[o] for o in outs]
+    members: list[set[int]] = [set() for _ in rows]
+    for s, b in enumerate(blk):
+        members[b].add(s)
+    pred: list[list[int]] = [[] for _ in outs]
+    for s, row in enumerate(succs):
+        for t in row:
+            pred[t].append(s)
+    # The output rows split the block of all states: each is a child whose
+    # position is its rank, and the largest one goes unread.
+    pos = list(range(len(rows)))
+    nxt = [*range(1, len(rows)), -1]
+    prv = [*range(-1, len(rows) - 1)]
+    head = 0
+    work = sorted(pos, key=lambda b: len(members[b]))[:-1]
+    while work:
+        hit = set().union(*[pred[t] for c in work for t in members[c]])
+        touched: dict[int, list[int]] = {}
+        for s in hit:
+            b = blk[s]
+            if b in touched:
+                touched[b].append(s)
+            else:
+                touched[b] = [s]
+        # Every signature of the round is read before any block splits.
+        plans = []
+        for b, ts in touched.items():
+            mem = members[b]
+            if len(mem) == 1:
+                continue
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for s in ts:
+                key = tuple([pos[blk[t]] for t in succs[s]])
+                if key in groups:
+                    groups[key].append(s)
+                else:
+                    groups[key] = [s]
+            if len(ts) == len(mem):
+                if len(groups) == 1:
+                    continue
+                stay = max(groups, key=lambda k: len(groups[k]))
+            else:
+                for rep in mem:
+                    if rep not in hit:
+                        break
+                stay = tuple([pos[blk[t]] for t in succs[rep]])
+                if groups.keys() == {stay}:
+                    continue
+            plans.append((b, stay, groups))
+        work = []
+        for b, stay, groups in plans:
+            # The states with signature ``stay`` keep the parent's number.
+            mem = members[b]
+            groups.pop(stay, None)
+            before, after = prv[b], nxt[b]
+            kids = []
+            for i, key in enumerate(sorted([stay, *groups])):
+                if key == stay:
+                    c = b
+                    pos[b] = i
+                else:
+                    c = len(members)
+                    moved = groups[key]
+                    members.append(set(moved))
+                    mem.difference_update(moved)
+                    for s in moved:
+                        blk[s] = c
+                    pos.append(i)
+                    nxt.append(-1)
+                    prv.append(-1)
+                prv[c] = before
+                if before < 0:
+                    head = c
+                else:
+                    nxt[before] = c
+                before = c
+                kids.append(c)
+            nxt[before] = after
+            if after >= 0:
+                prv[after] = before
+            kids.remove(max(kids, key=lambda c: len(members[c])))
+            work += kids
+    number = [0] * len(members)
+    b, k = head, 0
+    while b >= 0:
+        number[b] = k
+        b, k = nxt[b], k + 1
+    return [number[b] for b in blk]
 
 
 def _pool(

@@ -328,7 +328,7 @@ def sections_from_payload(payload: dict) -> SectionsFixture:
     collapses repeats, and the gluers need one local section per covering
     patch."""
     what = "a sections document"
-    jsonio.require(payload, what, "system", "judge", "patches",
+    jsonio.require(payload, what, "system", "judge", "patches", objects=("system",),
                    lists=("patches", "local_sections", "global_sections"))
     if payload.get("global_sections") is None:
         jsonio.require(payload, what, "local_sections")

@@ -153,7 +153,7 @@ def covering_payload(c: Covering) -> dict:
 
 
 def covering_from_payload(payload: Mapping) -> Covering:
-    require(payload, "a covering", "system", "patches", lists=("patches",))
+    require(payload, "a covering", "system", "patches", objects=("system",), lists=("patches",))
     tgt = validate_system(payload["system"])
     patches = [immersion_from_payload(tgt, p) for p in payload["patches"]]
     return covering(tgt, patches)

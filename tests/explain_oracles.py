@@ -7,7 +7,8 @@ so the seeded tests can compare results field for field:
   machines with the length of its shortest distinguishing word, one scan
   of all pairs per word length, and reads each witness off the labels;
 * ``moore_minimize`` and ``moore_pooled`` run Moore's refinement with the
-  signatures ranked by ``list.index``.
+  signatures ranked by ``list.index``, one full round at a time: the plain
+  rounds whose block numbering the library's kernel must reproduce.
 
 They are cubic or worse; use them on small machines only.
 """

@@ -290,6 +290,27 @@ def test_carrier_that_is_no_list_is_malformed(capsys, tmp_path, value):
                 2, "", f"malformed input: a system: {key} must be a list, got {value!r}\n")
 
 
+_JUDGE = {"i_map": {"x": "x"}, "o_map": {"0": "0"}}
+
+
+@pytest.mark.parametrize("what, make, verbs", [
+    ("a covering", lambda v: {"system": v, "patches": []}, [["validate"]]),
+    ("a sections document", lambda v: _sections_with("system", value=v),
+     [["validate"], ["check", "glue-beh"]]),
+    ("a judge document", lambda v: {"system": v, "judge": _JUDGE}, [["validate"]]),
+], ids=["covering", "sections", "judge"])
+@pytest.mark.parametrize("value", [5, "ab", ["a", "b"]], ids=["number", "string", "list"])
+def test_top_level_system_that_is_no_object_is_malformed(capsys, tmp_path, what, make, verbs,
+                                                         value):
+    """A document whose ``system`` is no object is refused as malformed, not
+    read as a carrier fault."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(make(value)))
+    for verb in verbs:
+        assert _run(capsys, [*verb, str(path)]) == (
+            2, "", f"malformed input: {what}: system must be an object, got {value!r}\n")
+
+
 _TRIANGLE_DOC = fx.get_fixture("triangle").payload
 
 

@@ -199,3 +199,85 @@ def test_pooled_behavior_matches_moore_oracle(rng):
             for i, c in enumerate(alphabet):
                 assert part.out(b, c) == part.outputs[part.out_table[b][i]]
                 assert part.succ(b, c) == part.succ_table[b][i]
+
+
+def _pooled_matches(machines, alphabet) -> None:
+    part = pooled_behavior(machines, alphabet)
+    assert (part.blocks, part.out_table, part.succ_table) == moore_pooled(machines, alphabet)
+
+
+def test_empty_carriers_and_empty_alphabet_match_oracle(rng):
+    empty = make_system([], [], ["a", "b"], OUTS, {})
+    no_letters = make_system(["p", "q", "r"], ["p", "q", "r"], [], OUTS, {})
+    for machine in (empty, no_letters):
+        res = minimize(machine)
+        assert (res.machine, res.state_map) == moore_minimize(machine)
+    m = _machine(_table(rng, "random", "s", ["a", "b"]))
+    chain = _machine(_table(rng, "chain", "c", ["a", "b"]))
+    for machines in ([empty], [empty, m], [m, empty], [m, chain]):
+        # Over no letters every state behaves alike: one block.
+        for alphabet in (("a", "b"), ()):
+            _pooled_matches(machines, alphabet)
+    s1, s2 = _sections(rng, m, chain, 4)
+    assert (_report(behavioral_equiv(s1, s2, ())) == pair_level_behavioral_equiv(s1, s2, ())
+            == (True, None, None))
+
+
+def _shift_table(base: int, digits: int, prefix: str) -> dict:
+    # States are the words of ``digits`` digits; each letter emits the
+    # leading digit and shifts a digit in.  Round r splits every block by
+    # its (r+1)-th digit into ``base`` children of equal size, so every
+    # split ties for the largest child.
+    n = base ** digits
+    name = [f"{prefix}{x:04d}" for x in range(n)]
+    return {(name[x], c): (name[(base * x + k) % n], str(x * base // n))
+            for x in range(n) for k, c in enumerate("ab")}
+
+
+def test_splits_with_tied_largest_children_match_oracle(rng):
+    for base, digits in ((2, 5), (3, 3)):
+        d = _shift_table(base, digits, "s")
+        m = _machine(d)
+        res = minimize(m)
+        assert (res.machine, res.state_map) == moore_minimize(m)
+        assert len(res.machine.before) == len(m.before)
+        copy = _machine(_renamed(d, "q"))
+        _pooled_matches([m, copy], ("a", "b"))
+        _pooled_matches([m, copy], ("b",))
+        _pooled_matches([m, _machine(_renamed(_mutated(rng, d, OUTS), "r"))], ("a", "b"))
+
+
+def _with_duplicates(rng, d: dict, inputs, k: int) -> dict:
+    d = dict(d)
+    states = sorted({s for s, _ in d})
+    for j in range(k):
+        src = rng.choice(states)
+        for c in inputs:
+            d[(f"dup{j}", c)] = d[(src, c)]
+    return d
+
+
+def test_long_chains_match_moore_oracle(rng):
+    inputs = ("a", "b")
+    for n in (60, rng.randint(61, 149), 150):
+        d = _chain_table(_names(rng, "s", n), inputs)
+        m = _machine(d)
+        dup = _machine(_with_duplicates(rng, d, inputs, rng.randint(1, 8)))
+        for machine in (m, dup):
+            res = minimize(machine)
+            assert (res.machine, res.state_map) == moore_minimize(machine)
+            assert len(res.machine.before) == n
+        _pooled_matches([m, _machine(_renamed(d, "q"))], inputs)
+        _pooled_matches([dup, _machine(_renamed(_mutated(rng, d, OUTS), "r"))], inputs)
+
+
+def test_minimize_of_a_3000_state_chain_keeps_every_class():
+    n = 3000
+    d = _chain_table([f"s{k:04d}" for k in range(n)], ["a", "b"])
+    for k in range(0, n, 3):
+        # A duplicate of every third chain state adds no class.
+        for c in "ab":
+            d[(f"t{k:04d}", c)] = d[(f"s{k:04d}", c)]
+    res = minimize(_machine(d))
+    assert len(res.machine.before) == n
+    assert res.mapping["t0003"] == res.mapping["s0003"] != res.mapping["s0004"]
