@@ -3,16 +3,18 @@
 Exit codes: 0 when the requested check ran (negative verdicts such as a
 gluing obstruction are results, not errors), 1 when the input is readable
 but invalid (a validator rejected it), 2 when the input cannot be read or
-parsed at all, or when an output file cannot be written.
+parsed at all, when an output file cannot be written, or when the command
+line is wrong.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
-from typing import Any
+from types import SimpleNamespace
+from typing import Any, Callable, NamedTuple, NoReturn
 
 from . import fixtures as fx
 from . import jsonio
@@ -26,10 +28,10 @@ from .localglobal import (
     glue_behavioral,
     glue_cogerm,
 )
-from .systems import check_covering, system_violations, validate_system
+from .systems import build_system, check_covering, system_violations, validate_system
 from .tame import fiber, sheaf_verdict, two_patch_counterexample
 
-def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
+def _emit(args: SimpleNamespace, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
         print(jsonio.canonical_dumps(payload))
     else:
@@ -44,7 +46,7 @@ def _load_document(target: str) -> tuple[str, dict]:
         try:
             with open(target, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise MalformedDocument(f"cannot read {target}: {exc}") from exc
         if not isinstance(doc, dict):
             raise MalformedDocument("top-level JSON value must be an object")
@@ -67,7 +69,7 @@ def _load_document(target: str) -> tuple[str, dict]:
     return fixture.kind, fixture.payload
 
 
-def _validate(args: argparse.Namespace) -> int:
+def _validate(args: SimpleNamespace) -> int:
     kind, payload = _load_document(args.path)
     if kind == "system":
         violations = system_violations(payload)
@@ -78,7 +80,7 @@ def _validate(args: argparse.Namespace) -> int:
                                   for v in violations]},
                   [f"invalid: {v.kind}: {v.detail}" for v in violations])
             return 1
-        validate_system(payload)
+        build_system(payload)
     elif kind == "sections":
         sf = fx.sections_from_payload(payload)
         cov = check_covering(sf.covering)
@@ -123,7 +125,7 @@ def _sections_for_check(target: str) -> fx.SectionsFixture:
     return fx.sections_from_payload(payload)
 
 
-def _check_separation(args: argparse.Namespace) -> int:
+def _check_separation(args: SimpleNamespace) -> int:
     sf = _sections_for_check(args.target)
     if sf.scope != "global" or len(sf.sections) < 2:
         raise CheckerError("separation compares two global sections")
@@ -151,7 +153,7 @@ def _family(sf: fx.SectionsFixture) -> list[Section]:
     return [restrict_section(sf.sections[0], p) for p in sf.covering.patches]
 
 
-def _check_glue_cogerm(args: argparse.Namespace) -> int:
+def _check_glue_cogerm(args: SimpleNamespace) -> int:
     sf = _sections_for_check(args.target)
     secs = _family(sf)
     try:
@@ -167,7 +169,7 @@ def _check_glue_cogerm(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_glue_beh(args: argparse.Namespace) -> int:
+def _check_glue_beh(args: SimpleNamespace) -> int:
     sf = _sections_for_check(args.target)
     secs = _family(sf)
     try:
@@ -195,7 +197,7 @@ def _check_glue_beh(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_tame(args: argparse.Namespace) -> int:
+def _check_tame(args: SimpleNamespace) -> int:
     kind, payload = _load_document(args.target)
     if kind != "rect-union":
         raise CheckerError(f"tame-check needs a rect-union fixture, got {kind!r}")
@@ -222,7 +224,7 @@ def _check_tame(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_eps_depth(args: argparse.Namespace) -> int:
+def _check_eps_depth(args: SimpleNamespace) -> int:
     kind, payload = _load_document(args.target)
     if kind != "epsilon":
         raise CheckerError(f"eps-depth needs an epsilon fixture, got {kind!r}")
@@ -249,7 +251,7 @@ def _check_eps_depth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_landscape(args: argparse.Namespace) -> int:
+def _check_landscape(args: SimpleNamespace) -> int:
     rows = fx.landscape()
     lines = [f"{'presheaf':<22} {'separated?':<14} gluing?"]
     for row in rows:
@@ -276,16 +278,16 @@ def _check_landscape(args: argparse.Namespace) -> int:
     return 0 if ok_all else 1
 
 
-def _fixtures_list(args: argparse.Namespace) -> int:
-    rows = fx.all_fixtures()
-    doc = {"fixtures": [{"name": f.name, "kind": f.kind, "provenance": f.provenance}
-                        for f in rows]}
-    lines = [f"{f.name:<24} {f.kind:<12} {f.provenance}" for f in rows]
+def _fixtures_list(args: SimpleNamespace) -> int:
+    rows = [(name, kind, provenance) for name, (kind, provenance, _) in fx._REGISTRY.items()]
+    doc = {"fixtures": [{"name": name, "kind": kind, "provenance": provenance}
+                        for name, kind, provenance in rows]}
+    lines = [f"{name:<24} {kind:<12} {provenance}" for name, kind, provenance in rows]
     _emit(args, doc, lines)
     return 0
 
 
-def _fixtures_dump(args: argparse.Namespace) -> int:
+def _fixtures_dump(args: SimpleNamespace) -> int:
     fixture = fx.get_fixture(args.name)
     doc = {
         "name": fixture.name,
@@ -307,73 +309,205 @@ def _fixtures_dump(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sheafmealy",
-        description="checkers for local-to-global consistency of judged "
-                    "explanations of finite transducers",
-    )
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    sub = parser.add_subparsers(dest="verb", required=True)
+# ------------------------------------------------------------ command line
 
-    p_val = sub.add_parser("validate", help="validate a JSON document or fixture")
-    p_val.add_argument("path")
+class _Option(NamedTuple):
+    name: str
+    type: Callable[[str], Any]
+    choices: tuple[str, ...] | None
+    default: Any
+    help: str
 
-    p_chk = sub.add_parser("check", help="run one of the named checks")
-    chk = p_chk.add_subparsers(dest="what", required=True)
-
-    p_sep = chk.add_parser("separation")
-    p_sep.add_argument("target")
-    p_sep.add_argument("--kind", choices=("strict", "cogerm", "beh", "ri"),
-                       default="ri")
-
-    p_gc = chk.add_parser("glue-cogerm")
-    p_gc.add_argument("target")
-
-    p_gb = chk.add_parser("glue-beh")
-    p_gb.add_argument("target")
-    p_gb.add_argument("--max-states", type=int, default=4,
-                      help="state bound of the bounded search after an obstruction; 0 skips")
-
-    p_tc = chk.add_parser("tame-check")
-    p_tc.add_argument("target")
-
-    p_ed = chk.add_parser("eps-depth")
-    p_ed.add_argument("target")
-    p_ed.add_argument("--eps", type=float, default=None)
-
-    chk.add_parser("landscape")
-
-    p_fx = sub.add_parser("fixtures", help="list or dump built-in fixtures")
-    fxs = p_fx.add_subparsers(dest="what", required=True)
-    fxs.add_parser("list")
-    p_dump = fxs.add_parser("dump")
-    p_dump.add_argument("name")
-    p_dump.add_argument("--out", default=None)
-
-    return parser
+    @property
+    def dest(self) -> str:
+        return self.name[2:].replace("-", "_")
 
 
-_CHECKS = {
-    "separation": _check_separation,
-    "glue-cogerm": _check_glue_cogerm,
-    "glue-beh": _check_glue_beh,
-    "tame-check": _check_tame,
-    "eps-depth": _check_eps_depth,
-    "landscape": _check_landscape,
+class _Command(NamedTuple):
+    handler: Callable[[SimpleNamespace], int]
+    positional: str | None
+    options: tuple[_Option, ...]
+    help: str
+
+
+_FORMAT = _Option("--format", str, ("text", "json"), "text", "report format")
+
+# The whole command line, one row per command; the verbs and what each
+# verb offers are read off the keys.
+_COMMANDS: dict[tuple[str, ...], _Command] = {
+    ("validate",): _Command(_validate, "path", (), "validate a JSON document or fixture"),
+    ("check", "separation"): _Command(_check_separation, "target", (
+        _Option("--kind", str, ("strict", "cogerm", "beh", "ri"), "ri",
+                "which separation to compare"),),
+        "compare two global sections on every patch and on the whole system"),
+    ("check", "glue-cogerm"): _Command(_check_glue_cogerm, "target", (),
+                                       "glue a compatible family along common cores"),
+    ("check", "glue-beh"): _Command(_check_glue_beh, "target", (
+        _Option("--max-states", int, None, 4,
+                "state bound of the bounded search after an obstruction; 0 skips"),),
+        "glue a family up to behavior, or report the obstruction"),
+    ("check", "tame-check"): _Command(_check_tame, "target", (),
+                                      "sheaf verdict of a rectangle union"),
+    ("check", "eps-depth"): _Command(_check_eps_depth, "target", (
+        _Option("--eps", float, None, None, "tolerance, in place of the document's"),),
+        "obstruction depth of an epsilon instance"),
+    ("check", "landscape"): _Command(_check_landscape, None, (),
+                                     "the separation and gluing landscape with its evidence"),
+    ("fixtures", "list"): _Command(_fixtures_list, None, (), "list the built-in fixtures"),
+    ("fixtures", "dump"): _Command(_fixtures_dump, "name", (
+        _Option("--out", str, None, None, "file to write instead of stdout"),),
+        "write one fixture as canonical JSON"),
 }
+
+# Checks are looked up by name when they run, so one can be swapped.
+_CHECKS = {key[1]: command.handler for key, command in _COMMANDS.items() if key[0] == "check"}
+
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _choices(key: tuple[str, ...]) -> list[str]:
+    return list(dict.fromkeys(k[len(key)] for k in _COMMANDS
+                              if len(k) > len(key) and k[:len(key)] == key))
+
+
+def _synopsis(option: _Option) -> str:
+    if option.choices:
+        return f"{option.name} {{{','.join(option.choices)}}}"
+    return f"{option.name} {option.dest.upper()}"
+
+
+def _usage(key: tuple[str, ...]) -> str:
+    command = _COMMANDS.get(key)
+    words = ["usage: sheafmealy", *key, "[-h]"]
+    if not key:
+        words.append(f"[{_synopsis(_FORMAT)}]")
+    if command is None:
+        words.append(f"{{{','.join(_choices(key))}}} ...")
+    else:
+        words.extend(f"[{_synopsis(o)}]" for o in command.options)
+        words.extend([command.positional] if command.positional else [])
+    return " ".join(words)
+
+
+def _help(key: tuple[str, ...]) -> str:
+    """Usage of ``key``, then every command under it with its options."""
+    lines = [_usage(key), "", "checkers for local-to-global consistency of judged explanations "
+             "of finite transducers", "", "options:",
+             "  -h, --help  show this help message and exit"]
+    if not key:
+        lines.append(f"  {_synopsis(_FORMAT)}  {_FORMAT.help} (default: {_FORMAT.default})")
+    lines += ["", "commands:"]
+    for k, command in _COMMANDS.items():
+        if k[:len(key)] == key:
+            lines += [f"  {_usage(k)[len('usage: '):]}", f"      {command.help}"]
+            for o in command.options:
+                default = "" if o.default is None else f" (default: {o.default})"
+                lines.append(f"      {_synopsis(o)}  {o.help}{default}")
+    return "\n".join(lines)
+
+
+def _fail(key: tuple[str, ...], message: str) -> NoReturn:
+    print(_usage(key), file=sys.stderr)
+    print(f"sheafmealy: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _as_option(key: tuple[str, ...], token: str,
+               options: tuple[_Option, ...]) -> tuple[str | None, str | None] | None:
+    """How ``token`` reads where ``options`` and help are offered: None for
+    a positional, else the option and its ``=`` value, the option None
+    when none here matches.  A long option may be shortened to a unique
+    prefix; ``-1``, ``-.5`` and tokens with a space are positionals."""
+    if not token.startswith("-"):
+        return None
+    names = ["-h", "--help", *(o.name for o in options)]
+    if token in names:
+        return token, None
+    if len(token) == 1:
+        return None
+    head, eq, attached = token.partition("=")
+    if eq and head in names:
+        return head, attached
+    hits = ([(n, attached if eq else None) for n in names if n.startswith(head)]
+            if token.startswith("--") else [])
+    if len(hits) > 1:
+        _fail(key, f"ambiguous option: {token} could match {', '.join(n for n, _ in hits)}")
+    if hits:
+        return hits[0]
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def _parse(argv: list[str]) -> tuple[_Command, SimpleNamespace]:
+    """Read ``argv`` against :data:`_COMMANDS`.
+
+    ``--format`` comes before the verb; a command's options come before
+    or after its positional, the last one given wins.  A ``--`` makes
+    every later token a positional."""
+    key: tuple[str, ...] = ()
+    command: _Command | None = None
+    options: tuple[_Option, ...] = (_FORMAT,)
+    values: dict[str, Any] = {"format": _FORMAT.default}
+    filled = literal = False
+    extras: list[str] = []
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if token == "--" and not literal:
+            literal = True
+            continue
+        found = None if literal else _as_option(key, token, options)
+        if found is None and command is None:
+            choices = _choices(key)
+            if token not in choices:
+                _fail(key, f"argument {'what' if key else 'verb'}: invalid choice: {token!r} "
+                           f"(choose from {', '.join(map(repr, choices))})")
+            key += (token,)
+            command = _COMMANDS.get(key)
+            options = command.options if command is not None else ()
+            values.update((o.dest, o.default) for o in options)
+        elif found is None and command.positional is not None and not filled:
+            values[command.positional] = token
+            filled = True
+        elif found is None or found[0] is None:
+            extras.append(token)
+        elif found[0] in ("-h", "--help"):
+            if found[1] is not None:
+                _fail(key, f"argument -h/--help: ignored explicit argument {found[1]!r}")
+            print(_help(key))
+            raise SystemExit(0)
+        else:
+            name, text = found
+            if text is None:
+                if i == len(argv) or argv[i] == "--" or _as_option(key, argv[i], options):
+                    _fail(key, f"argument {name}: expected one argument")
+                text = argv[i]
+                i += 1
+            option = next(o for o in options if o.name == name)
+            try:
+                value = option.type(text)
+            except ValueError:
+                _fail(key, f"argument {name}: invalid {option.type.__name__} value: {text!r}")
+            if option.choices and value not in option.choices:
+                _fail(key, f"argument {name}: invalid choice: {value!r} "
+                           f"(choose from {', '.join(map(repr, option.choices))})")
+            values[option.dest] = value
+    if command is None:
+        _fail(key, f"the following arguments are required: {'what' if key else 'verb'}")
+    if command.positional is not None and not filled:
+        _fail(key, f"the following arguments are required: {command.positional}")
+    if extras:
+        _fail(key, f"unrecognized arguments: {' '.join(extras)}")
+    return command, SimpleNamespace(verb=key[0], what=key[1] if len(key) > 1 else None, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    command, args = _parse(sys.argv[1:] if argv is None else list(argv))
+    handler = _CHECKS[args.what] if args.verb == "check" else command.handler
     try:
-        if args.verb == "validate":
-            return _validate(args)
-        if args.verb == "check":
-            return _CHECKS[args.what](args)
-        if args.verb == "fixtures":
-            return _fixtures_list(args) if args.what == "list" else _fixtures_dump(args)
-        raise MalformedDocument(f"unknown verb {args.verb!r}")
+        return handler(args)
     except MalformedDocument as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return 2

@@ -234,6 +234,12 @@ def validate_system(candidate: Mapping | MealySystem) -> MealySystem:
         raise _VIOLATION_ERRORS[first.kind](first.detail)
     if isinstance(candidate, MealySystem):
         return candidate
+    return build_system(candidate)
+
+
+def build_system(candidate: Mapping) -> MealySystem:
+    """The machine of a mapping in which :func:`system_violations` found
+    nothing, built without running that scan a second time."""
     dyn = {
         (row["s"], row["i"]): (row["s2"], row["o"])
         for row in candidate.get("dynamics", [])

@@ -120,6 +120,19 @@ def test_validate_exit_two_on_malformed_input(capsys, tmp_path):
     assert code == 2 and "not recognized" in err
 
 
+@pytest.mark.parametrize("content", [b'{"before_states": ["\xff"]}', b'{"n": ' + b"1" * 5000 + b"}"],
+                         ids=["not-utf-8", "integer-of-5000-digits"])
+def test_unreadable_document_is_malformed(capsys, tmp_path, content):
+    """Bytes that are no UTF-8, and an integer longer than the reader's
+    digit limit, are refused on one line like any other unreadable file."""
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    for verb in (["validate"], ["check", "glue-beh"]):
+        code, out, err = _run(capsys, [*verb, str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"malformed input: cannot read {path}: ") and err.count("\n") == 1
+
+
 _JUDGE_DOC = {"interp_inputs": ["a"], "interp_outputs": ["0"],
               "i_map": {"a": "a"}, "o_map": {"0": "0"}}
 _EPS_DOC = {"dim": 2, "domain": "euclidean", "values": {"v": [0.0, 0.0]}, "i_map": {"v": "c"}}
@@ -670,3 +683,167 @@ def test_memory_error_is_reported_as_scale_exceeded(capsys, monkeypatch):
     code, out, err = _run(capsys, ["check", "tame-check", "two-band"])
     assert code == 1 and out == ""
     assert err.splitlines() == ["ScaleExceeded: the check ran out of memory"]
+
+
+_BEH_TEXT = ("kind: beh\npatch 0: locally unequal\npatch 1: locally unequal\nglobal: unequal\n"
+             "distinguishing word from s1: (a, b)\nseparation violated: no\n")
+_OBSTRUCTION_TEXT = ("after-state 's2' is forced into two behavior classes; they diverge on the "
+                     "word \u2022\nforced by the step at ('s0', 'b'): outputs (0)\n"
+                     "forced by the step at ('s3', 'b'): outputs (1)\n")
+_BOUND_2_TEXT = "no explanatory machine with at most 2 states glues the family\n"
+_EPS_2_JSON = ('{"depth":null,"eps":2.0,"feasible":true,"i_prime":null,"marginal":false,'
+               '"subfamily":null}\n')
+_NEGATIVE = "NegativeEpsilon: tolerances must be non-negative\n"
+_INFINITE = "NegativeEpsilon: tolerances must be finite\n"
+_SEP = ["check", "separation"]
+_GLUE = ["check", "glue-beh"]
+_EPS = ["check", "eps-depth"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--format", "json", *_EPS, "triangle", "--eps", "2"], (0, _EPS_2_JSON, "")),
+    (["--format=json", *_EPS, "triangle", "--eps", "2"], (0, _EPS_2_JSON, "")),
+    (["--f", "json", *_EPS, "triangle", "--eps=2"], (0, _EPS_2_JSON, "")),
+    (["--form=json", *_EPS, "--eps", "2", "triangle"], (0, _EPS_2_JSON, "")),
+    (["--format", "text", "--format", "json", *_EPS, "triangle", "--eps", "2"],
+     (0, _EPS_2_JSON, "")),
+    ([*_SEP, "cex-ri-separation", "--kind", "beh"], (0, _BEH_TEXT, "")),
+    ([*_SEP, "cex-ri-separation", "--kind=beh"], (0, _BEH_TEXT, "")),
+    ([*_SEP, "--kind", "beh", "cex-ri-separation"], (0, _BEH_TEXT, "")),
+    ([*_SEP, "--kind=strict", "cex-ri-separation", "--kind", "beh"], (0, _BEH_TEXT, "")),
+    ([*_SEP, "cex-ri-separation", "--k", "beh"], (0, _BEH_TEXT, "")),
+    ([*_SEP, "--ki=beh", "cex-ri-separation"], (0, _BEH_TEXT, "")),
+    ([*_GLUE, "cex-beh-gluing", "--max-states", "2"], (0, _OBSTRUCTION_TEXT + _BOUND_2_TEXT, "")),
+    ([*_GLUE, "cex-beh-gluing", "--max-states=2"], (0, _OBSTRUCTION_TEXT + _BOUND_2_TEXT, "")),
+    ([*_GLUE, "--max=2", "cex-beh-gluing"], (0, _OBSTRUCTION_TEXT + _BOUND_2_TEXT, "")),
+    ([*_GLUE, "--m", "0", "cex-beh-gluing", "--max-states", "2"],
+     (0, _OBSTRUCTION_TEXT + _BOUND_2_TEXT, "")),
+    ([*_GLUE, "cex-beh-gluing", "--max-states", "-1"], (0, _OBSTRUCTION_TEXT, "")),
+    ([*_GLUE, "cex-beh-gluing", "--max-states=0"], (0, _OBSTRUCTION_TEXT, "")),
+    ([*_EPS, "triangle", "--eps", "-1"], (1, "", _NEGATIVE)),
+    ([*_EPS, "triangle", "--eps", "-.5"], (1, "", _NEGATIVE)),
+    ([*_EPS, "--eps=-1", "triangle"], (1, "", _NEGATIVE)),
+    ([*_EPS, "triangle", "--eps", "nan"], (1, "", _NEGATIVE)),
+    ([*_EPS, "triangle", "--eps", "inf"], (1, "", _INFINITE)),
+    ([*_EPS, "triangle", "--eps=1e400"], (1, "", _INFINITE)),
+    ([*_EPS, "triangle", "--eps", "1.2"], (0, "feasible at eps=1.2\n", "")),
+    ([*_EPS, "--e", "1.2", "--", "triangle"], (0, "feasible at eps=1.2\n", "")),
+    ([*_EPS, "triangle", "--"],
+     (0, "depth 3\nsmallest infeasible subfamily [0, 1, 2] at judged input cls\n", "")),
+], ids=["format-before-verb", "format-equals", "format-prefix", "format-prefix-equals",
+        "format-last-wins", "kind", "kind-equals", "kind-first", "kind-last-wins", "kind-prefix",
+        "kind-prefix-equals", "max-states", "max-states-equals", "max-states-prefix-equals",
+        "max-states-last-wins", "max-states-negative", "max-states-zero", "eps-negative",
+        "eps-negative-fraction", "eps-negative-equals", "eps-nan", "eps-inf", "eps-1e400",
+        "eps", "eps-prefix-then-separator", "separator-after-target"])
+def test_command_line_forms(capsys, argv, expected):
+    """Each accepted form of the command line, with the output it had when
+    the command line was read by ``argparse``."""
+    assert _run(capsys, argv) == expected
+
+
+def test_out_option_forms(capsys, tmp_path):
+    path = tmp_path / "triangle.json"
+    expected = fx.get_fixture("triangle")
+    for argv in (["triangle", "--out", str(path)], [f"--out={path}", "triangle"],
+                 ["--o", str(path), "triangle"], ["triangle", f"--o={path}"]):
+        assert _run(capsys, ["fixtures", "dump", *argv]) == (0, f"wrote {path}\n", "")
+        assert json.loads(path.read_text())["payload"] == expected.payload
+        path.unlink()
+
+
+_NAMED = {
+    (): ["validate", "check", "fixtures", "separation", "glue-cogerm", "glue-beh", "tame-check",
+         "eps-depth", "landscape", "list", "dump", "--format", "--kind", "--max-states", "--eps",
+         "--out"],
+    ("validate",): ["validate", "path"],
+    ("check",): ["separation", "glue-cogerm", "glue-beh", "tame-check", "eps-depth", "landscape",
+                 "--kind", "--max-states", "--eps"],
+    ("fixtures",): ["list", "dump", "--out"],
+    ("check", "separation"): ["target", "--kind", "strict", "cogerm", "beh", "ri"],
+    ("check", "glue-beh"): ["target", "--max-states"],
+    ("check", "eps-depth"): ["target", "--eps"],
+    ("fixtures", "dump"): ["name", "--out"],
+}
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("where", list(_NAMED), ids=lambda key: " ".join(key) or "top")
+def test_help_names_every_verb_and_option(capsys, where, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*where, flag])
+    assert exc.value.code == 0
+    out = capsys.readouterr()
+    assert out.err == "" and out.out.startswith("usage: sheafmealy")
+    for word in _NAMED[where]:
+        assert word in out.out
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["verify", "triangle"],
+    ["check", "bogus", "triangle"],
+    ["check", "separation"],
+    ["fixtures", "dump"],
+    [*_SEP, "cex-ri-separation", "--kind", "bogus"],
+    [*_GLUE, "cex-beh-gluing", "--max-states", "x"],
+    [*_EPS, "triangle", "--eps", "x"],
+    [*_EPS, "triangle", "--eps", "-x"],
+    ["validate", "triangle", "two-band"],
+    [*_EPS, "triangle", "--eps"],
+    ["fixtures", "dump", "triangle", "--out"],
+    ["--format"],
+    ["--format", "yaml", "check", "landscape"],
+    ["validate", "triangle", "--format", "json"],
+    ["check", "landscape", "--bogus"],
+    ["--help=x"],
+], ids=["nothing", "unknown-verb", "unknown-check", "missing-target", "missing-name",
+        "kind-bogus", "max-states-x", "eps-x", "eps-dash-x", "extra-positional",
+        "eps-without-value", "out-without-value", "format-without-value", "format-yaml",
+        "format-after-verb", "unknown-option", "help-with-a-value"])
+def test_bad_command_line_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    lines = out.err.splitlines()
+    assert out.out == "" and len(lines) == 2 and "Traceback" not in out.err
+    assert lines[0].startswith("usage: sheafmealy") and lines[1].startswith("sheafmealy: error: ")
+
+
+def test_cli_call_loads_no_argparse():
+    probe = ("import sys\nfrom sheafmealy.cli import main\n"
+             "main(['--format', 'json', 'fixtures', 'list'])\n"
+             "print('argparse' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_fixtures_list_builds_no_fixture(capsys, monkeypatch):
+    def broken():
+        raise AssertionError("built a fixture to list it")
+
+    for name, (kind, provenance, _) in list(fx._REGISTRY.items()):
+        monkeypatch.setitem(fx._REGISTRY, name, (kind, provenance, broken))
+    code, doc, err = _json_run(capsys, ["fixtures", "list"])
+    assert (code, err) == (0, "")
+    assert [row["name"] for row in doc["fixtures"]] == ALL_FIXTURES
+
+
+def test_validate_scans_a_system_once(capsys, monkeypatch, tmp_path):
+    from sheafmealy import cli, systems
+
+    scans = []
+    scan = systems.system_violations
+
+    def counted(candidate):
+        scans.append(candidate)
+        return scan(candidate)
+
+    monkeypatch.setattr(systems, "system_violations", counted)
+    monkeypatch.setattr(cli, "system_violations", counted)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(fx.get_fixture("cex-beh-gluing").payload["system"]))
+    assert _run(capsys, ["validate", str(path)]) == (0, "valid system\n", "")
+    assert len(scans) == 1
