@@ -24,7 +24,6 @@ from .explain import Section, validate_section
 from .localglobal import (
     ObstructionReport,
     check_separation,
-    compatible_family,
     glue_behavioral,
     glue_cogerm,
 )
@@ -157,8 +156,7 @@ def _check_glue_cogerm(args: SimpleNamespace) -> int:
     sf = _sections_for_check(args.target)
     secs = _family(sf)
     try:
-        fam = compatible_family(sf.covering, sf.judge, secs)
-        glued = glue_cogerm(fam)
+        glued = glue_cogerm(sf.covering, secs, sf.judge)
     except IncompatibleFamily as exc:
         _emit(args, {"glued": False, "reason": str(exc)},
               [f"incompatible family: {exc}"])

@@ -346,12 +346,11 @@ class FeasibilityResult:
     """Minimax verdict for one judged input against a tolerance.
 
     ``radius`` is the best achieved maximum distance from ``center`` to the
-    target points; ``feasible`` compares it against ``epsilon`` with the
-    documented tolerance and ``marginal`` flags results within it.
+    target points; ``feasible`` compares it against the ``eps`` asked for,
+    up to ``COMPARISON_TOL``, and ``marginal`` flags results within it.
     """
 
     domain: str
-    epsilon: float
     center: Vector
     radius: float
     feasible: bool
@@ -372,7 +371,7 @@ def feasibility(
     _check_eps(eps)
     pts = [tuple(float(x) for x in p) for p in points]
     if not pts:
-        return FeasibilityResult(inst.domain, eps, canonical_point(inst), 0.0, True, False, True)
+        return FeasibilityResult(inst.domain, canonical_point(inst), 0.0, True, False, True)
     if any(len(p) != inst.dim for p in pts):
         raise CheckerError(f"target points must have {inst.dim} coordinates")
     simplex = inst.domain == "simplex"
@@ -382,7 +381,7 @@ def feasibility(
         facets = [(k, b, side) for k, (lo, hi) in enumerate(inst.box or ())
                   for b, side in ((lo, 1.0), (hi, -1.0))]
     center, radius = _minimax(pts, facets, simplex)
-    return FeasibilityResult(inst.domain, eps, center, radius, radius <= eps + COMPARISON_TOL,
+    return FeasibilityResult(inst.domain, center, radius, radius <= eps + COMPARISON_TOL,
                              abs(radius - eps) <= COMPARISON_TOL, False)
 
 

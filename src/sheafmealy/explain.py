@@ -34,7 +34,6 @@ from .systems import (
     Covering,
     Ident,
     MealySystem,
-    MorphismCheck,
     OpenImmersion,
     SystemMorphism,
     check_morphism,
@@ -115,24 +114,11 @@ def restricted_interface(j: Judge, m: OpenImmersion) -> tuple[Ident, ...]:
     return finset({j.j_i[m.morphism.map_i(c)] for c in m.source.inputs})
 
 
-@dataclass(frozen=True)
-class JFullReport:
-    ok: bool
-    failing_patch: int | None = None
-    patch_interface: tuple[Ident, ...] | None = None
-    full_interface: tuple[Ident, ...] | None = None
-
-
-def is_j_full(c: Covering, j: Judge) -> JFullReport:
+def is_j_full(c: Covering, j: Judge) -> bool:
     """Whether every patch realizes the same judged input range as the
     covered system.  Data-local patches (full on inputs) always do."""
-    whole = OpenImmersion(identity_morphism(c.target))
-    full = restricted_interface(j, whole)
-    for k, p in enumerate(c.patches):
-        got = restricted_interface(j, p)
-        if got != full:
-            return JFullReport(False, k, got, full)
-    return JFullReport(True, None, full, full)
+    full = restricted_interface(j, OpenImmersion(identity_morphism(c.target)))
+    return all(restricted_interface(j, p) == full for p in c.patches)
 
 
 @dataclass(frozen=True)
@@ -188,8 +174,6 @@ def judged_section(
 class SectionCheck:
     ok: bool
     reason: str | None = None
-    witness: tuple[Ident, ...] | None = None
-    interface_mode: str | None = None  # "full" or "restricted"
 
 
 def validate_section(j: Judge, s: Section) -> SectionCheck:
@@ -199,34 +183,20 @@ def validate_section(j: Judge, s: Section) -> SectionCheck:
     u = s.patch.source
     mach = s.explanatory
     if not mach.homogeneous:
-        return SectionCheck(False, "explanatory machine is not homogeneous", None)
+        return SectionCheck(False, "explanatory machine is not homogeneous")
     if mach.outputs != j.interp_outputs:
-        return SectionCheck(False, "explanatory outputs differ from the interpretable outputs", None)
-    restricted = restricted_interface(j, s.patch)
-    if mach.inputs == j.interp_inputs:
-        mode = "full"
-    elif mach.inputs == restricted:
-        mode = "restricted"
-    else:
+        return SectionCheck(False, "explanatory outputs differ from the interpretable outputs")
+    if mach.inputs not in (j.interp_inputs, restricted_interface(j, s.patch)):
         return SectionCheck(
-            False,
-            "explanatory inputs are neither the interpretable inputs nor the patch range",
-            None,
+            False, "explanatory inputs are neither the interpretable inputs nor the patch range"
         )
-    for c in u.inputs:
-        expect = j.j_i[s.patch.morphism.map_i(c)]
-        if s.psi.map_i(c) != expect:
-            return SectionCheck(False, "input component of psi is not the judged input map",
-                                (c,), mode)
-    for o in u.outputs:
-        expect = j.j_o[s.patch.morphism.map_o(o)]
-        if s.psi.map_o(o) != expect:
-            return SectionCheck(False, "output component of psi is not the judged output map",
-                                (o,), mode)
-    chk: MorphismCheck = check_morphism(s.psi)
-    if not chk.ok:
-        return SectionCheck(False, "psi does not commute with the dynamics", chk.witness, mode)
-    return SectionCheck(True, None, None, mode)
+    if any(s.psi.map_i(c) != j.j_i[s.patch.morphism.map_i(c)] for c in u.inputs):
+        return SectionCheck(False, "input component of psi is not the judged input map")
+    if any(s.psi.map_o(o) != j.j_o[s.patch.morphism.map_o(o)] for o in u.outputs):
+        return SectionCheck(False, "output component of psi is not the judged output map")
+    if not check_morphism(s.psi).ok:
+        return SectionCheck(False, "psi does not commute with the dynamics")
+    return SectionCheck(True)
 
 
 def restrict_section(s: Section, n: OpenImmersion) -> Section:

@@ -33,7 +33,6 @@ from .explain import (
 from .localglobal import (
     ObstructionReport,
     check_separation,
-    compatible_family,
     glue_behavioral,
     glue_cogerm,
     glue_stateless,
@@ -498,11 +497,11 @@ def landscape() -> tuple[LandscapeRow, ...]:
     # on the extra-states pair.
     cog_sep = check_separation("cogerm", extra.covering,
                                extra.sections[0], extra.sections[1], extra.judge)
-    swap_family = compatible_family(
-        extra.covering, extra.judge,
+    cog_glued = glue_cogerm(
+        extra.covering,
         [restrict_section(extra.sections[1], p) for p in extra.covering.patches],
+        extra.judge,
     )
-    cog_glued = glue_cogerm(swap_family)
     rows.append(LandscapeRow(
         "cogerm", "no", "yes",
         (
@@ -547,7 +546,7 @@ def landscape() -> tuple[LandscapeRow, ...]:
     for fx in (jfp, extra):
         rep = check_separation("ri", fx.covering, fx.sections[0], fx.sections[1],
                                fx.judge)
-        jfull_ok.append(is_j_full(fx.covering, fx.judge).ok
+        jfull_ok.append(is_j_full(fx.covering, fx.judge)
                         and not rep.separation_violated)
     rows.append(LandscapeRow(
         "restricted-interface", "j-full only", "no in general",
@@ -558,7 +557,7 @@ def landscape() -> tuple[LandscapeRow, ...]:
              and ri_sep.global_witness[1] == ("a", "b")),
             ("every shipped j-full covering keeps separation", all(jfull_ok)),
             ("on data-local coverings the behavioral obstruction applies "
-             "verbatim", is_j_full(beh.covering, beh.judge).ok
+             "verbatim", is_j_full(beh.covering, beh.judge)
              and isinstance(beh_glue, ObstructionReport)),
         ),
     ))
@@ -570,8 +569,7 @@ def landscape() -> tuple[LandscapeRow, ...]:
     u_tb, pj_tb = two_band_objects()
     v_tb = sheaf_verdict(u_tb, pj_tb)
     cut = two_band_cut_objects()
-    glue_cut = glue_stateless(cut.system, cut.judge, cut.covering,
-                              list(cut.assignments))
+    glue_cut = glue_stateless(cut.covering, cut.judge)
     rows.append(LandscapeRow(
         "stateless", "j-full only", "iff no robust disconnection",
         (

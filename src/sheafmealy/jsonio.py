@@ -253,10 +253,10 @@ def epsilon_from_payload(payload: Mapping) -> tuple[EpsilonInstance, list[list[s
     ``values`` or ``i_map`` that is no object, ``patches``, ``box`` or
     ``interp_inputs`` that is no list, an input name that is no string, a
     ``dim`` that is no JSON integer, or a coordinate, box bound or ``eps``
-    that is no number raises :class:`MalformedDocument`; a patch input
-    without a judged value or point raises :class:`CheckerError`, and a
-    negative, NaN or infinite ``eps`` :class:`NegativeEpsilon`, as the
-    checks themselves would."""
+    that is no JSON number in float range (a string or boolean is none)
+    raises :class:`MalformedDocument`; a patch input without a judged value
+    or point raises :class:`CheckerError`, and a negative, NaN or infinite
+    ``eps`` :class:`NegativeEpsilon`, as the checks themselves would."""
     what = "an epsilon document"
     require(payload, what, "dim", "domain", "values", "i_map", objects=("values", "i_map"),
             lists=("patches", "box", "interp_inputs"))
@@ -269,12 +269,12 @@ def epsilon_from_payload(payload: Mapping) -> tuple[EpsilonInstance, list[list[s
         raise MalformedDocument(f"{what}: raw and judged inputs must be strings")
     dim = _integer(payload, "dim")
     try:
-        values = {raw: [float(x) for x in v] for raw, v in payload["values"].items()}
+        values = {raw: [_number(x) for x in v] for raw, v in payload["values"].items()}
         box = None if payload.get("box") is None else [
-            (float(lo), float(hi)) for lo, hi in payload["box"]
+            (_number(lo), _number(hi)) for lo, hi in payload["box"]
         ]
-        eps = None if payload.get("eps") is None else float(payload["eps"])
-    except (TypeError, ValueError) as exc:
+        eps = None if payload.get("eps") is None else _number(payload["eps"])
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedDocument(
             f"{what} needs an integer dim and numeric values, box bounds and eps ({exc})"
         ) from exc
@@ -285,6 +285,16 @@ def epsilon_from_payload(payload: Mapping) -> tuple[EpsilonInstance, list[list[s
     if eps is not None:
         _check_eps(eps)
     return inst, patches, eps
+
+
+def _number(x: Any) -> float:
+    """``x`` as a float if it is a JSON number; a string or a boolean is
+    refused, not coerced.  ``float`` runs first, so that what it cannot read
+    at all is refused with its own message."""
+    value = float(x)
+    if isinstance(x, (str, bool)):
+        raise TypeError(f"{x!r} is not a JSON number")
+    return value
 
 
 # ---------------------------------------------------------------- reports

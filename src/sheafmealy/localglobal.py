@@ -9,6 +9,9 @@ verdicts come with replayable obstruction reports.
 
 Conventions used throughout:
 
+* gluers take ``(covering, sections, judge)``; stateless gluing takes
+  ``(covering, judge)``, because a stateless section over a patch is unique
+  when it exists, so the covering alone fixes the family;
 * families are indexed like their covering's patches, and each section's
   patch must be the covering patch itself;
 * behavioral comparisons on an overlap use the componentwise intersection
@@ -32,7 +35,6 @@ from .errors import (
 )
 from .explain import (
     BehaviorPartition,
-    CogermWitness,
     Judge,
     Section,
     behavioral_equiv,
@@ -282,44 +284,17 @@ def check_separation(
     )
 
 
-@dataclass(frozen=True)
-class CompatibleFamily:
-    """Covering-indexed family of sections, optionally with core witnesses
-    for the pairwise overlap comparisons (keyed by patch index pairs)."""
-
-    covering: Covering
-    judge: Judge
-    sections: tuple[Section, ...]
-    witnesses: tuple[tuple[tuple[int, int], CogermWitness], ...] = ()
-
-    def witness_for(self, a: int, b: int) -> CogermWitness | None:
-        for key, w in self.witnesses:
-            if key == (a, b):
-                return w
-        return None
-
-
-def compatible_family(
-    covering_: Covering,
-    j: Judge,
-    sections: Sequence[Section],
-    witnesses: Mapping[tuple[int, int], CogermWitness] | None = None,
-) -> CompatibleFamily:
-    _check_family(covering_, j, sections, covered=True)
-    wit = tuple(sorted((witnesses or {}).items()))
-    return CompatibleFamily(covering_, j, tuple(sections), wit)
-
-
-def glue_cogerm(family: CompatibleFamily) -> Section:
+def glue_cogerm(c: Covering, sections: Sequence[Section], j: Judge) -> Section:
     """Assemble a family into a global section, up to common cores.
 
-    Overlap witnesses are taken from the family or synthesized by the
-    pair-closure decision procedure; a missing or invalid witness raises
-    :class:`IncompatibleFamily`.  The global machine is the quotient of the
-    disjoint union of the local machines by the witness identifications,
-    computed as iterated pushouts of injections in one amalgamation step.
+    Overlap witnesses are synthesized by the pair-closure decision
+    procedure; an overlap without one raises :class:`IncompatibleFamily`,
+    and a synthesized witness that fails its check is a bug.  The global
+    machine is the quotient of the disjoint union of the local machines by
+    the witness identifications, computed as iterated pushouts of
+    injections in one amalgamation step.
     """
-    c, j, sections = family.covering, family.judge, family.sections
+    _check_family(c, j, sections, covered=True)
     machines = [s.explanatory for s in sections]
     for k, m in enumerate(machines):
         if m.inputs != j.interp_inputs or m.outputs != j.interp_outputs:
@@ -328,16 +303,16 @@ def glue_cogerm(family: CompatibleFamily) -> Section:
     for a in range(len(sections)):
         for b in range(a + 1, len(sections)):
             ra, rb = _overlap_restrictions(c, sections, a, b)
-            w = family.witness_for(a, b)
+            w = cogerm_equiv(ra, rb)
             if w is None:
-                w = cogerm_equiv(ra, rb)
-                if w is None:
-                    raise IncompatibleFamily(
-                        f"patches {a} and {b} admit no common core on their overlap"
-                    )
+                raise IncompatibleFamily(
+                    f"patches {a} and {b} admit no common core on their overlap"
+                )
             ok, reason = check_cogerm_witness(ra, rb, w)
             if not ok:
-                raise IncompatibleFamily(f"witness for patches {a} and {b} fails: {reason}")
+                raise InternalConsistencyError(
+                    f"synthesized witness for patches {a} and {b} fails: {reason}"
+                )
             for r in w.core.before:
                 idents.append((a, w.i1.map_b(r), b, w.i2.map_b(r)))
     amalgam = amalgamate(machines, idents)
@@ -565,21 +540,18 @@ class StatelessSectionReport:
     violation: tuple[Ident, Ident, Ident, Ident, Ident] | None
 
 
-def stateless_ri_section(
-    system: MealySystem, j: Judge, m: OpenImmersion
-) -> StatelessSectionReport:
+def stateless_ri_section(m: OpenImmersion, j: Judge) -> StatelessSectionReport:
     """The unique candidate stateless explanation of a patch, if coherent.
 
-    A single-state system is an output function ``f`` on its inputs; a
-    stateless explanation over the patch's judged range exists exactly when
-    ``j_O . f`` is constant on each judged-input fiber within the patch.
-    On failure the violation names the fiber and two witnesses
-    ``(i', i1, o1', i2, o2')``.
+    The patched system must have a single state: it is then an output
+    function ``f`` on its inputs, and a stateless explanation over the
+    patch's judged range exists exactly when ``j_O . f`` is constant on each
+    judged-input fiber within the patch.  On failure the violation names
+    the fiber and two witnesses ``(i', i1, o1', i2, o2')``.
     """
+    system = m.target
     if len(system.before) != 1 or len(system.after) != 1 or not system.homogeneous:
         raise NotStateless("stateless sections need a single-state homogeneous system")
-    if m.target != system:
-        raise CheckerError("patch must map into the given system")
     s0 = m.source.before[0] if m.source.before else None
     if s0 is None:
         return StatelessSectionReport(True, (), None)
@@ -611,48 +583,32 @@ class GlueStatelessResult:
     ok: bool
     assignment: tuple[tuple[Ident, Ident], ...] | None
     obstruction: ObstructionReport | None
+    patch_assignments: tuple[tuple[tuple[Ident, Ident], ...], ...]
 
 
-def glue_stateless(
-    system: MealySystem,
-    j: Judge,
-    c: Covering,
-    assignments: Sequence[Mapping[Ident, Ident]],
-) -> GlueStatelessResult:
-    """Glue per-patch stateless assignments into one judged output function.
+def glue_stateless(c: Covering, j: Judge) -> GlueStatelessResult:
+    """Glue the stateless explanations of a covering's patches into one
+    judged output function.
 
-    Each assignment must be the coherent stateless explanation of its patch
-    (checked).  Compatibility on an overlap constrains only the overlap's
-    own judged range, which can be strictly smaller than the intersection
-    of the patch ranges; the family glues exactly when the union of the
-    assignment graphs is single-valued.
+    A stateless section over a patch is unique when it exists, so the
+    family is the covering's own; a patch without one raises
+    :class:`IncompatibleFamily`.  The family is always compatible: every
+    patch restricts the one output function of ``c.target``, so two patches
+    agree at each judged input their overlap realizes.  The overlap's own
+    judged range can be strictly smaller than the intersection of the patch
+    ranges, so the family glues exactly when the union of the assignment
+    graphs is single-valued.  The result carries each patch's assignment.
     """
-    if len(assignments) != len(c.patches):
-        raise CheckerError("one assignment per covering patch is required")
-    if c.target != system:
-        raise CheckerError("covering must cover the given system")
-    for k, (p, asg) in enumerate(zip(c.patches, assignments)):
-        rep = stateless_ri_section(system, j, p)
+    reports = [stateless_ri_section(p, j) for p in c.patches]
+    for k, rep in enumerate(reports):
         if not rep.ok:
             raise IncompatibleFamily(
                 f"patch {k} admits no stateless explanation: fiber {rep.violation[0]!r}"
             )
-        if dict(rep.assignment) != dict(asg):
-            raise CheckerError(f"assignment {k} is not the patch's stateless explanation")
-    for a in range(len(c.patches)):
-        for b in range(a + 1, len(c.patches)):
-            w = overlap_patch(c.patches[a], c.patches[b])
-            shared = restricted_interface(j, w)
-            for i_p in shared:
-                va = dict(assignments[a]).get(i_p)
-                vb = dict(assignments[b]).get(i_p)
-                if va is not None and vb is not None and va != vb:
-                    raise IncompatibleFamily(
-                        f"patches {a} and {b} disagree at judged input {i_p!r} on their overlap"
-                    )
+    assignments = tuple(rep.assignment for rep in reports)
     merged: dict[Ident, Ident] = {}
-    for k, asg in enumerate(assignments):
-        for i_p, o_p in sorted(dict(asg).items()):
+    for asg in assignments:
+        for i_p, o_p in asg:
             prev = merged.get(i_p)
             if prev is not None and prev != o_p:
                 forced = tuple(
@@ -675,27 +631,26 @@ def glue_stateless(
                         f"judged input {i_p!r} is forced to both {prev!r} and {o_p!r} "
                         "by patches whose overlap never sees it",
                     ),
+                    assignments,
                 )
             merged.setdefault(i_p, o_p)
-    return GlueStatelessResult(True, tuple(sorted(merged.items())), None)
+    return GlueStatelessResult(True, tuple(sorted(merged.items())), None, assignments)
 
 
 def _unglueable_stateless(
-    system: MealySystem, j: Judge, c: Covering
+    c: Covering, j: Judge
 ) -> tuple[tuple[tuple[tuple[Ident, Ident], ...], ...], ObstructionReport]:
     """The forced stateless assignment of every patch of a witness
     covering, and the obstruction to gluing them.  A witness is built to be
     unglueable, so a patch without its forced explanation, or a family that
     glues, is a bug."""
-    reports = [stateless_ri_section(system, j, p) for p in c.patches]
-    for k, rep in enumerate(reports):
-        if not rep.ok:
-            raise InternalConsistencyError(f"patch {k} lost its forced explanation")
-    assignments = tuple(rep.assignment for rep in reports)
-    res = glue_stateless(system, j, c, [dict(a) for a in assignments])
+    try:
+        res = glue_stateless(c, j)
+    except IncompatibleFamily as exc:
+        raise InternalConsistencyError(f"witness covering lost its forced family: {exc}") from exc
     if res.ok or res.obstruction is None:
         raise InternalConsistencyError("witness covering unexpectedly glues")
-    return assignments, res.obstruction
+    return res.patch_assignments, res.obstruction
 
 
 @dataclass(frozen=True)
@@ -720,7 +675,7 @@ def discrete_stateless_sheaf_check(system: MealySystem, j: Judge) -> StatelessSh
     """
     if len(system.before) != 1 or len(system.after) != 1 or not system.homogeneous:
         raise NotStateless("the discrete sheaf check needs a single-state system")
-    if stateless_ri_section(system, j, _identity_patch(system)).ok:
+    if stateless_ri_section(_identity_patch(system), j).ok:
         return StatelessSheafReport(True, None, None, None)
     s0 = system.before[0]
     patches = [
@@ -728,4 +683,4 @@ def discrete_stateless_sheaf_check(system: MealySystem, j: Judge) -> StatelessSh
         for raw in system.inputs
     ]
     cov = Covering(system, tuple(patches))
-    return StatelessSheafReport(False, cov, *_unglueable_stateless(system, j, cov))
+    return StatelessSheafReport(False, cov, *_unglueable_stateless(cov, j))

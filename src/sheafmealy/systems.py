@@ -158,23 +158,19 @@ def _position(carrier: tuple) -> Callable[[object], int | None]:
     return position
 
 
-def system_violations(candidate: Mapping | MealySystem) -> list[Violation]:
-    """All structural violations of a candidate system description.
-
-    Accepts either a built :class:`MealySystem` or a mapping with keys
-    ``before_states``, ``after_states``, ``inputs``, ``outputs`` and a
-    ``dynamics`` list of ``{"s":..., "i":..., "s2":..., "o":...}`` entries.
-    A carrier or ``dynamics`` that is no list raises :class:`MalformedDocument`.
+def system_violations(candidate: Mapping) -> list[Violation]:
+    """All structural violations of a candidate system description: a
+    mapping with keys ``before_states``, ``after_states``, ``inputs``,
+    ``outputs`` and a ``dynamics`` list of ``{"s":..., "i":..., "s2":...,
+    "o":...}`` entries.  A candidate that is no mapping, or a carrier or
+    ``dynamics`` that is no list, raises :class:`MalformedDocument`.
     """
+    if not isinstance(candidate, Mapping):
+        raise MalformedDocument(f"a system must be an object, got {candidate!r}")
+    for key in ("before_states", "after_states", "inputs", "outputs"):
+        if not isinstance(candidate.get(key, []), list):
+            raise MalformedDocument(f"a system: {key} must be a list, got {candidate[key]!r}")
     out: list[Violation] = []
-    if isinstance(candidate, MealySystem):
-        if not candidate.inputs or not candidate.outputs:
-            out.append(Violation("EmptyInterface", "inputs and outputs must be non-empty"))
-        return out
-    if isinstance(candidate, Mapping):
-        for key in ("before_states", "after_states", "inputs", "outputs"):
-            if not isinstance(candidate.get(key, []), list):
-                raise MalformedDocument(f"a system: {key} must be a list, got {candidate[key]!r}")
     try:
         b = finset(candidate["before_states"])
         a = finset(candidate["after_states"])
@@ -223,8 +219,9 @@ _VIOLATION_ERRORS = {
 }
 
 
-def validate_system(candidate: Mapping | MealySystem) -> MealySystem:
-    """Validate a top-level system, raising the first violation found.
+def validate_system(candidate: Mapping) -> MealySystem:
+    """Validate a top-level system description, raising the first violation
+    found.
 
     Unlike :func:`make_system` this enforces non-empty inputs and outputs.
     """
@@ -232,8 +229,6 @@ def validate_system(candidate: Mapping | MealySystem) -> MealySystem:
     if violations:
         first = violations[0]
         raise _VIOLATION_ERRORS[first.kind](first.detail)
-    if isinstance(candidate, MealySystem):
-        return candidate
     return build_system(candidate)
 
 

@@ -643,7 +643,7 @@ def two_patch_counterexample(
     patch1 = subsystem(system, inputs=sorted(["v", *c_names]))
     patch2 = subsystem(system, inputs=sorted(["w", *c_names]))
     cov = covering(system, [patch1, patch2])
-    assignments, obstruction = _unglueable_stateless(system, jdg, cov)
+    assignments, obstruction = _unglueable_stateless(cov, jdg)
     return TameCounterexample(system, jdg, cov, assignments, tuple(samples), obstruction)
 
 
@@ -676,8 +676,9 @@ def union_from_payload(payload: Mapping) -> tuple[RectUnion, ProjectionJudge]:
     """Build a domain and projection from the JSON shape used by fixtures:
     ``{"dim": 2, "axis": 0, "rects": [{"x": ["0","1"], "y": ["0","1/2"],
     "open": [left, right, bottom, top]}, ...]}``.  A missing field, a value
-    of the wrong type, an endpoint that is not a finite rational, or an
-    ``open`` list of the wrong length raises :class:`MalformedDocument`; a
+    of the wrong type, an endpoint that is not a finite rational (a boolean
+    is none), or an ``open`` list of the wrong length or holding a flag that
+    is no boolean raises :class:`MalformedDocument`; a
     dimension other than 1 or 2, or an axis outside ``[0, dim)``, raises
     :class:`CheckerError`."""
     if "dim" not in payload or "rects" not in payload:
@@ -696,6 +697,8 @@ def union_from_payload(payload: Mapping) -> tuple[RectUnion, ProjectionJudge]:
         flags = row.get("open", [False] * (2 * dim))
         if not isinstance(flags, (list, tuple)) or len(flags) != 2 * dim:
             raise MalformedDocument(f"rectangle {k}: open needs {2 * dim} flags")
+        if not all(isinstance(f, bool) for f in flags):
+            raise MalformedDocument(f"rectangle {k}: open flags must be booleans, got {flags!r}")
         rects.append(Rect.of(_side(row, k, key, flags[2 * a:2 * a + 2])
                              for a, key in enumerate(SIDE_KEYS[:dim])))
     return rect_union(dim, rects), ProjectionJudge(axis)
@@ -714,10 +717,11 @@ def _side(row: Mapping, k: int, key: str, flags: Sequence) -> Interval:
     """The interval ``row[key]`` of rectangle ``k`` with its open flags."""
     if not isinstance(row.get(key), (list, tuple)) or len(row[key]) != 2:
         raise MalformedDocument(f"rectangle {k}: {key} needs two endpoints")
+    bad = f"rectangle {k}: {key} endpoints must be finite rationals, got {row[key]!r}"
+    if any(isinstance(v, bool) for v in row[key]):
+        raise MalformedDocument(bad)
     try:
         lo, hi = (Fraction(v) for v in row[key])
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
-        raise MalformedDocument(
-            f"rectangle {k}: {key} endpoints must be finite rationals, got {row[key]!r}"
-        ) from exc
-    return Interval(lo, hi, bool(flags[0]), bool(flags[1]))
+        raise MalformedDocument(bad) from exc
+    return Interval(lo, hi, flags[0], flags[1])

@@ -20,7 +20,6 @@ from sheafmealy import (
     check_cogerm_witness,
     check_separation,
     cogerm_equiv,
-    compatible_family,
     feasibility,
     epsilon_instance,
     fiber,
@@ -129,8 +128,7 @@ def test_c05_cogerm_families_glue_and_restrict_back(rng, verdict):
     with verdict("200 random compatible cogerm families glue exactly"):
         for _ in range(200):
             _, jdg, cov, locals_, _ = rg.rand_cogerm_family(rng)
-            fam = compatible_family(cov, jdg, locals_)
-            glued = glue_cogerm(fam)
+            glued = glue_cogerm(cov, locals_, jdg)
             assert validate_section(jdg, glued).ok
             for patch, local in zip(cov.patches, locals_):
                 back = restrict_section(glued, patch)
@@ -154,11 +152,10 @@ def test_c06_exact_rectangle_unions(verdict):
         cut = two_patch_counterexample(bu, bpj, bv.certificates[0])
         # compatible: each patch alone forces a consistent assignment
         for patch, assignment in zip(cut.covering.patches, cut.assignments):
-            rep = stateless_ri_section(cut.system, cut.judge, patch)
+            rep = stateless_ri_section(patch, cut.judge)
             assert rep.ok and rep.assignment == assignment
         # unglueable: the family as a whole has no section
-        glue = glue_stateless(cut.system, cut.judge, cut.covering,
-                              [dict(a) for a in cut.assignments])
+        glue = glue_stateless(cut.covering, cut.judge)
         assert not glue.ok
         assert cut.obstruction is not None
 
@@ -250,12 +247,12 @@ def test_c10_landscape_table(capsys, verdict):
         # the qualified cell: splits on the mixed-word fixture, holds on
         # every shipped j-full pair of global sections
         bad = fx.ri_separation_objects()
-        assert not is_j_full(bad.covering, bad.judge).ok
+        assert not is_j_full(bad.covering, bad.judge)
         rep = check_separation("ri", bad.covering, bad.sections[0],
                                bad.sections[1], bad.judge)
         assert rep.separation_violated
         for f in (fx.jfull_pair_objects(), fx.extra_states_objects()):
-            assert is_j_full(f.covering, f.judge).ok
+            assert is_j_full(f.covering, f.judge)
             rep = check_separation("ri", f.covering, f.sections[0],
                                    f.sections[1], f.judge)
             assert not rep.separation_violated

@@ -182,6 +182,15 @@ def _sections_with(*path, value=None):
     _sections_with("local_sections", value=5),
     {"kind": "judge", "payload": {"judge": _JUDGE_DOC}},
     {"kind": "covering", "payload": {"system": _SECTIONS_DOC["system"]}},
+    {**_EPS_DOC, "values": {"v": "12"}},
+    {**_EPS_DOC, "values": {"v": [True, 0.0]}},
+    {**_EPS_DOC, "domain": "box", "box": ["01", [0, 1]]},
+    {**_EPS_DOC, "eps": "0.5"},
+    {**_EPS_DOC, "eps": True},
+    {"dim": 2, "axis": 0, "rects": [{"x": [True, 2], "y": ["0", "1"]}]},
+    {"dim": 1, "axis": 0, "rects": [{"x": ["0", "1"], "open": ["no", 0]}]},
+    {"kind": "system", "payload": 5},
+    {**_EPS_DOC, "values": {"v": [10 ** 400, 0.0]}},
     "[" * 200000 + "]" * 200000,
     '{"a":' * 200000 + "1" + "}" * 200000,
 ], ids=["row-without-s2", "endpoint-1-over-0", "rect-without-y", "endpoint-not-a-number",
@@ -192,7 +201,11 @@ def _sections_with(*path, value=None):
         "epsilon-judged-input-not-a-string", "judge-without-i-map", "judge-a-list",
         "patch-without-f-b", "patch-f-b-a-list", "section-without-psi-b", "section-psi-b-7",
         "patches-5", "local-sections-5", "wrapped-judge-without-system",
-        "wrapped-covering-without-patches", "nested-200000-arrays", "nested-200000-objects"])
+        "wrapped-covering-without-patches", "epsilon-point-a-string", "epsilon-coordinate-boolean",
+        "epsilon-box-bound-a-string", "epsilon-eps-a-numeric-string", "epsilon-eps-boolean",
+        "endpoint-boolean", "open-flags-not-booleans", "wrapped-system-payload-5",
+        "epsilon-coordinate-past-float-range",
+        "nested-200000-arrays", "nested-200000-objects"])
 def test_validate_exit_two_on_malformed_document(capsys, tmp_path, doc):
     """Documents given as text are written as they are: JSON too deep for
     the reader, which either verb must refuse as malformed."""

@@ -179,6 +179,10 @@ def test_cogerm_witness_checker_rejects_tampering(rng):
         assert w is not None
         ok, _ = check_cogerm_witness(sec, other, w)
         assert ok
+        # Both legs into the first machine: the span misses the second.
+        both = CogermWitness(w.core, w.i1, w.i1, w.phi)
+        assert check_cogerm_witness(sec, other, both) == (
+            False, "span legs do not reach the explanatory machines")
         if len(w.core.before) > 1:
             # Collapse the first leg onto one state: no longer injective.
             bad_leg = morphism(
@@ -285,5 +289,4 @@ def test_data_local_coverings_are_j_full(rng):
     for _ in range(200):
         system, jdg, _ = rg.rand_explained_system(rng)
         cov = rg.rand_data_local_covering(rng, system)
-        rep = is_j_full(cov, jdg)
-        assert rep.ok
+        assert is_j_full(cov, jdg)

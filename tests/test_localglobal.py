@@ -9,7 +9,6 @@ import randgen as rg
 from randgen import extend_section_alphabet
 from sheafmealy import (
     CheckerError,
-    CogermWitness,
     IncompatibleFamily,
     NotStateless,
     ObstructionReport,
@@ -18,7 +17,6 @@ from sheafmealy import (
     check_cogerm_witness,
     check_separation,
     cogerm_equiv,
-    compatible_family,
     covering,
     discrete_stateless_sheaf_check,
     glue_behavioral,
@@ -31,7 +29,6 @@ from sheafmealy import (
     judged_section,
     make_system,
     overlap_patch,
-    restrict_immersion,
     restrict_section,
     restricted_interface,
     search_bounded_behavioral_glue,
@@ -114,7 +111,7 @@ def test_ri_separation_jfull_random(rng):
     violated: each patch already sees the whole judged range."""
     for _ in range(200):
         system, jdg, cov, s, t = rg.rand_section_pair(rng)
-        assert is_j_full(cov, jdg).ok
+        assert is_j_full(cov, jdg)
         rep = check_separation("ri", cov, s, t, jdg)
         assert not rep.separation_violated
         assert rep.globally_equal == all(rep.locally_equal)
@@ -122,7 +119,7 @@ def test_ri_separation_jfull_random(rng):
 
 def test_ri_separation_fixture_violation():
     f = fx.ri_separation_objects()
-    assert not is_j_full(f.covering, f.judge).ok
+    assert not is_j_full(f.covering, f.judge)
     rep = check_separation("ri", f.covering, f.sections[0], f.sections[1], f.judge)
     assert rep.locally_equal == (True, True)
     assert not rep.globally_equal
@@ -187,8 +184,7 @@ def test_separation_rejects_bad_arguments():
 def test_glue_cogerm_roundtrip_random(rng):
     for _ in range(200):
         system, jdg, cov, locals_, sec = rg.rand_cogerm_family(rng)
-        fam = compatible_family(cov, jdg, locals_)
-        glued = glue_cogerm(fam)
+        glued = glue_cogerm(cov, locals_, jdg)
         assert validate_section(jdg, glued).ok
         for p, local in zip(cov.patches, locals_):
             back = restrict_section(glued, p)
@@ -201,8 +197,7 @@ def test_glue_cogerm_roundtrip_random(rng):
 def test_glue_cogerm_single_patch_returns_local(rng):
     system, jdg, sec = rg.rand_explained_system(rng)
     cov = covering(system, [subsystem(system)])
-    fam = compatible_family(cov, jdg, [sec])
-    glued = glue_cogerm(fam)
+    glued = glue_cogerm(cov, [sec], jdg)
     assert glued.explanatory == sec.explanatory
     assert glued.psi == sec.psi
 
@@ -228,7 +223,7 @@ def test_glue_cogerm_disjoint_patches_disjoint_union():
     s_b = section(c.patches[1], m_b,
                   morphism(c.patches[1].source, m_b, {"w": "b0"}, {"w": "b0"},
                            {"i": "i"}, {"0": "0"}))
-    glued = glue_cogerm(compatible_family(c, j, [s_a, s_b]))
+    glued = glue_cogerm(c, [s_a, s_b], j)
     assert sorted(glued.explanatory.before) == ["a0", "b0"]
     assert glued.psi.map_b("v") == "a0" and glued.psi.map_b("w") == "b0"
 
@@ -266,34 +261,10 @@ def _overlapping_hand_family():
 
 def test_glue_cogerm_shared_core_instance():
     sys4, j, c, locals_ = _overlapping_hand_family()
-    glued = glue_cogerm(compatible_family(c, j, locals_))
+    glued = glue_cogerm(c, locals_, j)
     assert len(glued.explanatory.before) == 3
     for p, local in zip(c.patches, locals_):
         assert cogerm_equiv(restrict_section(glued, p), local) is not None
-
-
-def test_glue_cogerm_explicit_witness_matches_synthesized():
-    sys4, j, c, locals_ = _overlapping_hand_family()
-    w_patch = overlap_patch(c.patches[0], c.patches[1])
-    ra = restrict_section(locals_[0], restrict_immersion(w_patch, c.patches[0]))
-    rb = restrict_section(locals_[1], restrict_immersion(w_patch, c.patches[1]))
-    w = cogerm_equiv(ra, rb)
-    assert w is not None and len(w.core.before) == 1
-    explicit = glue_cogerm(compatible_family(c, j, locals_, {(0, 1): w}))
-    auto = glue_cogerm(compatible_family(c, j, locals_))
-    assert explicit.explanatory == auto.explanatory
-    assert explicit.psi == auto.psi
-
-
-def test_glue_cogerm_rejects_tampered_witness():
-    sys4, j, c, locals_ = _overlapping_hand_family()
-    w_patch = overlap_patch(c.patches[0], c.patches[1])
-    ra = restrict_section(locals_[0], restrict_immersion(w_patch, c.patches[0]))
-    rb = restrict_section(locals_[1], restrict_immersion(w_patch, c.patches[1]))
-    w = cogerm_equiv(ra, rb)
-    bad = CogermWitness(w.core, w.i1, w.i1, w.phi)
-    with pytest.raises(IncompatibleFamily):
-        glue_cogerm(compatible_family(c, j, locals_, {(0, 1): bad}))
 
 
 def _off_range_conflict_family():
@@ -322,7 +293,7 @@ def test_glue_cogerm_rejects_incompatible_overlap():
     for k, s in enumerate(locals_):
         assert validate_section(j, s).ok
     with pytest.raises(IncompatibleFamily):
-        glue_cogerm(compatible_family(c, j, locals_))
+        glue_cogerm(c, locals_, j)
 
 
 # ----------------------------------------------------- gluing: behavioral
@@ -471,29 +442,29 @@ def test_stateless_ri_section_cases():
     # Injective judged inputs: fibers are singletons, a section always exists.
     sys1 = _stateless_system({"x": "0", "y": "1"})
     j1 = judge({"x": "X", "y": "Y"}, {"0": "o0", "1": "o1"})
-    rep = stateless_ri_section(sys1, j1, subsystem(sys1))
+    rep = stateless_ri_section(subsystem(sys1), j1)
     assert rep.ok and dict(rep.assignment) == {"X": "o0", "Y": "o1"}
 
     # A collapsed fiber with two outputs has no stateless explanation.
     sys2 = _stateless_system({"a": "0", "b": "1"})
     j2 = judge({"a": "A", "b": "A"}, {"0": "o0", "1": "o1"})
-    rep2 = stateless_ri_section(sys2, j2, subsystem(sys2))
+    rep2 = stateless_ri_section(subsystem(sys2), j2)
     assert not rep2.ok
     assert rep2.violation == ("A", "a", "o0", "b", "o1")
     # Cut down to one input of the fiber, the conflict disappears.
-    rep3 = stateless_ri_section(sys2, j2, subsystem(sys2, inputs=["a"]))
+    rep3 = stateless_ri_section(subsystem(sys2, inputs=["a"]), j2)
     assert rep3.ok and dict(rep3.assignment) == {"A": "o0"}
 
     # Two fibers, outputs constant on each: the induced map is explicit.
     sys3 = _stateless_system({"a": "0", "b": "0", "c": "1"})
     j3 = judge({"a": "A", "b": "A", "c": "B"}, {"0": "o0", "1": "o1"})
-    rep4 = stateless_ri_section(sys3, j3, subsystem(sys3))
+    rep4 = stateless_ri_section(subsystem(sys3), j3)
     assert rep4.ok and dict(rep4.assignment) == {"A": "o0", "B": "o1"}
 
     two = make_system(["s", "t"], ["s", "t"], ["a"], ["0"],
                       {("s", "a"): ("t", "0"), ("t", "a"): ("s", "0")})
     with pytest.raises(NotStateless):
-        stateless_ri_section(two, identity_judge(two), subsystem(two))
+        stateless_ri_section(subsystem(two), identity_judge(two))
 
 
 def test_glue_stateless_success_and_checks():
@@ -501,24 +472,21 @@ def test_glue_stateless_success_and_checks():
     j3 = judge({"a": "A", "b": "A", "c": "B"}, {"0": "o0", "1": "o1"})
     c = covering(sys3, [subsystem(sys3, inputs=["a", "c"]),
                         subsystem(sys3, inputs=["b", "c"])])
-    asg = [dict(stateless_ri_section(sys3, j3, p).assignment) for p in c.patches]
-    got = glue_stateless(sys3, j3, c, asg)
+    got = glue_stateless(c, j3)
     assert got.ok and dict(got.assignment) == {"A": "o0", "B": "o1"}
-    with pytest.raises(CheckerError):
-        glue_stateless(sys3, j3, c, [{"A": "o1", "B": "o1"}, asg[1]])
+    assert got.patch_assignments == ((("A", "o0"), ("B", "o1")), (("A", "o0"), ("B", "o1")))
 
     # A patch seeing both members of a two-output fiber is incoherent.
     sys2 = _stateless_system({"a": "0", "b": "1"})
     j2 = judge({"a": "A", "b": "A"}, {"0": "o0", "1": "o1"})
     c2 = covering(sys2, [subsystem(sys2)])
     with pytest.raises(IncompatibleFamily):
-        glue_stateless(sys2, j2, c2, [{"A": "o0"}])
+        glue_stateless(c2, j2)
 
 
 def test_glue_stateless_cut_fixture():
     cut = fx.two_band_cut_objects()
-    got = glue_stateless(cut.system, cut.judge, cut.covering,
-                         [dict(a) for a in cut.assignments])
+    got = glue_stateless(cut.covering, cut.judge)
     assert not got.ok
     ob = got.obstruction
     assert ob is not None and ob.kind == "stateless"
@@ -529,8 +497,9 @@ def test_glue_stateless_cut_fixture():
         outs.add(forced.outputs)
     assert len(outs) == 2
     # Every patch assignment is the forced stateless explanation of its patch.
-    for p, asg in zip(cut.covering.patches, cut.assignments):
-        rep = stateless_ri_section(cut.system, cut.judge, p)
+    assert got.patch_assignments == cut.assignments
+    for p, asg in zip(cut.covering.patches, got.patch_assignments):
+        rep = stateless_ri_section(p, cut.judge)
         assert rep.ok and rep.assignment == asg
 
 
@@ -551,9 +520,8 @@ def test_discrete_sheaf_check_trivial_cases():
     assert not rep.is_sheaf
     assert rep.witness_covering is not None
     assert len(rep.witness_covering.patches) == len(sys2.inputs)
-    redo = glue_stateless(sys2, j2, rep.witness_covering,
-                          [dict(a) for a in rep.witness_assignments])
-    assert not redo.ok
+    redo = glue_stateless(rep.witness_covering, j2)
+    assert not redo.ok and redo.patch_assignments == rep.witness_assignments
 
     two = make_system(["s", "t"], ["s", "t"], ["a"], ["0"],
                       {("s", "a"): ("t", "0"), ("t", "a"): ("s", "0")})
@@ -587,20 +555,16 @@ def _brute_force_stateless_sheaf(system, j, max_patches=3):
     for combo in families:
         patches = [subsystem(system, inputs=list(sub)) for sub in combo]
         cov = Covering(system, tuple(patches))
-        asg = []
-        coherent = True
-        for p in patches:
-            rep = stateless_ri_section(system, j, p)
-            if not rep.ok:
-                coherent = False
-                break
-            asg.append(dict(rep.assignment))
-        if not coherent:
+        if not all(stateless_ri_section(p, j).ok for p in patches):
             continue
-        try:
-            got = glue_stateless(system, j, cov, asg)
-        except IncompatibleFamily:
-            continue
+        got = glue_stateless(cov, j)
+        # The forced family is compatible: two patches agree at every
+        # judged input their overlap realizes.
+        graphs = [dict(a) for a in got.patch_assignments]
+        for a, b in itertools.combinations(range(len(patches)), 2):
+            for i_p in restricted_interface(j, overlap_patch(patches[a], patches[b])):
+                va, vb = graphs[a].get(i_p), graphs[b].get(i_p)
+                assert None in (va, vb) or va == vb
         if not got.ok:
             return False
     return True

@@ -1,11 +1,13 @@
 """Dead-code guard over the library, with the standard library's ``ast``.
 
-Two rules, for every module of ``sheafmealy`` but the re-exports of
+Three rules, for every module of ``sheafmealy`` but the re-exports of
 ``__init__.py``:
 
 * every name a module imports is used in that module;
 * every module-level private function, class or constant is referenced
-  somewhere in the library other than its own definition.
+  somewhere in the library other than its own definition;
+* every annotated field of a dataclass is read as an attribute somewhere
+  in the library, its tests or its benchmark (matched by name).
 """
 
 import ast
@@ -14,6 +16,8 @@ from pathlib import Path
 import sheafmealy
 
 SRC = Path(sheafmealy.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
+READERS = (SRC, ROOT / "tests", ROOT / "bench")
 
 
 def _trees() -> dict[str, ast.Module]:
@@ -75,3 +79,29 @@ def test_every_private_module_name_is_referenced():
         if not any(name in r for j, r in enumerate(reads) if j != k)
     ]
     assert not unreferenced, unreferenced
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read():
+    read = {sub.attr
+            for folder in READERS
+            for path in sorted(folder.glob("*.py"))
+            for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+    unread = [
+        f"{name}: {cls.name}.{stmt.target.id}"
+        for name, tree in _trees().items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in read
+    ]
+    assert not unread, unread

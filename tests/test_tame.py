@@ -329,10 +329,9 @@ def test_one_dimensional_domains_always_glue(rng):
 # ------------------------------------- certificates drive covering failures
 
 def _check_counterexample(u, pj, cut):
-    assert not glue_stateless(cut.system, cut.judge, cut.covering,
-                              [dict(a) for a in cut.assignments]).ok
+    assert not glue_stateless(cut.covering, cut.judge).ok
     for p, asg in zip(cut.covering.patches, cut.assignments):
-        rep = stateless_ri_section(cut.system, cut.judge, p)
+        rep = stateless_ri_section(p, cut.judge)
         assert rep.ok and rep.assignment == asg
     for _, point in cut.samples:
         assert u.contains(point)
