@@ -27,7 +27,7 @@ from .localglobal import (
     glue_behavioral,
     glue_cogerm,
 )
-from .systems import build_system, check_covering, system_violations, validate_system
+from .systems import check_covering, system_violations, validate_system
 from .tame import fiber, sheaf_verdict, two_patch_counterexample
 
 def _emit(args: SimpleNamespace, payload: dict, text_lines: list[str]) -> None:
@@ -79,7 +79,6 @@ def _validate(args: SimpleNamespace) -> int:
                                   for v in violations]},
                   [f"invalid: {v.kind}: {v.detail}" for v in violations])
             return 1
-        build_system(payload)
     elif kind == "sections":
         sf = fx.sections_from_payload(payload)
         cov = check_covering(sf.covering)

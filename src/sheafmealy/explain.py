@@ -21,13 +21,18 @@ sections admit a common core exactly when the closure stays single-valued in
 both directions with matching outputs.  Seeding only before-images would
 accept strictly more pairs; the stronger seeding keeps restriction of
 witness cores pointwise.
+
+A behavioral failure names one witness, by one rule (:func:`least_witness`):
+of the states whose two images lie in different classes, the one whose
+separating word is shortest, then least, then the state itself.  Both
+:func:`behavioral_equiv` and the overlap check of the behavioral gluer use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import CheckerError, HeterogeneousInput, InternalConsistencyError
 from .systems import (
@@ -39,7 +44,7 @@ from .systems import (
     check_morphism,
     compose,
     finset,
-    identity_morphism,
+    identity_patch,
     make_system,
     morphism,
 )
@@ -117,7 +122,7 @@ def restricted_interface(j: Judge, m: OpenImmersion) -> tuple[Ident, ...]:
 def is_j_full(c: Covering, j: Judge) -> bool:
     """Whether every patch realizes the same judged input range as the
     covered system.  Data-local patches (full on inputs) always do."""
-    full = restricted_interface(j, OpenImmersion(identity_morphism(c.target)))
+    full = restricted_interface(j, identity_patch(c.target))
     return all(restricted_interface(j, p) == full for p in c.patches)
 
 
@@ -424,8 +429,7 @@ def behavioral_equiv(
     pooled and refined as in :func:`pooled_behavior`; an image pair in two
     classes is separated by the shortest word, least in alphabet order, that
     the class walk of :func:`block_distinguishing_word` finds.  On failure
-    the witness minimizes (word length, word, state) over the patch's
-    before-states.
+    the witness is the :func:`least_witness` of the patch's before-states.
     """
     if s1.patch.source != s2.patch.source:
         raise CheckerError("behavioral comparison needs sections of one patch")
@@ -440,21 +444,28 @@ def behavioral_equiv(
     outs, succs, block = _pool((m1, m2), alphabet)
     out_table, succ_table = _classes(outs, succs, block)
     n1 = len(m1.before)
+    least = least_witness(
+        ((s, block[m1.b_index[s1.psi_b(s)]], block[n1 + m2.b_index[s2.psi_b(s)]])
+         for s in s1.patch.source.before),
+        lambda b1, b2: _class_word(alphabet, out_table, succ_table, b1, b2))
+    return BehEquivReport(True) if least is None else BehEquivReport(False, least[1], least[0])
+
+
+def least_witness(
+    triples: Iterable[tuple[Ident, int, int]],
+    word: Callable[[int, int], tuple[Ident, ...]],
+) -> tuple[tuple[Ident, ...], Ident] | None:
+    """Over the ``(state, class, class)`` triples whose classes differ, the
+    ``(word, state)`` least by (word length, word, state), or None; ``word``
+    separates two classes and is asked once per class pair."""
     words: dict[tuple[int, int], tuple[Ident, ...]] = {}
-    best: tuple[int, tuple[Ident, ...], Ident] | None = None
-    for s in s1.patch.source.before:
-        pair = (block[m1.b_index[s1.psi_b(s)]], block[n1 + m2.b_index[s2.psi_b(s)]])
-        if pair[0] == pair[1]:
-            continue
-        if pair not in words:
-            words[pair] = _class_word(alphabet, out_table, succ_table, *pair)
-        word = words[pair]
-        key = (len(word), word, s)
-        if best is None or key < best:
-            best = key
-    if best is None:
-        return BehEquivReport(True)
-    return BehEquivReport(False, best[2], best[1])
+    keys: list[tuple[int, tuple[Ident, ...], Ident]] = []
+    for state, b1, b2 in triples:
+        if b1 != b2:
+            if (b1, b2) not in words:
+                words[b1, b2] = word(b1, b2)
+            keys.append((len(words[b1, b2]), words[b1, b2], state))
+    return min(keys)[1:] if keys else None
 
 
 @dataclass(frozen=True)
@@ -650,7 +661,7 @@ def pooled_behavior(machines: Sequence[MealySystem], alphabet: tuple[Ident, ...]
     members: list[list[tuple[int, Ident]]] = [[] for _ in out_rows]
     for ks, b in zip(states, block):
         members[b].append(ks)
-    o_ix = {o: k for k, o in enumerate(outputs)}
+    o_ix = machines[0].o_index
     return BehaviorPartition(
         tuple(alphabet),
         tuple(tuple(sorted(ms)) for ms in members),

@@ -42,11 +42,10 @@ from .localglobal import (
 from .systems import (
     Covering,
     MealySystem,
-    OpenImmersion,
     covering,
     identity_morphism,
+    identity_patch,
     make_system,
-    open_immersion,
     subsystem,
 )
 from .tame import (
@@ -82,11 +81,7 @@ class SectionsFixture:
 
 
 def _identity_section(system: MealySystem) -> Section:
-    return section(_whole(system), system, identity_morphism(system))
-
-
-def _whole(system: MealySystem) -> OpenImmersion:
-    return open_immersion(identity_morphism(system))
+    return section(identity_patch(system), system, identity_morphism(system))
 
 
 # --------------------------------------------------- separation under splitting
@@ -119,7 +114,7 @@ def ri_separation_objects() -> SectionsFixture:
     )
     s_id = _identity_section(sys2)
     s_alt = judged_section(
-        _whole(sys2), alt, j,
+        identity_patch(sys2), alt, j,
         {"s1": "t1", "s2": "t2"},
         {"s1": "u", "s2": "t2"},
     )
@@ -196,8 +191,8 @@ def extra_states_objects() -> SectionsFixture:
         ["m0", "m1"], ["m0", "m1"], ["i"], ["0"],
         {("m0", "i"): ("m0", "0"), ("m1", "i"): ("m1", "0")},
     )
-    s_one = judged_section(_whole(es), one, j, {"v": "m", "w": "m"}, {"v": "m", "w": "m"})
-    s_pair = judged_section(_whole(es), pair, j, {"v": "m0", "w": "m1"},
+    s_one = judged_section(identity_patch(es), one, j, {"v": "m", "w": "m"}, {"v": "m", "w": "m"})
+    s_pair = judged_section(identity_patch(es), pair, j, {"v": "m0", "w": "m1"},
                             {"v": "m0", "w": "m1"})
     return SectionsFixture(es, j, c, (s_one, s_pair), "global")
 
@@ -216,7 +211,7 @@ def _three_state_global(sys4: MealySystem, j: Judge, junk: bool) -> Section:
     m = make_system(states, states, [DOT], ["0", "1"], dyn)
     psi_b = {"s0": "x0", "s1": "x12", "s2": "x12", "s3": "x3"}
     psi_a = {"s0": "x12", "s1": "x12", "s2": "x12", "s3": "x12"}
-    return judged_section(_whole(sys4), m, j, psi_b, psi_a)
+    return judged_section(identity_patch(sys4), m, j, psi_b, psi_a)
 
 
 def jfull_pair_objects() -> SectionsFixture:
@@ -342,7 +337,7 @@ def sections_from_payload(payload: dict) -> SectionsFixture:
             )
     c = covering(sys_, patches)
     if payload.get("global_sections") is not None:
-        whole = _whole(sys_)
+        whole = identity_patch(sys_)
         secs = tuple(
             jsonio.section_from_payload(whole, j, p)
             for p in payload["global_sections"]

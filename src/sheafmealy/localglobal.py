@@ -42,6 +42,7 @@ from .explain import (
     check_cogerm_witness,
     cogerm_equiv,
     judged_section,
+    least_witness,
     pooled_behavior,
     restrict_section,
     restricted_interface,
@@ -55,7 +56,7 @@ from .systems import (
     SystemMorphism,
     amalgamate,
     check_covering,
-    identity_morphism,
+    identity_patch,
     make_system,
     overlap_patch,
     restrict_immersion,
@@ -91,10 +92,6 @@ class ObstructionReport:
     narrative: str
 
 
-def _identity_patch(system: MealySystem) -> OpenImmersion:
-    return OpenImmersion(identity_morphism(system))
-
-
 def _glued_section(
     tgt: MealySystem,
     machine: MealySystem,
@@ -104,7 +101,7 @@ def _glued_section(
 ) -> Section:
     """The judged section of the whole target that a gluer assembled; it is
     valid by construction, so a failure is a bug."""
-    glued = judged_section(_identity_patch(tgt), machine, j, psi_b, psi_a)
+    glued = judged_section(identity_patch(tgt), machine, j, psi_b, psi_a)
     rep = validate_section(j, glued)
     if not rep.ok:
         raise InternalConsistencyError(f"glued section fails validation: {rep.reason}")
@@ -243,19 +240,14 @@ def check_separation(
     obstruction = None
     if violated and gwit is not None:
         state, word = gwit
-        forced = (
+        forced = tuple(
             ForcedBehavior(
-                "first section from its image of the witness state",
-                s.explanatory,
-                s.psi_b(state),
-                s.explanatory.run(s.psi_b(state), word),
-            ),
-            ForcedBehavior(
-                "second section from its image of the witness state",
-                t.explanatory,
-                t.psi_b(state),
-                t.explanatory.run(t.psi_b(state), word),
-            ),
+                f"{which} section from its image of the witness state",
+                sec.explanatory,
+                sec.psi_b(state),
+                sec.explanatory.run(sec.psi_b(state), word),
+            )
+            for which, sec in (("first", s), ("second", t))
         )
         obstruction = ObstructionReport(
             "separation",
@@ -350,21 +342,19 @@ def glue_behavioral(
     missing = [x for x in tgt.before if x not in before_block]
     if missing:
         raise CheckerError(f"covering leaves before-states unexplained: {missing!r}")
-    for x in tgt.before:
-        for i_raw in tgt.inputs:
-            _, o = tgt.transition(x, i_raw)
-            if part.out(before_block[x], j.j_i[i_raw]) != j.j_o[o]:
-                # Valid, compatible local sections explain every covered step.
-                if not any(x in p.b_image and i_raw in p.i_image for p in c.patches):
-                    raise CheckerError(f"family covering leaves {(x, i_raw)!r} "
-                                       "uncovered on the before side")
-                raise InternalConsistencyError(
-                    f"pooled class misexplains the step at ({x!r}, {i_raw!r})"
-                )
+    # Each step is explained by its before-state's class and forces a class on its after-state.
     derived: dict[Ident, dict[int, tuple[Ident, Ident]]] = {}
     for s_st in tgt.before:
         for i_raw in tgt.inputs:
-            x, _ = tgt.transition(s_st, i_raw)
+            x, o = tgt.transition(s_st, i_raw)
+            if part.out(before_block[s_st], j.j_i[i_raw]) != j.j_o[o]:
+                # Valid, compatible local sections explain every covered step.
+                if not any(s_st in p.b_image and i_raw in p.i_image for p in c.patches):
+                    raise CheckerError(f"family covering leaves {(s_st, i_raw)!r} "
+                                       "uncovered on the before side")
+                raise InternalConsistencyError(
+                    f"pooled class misexplains the step at ({s_st!r}, {i_raw!r})"
+                )
             blk = part.succ(before_block[s_st], j.j_i[i_raw])
             derived.setdefault(x, {}).setdefault(blk, (s_st, i_raw))
     for x in sorted(derived):
@@ -432,25 +422,19 @@ def _forced_blocks(
     the shortest, least separating word of two states does not depend on
     which other machines are pooled with them, so this is the comparison of
     the two sections restricted to the overlap.  The first incompatible pair
-    of patches raises :class:`IncompatibleFamily` naming the witness that
-    minimizes (word length, word, state)."""
+    of patches raises :class:`IncompatibleFamily` naming the
+    :func:`explain.least_witness` of their shared before-states."""
     index = part.block_index
     per_patch = [
         {p.morphism.map_b(u): index[(k, s.psi_b(u))] for u in p.source.before}
         for k, (p, s) in enumerate(zip(c.patches, sections))
     ]
-    words: dict[tuple[int, int], tuple[Ident, ...]] = {}
     for a, b in itertools.combinations(range(len(per_patch)), 2):
-        conflicts = []
-        for x, blk in per_patch[a].items():
-            other = per_patch[b].get(x, blk)
-            if other != blk:
-                if (blk, other) not in words:
-                    words[(blk, other)] = block_distinguishing_word(part, blk, other)
-                word = words[(blk, other)]
-                conflicts.append((len(word), word, x))
-        if conflicts:
-            _, word, x = min(conflicts)
+        least = least_witness(
+            ((x, blk, per_patch[b].get(x, blk)) for x, blk in per_patch[a].items()),
+            lambda b1, b2: block_distinguishing_word(part, b1, b2))
+        if least is not None:
+            word, x = least
             raise IncompatibleFamily(
                 f"patches {a} and {b} disagree behaviorally at state {x!r} "
                 f"on word {'/'.join(word)}"
@@ -675,7 +659,7 @@ def discrete_stateless_sheaf_check(system: MealySystem, j: Judge) -> StatelessSh
     """
     if len(system.before) != 1 or len(system.after) != 1 or not system.homogeneous:
         raise NotStateless("the discrete sheaf check needs a single-state system")
-    if stateless_ri_section(_identity_patch(system), j).ok:
+    if stateless_ri_section(identity_patch(system), j).ok:
         return StatelessSheafReport(True, None, None, None)
     s0 = system.before[0]
     patches = [

@@ -12,7 +12,8 @@ Carriers are sets of string identifiers, stored sorted and duplicate-free, so
 structural equality of systems is plain dataclass equality.  Dynamics are
 stored as dense index tables over the sorted carriers.
 
-Top-level systems must have non-empty inputs and outputs.  Patches may have
+The whole system is a patch of itself, :func:`identity_patch`; global
+sections sit on it.  Top-level systems must have non-empty inputs and outputs.  Patches may have
 empty carriers or interfaces (the overlap of two patches can, and so can a
 patch pulled back along another); they are legal covering members and are
 checked structurally rather than through :func:`validate_system`.
@@ -165,6 +166,12 @@ def system_violations(candidate: Mapping) -> list[Violation]:
     "o":...}`` entries.  A candidate that is no mapping, or a carrier or
     ``dynamics`` that is no list, raises :class:`MalformedDocument`.
     """
+    return _scan(candidate)[0]
+
+
+def _scan(candidate: Mapping) -> tuple[list[Violation], MealySystem | None]:
+    """The violations of :func:`system_violations` and, when there are
+    none, the machine, its step table filled as the rows are read."""
     if not isinstance(candidate, Mapping):
         raise MalformedDocument(f"a system must be an object, got {candidate!r}")
     for key in ("before_states", "after_states", "inputs", "outputs"):
@@ -177,15 +184,16 @@ def system_violations(candidate: Mapping) -> list[Violation]:
         i = finset(candidate["inputs"])
         o = finset(candidate["outputs"])
     except KeyError as exc:
-        return [Violation("ForeignElement", f"missing field {exc.args[0]!r}")]
+        return [Violation("ForeignElement", f"missing field {exc.args[0]!r}")], None
     except CheckerError as exc:
-        return [Violation("ForeignElement", str(exc))]
+        return [Violation("ForeignElement", str(exc))], None
     except TypeError as exc:
-        return [Violation("ForeignElement", f"carriers must hold comparable identifiers ({exc})")]
+        return [Violation("ForeignElement", f"carriers must hold comparable identifiers ({exc})")], None
     if not i or not o:
         out.append(Violation("EmptyInterface", "inputs and outputs must be non-empty"))
     pos_b, pos_a, pos_i, pos_o = (_position(x) for x in (b, a, i, o))
     seen: dict[tuple[int, int], tuple[Ident, Ident]] = {}
+    table: list[list[tuple[int, int] | None]] = [[None] * len(i) for _ in b]
     dynamics = candidate.get("dynamics", [])
     if not isinstance(dynamics, list):
         raise MalformedDocument(f"dynamics must be a list of rows, got {dynamics!r}")
@@ -198,18 +206,25 @@ def system_violations(candidate: Mapping) -> list[Violation]:
         if None in key:
             out.append(Violation("ForeignElement", f"dynamics at foreign pair ({s!r}, {c!r})"))
             continue
-        if pos_a(s2) is None:
+        step = (pos_a(s2), pos_o(emit))
+        if step[0] is None:
             out.append(Violation("ForeignElement", f"successor {s2!r} at ({s!r}, {c!r}) not an after-state"))
-        if pos_o(emit) is None:
+        if step[1] is None:
             out.append(Violation("ForeignElement", f"output {emit!r} at ({s!r}, {c!r}) not in output set"))
         if key in seen and seen[key] != (s2, emit):
             out.append(Violation("ForeignElement", f"conflicting dynamics entries at ({s!r}, {c!r})"))
         seen[key] = (s2, emit)
+        table[key[0]][key[1]] = step
     for kb, s in enumerate(b):
         for ki, c in enumerate(i):
             if (kb, ki) not in seen:
                 out.append(Violation("PartialDynamics", f"dynamics missing at ({s!r}, {c!r})"))
-    return out
+    if not out:
+        # A before-state or input that is no identifier leaves its rows
+        # missing; an unused after-state or output that is none shows here.
+        out = [Violation("ForeignElement", f"{x!r} is no identifier")
+               for x in (*a, *o) if type(x).__hash__ is None]
+    return out, None if out else MealySystem(b, a, i, o, tuple(map(tuple, table)))
 
 
 _VIOLATION_ERRORS = {
@@ -221,31 +236,14 @@ _VIOLATION_ERRORS = {
 
 def validate_system(candidate: Mapping) -> MealySystem:
     """Validate a top-level system description, raising the first violation
-    found.
+    found, and return its machine, built in the same scan.
 
     Unlike :func:`make_system` this enforces non-empty inputs and outputs.
     """
-    violations = system_violations(candidate)
+    violations, machine = _scan(candidate)
     if violations:
-        first = violations[0]
-        raise _VIOLATION_ERRORS[first.kind](first.detail)
-    return build_system(candidate)
-
-
-def build_system(candidate: Mapping) -> MealySystem:
-    """The machine of a mapping in which :func:`system_violations` found
-    nothing, built without running that scan a second time."""
-    dyn = {
-        (row["s"], row["i"]): (row["s2"], row["o"])
-        for row in candidate.get("dynamics", [])
-    }
-    return make_system(
-        candidate["before_states"],
-        candidate["after_states"],
-        candidate["inputs"],
-        candidate["outputs"],
-        dyn,
-    )
+        raise _VIOLATION_ERRORS[violations[0].kind](violations[0].detail)
+    return machine
 
 
 @dataclass(frozen=True)
@@ -280,10 +278,9 @@ class SystemMorphism:
 def _index_map(
     mapping: Mapping[Ident, Ident],
     source: tuple[Ident, ...],
-    target: tuple[Ident, ...],
+    t_ix: Mapping[Ident, int],
     label: str,
 ) -> tuple[int, ...]:
-    t_ix = {s: k for k, s in enumerate(target)}
     out: list[int] = []
     for s in source:
         if s not in mapping:
@@ -309,10 +306,10 @@ def morphism(
     return SystemMorphism(
         source,
         target,
-        _index_map(f_b, source.before, target.before, "before"),
-        _index_map(f_a, source.after, target.after, "after"),
-        _index_map(f_i, source.inputs, target.inputs, "input"),
-        _index_map(f_o, source.outputs, target.outputs, "output"),
+        _index_map(f_b, source.before, target.b_index, "before"),
+        _index_map(f_a, source.after, target.a_index, "after"),
+        _index_map(f_i, source.inputs, target.i_index, "input"),
+        _index_map(f_o, source.outputs, target.o_index, "output"),
     )
 
 
@@ -325,6 +322,11 @@ def identity_morphism(system: MealySystem) -> SystemMorphism:
         tuple(range(len(system.inputs))),
         tuple(range(len(system.outputs))),
     )
+
+
+def identity_patch(system: MealySystem) -> OpenImmersion:
+    """The whole system as a patch of itself, where global sections sit."""
+    return OpenImmersion(identity_morphism(system))
 
 
 def compose(first: SystemMorphism, second: SystemMorphism) -> SystemMorphism:
@@ -431,18 +433,13 @@ def subsystem(
     a = finset(after if after is not None else system.after)
     i = finset(inputs if inputs is not None else system.inputs)
     o = finset(outputs if outputs is not None else system.outputs)
-    for s in b:
-        if s not in system.b_index:
-            raise ForeignElement(f"{s!r} is not a before-state")
-    for s in a:
-        if s not in system.a_index:
-            raise ForeignElement(f"{s!r} is not an after-state")
-    for c in i:
-        if c not in system.i_index:
-            raise ForeignElement(f"{c!r} is not an input")
-    for x in o:
-        if x not in system.o_index:
-            raise ForeignElement(f"{x!r} is not an output")
+    for carrier, index, name in ((b, system.b_index, "a before-state"),
+                                 (a, system.a_index, "an after-state"),
+                                 (i, system.i_index, "an input"),
+                                 (o, system.o_index, "an output")):
+        for x in carrier:
+            if x not in index:
+                raise ForeignElement(f"{x!r} is not {name}")
     a_set, o_set = set(a), set(o)
     dyn: dict[tuple[Ident, Ident], tuple[Ident, Ident]] = {}
     for s in b:

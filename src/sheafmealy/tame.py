@@ -35,12 +35,15 @@ Three facts, proved directly for this class of domains, drive the algorithms:
   none of them does arithmetic on one.  So each commutes with any strictly
   increasing relabelling of the coordinates: the same merges happen in the
   same order, with the same coface grouping and the same sorted output.
-  ``sheaf_verdict`` therefore sorts each axis's endpoints once, together
-  with every candidate and both ends of its band on the judged axis,
-  replaces every endpoint by its rank, and runs clipping, normalization,
-  linkage and the fiber marks of every band on integers.  Components are
-  mapped back to rationals only when their candidate certifies, before
-  ``representative`` (the one piece of arithmetic) picks their fiber points.
+  ``sheaf_verdict`` examines every candidate, so it sorts each axis's
+  endpoints once, together with every candidate and both ends of its band
+  on the judged axis, replaces every endpoint by its rank, and runs
+  clipping, normalization, linkage and the fiber marks of every band on
+  integers.  Components are mapped back to rationals only when their
+  candidate certifies, before ``representative`` (the one piece of
+  arithmetic) picks their fiber points.  A single abscissa
+  (``preimage_components_near``) has nothing to share, so the same band
+  routine runs on its rationals directly, with the same result.
 
 Linkage is found by a sweep along axis 0: closures of two sides meet only
 if neither side ends before the other begins, so each box, taken in order
@@ -136,8 +139,11 @@ def _linked_1d(a: Interval, b: Interval) -> bool:
 
 
 def merge_intervals(parts: Iterable[Interval]) -> tuple[Interval, ...]:
-    """Maximal connected components of a finite union of intervals."""
-    todo = sorted(p for p in parts if not p.empty)
+    """Maximal connected components of a finite union of intervals.
+
+    The sweep takes a closed start before an open one at the same point:
+    ``[4,7)`` joins ``[3,4)`` to ``(4,6]``, so it must come first."""
+    todo = sorted((p for p in parts if not p.empty), key=lambda p: (p.lo, p.lo_open))
     out: list[Interval] = []
     for iv in todo:
         if out and _linked_1d(out[-1], iv):
@@ -435,7 +441,9 @@ def preimage_components_near(
                 raise CheckerError(
                     f"band width {delta} reaches the critical abscissa {v}"
                 )
-    return _band_components(u, pj, t0, delta)
+    strip, groups, marks = _band(u.dim, pj.axis, u.rects, t0 - delta, t0, t0 + delta)
+    comps = tuple(RectUnion(u.dim, tuple(g)) for g in groups)
+    return StripComponents(t0, delta, strip, comps, tuple(marks))
 
 
 def _ranks(
@@ -459,28 +467,16 @@ def _relabel(rects: Iterable[Rect], tables: Sequence[Mapping | Sequence]) -> tup
 
 
 def _band(
-    dim: int, axis: int, boxes: Sequence[Rect], lo: int, t: int, hi: int
+    dim: int, axis: int, boxes: Sequence[Rect], lo: Fraction, t: Fraction, hi: Fraction
 ) -> tuple[RectUnion, list[list[Rect]], list[bool]]:
-    """On ranks: the strip of ``boxes`` over the open band ``(lo, hi)``, its
+    """The strip of ``boxes`` over the open band ``(lo, hi)``, its
     components, and whether each meets the fiber at ``t``.  The strip is
     normalized and every subset of a merge-free set is merge-free, so the
-    components need no normalization of their own."""
+    components need no normalization of their own.  Only order matters
+    here, so the endpoints may be rationals or their ranks."""
     strip = clip_band(RectUnion(dim, tuple(boxes)), axis, Interval(lo, hi, True, True))
     groups = _linked_groups(strip.rects)
     return strip, groups, [any(r[axis].contains(t) for r in g) for g in groups]
-
-
-def _band_components(
-    u: RectUnion, pj: ProjectionJudge, t0: Fraction, delta: Fraction
-) -> StripComponents:
-    lo, hi = t0 - delta, t0 + delta
-    values, ranks = _ranks(u, pj.axis, (t0, lo, hi))
-    at = ranks[pj.axis]
-    strip, groups, marks = _band(u.dim, pj.axis, _relabel(u.rects, ranks), at[lo], at[t0], at[hi])
-    comps = tuple(RectUnion(u.dim, _relabel(g, values)) for g in groups)
-    return StripComponents(
-        t0, delta, RectUnion(u.dim, _relabel(strip.rects, values)), comps, tuple(marks)
-    )
 
 
 @dataclass(frozen=True)

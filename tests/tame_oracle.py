@@ -11,7 +11,8 @@ differential suite holds it to these results.
 The box helpers here (merging, linkage, clipping, fibers, fiber points and
 region equality) are written per dimension, reading a box's ``x`` and ``y``
 sides by name, so that they stay independent of the library's versions,
-which work over the sides of a box in any order.
+which work over the sides of a box in any order.  Intervals are merged by
+membership on the grid of atoms, not by the library's sweep.
 """
 
 from __future__ import annotations
@@ -28,33 +29,57 @@ from sheafmealy.tame import (
     RobustDisconnectionCertificate,
     SheafVerdict,
     StripComponents,
-    _linked_1d,
     critical_values,
-    merge_intervals,
 )
+
+
+def merge_intervals(parts) -> tuple[Interval, ...]:
+    """Components of a union of intervals, by membership on the grid of
+    atoms: atom ``2k`` is the k-th endpoint and atom ``2k + 1`` the open gap
+    after it.  A part covers a range of atoms, neighbouring atoms touch, and
+    an atom no part covers splits the union, so each run of covered atoms
+    is one component."""
+    parts = [p for p in parts if not p.empty]
+    vals = sorted({e for p in parts for e in (p.lo, p.hi)})
+    rank = {v: k for k, v in enumerate(vals)}
+    # The gap after the last endpoint is never covered, so every run ends.
+    covered = [False] * (2 * len(vals))
+    for p in parts:
+        for atom in range(2 * rank[p.lo] + p.lo_open, 2 * rank[p.hi] + 1 - p.hi_open):
+            covered[atom] = True
+    out: list[Interval] = []
+    start = None
+    for atom, hit in enumerate(covered):
+        if hit and start is None:
+            start = atom
+        elif not hit and start is not None:
+            end = atom - 1
+            out.append(Interval(vals[start // 2], vals[(end + 1) // 2],
+                                start % 2 == 1, end % 2 == 1))
+            start = None
+    return tuple(out)
+
+
+def _merged(s: Interval, t: Interval) -> Interval | None:
+    """The interval ``s | t`` when the union of the two is one, else None."""
+    merged = merge_intervals([s, t])
+    return merged[0] if len(merged) == 1 else None
 
 
 def _try_merge(a: Rect, b: Rect) -> Rect | None:
     if a.y is None:
-        if _linked_1d(a.x, b.x):
-            merged = merge_intervals([a.x, b.x])
-            if len(merged) == 1:
-                return Rect(merged[0], None)
-        return None
-    if a.y == b.y and _linked_1d(a.x, b.x):
-        merged = merge_intervals([a.x, b.x])
-        if len(merged) == 1:
-            return Rect(merged[0], a.y)
-    if a.x == b.x and _linked_1d(a.y, b.y):
-        merged = merge_intervals([a.y, b.y])
-        if len(merged) == 1:
-            return Rect(a.x, merged[0])
-    return None
+        x = _merged(a.x, b.x)
+        return None if x is None else Rect(x, None)
+    x = _merged(a.x, b.x) if a.y == b.y else None
+    if x is not None:
+        return Rect(x, a.y)
+    y = _merged(a.y, b.y) if a.x == b.x else None
+    return None if y is None else Rect(a.x, y)
 
 
 def _rects_linked(a: Rect, b: Rect) -> bool:
     if a.y is None:
-        return _linked_1d(a.x, b.x)
+        return _merged(a.x, b.x) is not None
     fwd = (
         not a.x.closure().intersect(b.x).empty
         and not a.y.closure().intersect(b.y).empty

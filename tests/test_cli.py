@@ -90,6 +90,21 @@ def test_validate_exit_one_on_list_valued_carrier(capsys, tmp_path):
     assert out.startswith("invalid: ForeignElement: carriers must hold comparable identifiers")
 
 
+@pytest.mark.parametrize("key", ["after_states", "outputs"])
+def test_unused_carrier_element_that_is_no_identifier_is_invalid(capsys, tmp_path, key):
+    # With no before-states there are no rows, so nothing else flags it.
+    doc = {"before_states": [], "after_states": ["p"], "inputs": ["a"], "outputs": ["0"],
+           "dynamics": []}
+    doc[key] = [["p"]]
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    assert _run(capsys, ["validate", str(path)]) == (
+        1, "invalid: ForeignElement: ['p'] is no identifier\n", "")
+    path.write_text(json.dumps({"system": doc, "judge": {"i_map": {"a": "a"}, "o_map": {}}}))
+    assert _run(capsys, ["validate", str(path)]) == (
+        1, "", "ForeignElement: ['p'] is no identifier\n")
+
+
 def test_patch_that_breaks_the_dynamics_is_invalid(capsys, tmp_path):
     # The first patch sends its after-state s1 to s3: its maps are no
     # morphism, and its overlap with the second patch is not closed.
@@ -588,6 +603,19 @@ PUNCTURED_SQUARE_JSON = (
     'characterization was not verified","output side assumed connected with at '
     'least two values; the verdict covers the topological condition only"]}\n'
 )
+
+
+def test_tame_check_reads_a_fiber_joined_at_a_tie_as_connected(capsys, tmp_path):
+    """[0,3]x[3,4), [0,1]x(4,6] and [0,2]x[4,7): over x in [0,1] the fiber
+    is [3,7), one piece, although two of its parts start at 4."""
+    rows = [{"x": ["0", "3"], "y": ["3", "4"], "open": [False, False, False, True]},
+            {"x": ["0", "1"], "y": ["4", "6"], "open": [False, False, True, False]},
+            {"x": ["0", "2"], "y": ["4", "7"], "open": [False, False, False, True]}]
+    path = tmp_path / "abc.json"
+    path.write_text(json.dumps({"dim": 2, "axis": 0, "rects": rows}))
+    text = "".join(f"disconnected fiber at {t}: no; robust: no\n"
+                   for t in ("0", "1/2", "1", "3/2", "2", "5/2", "3"))
+    assert _run(capsys, ["check", "tame-check", str(path)]) == (0, "sheaf: yes\n" + text, "")
 
 
 @pytest.mark.parametrize("name,text,doc", [

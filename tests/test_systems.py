@@ -23,11 +23,7 @@ from sheafmealy import (
     subsystem,
     system_violations,
 )
-from sheafmealy.systems import OpenImmersion, identity_morphism
-
-
-def identity_patch(system) -> OpenImmersion:
-    return OpenImmersion(identity_morphism(system))
+from sheafmealy.systems import identity_morphism, identity_patch
 
 
 # ------------------------------------------------------- pretopology axioms

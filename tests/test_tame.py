@@ -58,6 +58,10 @@ def test_merge_intervals_touching_flags():
     assert merge_intervals([interval(2, 1), interval(0, 0)]) == (interval(0, 0),)
     got = merge_intervals([interval(0, 3), interval(1, 2, True, True)])
     assert got == (interval(0, 3),)
+    # [4,7) joins [3,4) to (4,6]: a closed start goes before an open one.
+    got = merge_intervals([interval(3, 4, False, True), interval(4, 6, True, False),
+                           interval(4, 7, False, True)])
+    assert got == (interval(3, 7, False, True),)
 
 
 def test_rect_union_normalizes_and_validates():
@@ -365,7 +369,17 @@ def test_random_certificates_yield_counterexamples(rng):
 
 # ------------------------------------------------------ region comparisons
 
+# A = [0,3]x[3,4), B = [0,1]x(4,6] and C = [0,2]x[4,7): B lies inside C, and
+# over x in [0,1] the fiber [3,4) | (4,6] | [4,7) is the one interval [3,7).
+ABC = (box(0, 3, 3, 4, (False, False, False, True)),
+       box(0, 1, 4, 6, (False, False, True, False)),
+       box(0, 2, 4, 7, (False, False, False, True)))
+
+
 def test_regions_equal_and_disjoint():
+    a, _, c = ABC
+    assert fiber(rect_union(2, ABC), ProjectionJudge(0), HALF) == (interval(3, 7, False, True),)
+    assert regions_equal(rect_union(2, ABC), rect_union(2, [a, c]))
     split = RectUnion(2, (box(0, 1, 0, 2), box(1, 3, 0, 2)))
     merged = rect_union(2, [box(0, 3, 0, 2)])
     assert regions_equal(split, merged)

@@ -204,9 +204,28 @@ def test_rect_union_merge_attempts_stay_linear(rng, monkeypatch):
     assert len(u.rects) < len(rows)
 
 
+def test_merge_intervals_matches_the_atom_grid(rng):
+    """The library's sweep gives the components that membership on the
+    grid of atoms gives, on lists where open and closed starts tie."""
+    ties = 0
+    for trial in range(2000):
+        parts = [_side(rng, 2, 0.5) for _ in range(rng.randint(0, 6))]
+        starts = [p.lo for p in parts if not p.empty]
+        ties += len(starts) > len(set(starts))
+        assert tame.merge_intervals(parts) == oracle.merge_intervals(parts), (trial, parts)
+    assert ties > 500
+
+
 def test_regions_equal_matches_the_atom_grid(rng):
     """Fibers at the candidate abscissae decide equality exactly as the
-    reference's grid of atoms does."""
+    reference's grid of atoms does.  First a fixed case: [0,1]x(4,6] lies
+    inside [0,2]x[4,7), so dropping it leaves the region as it was."""
+    a = Rect(interval(0, 3), interval(3, 4, False, True))
+    b = Rect(interval(0, 1), interval(4, 6, True, False))
+    c = Rect(interval(0, 2), interval(4, 7, False, True))
+    for u in (RectUnion(2, (a, b, c)), tame.rect_union(2, [a, b, c])):
+        assert oracle.regions_equal(u, RectUnion(2, (a, c)))
+        assert tame.regions_equal(u, tame.rect_union(2, [a, c]))
     seen = {True: 0, False: 0}
     for trial in range(300):
         dim = 1 + trial % 2
