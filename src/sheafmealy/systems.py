@@ -220,10 +220,10 @@ def _scan(candidate: Mapping) -> tuple[list[Violation], MealySystem | None]:
             if (kb, ki) not in seen:
                 out.append(Violation("PartialDynamics", f"dynamics missing at ({s!r}, {c!r})"))
     if not out:
-        # A before-state or input that is no identifier leaves its rows
-        # missing; an unused after-state or output that is none shows here.
+        # Every carrier element must be an identifier, also one that no
+        # dynamics row names (say an input when there are no before-states).
         out = [Violation("ForeignElement", f"{x!r} is no identifier")
-               for x in (*a, *o) if type(x).__hash__ is None]
+               for x in (*b, *a, *i, *o) if type(x).__hash__ is None]
     return out, None if out else MealySystem(b, a, i, o, tuple(map(tuple, table)))
 
 

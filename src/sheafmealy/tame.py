@@ -148,14 +148,11 @@ def merge_intervals(parts: Iterable[Interval]) -> tuple[Interval, ...]:
     for iv in todo:
         if out and _linked_1d(out[-1], iv):
             last = out.pop()
-            lo, lo_open = last.lo, last.lo_open
-            if iv.lo < lo or (iv.lo == lo and not iv.lo_open):
-                lo, lo_open = iv.lo, iv.lo_open and lo_open
             if iv.hi > last.hi or (iv.hi == last.hi and not iv.hi_open):
                 hi, hi_open = iv.hi, iv.hi_open
             else:
                 hi, hi_open = last.hi, last.hi_open
-            out.append(Interval(lo, hi, lo_open, hi_open))
+            out.append(Interval(last.lo, hi, last.lo_open, hi_open))
         else:
             out.append(iv)
     return tuple(out)

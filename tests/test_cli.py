@@ -90,7 +90,7 @@ def test_validate_exit_one_on_list_valued_carrier(capsys, tmp_path):
     assert out.startswith("invalid: ForeignElement: carriers must hold comparable identifiers")
 
 
-@pytest.mark.parametrize("key", ["after_states", "outputs"])
+@pytest.mark.parametrize("key", ["after_states", "inputs", "outputs"])
 def test_unused_carrier_element_that_is_no_identifier_is_invalid(capsys, tmp_path, key):
     # With no before-states there are no rows, so nothing else flags it.
     doc = {"before_states": [], "after_states": ["p"], "inputs": ["a"], "outputs": ["0"],
