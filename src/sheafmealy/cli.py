@@ -148,6 +148,8 @@ def _family(sf: fx.SectionsFixture) -> list[Section]:
 
     if sf.scope == "local":
         return list(sf.sections)
+    if not sf.sections:
+        raise CheckerError("gluing needs a global section to restrict to the patches")
     return [restrict_section(sf.sections[0], p) for p in sf.covering.patches]
 
 

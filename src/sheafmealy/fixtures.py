@@ -29,6 +29,7 @@ from .explain import (
     judged_section,
     restrict_section,
     section,
+    validate_judge,
 )
 from .localglobal import (
     ObstructionReport,
@@ -317,10 +318,10 @@ def _sections_payload(fx: SectionsFixture) -> dict:
 
 
 def sections_from_payload(payload: dict) -> SectionsFixture:
-    """A sections document read whole.  Each patch must be listed once, and
-    local sections must match the patches one for one: the covering
-    collapses repeats, and the gluers need one local section per covering
-    patch."""
+    """A sections document read whole.  The judge must judge every raw
+    letter of the system, each patch must be listed once, and local
+    sections must match the patches one for one: the covering collapses
+    repeats, and the gluers need one local section per covering patch."""
     what = "a sections document"
     jsonio.require(payload, what, "system", "judge", "patches", objects=("system",),
                    lists=("patches", "local_sections", "global_sections"))
@@ -328,6 +329,7 @@ def sections_from_payload(payload: dict) -> SectionsFixture:
         jsonio.require(payload, what, "local_sections")
     sys_ = jsonio.system_from_payload(payload["system"])
     j = jsonio.judge_from_payload(payload["judge"])
+    validate_judge(j, sys_)
     patches = [jsonio.immersion_from_payload(sys_, p) for p in payload["patches"]]
     for k, p in enumerate(patches):
         if p in patches[:k]:

@@ -14,6 +14,11 @@ Conventions used throughout:
   when it exists, so the covering alone fixes the family;
 * families are indexed like their covering's patches, and each section's
   patch must be the covering patch itself;
+* every section checker refuses a patch family that is no covering, by
+  one function and before it validates a section; the gluers check in one
+  order: one section per patch, each on its patch, the covering, each
+  section valid, then its interface.  ``glue_stateless`` takes any patch
+  family;
 * behavioral comparisons on an overlap use the componentwise intersection
   patch of the two covering patches;
 * after-states that no transition forces are explained by the first patch
@@ -130,10 +135,6 @@ def _paste(
             v = s.psi_a(u) if emb is None else emb.map_a(s.psi_a(u))
             if psi_a.setdefault(x, v) != v:
                 return psi_b, psi_a, (True, x)
-    missing_b = [x for x in c.target.before if x not in psi_b]
-    missing_a = [x for x in c.target.after if x not in psi_a]
-    if missing_b or missing_a:
-        raise CheckerError(f"covering leaves states unexplained: {missing_b + missing_a!r}")
     return psi_b, psi_a, None
 
 
@@ -158,35 +159,45 @@ def _overlap_restrictions(
     return restrict_section(sections[a], na), restrict_section(sections[b], nb)
 
 
+def _check_covering(c: Covering) -> None:
+    """Refuse a patch family that is no covering, raising
+    :class:`CheckerError` that names the target states lying in no patch,
+    else the first pair of a state and a letter that no patch holds."""
+    tgt = c.target
+    held_b = set().union(*(p.b_image for p in c.patches))
+    held_a = set().union(*(p.a_image for p in c.patches))
+    missing = [x for x in tgt.before if x not in held_b]
+    missing += [x for x in tgt.after if x not in held_a]
+    if missing:
+        raise CheckerError(f"covering leaves states unexplained: {missing!r}")
+    chk = check_covering(c)
+    if not chk.ok:
+        raise CheckerError(f"family covering leaves {chk.pair!r} uncovered on the {chk.side} side")
+
+
 def _check_family(
     c: Covering,
     j: Judge,
     sections: Sequence[Section],
     alphabet: tuple[Ident, ...] | None = None,
-    covered: bool = False,
 ) -> None:
     """Check a family of local sections, raising :class:`CheckerError` at
     the first failure in this order: one section per covering patch, each
-    sitting on its patch; with ``covered``, joint surjectivity of the
-    covering; each section valid and, given an ``alphabet``, with that input
+    sitting on its patch; the covering itself (:func:`_check_covering`);
+    each section valid and, given an ``alphabet``, with that input
     interface."""
     if len(sections) != len(c.patches):
         raise CheckerError("one section per covering patch is required")
     for k, (p, s) in enumerate(zip(c.patches, sections)):
         if s.patch != p:
             raise CheckerError(f"section {k} does not sit on covering patch {k}")
-    if covered:
-        chk = check_covering(c)
-        if not chk.ok:
-            raise CheckerError(
-                f"family covering leaves {chk.pair!r} uncovered on the {chk.side} side"
-            )
+    _check_covering(c)
     for k, s in enumerate(sections):
         rep = validate_section(j, s)
         if not rep.ok:
             raise CheckerError(f"local section {k} invalid: {rep.reason}")
         if alphabet is not None and s.explanatory.inputs != alphabet:
-            raise CheckerError("behavioral gluing needs full-interface local machines")
+            raise CheckerError(f"local machine {k} is not on the full interpretable interface")
 
 
 @dataclass(frozen=True)
@@ -220,6 +231,7 @@ def check_separation(
         raise CheckerError(f"unknown separation kind {kind!r}")
     if s.patch != t.patch or s.patch.source != c.target:
         raise CheckerError("separation compares sections of the covered system")
+    _check_covering(c)
 
     def compare(a: Section, b: Section, patch: OpenImmersion
                 ) -> tuple[bool, tuple[Ident, tuple[Ident, ...]] | None]:
@@ -286,11 +298,8 @@ def glue_cogerm(c: Covering, sections: Sequence[Section], j: Judge) -> Section:
     the witness identifications, computed as iterated pushouts of
     injections in one amalgamation step.
     """
-    _check_family(c, j, sections, covered=True)
+    _check_family(c, j, sections, j.interp_inputs)
     machines = [s.explanatory for s in sections]
-    for k, m in enumerate(machines):
-        if m.inputs != j.interp_inputs or m.outputs != j.interp_outputs:
-            raise CheckerError(f"local machine {k} is not on the full interpretable interface")
     idents: list[tuple[int, Ident, int, Ident]] = []
     for a in range(len(sections)):
         for b in range(a + 1, len(sections)):
@@ -339,19 +348,13 @@ def glue_behavioral(
     part = pooled_behavior(machines, alphabet)
     tgt = c.target
     before_block = _forced_blocks(c, sections, part)
-    missing = [x for x in tgt.before if x not in before_block]
-    if missing:
-        raise CheckerError(f"covering leaves before-states unexplained: {missing!r}")
     # Each step is explained by its before-state's class and forces a class on its after-state.
     derived: dict[Ident, dict[int, tuple[Ident, Ident]]] = {}
     for s_st in tgt.before:
         for i_raw in tgt.inputs:
             x, o = tgt.transition(s_st, i_raw)
             if part.out(before_block[s_st], j.j_i[i_raw]) != j.j_o[o]:
-                # Valid, compatible local sections explain every covered step.
-                if not any(s_st in p.b_image and i_raw in p.i_image for p in c.patches):
-                    raise CheckerError(f"family covering leaves {(s_st, i_raw)!r} "
-                                       "uncovered on the before side")
+                # Valid, compatible local sections explain every step of a covering.
                 raise InternalConsistencyError(
                     f"pooled class misexplains the step at ({s_st!r}, {i_raw!r})"
                 )
@@ -388,9 +391,6 @@ def glue_behavioral(
         for u in p.source.after:
             x = p.morphism.map_a(u)
             after_block.setdefault(x, part.block_index[(k, s.psi_a(u))])
-    missing = [x for x in tgt.after if x not in after_block]
-    if missing:
-        raise CheckerError(f"covering leaves after-states unexplained: {missing!r}")
     reach = _closure(set(before_block.values()) | set(after_block.values()),
                      lambda blk: (part.succ(blk, ch) for ch in alphabet))
     names = {blk: f"b{k}" for k, blk in enumerate(sorted(reach))}

@@ -383,19 +383,19 @@ class OpenImmersion:
 
     @cached_property
     def b_image(self) -> frozenset[Ident]:
-        return frozenset(self.morphism.map_b(s) for s in self.source.before)
+        return frozenset(map(self.target.before.__getitem__, self.morphism.f_b))
 
     @cached_property
     def a_image(self) -> frozenset[Ident]:
-        return frozenset(self.morphism.map_a(s) for s in self.source.after)
+        return frozenset(map(self.target.after.__getitem__, self.morphism.f_a))
 
     @cached_property
     def i_image(self) -> frozenset[Ident]:
-        return frozenset(self.morphism.map_i(c) for c in self.source.inputs)
+        return frozenset(map(self.target.inputs.__getitem__, self.morphism.f_i))
 
     @cached_property
     def o_image(self) -> frozenset[Ident]:
-        return frozenset(self.morphism.map_o(o) for o in self.source.outputs)
+        return frozenset(map(self.target.outputs.__getitem__, self.morphism.f_o))
 
     def pre_b(self, s: Ident) -> Ident:
         return self.source.before[self.morphism.f_b.index(self.target.b_index[s])]
@@ -491,31 +491,23 @@ class CoveringCheck:
 
 def check_covering(c: Covering) -> CoveringCheck:
     """Joint surjectivity on before x inputs and after x outputs; on failure
-    report the first uncovered pair in carrier order."""
+    report the first uncovered pair in carrier order.  A patch holds exactly
+    the pairs of its state and letter images, so a letter is covered at the
+    states of the patches holding it."""
     tgt = c.target
-    cov_b: set[tuple[Ident, Ident]] = set()
-    cov_a: set[tuple[Ident, Ident]] = set()
-    for p in c.patches:
-        m = p.morphism
-        src = p.source
-        cov_b.update(
-            (m.map_b(s), m.map_i(ch))
-            for s in src.before
-            for ch in src.inputs
-        )
-        cov_a.update(
-            (m.map_a(s), m.map_o(o))
-            for s in src.after
-            for o in src.outputs
-        )
-    for s in tgt.before:
-        for ch in tgt.inputs:
-            if (s, ch) not in cov_b:
-                return CoveringCheck(False, "before", (s, ch))
-    for s in tgt.after:
-        for o in tgt.outputs:
-            if (s, o) not in cov_a:
-                return CoveringCheck(False, "after", (s, o))
+    for side, states, letters, images in (
+        ("before", tgt.before, tgt.inputs, [(p.b_image, p.i_image) for p in c.patches]),
+        ("after", tgt.after, tgt.outputs, [(p.a_image, p.o_image) for p in c.patches]),
+    ):
+        held: dict[Ident, set[Ident]] = {x: set() for x in letters}
+        for state_image, letter_image in images:
+            for x in letter_image:
+                held[x] |= state_image
+        if any(len(h) < len(states) for h in held.values()):
+            for s in states:
+                for x in letters:
+                    if s not in held[x]:
+                        return CoveringCheck(False, side, (s, x))
     return CoveringCheck(True)
 
 

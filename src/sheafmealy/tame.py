@@ -127,15 +127,9 @@ def interval(lo: Fraction | int | str, hi: Fraction | int | str,
 
 
 def _linked_1d(a: Interval, b: Interval) -> bool:
-    """Union of two non-empty intervals is an interval (touch needs a closed
-    side on at least one of them)."""
-    if a.lo > b.lo or (a.lo == b.lo and a.lo_open and not b.lo_open):
-        a, b = b, a
-    if a.hi > b.lo:
-        return True
-    if a.hi == b.lo:
-        return not (a.hi_open and b.lo_open)
-    return False
+    """Union of two non-empty intervals is an interval: the closure of one
+    meets the other."""
+    return _closure_meets(a, b) or _closure_meets(b, a)
 
 
 def merge_intervals(parts: Iterable[Interval]) -> tuple[Interval, ...]:
@@ -227,9 +221,7 @@ def _try_merge(a: Rect, b: Rect) -> Rect | None:
     linked on that one (the earliest such axis), else None."""
     for k, (s, t) in enumerate(zip(a, b)):
         if a.coface(k) == b.coface(k) and _linked_1d(s, t):
-            merged = merge_intervals([s, t])
-            if len(merged) == 1:
-                return a.with_side(k, merged[0])
+            return a.with_side(k, merge_intervals([s, t])[0])
     return None
 
 

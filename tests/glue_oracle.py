@@ -60,7 +60,7 @@ def _overlap_forced_classes(c: Covering, sections: Sequence[Section], j: Judge):
         if not rep.ok:
             raise CheckerError(f"local section {k} invalid: {rep.reason}")
         if s.explanatory.inputs != alphabet:
-            raise CheckerError("behavioral gluing needs full-interface local machines")
+            raise CheckerError(f"local machine {k} is not on the full interpretable interface")
     machines = [s.explanatory for s in sections]
     part = pooled_behavior(machines, alphabet)
     lookup = {ks: bk for bk, members in enumerate(part.blocks) for ks in members}

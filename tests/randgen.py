@@ -354,6 +354,38 @@ def uncovered_step_family() -> tuple[Covering, Judge, list[Section]]:
     return covering(system, [patch]), j, [judged_section(patch, mach, j, states, states)]
 
 
+def uncovered_incompatible_family() -> tuple[Covering, Judge, list[Section]]:
+    """The patch of :func:`uncovered_step_family` and a second patch on
+    input a holding s1 only, whose machine emits 0 on b: the two sections
+    disagree on b, and the family is no covering either."""
+    c, j, locals_ = uncovered_step_family()
+    inner = subsystem(c.target, before=["s1"], inputs=["a"])
+    other = make_system(["n1", "n2"], ["n1", "n2"], ["a", "b"], ["0", "1"],
+                        {("n1", "a"): ("n2", "0"), ("n1", "b"): ("n1", "0"),
+                         ("n2", "a"): ("n1", "0"), ("n2", "b"): ("n2", "0")})
+    second = judged_section(inner, other, j, {"s1": "n1"}, {"s1": "n1", "s2": "n2"})
+    return covering(c.target, [c.patches[0], inner]), j, [locals_[0], second]
+
+
+def input_split_family() -> tuple[Judge, Section, Covering, list[Section], Section, Section]:
+    """Two states under inputs a and b, covered by one patch per input: the
+    judge, the system's own global section and the family of its
+    restrictions, then two more sections on the patch of a.  One is the
+    system cut down to a, valid on its judged range; the other sends both
+    before-states to s1, which does not commute with the dynamics."""
+    system = make_system(["s0", "s1"], ["s0", "s1"], ["a", "b"], ["0", "1"],
+                         {("s0", "a"): ("s1", "0"), ("s0", "b"): ("s0", "1"),
+                          ("s1", "a"): ("s0", "0"), ("s1", "b"): ("s1", "1")})
+    j = judge({"a": "a", "b": "b"}, {"0": "0", "1": "1"})
+    ids = {"s0": "s0", "s1": "s1"}
+    whole = judged_section(subsystem(system), system, j, ids, ids)
+    c = covering(system, [subsystem(system, inputs=[x]) for x in ("a", "b")])
+    family = [restrict_section(whole, p) for p in c.patches]
+    narrow = judged_section(c.patches[0], c.patches[0].source, j, ids, ids)
+    broken = judged_section(c.patches[0], system, j, {"s0": "s1", "s1": "s1"}, ids)
+    return j, whole, c, family, narrow, broken
+
+
 def extend_section_alphabet(j: Judge, s: Section) -> Section:
     """Complete a section whose machine lives on the patch's judged range to
     one on the full interpretable alphabet.  Missing letters become self

@@ -8,6 +8,7 @@ import sys
 import pytest
 import randgen as rg
 
+from sheafmealy import covering, restrict_section, subsystem
 from sheafmealy import fixtures as fx
 from sheafmealy import jsonio
 from sheafmealy.cli import main
@@ -415,6 +416,111 @@ def test_glue_beh_refuses_a_covering_that_misses_a_step(capsys, tmp_path):
         assert _run(capsys, [*verb, str(path)]) == (
             1, "", "CheckerError: family covering leaves ('s1', 'b') uncovered "
                    "on the before side\n")
+
+
+def _text_and_json(capsys, argv):
+    return _run(capsys, argv), _run(capsys, ["--format", "json", *argv])
+
+
+@pytest.mark.parametrize("table, letter", [("i_map", "a"), ("o_map", "0")])
+def test_sections_whose_judge_misses_a_raw_letter_are_invalid(capsys, tmp_path, table, letter):
+    """A judge that leaves a raw letter of the system unjudged is refused
+    where the document is read, before any section is built on it."""
+    doc = fx.get_fixture("cex-beh-gluing").payload
+    del doc["judge"][table][letter]
+    path = tmp_path / "partial-judge.json"
+    path.write_text(json.dumps(doc))
+    what = "input" if table == "i_map" else "output"
+    refused = (1, "", f"CheckerError: judge undefined on {what} {letter!r}\n")
+    for verb in (["validate"], ["check", "separation"], ["check", "glue-beh"],
+                 ["check", "glue-cogerm"]):
+        assert _text_and_json(capsys, [*verb, str(path)]) == (refused, refused)
+
+
+@pytest.mark.parametrize("table, letter", [("i_map", "c0"), ("o_map", "0")])
+def test_judge_document_missing_a_raw_letter_is_invalid(capsys, tmp_path, table, letter):
+    doc = fx.get_fixture("two-band-cut").payload
+    del doc["judge"][table][letter]
+    path = tmp_path / "judge.json"
+    path.write_text(json.dumps(doc))
+    what = "input" if table == "i_map" else "output"
+    refused = (1, "", f"CheckerError: judge undefined on {what} {letter!r}\n")
+    assert _text_and_json(capsys, ["validate", str(path)]) == (refused, refused)
+
+
+def test_gluing_a_document_without_global_sections_is_refused(capsys, tmp_path):
+    """An empty global family is a valid document, with nothing to glue."""
+    doc = fx.get_fixture("jfull-global-pair").payload
+    doc["global_sections"] = []
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    assert _text_and_json(capsys, ["validate", str(path)]) == (
+        (0, "valid sections\n", ""), (0, '{"kind":"sections","valid":true}\n', ""))
+    refused = (1, "", "CheckerError: gluing needs a global section to restrict to the patches\n")
+    for verb in (["check", "glue-beh"], ["check", "glue-cogerm"]):
+        assert _text_and_json(capsys, [*verb, str(path)]) == (refused, refused)
+
+
+def test_validate_covering_document(capsys, tmp_path):
+    """A covering document is the system and its patches; one patch of an
+    input-splitting covering leaves a step uncovered."""
+    payload = fx.get_fixture("cex-ri-separation").payload
+    path = tmp_path / "covering.json"
+    for patches, expected in (
+        (payload["patches"], ((0, "valid covering\n", ""),
+                              (0, '{"kind":"covering","valid":true}\n', ""))),
+        (payload["patches"][:1], (
+            (1, "invalid: not jointly surjective on before\n", ""),
+            (1, '{"valid":false,"violations":["not jointly surjective on before"]}\n', ""))),
+    ):
+        path.write_text(json.dumps({"system": payload["system"], "patches": patches}))
+        assert _text_and_json(capsys, ["validate", str(path)]) == expected
+
+
+def test_sections_refused_by_the_covering_and_the_family_checks(capsys, tmp_path):
+    """Each refusal of a sections document, from ``validate`` with its
+    report and from the checks with the family check's words: a family that
+    is no covering, also when its sections disagree on an overlap, an
+    invalid local section, and a machine on a patch's judged range where
+    gluing needs the full interface."""
+    j, whole, c, family, narrow, broken = rg.input_split_family()
+    system = c.target
+    only_a = covering(system, [c.patches[0]])
+    half = covering(system, [subsystem(system, before=["s0"], after=["s0", "s1"])])
+    gluing = (["check", "glue-beh"], ["check", "glue-cogerm"])
+    inc_c, inc_j, disagreeing = rg.uncovered_incompatible_family()
+    uncovered = "covering not jointly surjective on before"
+    cases = [
+        (only_a, j, "global_sections", [whole, whole], uncovered,
+         [*gluing, ["check", "separation"]],
+         "family covering leaves ('s0', 'b') uncovered on the before side"),
+        (inc_c, inc_j, "local_sections", disagreeing, uncovered, gluing,
+         "family covering leaves ('s1', 'b') uncovered on the before side"),
+        (half, j, "local_sections", [restrict_section(whole, half.patches[0])], uncovered,
+         gluing, "covering leaves states unexplained: ['s1']"),
+        (c, j, "local_sections", [broken, family[1]],
+         "section 0: psi does not commute with the dynamics", gluing,
+         "local section 0 invalid: psi does not commute with the dynamics"),
+        (c, j, "local_sections", [narrow, family[1]], None, gluing,
+         "local machine 0 is not on the full interpretable interface"),
+    ]
+    for cov, jdg, key, secs, violation, checks, message in cases:
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({
+            "system": jsonio.system_payload(cov.target), "judge": jsonio.judge_payload(jdg),
+            "patches": [jsonio.immersion_payload(p) for p in cov.patches],
+            key: [jsonio.section_payload(s) for s in secs]}))
+        if violation is None:
+            expected = ((0, "valid sections\n", ""),
+                        (0, '{"kind":"sections","valid":true}\n', ""))
+        else:
+            expected = ((1, f"invalid: {violation}\n", ""),
+                        (1, json.dumps({"valid": False, "violations": [violation]},
+                                       separators=(",", ":")) + "\n", ""))
+        assert _text_and_json(capsys, ["validate", str(path)]) == expected
+        refused = (1, "", f"CheckerError: {message}\n")
+        for verb in checks:
+            assert _text_and_json(capsys, [*verb, str(path)]) == (refused, refused)
 
 
 def test_unknown_fixture_name_is_invalid_not_a_crash(capsys):

@@ -9,6 +9,7 @@ import pytest
 import randgen as rg
 from randgen import extend_section_alphabet
 from sheafmealy import (
+    CheckerError,
     behavioral_equiv,
     check_cogerm_witness,
     cogerm_equiv,
@@ -22,10 +23,62 @@ from sheafmealy import (
     restricted_interface,
     section,
     subsystem,
+    validate_judge,
     validate_section,
 )
 from sheafmealy.explain import CogermWitness
 from sheafmealy.systems import OpenImmersion, compose, identity_morphism
+
+
+# ------------------------------------------------------------- validation
+
+def _refused_section(flaw):
+    """A section of the whole system of :func:`randgen.input_split_family`
+    by a copy of itself with one flaw, and the judge it is checked under."""
+    j, whole, *_ = rg.input_split_family()
+    system = whole.explanatory
+    dyn = {(s, x): system.transition(s, x) for s in system.before for x in system.inputs}
+    ids = {x: x for x in ("s0", "s1", "a", "b", "0", "1")}
+    maps = {"b": ids, "a": ids, "i": ids, "o": ids}
+    machine = system
+    if flaw == "after-states":
+        machine = make_system(["s0", "s1"], ["s0", "s1", "t"], ["a", "b"], ["0", "1"], dyn)
+    elif flaw == "outputs":
+        machine = make_system(["s0", "s1"], ["s0", "s1"], ["a", "b"], ["0", "1", "2"], dyn)
+    elif flaw == "inputs":
+        machine = make_system(["s0", "s1"], ["s0", "s1"], ["a", "b", "c"], ["0", "1"],
+                              {**dyn, ("s0", "c"): ("s0", "0"), ("s1", "c"): ("s1", "0")})
+    elif flaw == "input map":
+        maps["i"] = {"a": "b", "b": "a"}
+    elif flaw == "output map":
+        maps["o"] = {"0": "1", "1": "0"}
+    else:
+        maps["b"] = {"s0": "s1", "s1": "s1"}
+    psi = morphism(whole.patch.source, machine, maps["b"], maps["a"], maps["i"], maps["o"])
+    return j, section(whole.patch, machine, psi)
+
+
+@pytest.mark.parametrize("flaw, reason", [
+    ("after-states", "explanatory machine is not homogeneous"),
+    ("outputs", "explanatory outputs differ from the interpretable outputs"),
+    ("inputs", "explanatory inputs are neither the interpretable inputs nor the patch range"),
+    ("input map", "input component of psi is not the judged input map"),
+    ("output map", "output component of psi is not the judged output map"),
+    ("state map", "psi does not commute with the dynamics"),
+])
+def test_validate_section_names_each_refusal(flaw, reason):
+    j, s = _refused_section(flaw)
+    rep = validate_section(j, s)
+    assert (rep.ok, rep.reason) == (False, reason)
+
+
+def test_validate_judge_names_the_raw_letter_it_misses():
+    system = rg.input_split_family()[1].explanatory
+    validate_judge(judge({"a": "a", "b": "b"}, {"0": "0", "1": "1"}), system)
+    for j, letter in ((judge({"a": "a"}, {"0": "0", "1": "1"}), "input 'b'"),
+                      (judge({"a": "a", "b": "b"}, {"1": "1"}), "output '0'")):
+        with pytest.raises(CheckerError, match=f"^judge undefined on {letter}$"):
+            validate_judge(j, system)
 
 
 # ----------------------------------------------------------- functoriality

@@ -1,21 +1,26 @@
-"""Seeded fuzzing of rectangle-union documents through the command line.
+"""Seeded fuzzing of documents through the command line.
 
-Hypothesis draws one to eight boxes on a small grid, with open and closed
-ends and with starts that tie, and runs ``validate`` and ``check
-tame-check`` on the document in-process, as text and as JSON.  Every run
-must end in a documented exit code with no exception escaping ``main``, and
-every ``disconnected fiber at t`` line must agree with the fiber that
-``tame_oracle`` computes from the boxes as drawn.  The examples are derived
-from the test's name, and nothing is stored between runs.
+Hypothesis draws rectangle-union documents of one to eight boxes on a small
+grid, with open and closed ends and with starts that tie, and runs
+``validate`` and ``check tame-check`` on each in-process, as text and as
+JSON; every ``disconnected fiber at t`` line must agree with the fiber that
+``tame_oracle`` computes from the boxes as drawn.  It also mutates every
+shipped fixture and runs ``validate`` and each check of the fixture's kind.
+Every run must end in a documented exit code with no exception escaping
+``main``.  The examples are derived from the test's name, and nothing is
+stored between runs.
 """
 
+import copy
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tame_oracle as oracle
+from sheafmealy import fixtures as fx
 from sheafmealy.tame import Interval, ProjectionJudge, Rect, RectUnion
 
 from test_golden_cli import run
@@ -56,3 +61,66 @@ def test_rect_union_documents_through_the_command_line(tmp_path_factory, drawn):
     for line in lines:
         t, verdict = line[len("disconnected fiber at "):].split(";")[0].split(": ")
         assert verdict == ("yes" if len(oracle.fiber(u, pj, Fraction(t))) > 1 else "no"), line
+
+
+# Values put in place of a node of a shipped document: every JSON type,
+# a NaN, an integer past float range and a string that is no rational.
+_REPLACEMENTS = (None, True, False, 0, -1, 2.5, float("nan"), 10**30, "", "x", "1/0",
+                 [], ["x"], {}, {"x": 1})
+
+# The checks that read each kind of document, separation in each of its kinds.
+_CHECKS = {
+    "sections": [*(["check", "separation", "--kind", k] for k in ("strict", "cogerm", "beh", "ri")),
+                 ["check", "glue-cogerm"], ["check", "glue-beh"]],
+    "rect-union": [["check", "tame-check"]],
+    "epsilon": [["check", "eps-depth"]],
+    "judge": [],
+}
+
+
+@st.composite
+def _mutant(draw, payload):
+    """A copy of ``payload`` with one to three nodes changed.  Each change
+    walks down from the top to a drawn depth, entering one child per level,
+    so shallow fields are hit as often as deep ones; it then drops the node,
+    replaces it, or duplicates it in its list (an object's entry is
+    replaced instead)."""
+    doc = copy.deepcopy(payload)
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key, node = None, None, doc
+        for _ in range(draw(st.integers(1, 4))):
+            if not (isinstance(node, (dict, list)) and node):
+                break
+            parent, key = node, draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                                     else range(len(node))))
+            node = parent[key]
+        if parent is None:
+            continue
+        op = draw(st.sampled_from(("drop", "replace", "duplicate")))
+        if op == "drop":
+            del parent[key]
+        elif op == "duplicate" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(node))
+        else:
+            parent[key] = copy.deepcopy(draw(st.sampled_from(_REPLACEMENTS)))
+    return doc
+
+
+@pytest.mark.parametrize("name", [f.name for f in fx.all_fixtures()])
+def test_mutated_fixture_documents_through_the_command_line(tmp_path_factory, name):
+    """Every shipped fixture, mutated, bare or wrapped: ``validate`` and each
+    check of its kind end in a documented exit code, as text and as JSON,
+    and no exception escapes ``main``."""
+    fixture = fx.get_fixture(name)
+    path = tmp_path_factory.getbasetemp() / f"mutated-{name}.json"
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(_mutant(fixture.payload), st.booleans())
+    def check(doc, wrapped):
+        path.write_text(json.dumps({"kind": fixture.kind, "payload": doc} if wrapped else doc))
+        for verb in (["validate"], *_CHECKS[fixture.kind]):
+            text = run([*verb[:2], str(path), *verb[2:]])
+            as_json = run(["--format", "json", *verb[:2], str(path), *verb[2:]])
+            assert text["exit"] == as_json["exit"] in (0, 1, 2), (verb, text, as_json)
+
+    check()

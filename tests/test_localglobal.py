@@ -38,7 +38,7 @@ from sheafmealy import (
     validate_section,
 )
 from sheafmealy import fixtures as fx
-from sheafmealy.systems import Covering, morphism
+from sheafmealy.systems import Covering, identity_patch, morphism
 
 
 # --------------------------------------------------- separation: behavioral
@@ -364,6 +364,69 @@ def test_glue_behavioral_names_the_step_a_covering_misses():
             glue(c, locals_, j)
         assert type(exc.value) is CheckerError
         assert str(exc.value) == "family covering leaves ('s1', 'b') uncovered on the before side"
+
+
+@pytest.mark.parametrize("on_b", ["0", "1"])
+def test_every_section_checker_refuses_a_family_that_is_no_covering(on_b):
+    """One state under inputs a and b, and one patch that sees a only: its
+    local section is valid whatever its machine emits on b, and every
+    section checker refuses the family in the covering check's words."""
+    system = make_system(["s0"], ["s0"], ["a", "b"], ["0", "1"],
+                         {("s0", "a"): ("s0", "0"), ("s0", "b"): ("s0", "0")})
+    j = identity_judge(system)
+    patch = subsystem(system, inputs=["a"])
+    machine = make_system(["m"], ["m"], ["a", "b"], ["0", "1"],
+                          {("m", "a"): ("m", "0"), ("m", "b"): ("m", on_b)})
+    local = judged_section(patch, machine, j, {"s0": "m"}, {"s0": "m"})
+    assert validate_section(j, local).ok
+    c = covering(system, [patch])
+    whole = judged_section(identity_patch(system), system, j, {"s0": "s0"}, {"s0": "s0"})
+    calls = [(glue, (c, [local], j)) for glue in (glue_strict, glue_behavioral, glue_cogerm)]
+    calls += [(check_separation, (kind, c, whole, whole, j))
+              for kind in ("strict", "cogerm", "beh", "ri")]
+    for check, args in calls:
+        with pytest.raises(CheckerError) as exc:
+            check(*args)
+        assert type(exc.value) is CheckerError
+        assert str(exc.value) == "family covering leaves ('s0', 'b') uncovered on the before side"
+
+
+def test_section_checkers_refuse_a_family_in_one_order():
+    """Each refusal of a family, and what it takes precedence over: the
+    family's length and placement come before the covering, which comes
+    before the sections' validity, their interface and their agreement on
+    overlaps."""
+    j, whole, c, family, narrow, broken = rg.input_split_family()
+    system = c.target
+    assert validate_section(j, narrow).ok and not validate_section(j, broken).ok
+    only_a = covering(system, [c.patches[0]])
+    half = covering(system, [subsystem(system, before=["s0"], after=["s0", "s1"])])
+    inc_c, inc_j, disagreeing = rg.uncovered_incompatible_family()
+    gluers = (glue_strict, glue_behavioral, glue_cogerm)
+    refusals = [
+        (gluers, c, family[:1], j, "one section per covering patch is required"),
+        (gluers, c, family[::-1], j, "section 0 does not sit on covering patch 0"),
+        (gluers, only_a, [broken], j,
+         "family covering leaves ('s0', 'b') uncovered on the before side"),
+        (gluers, inc_c, disagreeing, inc_j,
+         "family covering leaves ('s1', 'b') uncovered on the before side"),
+        (gluers, half, [restrict_section(whole, half.patches[0])], j,
+         "covering leaves states unexplained: ['s1']"),
+        (gluers, c, [broken, family[1]], j,
+         "local section 0 invalid: psi does not commute with the dynamics"),
+        (gluers[1:], c, [narrow, family[1]], j,
+         "local machine 0 is not on the full interpretable interface"),
+    ]
+    for checks, cov, secs, jdg, message in refusals:
+        for glue in checks:
+            with pytest.raises(CheckerError) as exc:
+                glue(cov, secs, jdg)
+            assert type(exc.value) is CheckerError
+            assert str(exc.value) == message
+    got = glue_strict(c, [narrow, family[1]], j)
+    assert got.conflict == "patch 1 explains with a different machine"
+    with pytest.raises(CheckerError, match=r"^covering leaves states unexplained: \['s1'\]$"):
+        check_separation("beh", half, whole, whole, j)
 
 
 def test_bounded_search_confirms_fixture_obstruction():
