@@ -25,8 +25,19 @@ Three facts, proved directly for this class of domains, drive the algorithms:
   endpoints of the union on that axis: component structure and fiber
   membership are constant on each open gap between consecutive endpoints.
   A full sheaf verdict therefore needs only the endpoints themselves plus
-  one interior point per gap; midpoints are used.  The same fact decides
-  the equality of two unions from their fibers at those points.
+  one interior point per gap; midpoints are used, and cross-sections
+  decide each of them.  Over a gap every box that reaches the band spans
+  the gap, so the band's preimage is the fiber times the band: one
+  component per fiber piece, each meeting the fiber.  At an endpoint ``t``
+  the preimage has three cross-sections, each constant on its part of the
+  band: just left of ``t``, at ``t`` (the fiber) and just right of ``t``.
+  Pieces of one cross-section are apart and so are a left and a right
+  piece, while a side piece joins a fiber piece exactly when its closure
+  meets it; so the fiber splits exactly when its pieces, joined through
+  side pieces, fall into two or more classes.  Only such a band is
+  clipped, normalized and linked, to build the components of its
+  certificate.  The same fact decides the equality of two unions from
+  their fibers at those points.
 
 * Order, not values.  Normalization (``rect_union``, ``_try_merge``,
   ``merge_intervals``), linkage (``_linked_1d``, ``_closure_meets``),
@@ -37,8 +48,8 @@ Three facts, proved directly for this class of domains, drive the algorithms:
   same order, with the same coface grouping and the same sorted output.
   ``sheaf_verdict`` examines every candidate, so it sorts each axis's
   endpoints once, together with every candidate and both ends of its band
-  on the judged axis, replaces every endpoint by its rank, and runs
-  clipping, normalization, linkage and the fiber marks of every band on
+  on the judged axis, replaces every endpoint by its rank, and decides
+  every candidate and builds the components of every certifying band on
   integers.  Components are mapped back to rationals only when their
   candidate certifies, before ``representative`` (the one piece of
   arithmetic) picks their fiber points.  A single abscissa
@@ -468,6 +479,26 @@ def _band(
     return strip, groups, [any(r[axis].contains(t) for r in g) for g in groups]
 
 
+def _fiber_splits(boxes: Sequence[Rect], axis: int, t: Fraction) -> bool:
+    """Whether the fiber at the endpoint ``t`` meets two components of the
+    preimage of a band around it, given the plane boxes whose judged sides
+    reach ``t``: whether the fiber's pieces, joined through each piece just
+    left of ``t`` (sides starting before it) or just right of it (sides
+    ending after it) whose closure meets them, fall into two or more
+    classes.  The module docstring's candidate-abscissae fact shows why."""
+    here = merge_intervals(r[1 - axis] for r in boxes if r[axis].contains(t))
+    if len(here) < 2:
+        return False
+    left = merge_intervals(r[1 - axis] for r in boxes if r[axis].lo < t)
+    right = merge_intervals(r[1 - axis] for r in boxes if r[axis].hi > t)
+    uf = _UnionFind(len(here))
+    for piece in left + right:
+        met = [j for j, h in enumerate(here) if _closure_meets(piece, h)]
+        for j in met[1:]:
+            uf.union(met[0], j)
+    return len({uf.find(j) for j in range(len(here))}) > 1
+
+
 @dataclass(frozen=True)
 class RobustDisconnectionCertificate:
     """Witness that the fiber at ``t0`` is robustly disconnected.
@@ -551,11 +582,24 @@ def sheaf_verdict(u: RectUnion, pj: ProjectionJudge) -> SheafVerdict:
         for k in range(position[iv.lo], position[iv.hi] + 1):
             reach[k].append(r)
     certs = []
-    for t, delta, (lo, hi), boxes in zip(candidates, widths, ends, reach):
-        _, groups, marks = _band(u.dim, pj.axis, boxes, at[lo], at[t], at[hi])
-        if sum(marks) >= 2:
-            comps = tuple(RectUnion(u.dim, _relabel(g, values)) for g in groups)
-            certs.append(_certificate(t, delta, comps, marks, pj))
+    # On the line a fiber is at most one point, so no candidate certifies.
+    bands = zip(candidates, widths, ends, reach) if u.dim == 2 else ()
+    for k, (t, delta, (lo, hi), boxes) in enumerate(bands):
+        if k % 2:
+            # A gap: the band's preimage is the fiber times the band, one
+            # component per fiber piece, each meeting the fiber.
+            pieces = merge_intervals(r[1 - pj.axis] for r in boxes)
+            if len(pieces) < 2:
+                continue
+            band = Interval(at[lo], at[hi], True, True)
+            groups = [[Rect.of((band, p) if pj.axis == 0 else (p, band))] for p in pieces]
+            marks = [True] * len(pieces)
+        elif _fiber_splits(boxes, pj.axis, at[t]):
+            _, groups, marks = _band(u.dim, pj.axis, boxes, at[lo], at[t], at[hi])
+        else:
+            continue
+        comps = tuple(RectUnion(u.dim, _relabel(g, values)) for g in groups)
+        certs.append(_certificate(t, delta, comps, marks, pj))
     notes: list[str] = []
     if any(s.lo_open or s.hi_open for r in u.rects for s in r):
         notes.append(

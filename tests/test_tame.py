@@ -324,6 +324,33 @@ def test_connected_fibers_imply_sheaf_random(rng):
     assert sheaf_verdict(ps, pj).is_sheaf
 
 
+def _closed_side(rng) -> Interval:
+    """A closed half-grid interval, a single point one time in ten."""
+    lo = rng.randrange(0, 12)
+    hi = lo if rng.random() < 0.1 else rng.randrange(lo + 1, lo + 6)
+    return Interval(Fraction(lo, 2), Fraction(hi, 2))
+
+
+def test_closed_domains_certify_exactly_the_split_fibers(rng):
+    """With every edge closed, the pieces of a fiber are closed and a
+    positive gap lies between two of them; it persists in the nearby
+    fibers, so it splits every band.  The certified candidates are then
+    exactly the candidates whose fiber is disconnected, and the verdict is
+    "not a sheaf" exactly when some candidate fiber is."""
+    seen = {True: 0, False: 0}
+    for _ in range(1000):
+        u = rect_union(2, [Rect(_closed_side(rng), _closed_side(rng))
+                           for _ in range(rng.randint(1, 6))])
+        for axis in (0, 1):
+            pj = ProjectionJudge(axis)
+            v = sheaf_verdict(u, pj)
+            split = {t for t in v.candidates if len(fiber(u, pj, t)) > 1}
+            assert {c.t0 for c in v.certificates} == split
+            assert v.is_sheaf == (not split)
+            seen[v.is_sheaf] += 1
+    assert seen[True] > 400 and seen[False] > 400
+
+
 def test_one_dimensional_domains_always_glue(rng):
     for _ in range(50):
         u = _rand_union(rng, 1)

@@ -89,6 +89,38 @@ def test_sheaf_verdict_on_unnormalized_unions(rng):
             assert _cert_bytes(got.certificates) == _cert_bytes(want.certificates)
 
 
+def test_sheaf_verdict_builds_a_band_only_where_an_endpoint_certifies(rng, monkeypatch):
+    """Cross-sections decide every candidate.  A gap's components are its
+    fiber pieces times the band, so no gap builds a band; an endpoint's
+    band is clipped, normalized and linked by ``_band`` only when its fiber
+    splits, to build the certificate.  On the line no band is built."""
+    calls = 0
+    band = tame._band
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return band(*args)
+
+    monkeypatch.setattr(tame, "_band", counting)
+    seen = {"endpoint certificates": 0, "gap certificates": 0, "1-d": 0}
+    for trial in range(60):
+        dim = 1 if trial % 4 == 0 else 2
+        boxes = _boxes(rng, dim, rng.randint(1, 40), (0, 0.3, 0.7)[trial % 3])
+        for u in (tame.rect_union(dim, boxes), RectUnion(dim, tuple(boxes))):
+            seen["1-d"] += dim == 1
+            for axis in range(dim):
+                calls = 0
+                v = tame.sheaf_verdict(u, ProjectionJudge(axis))
+                crit = set(tame.critical_values(u, axis))
+                ends = sum(c.t0 in crit for c in v.certificates)
+                assert calls == (ends if dim == 2 else 0), trial
+                seen["endpoint certificates"] += ends
+                seen["gap certificates"] += len(v.certificates) - ends
+    assert seen["endpoint certificates"] > 100 and seen["gap certificates"] > 20
+    assert seen["1-d"] > 20
+
+
 def _touching_pairs(rng, dim: int) -> list[Rect]:
     """Two boxes meeting at x = 2k + 1 for each of the four open/closed
     combinations of the shared edge, their other sides overlapping."""
