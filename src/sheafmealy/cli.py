@@ -20,7 +20,7 @@ from . import fixtures as fx
 from . import jsonio
 from .epshelly import obstruction_depth
 from .errors import CheckerError, IncompatibleFamily, MalformedDocument
-from .explain import Section, validate_section
+from .explain import Section, restrict_section, validate_judge, validate_section
 from .localglobal import (
     ObstructionReport,
     check_separation,
@@ -103,8 +103,6 @@ def _validate(args: SimpleNamespace) -> int:
         jsonio.require(payload, "a judge document", "system", "judge", objects=("system",))
         sys_ = validate_system(payload["system"])
         j = jsonio.judge_from_payload(payload["judge"])
-        from .explain import validate_judge
-
         validate_judge(j, sys_)
     elif kind == "rect-union":
         jsonio.union_from_json(payload)
@@ -144,8 +142,6 @@ def _check_separation(args: SimpleNamespace) -> int:
 
 
 def _family(sf: fx.SectionsFixture) -> list[Section]:
-    from .explain import restrict_section
-
     if sf.scope == "local":
         return list(sf.sections)
     if not sf.sections:
@@ -358,9 +354,6 @@ _COMMANDS: dict[tuple[str, ...], _Command] = {
         "write one fixture as canonical JSON"),
 }
 
-# Checks are looked up by name when they run, so one can be swapped.
-_CHECKS = {key[1]: command.handler for key, command in _COMMANDS.items() if key[0] == "check"}
-
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
@@ -499,14 +492,13 @@ def _parse(argv: list[str]) -> tuple[_Command, SimpleNamespace]:
         _fail(key, f"the following arguments are required: {command.positional}")
     if extras:
         _fail(key, f"unrecognized arguments: {' '.join(extras)}")
-    return command, SimpleNamespace(verb=key[0], what=key[1] if len(key) > 1 else None, **values)
+    return command, SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
     command, args = _parse(sys.argv[1:] if argv is None else list(argv))
-    handler = _CHECKS[args.what] if args.verb == "check" else command.handler
     try:
-        return handler(args)
+        return command.handler(args)
     except MalformedDocument as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return 2

@@ -34,10 +34,12 @@ Three facts, proved directly for this class of domains, drive the algorithms:
   Pieces of one cross-section are apart and so are a left and a right
   piece, while a side piece joins a fiber piece exactly when its closure
   meets it; so the fiber splits exactly when its pieces, joined through
-  side pieces, fall into two or more classes.  Only such a band is
-  clipped, normalized and linked, to build the components of its
-  certificate.  The same fact decides the equality of two unions from
-  their fibers at those points.
+  side pieces, fall into two or more classes.  Only a band whose fiber
+  splits at an endpoint is clipped, normalized and linked, to build the
+  components of its certificate; each component's first fiber piece
+  gives its fiber point.  ``sheaf_verdict`` and ``robustly_disconnected``
+  both decide a band this way, in ``_split``.  The same fact decides the
+  equality of two unions from their fibers at those points.
 
 * Order, not values.  Normalization (``rect_union``, ``_try_merge``,
   ``merge_intervals``), linkage (``_linked_1d``, ``_closure_meets``),
@@ -50,11 +52,12 @@ Three facts, proved directly for this class of domains, drive the algorithms:
   endpoints once, together with every candidate and both ends of its band
   on the judged axis, replaces every endpoint by its rank, and decides
   every candidate and builds the components of every certifying band on
-  integers.  Components are mapped back to rationals only when their
-  candidate certifies, before ``representative`` (the one piece of
-  arithmetic) picks their fiber points.  A single abscissa
-  (``preimage_components_near``) has nothing to share, so the same band
-  routine runs on its rationals directly, with the same result.
+  integers.  Components and their fiber pieces are mapped back to
+  rationals only when their candidate certifies, before
+  ``representative`` (the one piece of arithmetic) picks their fiber
+  points.  A single abscissa (``robustly_disconnected``) has nothing to
+  share, so the same routine runs on its rationals directly, with the
+  same result.
 
 Linkage is found by a sweep along axis 0: closures of two sides meet only
 if neither side ends before the other begins, so each box, taken in order
@@ -394,15 +397,6 @@ def subtract_closed_band(u: RectUnion, axis: int, lo: Fraction, hi: Fraction) ->
     return rect_union(u.dim, out)
 
 
-@dataclass(frozen=True)
-class StripComponents:
-    t0: Fraction
-    delta: Fraction
-    strip: RectUnion
-    components: tuple[RectUnion, ...]
-    meets_fiber: tuple[bool, ...]
-
-
 def _width(crit: Sequence[Fraction], t: Fraction) -> Fraction:
     """The default band width at ``t``: half the distance to the nearest
     critical value other than ``t`` in the sorted ``crit``, or 1 when there
@@ -413,37 +407,6 @@ def _width(crit: Sequence[Fraction], t: Fraction) -> Fraction:
     if after < len(crit):
         gaps.append(crit[after] - t)
     return min(gaps) / 2 if gaps else Fraction(1)
-
-
-def preimage_components_near(
-    u: RectUnion,
-    pj: ProjectionJudge,
-    t0: Fraction,
-    delta: Fraction | None = None,
-) -> StripComponents:
-    """Components of the preimage of the open band ``(t0 - d, t0 + d)``.
-
-    The band must avoid every interval endpoint of the union on the judged
-    axis other than ``t0`` itself; the default ``d`` is half the distance to
-    the nearest such endpoint.  On each open gap between endpoints the answer
-    is the same for every admissible ``d``, which the test suite exercises by
-    comparing two widths.
-    """
-    t0 = Fraction(t0)
-    if delta is None:
-        delta = _width(critical_values(u, pj.axis), t0)
-    else:
-        delta = Fraction(delta)
-        if delta <= 0:
-            raise CheckerError("the band width must be positive")
-        for v in critical_values(u, pj.axis):
-            if v != t0 and abs(v - t0) <= delta:
-                raise CheckerError(
-                    f"band width {delta} reaches the critical abscissa {v}"
-                )
-    strip, groups, marks = _band(u.dim, pj.axis, u.rects, t0 - delta, t0, t0 + delta)
-    comps = tuple(RectUnion(u.dim, tuple(g)) for g in groups)
-    return StripComponents(t0, delta, strip, comps, tuple(marks))
 
 
 def _ranks(
@@ -468,15 +431,16 @@ def _relabel(rects: Iterable[Rect], tables: Sequence[Mapping | Sequence]) -> tup
 
 def _band(
     dim: int, axis: int, boxes: Sequence[Rect], lo: Fraction, t: Fraction, hi: Fraction
-) -> tuple[RectUnion, list[list[Rect]], list[bool]]:
-    """The strip of ``boxes`` over the open band ``(lo, hi)``, its
-    components, and whether each meets the fiber at ``t``.  The strip is
-    normalized and every subset of a merge-free set is merge-free, so the
-    components need no normalization of their own.  Only order matters
-    here, so the endpoints may be rationals or their ranks."""
+) -> tuple[list[list[Rect]], list[Interval | None]]:
+    """The components of the strip of ``boxes`` over the open band
+    ``(lo, hi)``, and the first piece of each one's fiber at ``t``, None
+    where it misses the fiber.  The strip is normalized and every subset of
+    a merge-free set is merge-free, so the components need no normalization
+    of their own."""
     strip = clip_band(RectUnion(dim, tuple(boxes)), axis, Interval(lo, hi, True, True))
     groups = _linked_groups(strip.rects)
-    return strip, groups, [any(r[axis].contains(t) for r in g) for g in groups]
+    pieces = [merge_intervals(r[1 - axis] for r in g if r[axis].contains(t)) for g in groups]
+    return groups, [p[0] if p else None for p in pieces]
 
 
 def _fiber_splits(boxes: Sequence[Rect], axis: int, t: Fraction) -> bool:
@@ -499,6 +463,30 @@ def _fiber_splits(boxes: Sequence[Rect], axis: int, t: Fraction) -> bool:
     return len({uf.find(j) for j in range(len(here))}) > 1
 
 
+def _split(
+    dim: int, axis: int, boxes: Sequence[Rect], lo: Fraction, t: Fraction, hi: Fraction,
+    gap: bool,
+) -> tuple[list[list[Rect]], Sequence[Interval | None]] | None:
+    """The components of the preimage of the open band ``(lo, hi)`` around
+    ``t``, given the boxes whose judged sides reach the band, with the first
+    fiber piece of each (None where it misses the fiber); None when the
+    fiber does not split across them.  ``gap`` says that the band lies in an
+    open gap between endpoints on the judged axis.  Only order matters here,
+    so the endpoints may be rationals or their ranks."""
+    if dim == 1:
+        # On the line a fiber is at most one point.
+        return None
+    if not gap:
+        return _band(dim, axis, boxes, lo, t, hi) if _fiber_splits(boxes, axis, t) else None
+    # The band's preimage is the fiber times the band, one component per
+    # fiber piece, each meeting the fiber.
+    pieces = merge_intervals(r[1 - axis] for r in boxes)
+    if len(pieces) < 2:
+        return None
+    band = Interval(lo, hi, True, True)
+    return [[Rect.of((band, p) if axis == 0 else (p, band))] for p in pieces], pieces
+
+
 @dataclass(frozen=True)
 class RobustDisconnectionCertificate:
     """Witness that the fiber at ``t0`` is robustly disconnected.
@@ -518,36 +506,36 @@ class RobustDisconnectionCertificate:
     v_index: int
 
 
-def _fiber_point(comp: RectUnion, pj: ProjectionJudge, t0: Fraction) -> Point | None:
-    pieces = fiber(comp, pj, t0)
-    if not pieces:
-        return None
-    other = pieces[0].representative()
-    return tuple(t0 if k == pj.axis else other for k in range(comp.dim))
-
-
 def robustly_disconnected(
-    u: RectUnion,
-    pj: ProjectionJudge,
-    t0: Fraction,
-    delta: Fraction | None = None,
+    u: RectUnion, pj: ProjectionJudge, t0: Fraction
 ) -> RobustDisconnectionCertificate | None:
-    """Certificate that the fiber at ``t0`` splits across band components,
-    or None when every admissible band keeps it inside one component."""
-    sc = preimage_components_near(u, pj, t0, delta)
-    if sum(sc.meets_fiber) < 2:
-        return None
-    return _certificate(sc.t0, sc.delta, sc.components, sc.meets_fiber, pj)
+    """Certificate that the fiber at ``t0`` splits across the components of
+    the preimage of the open band ``(t0 - d, t0 + d)``, or None when it does
+    not.  The width ``d`` is half the distance to the nearest interval
+    endpoint on the judged axis other than ``t0``; every narrower band gives
+    the same answer."""
+    t0 = Fraction(t0)
+    crit = critical_values(u, pj.axis)
+    delta = _width(crit, t0)
+    band = Interval(t0 - delta, t0 + delta, True, True)
+    boxes = [r for r in u.rects if not r[pj.axis].intersect(band).empty]
+    split = _split(u.dim, pj.axis, boxes, band.lo, t0, band.hi, t0 not in crit)
+    return None if split is None else _certificate(u.dim, pj.axis, t0, delta, *split)
 
 
-def _certificate(t0: Fraction, delta: Fraction, comps: tuple[RectUnion, ...],
-                 marks: Sequence[bool], pj: ProjectionJudge) -> RobustDisconnectionCertificate:
+def _certificate(
+    dim: int, axis: int, t0: Fraction, delta: Fraction,
+    groups: Iterable[Iterable[Rect]], pieces: Sequence[Interval | None],
+) -> RobustDisconnectionCertificate:
     """The certificate of a band whose components meet the fiber at least
-    twice."""
-    points = tuple(_fiber_point(comp, pj, t0) for comp in comps)
-    return RobustDisconnectionCertificate(
-        t0, t0 - delta, t0 + delta, comps, points, marks.index(True)
+    twice, with a fiber point in each from its first fiber piece."""
+    points = tuple(
+        None if p is None else tuple(t0 if k == axis else p.representative() for k in range(dim))
+        for p in pieces
     )
+    comps = tuple(RectUnion(dim, tuple(g)) for g in groups)
+    v_index = next(k for k, p in enumerate(points) if p is not None)
+    return RobustDisconnectionCertificate(t0, t0 - delta, t0 + delta, comps, points, v_index)
 
 
 @dataclass(frozen=True)
@@ -582,24 +570,16 @@ def sheaf_verdict(u: RectUnion, pj: ProjectionJudge) -> SheafVerdict:
         for k in range(position[iv.lo], position[iv.hi] + 1):
             reach[k].append(r)
     certs = []
-    # On the line a fiber is at most one point, so no candidate certifies.
-    bands = zip(candidates, widths, ends, reach) if u.dim == 2 else ()
-    for k, (t, delta, (lo, hi), boxes) in enumerate(bands):
-        if k % 2:
-            # A gap: the band's preimage is the fiber times the band, one
-            # component per fiber piece, each meeting the fiber.
-            pieces = merge_intervals(r[1 - pj.axis] for r in boxes)
-            if len(pieces) < 2:
-                continue
-            band = Interval(at[lo], at[hi], True, True)
-            groups = [[Rect.of((band, p) if pj.axis == 0 else (p, band))] for p in pieces]
-            marks = [True] * len(pieces)
-        elif _fiber_splits(boxes, pj.axis, at[t]):
-            _, groups, marks = _band(u.dim, pj.axis, boxes, at[lo], at[t], at[hi])
-        else:
+    for k, (t, delta, (lo, hi), boxes) in enumerate(zip(candidates, widths, ends, reach)):
+        split = _split(u.dim, pj.axis, boxes, at[lo], at[t], at[hi], k % 2 == 1)
+        if split is None:
             continue
-        comps = tuple(RectUnion(u.dim, _relabel(g, values)) for g in groups)
-        certs.append(_certificate(t, delta, comps, marks, pj))
+        groups, pieces = split
+        other = values[1 - pj.axis]
+        pieces = [None if p is None else Interval(other[p.lo], other[p.hi], p.lo_open, p.hi_open)
+                  for p in pieces]
+        certs.append(_certificate(u.dim, pj.axis, t, delta,
+                                  (_relabel(g, values) for g in groups), pieces))
     notes: list[str] = []
     if any(s.lo_open or s.hi_open for r in u.rects for s in r):
         notes.append(

@@ -17,6 +17,7 @@ membership on the grid of atoms, not by the library's sweep.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from sheafmealy.errors import CheckerError
@@ -28,7 +29,6 @@ from sheafmealy.tame import (
     RectUnion,
     RobustDisconnectionCertificate,
     SheafVerdict,
-    StripComponents,
     critical_values,
 )
 
@@ -205,6 +205,17 @@ def default_delta(u: RectUnion, pj: ProjectionJudge, t0: Fraction) -> Fraction:
     return min(abs(v - t0) for v in others) / 2
 
 
+@dataclass(frozen=True)
+class StripComponents:
+    """The components of the preimage of the band ``(t0 - delta, t0 +
+    delta)`` and whether each meets the fiber at ``t0``."""
+
+    t0: Fraction
+    delta: Fraction
+    components: tuple[RectUnion, ...]
+    meets_fiber: tuple[bool, ...]
+
+
 def preimage_components_near(u, pj, t0, delta=None) -> StripComponents:
     t0 = Fraction(t0)
     delta = default_delta(u, pj, t0) if delta is None else Fraction(delta)
@@ -213,7 +224,7 @@ def preimage_components_near(u, pj, t0, delta=None) -> StripComponents:
     strip = rect_union(u.dim, [c for c in clipped if c is not None])
     comps = components(strip)
     marks = tuple(bool(fiber(comp, pj, t0)) for comp in comps)
-    return StripComponents(t0, delta, strip, comps, marks)
+    return StripComponents(t0, delta, comps, marks)
 
 
 def robustly_disconnected(u, pj, t0) -> RobustDisconnectionCertificate | None:

@@ -826,7 +826,8 @@ def test_memory_error_is_reported_as_scale_exceeded(capsys, monkeypatch):
     def exhausted(args):
         raise MemoryError
 
-    monkeypatch.setitem(cli._CHECKS, "tame-check", exhausted)
+    key = ("check", "tame-check")
+    monkeypatch.setitem(cli._COMMANDS, key, cli._COMMANDS[key]._replace(handler=exhausted))
     code, out, err = _run(capsys, ["check", "tame-check", "two-band"])
     assert code == 1 and out == ""
     assert err.splitlines() == ["ScaleExceeded: the check ran out of memory"]

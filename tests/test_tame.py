@@ -18,7 +18,6 @@ from sheafmealy import (
     fiber,
     glue_stateless,
     interval,
-    preimage_components_near,
     rect_union,
     regions_equal,
     robustly_disconnected,
@@ -174,44 +173,6 @@ def test_rect_is_the_tuple_of_its_sides():
     assert not r.contains((HALF,)) and Rect(x, interval(1, 0)).empty
     with pytest.raises(CheckerError):
         r.axis(-1)
-
-
-# ---------------------------------------------------------- strip components
-
-def test_preimage_components_examples():
-    full = rect_union(2, [box(0, 1, 0, 1)])
-    sc = preimage_components_near(full, ProjectionJudge(0), HALF)
-    assert len(sc.components) == 1 and sc.meets_fiber == (True,)
-
-    ps, pj = fx.punctured_square_objects()
-    sc2 = preimage_components_near(ps, pj, HALF)
-    assert len(sc2.components) == 1
-    assert sc2.meets_fiber == (True,)
-
-    tb, pj_tb = fx.two_band_objects()
-    sc3 = preimage_components_near(tb, pj_tb, HALF)
-    assert len(sc3.components) == 2
-    assert sc3.meets_fiber == (True, True)
-
-
-def test_preimage_components_delta_stability():
-    cases = [fx.punctured_square_objects(), fx.two_band_objects()]
-    for u, pj in cases:
-        for t0 in sheaf_verdict(u, pj).candidates:
-            sc = preimage_components_near(u, pj, t0)
-            half_width = preimage_components_near(u, pj, t0, sc.delta / 2)
-            quarter = preimage_components_near(u, pj, t0, sc.delta / 4)
-            assert len(sc.components) == len(half_width.components)
-            assert sc.meets_fiber == half_width.meets_fiber
-            assert sc.meets_fiber == quarter.meets_fiber
-
-
-def test_preimage_components_rejects_bad_delta():
-    u, pj = fx.punctured_square_objects()
-    with pytest.raises(CheckerError):
-        preimage_components_near(u, pj, HALF, Fraction(0))
-    with pytest.raises(CheckerError):
-        preimage_components_near(u, pj, HALF, HALF)
 
 
 # ------------------------------------------------------ robust disconnection

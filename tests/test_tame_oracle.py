@@ -4,13 +4,16 @@
 ``sheaf_verdict`` takes its band widths and the boxes of each band in one
 pass and works every band on the ranks of the endpoints, and ``components``
 links boxes by a sweep along axis 0; all must give the reference results
-exactly: the same normalized boxes, candidates, notes and certificates, and
-the same band components.
+exactly: the same normalized boxes, candidates, notes and certificates.
+``robustly_disconnected`` decides a single abscissa on its rationals and
+must give the reference's certificate, or None, at every candidate and
+off the midpoints of the gaps.
 """
 
 from fractions import Fraction
 from itertools import product
 
+from sheafmealy import fixtures as fx
 from sheafmealy import jsonio, tame
 from sheafmealy.tame import Interval, ProjectionJudge, Rect, RectUnion, interval
 
@@ -35,8 +38,21 @@ def _cert_bytes(certs) -> list[bytes]:
     return [jsonio.canonical_bytes(jsonio.certificate_payload(c)) for c in certs]
 
 
-def _strip_key(sc):
-    return (sc.t0, sc.delta, sc.strip, sc.components, sc.meets_fiber)
+def _robust_matches(u, pj, candidates) -> int:
+    """Hold ``robustly_disconnected`` to the reference, certificate bytes or
+    None, at every candidate and at the point ``(3a + b) / 4`` of every gap
+    ``(a, b)`` between endpoints; the number of certificates off the
+    candidates."""
+    crit = candidates[::2]
+    quarters = [(3 * a + b) / 4 for a, b in zip(crit, crit[1:])]
+    found = 0
+    for t in [*candidates, *quarters]:
+        got, want = tame.robustly_disconnected(u, pj, t), oracle.robustly_disconnected(u, pj, t)
+        assert (got is None) == (want is None), t
+        if got is not None:
+            assert _cert_bytes([got]) == _cert_bytes([want]), t
+            found += t in quarters
+    return found
 
 
 def test_rect_union_replays_the_reference_merges(rng):
@@ -51,7 +67,8 @@ def test_rect_union_replays_the_reference_merges(rng):
 
 
 def test_sheaf_verdict_matches_the_per_candidate_reference(rng):
-    seen = {"certificates": 0, "midpoint certificates": 0, "open": 0, "1-d": 0}
+    seen = {"certificates": 0, "midpoint certificates": 0, "quarter certificates": 0,
+            "open": 0, "1-d": 0}
     for trial in range(72):
         dim = 1 if trial % 4 == 0 else 2
         share = (0, 0.3, 0.7)[trial % 3]
@@ -68,11 +85,9 @@ def test_sheaf_verdict_matches_the_per_candidate_reference(rng):
             crit = set(tame.critical_values(u, axis))
             seen["midpoint certificates"] += sum(c.t0 not in crit for c in got.certificates)
             seen["open"] += len(got.notes) == 2
-            ts = {c.t0 for c in got.certificates[:2]} | set(got.candidates[:2])
-            for t in sorted(ts):
-                assert _strip_key(tame.preimage_components_near(u, pj, t)) == _strip_key(
-                    oracle.preimage_components_near(u, pj, t))
+            seen["quarter certificates"] += _robust_matches(u, pj, got.candidates)
     assert seen["certificates"] > 100 and seen["midpoint certificates"] > 20
+    assert seen["quarter certificates"] > 200
     assert seen["open"] > 20 and seen["1-d"] > 10
 
 
@@ -121,6 +136,78 @@ def test_sheaf_verdict_builds_a_band_only_where_an_endpoint_certifies(rng, monke
     assert seen["1-d"] > 20
 
 
+def _seeded_unions(rng, trials: int):
+    """Seeded quarter-grid unions, one trial in four on the line, each
+    normalized and raw, with every axis they can be judged on."""
+    for trial in range(trials):
+        dim = 1 if trial % 4 == 0 else 2
+        boxes = _boxes(rng, dim, rng.randint(1, 30), (0, 0.3, 0.7)[trial % 3])
+        for u in (tame.rect_union(dim, boxes), RectUnion(dim, tuple(boxes))):
+            for axis in range(dim):
+                yield trial, u, ProjectionJudge(axis)
+
+
+def test_robustly_disconnected_builds_a_band_only_where_an_endpoint_certifies(rng, monkeypatch):
+    """``robustly_disconnected`` decides its band as ``sheaf_verdict``
+    does: ``_band`` runs exactly when it returns a certificate at an
+    endpoint, and never at a gap or on the line."""
+    calls = 0
+    band = tame._band
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return band(*args)
+
+    monkeypatch.setattr(tame, "_band", counting)
+    seen = {"endpoint certificates": 0, "gap certificates": 0, "1-d": 0}
+    for trial, u, pj in _seeded_unions(rng, 40):
+        seen["1-d"] += u.dim == 1
+        crit = set(tame.critical_values(u, pj.axis))
+        for t in tame.sheaf_verdict(u, pj).candidates:
+            calls = 0
+            cert = tame.robustly_disconnected(u, pj, t)
+            endpoint = cert is not None and t in crit
+            assert calls == endpoint, (trial, t)
+            seen["endpoint certificates"] += endpoint
+            seen["gap certificates"] += cert is not None and not endpoint
+    assert seen["endpoint certificates"] > 200 and seen["gap certificates"] > 200
+    assert seen["1-d"] > 10
+
+
+def test_verdict_and_single_abscissa_agree_without_fiber(rng, monkeypatch):
+    """At every candidate ``robustly_disconnected``, on rationals, returns
+    the certificate of the verdict, which works on ranks, or None where the
+    verdict has none.  Neither calls ``fiber``: the fiber point of each
+    component comes from the fiber pieces that decided its band."""
+
+    def no_fiber(*args):
+        raise AssertionError("fiber was called")
+
+    monkeypatch.setattr(tame, "fiber", no_fiber)
+    certified = 0
+    for trial, u, pj in _seeded_unions(rng, 40):
+        v = tame.sheaf_verdict(u, pj)
+        certs = {c.t0: c for c in v.certificates}
+        for t in v.candidates:
+            assert tame.robustly_disconnected(u, pj, t) == certs.get(t), (trial, t)
+        certified += len(certs)
+    assert certified > 400
+
+
+def test_preimage_components_delta_stability():
+    """The reference's band components and fiber marks are the same for
+    the default width and for a half and a quarter of it."""
+    for u, pj in (fx.punctured_square_objects(), fx.two_band_objects()):
+        for t0 in tame.sheaf_verdict(u, pj).candidates:
+            sc = oracle.preimage_components_near(u, pj, t0)
+            half_width = oracle.preimage_components_near(u, pj, t0, sc.delta / 2)
+            quarter = oracle.preimage_components_near(u, pj, t0, sc.delta / 4)
+            assert len(sc.components) == len(half_width.components)
+            assert sc.meets_fiber == half_width.meets_fiber
+            assert sc.meets_fiber == quarter.meets_fiber
+
+
 def _touching_pairs(rng, dim: int) -> list[Rect]:
     """Two boxes meeting at x = 2k + 1 for each of the four open/closed
     combinations of the shared edge, their other sides overlapping."""
@@ -148,7 +235,7 @@ def test_sheaf_verdict_where_neighbouring_bands_share_an_end(rng):
             hi = lo
         return Interval(ends[lo], ends[hi], rng.random() < 0.4, rng.random() < 0.4)
 
-    seen = {"certificates": 0, "shared ends": 0}
+    seen = {"certificates": 0, "shared ends": 0, "quarter certificates": 0}
     for trial in range(48):
         dim = 1 if trial % 4 == 0 else 2
         boxes = [Rect.of(side() for _ in range(dim)) for _ in range(rng.randint(1, 14))]
@@ -166,10 +253,9 @@ def test_sheaf_verdict_where_neighbouring_bands_share_an_end(rng):
                 seen["certificates"] += len(got.certificates)
                 bands = {(c.n_lo, c.n_hi) for c in got.certificates}
                 seen["shared ends"] += any(hi == lo for _, hi in bands for lo, _ in bands)
-                for t in got.candidates:
-                    assert _strip_key(tame.preimage_components_near(u, pj, t)) == _strip_key(
-                        oracle.preimage_components_near(u, pj, t)), (trial, t)
+                seen["quarter certificates"] += _robust_matches(u, pj, got.candidates)
     assert seen["certificates"] > 40 and seen["shared ends"] > 5
+    assert seen["quarter certificates"] > 20
 
 
 def test_components_match_the_pairwise_reference(rng):
