@@ -9,7 +9,6 @@ byte-identical; golden files can be compared directly.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any, Mapping
 
 from .epshelly import (
@@ -183,12 +182,8 @@ def section_from_payload(patch: OpenImmersion, j: Judge, payload: Mapping) -> Se
 
 # -------------------------------------------------------------- rect unions
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def _rect_payload(r: Rect) -> dict:
-    out: dict[str, Any] = {key: [_frac(s.lo), _frac(s.hi)] for key, s in zip(SIDE_KEYS, r)}
+    out: dict[str, Any] = {key: [str(s.lo), str(s.hi)] for key, s in zip(SIDE_KEYS, r)}
     out["open"] = [flag for s in r for flag in (s.lo_open, s.hi_open)]
     return out
 
@@ -208,13 +203,13 @@ def union_from_json(payload: Mapping) -> tuple[RectUnion, ProjectionJudge]:
 
 def certificate_payload(cert: RobustDisconnectionCertificate) -> dict:
     return {
-        "t0": _frac(cert.t0),
-        "band": [_frac(cert.n_lo), _frac(cert.n_hi)],
+        "t0": str(cert.t0),
+        "band": [str(cert.n_lo), str(cert.n_hi)],
         "components": [
             {"rects": [_rect_payload(r) for r in comp.rects], "dim": comp.dim}
             for comp in cert.components
         ],
-        "fiber_points": [None if p is None else [_frac(x) for x in p]
+        "fiber_points": [None if p is None else [str(x) for x in p]
                          for p in cert.fiber_points],
         "component_of_first_point": cert.v_index,
     }
@@ -223,7 +218,7 @@ def certificate_payload(cert: RobustDisconnectionCertificate) -> dict:
 def sheaf_verdict_payload(v: SheafVerdict) -> dict:
     return {
         "is_sheaf": v.is_sheaf,
-        "candidates": [_frac(t) for t in v.candidates],
+        "candidates": [str(t) for t in v.candidates],
         "certificates": [certificate_payload(c) for c in v.certificates],
         "notes": list(v.notes),
     }

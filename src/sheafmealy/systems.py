@@ -10,13 +10,16 @@ carriers coincide.
 
 Carriers are sets of string identifiers, stored sorted and duplicate-free, so
 structural equality of systems is plain dataclass equality.  Dynamics are
-stored as dense index tables over the sorted carriers.
+stored as dense index tables over the sorted carriers, and so are
+morphisms; patches are built (:func:`subsystem`) and factored through one
+another (:func:`restrict_immersion`) on those tables, not on names.
 
 The whole system is a patch of itself, :func:`identity_patch`; global
-sections sit on it.  Top-level systems must have non-empty inputs and outputs.  Patches may have
-empty carriers or interfaces (the overlap of two patches can, and so can a
-patch pulled back along another); they are legal covering members and are
-checked structurally rather than through :func:`validate_system`.
+sections sit on it.  Top-level systems must have non-empty inputs and
+outputs.  Patches may have empty carriers or interfaces (the overlap of two
+patches can, and so can a patch pulled back along another); they are legal
+covering members and are checked structurally rather than through
+:func:`validate_system`.
 """
 
 from __future__ import annotations
@@ -397,18 +400,6 @@ class OpenImmersion:
     def o_image(self) -> frozenset[Ident]:
         return frozenset(map(self.target.outputs.__getitem__, self.morphism.f_o))
 
-    def pre_b(self, s: Ident) -> Ident:
-        return self.source.before[self.morphism.f_b.index(self.target.b_index[s])]
-
-    def pre_a(self, s: Ident) -> Ident:
-        return self.source.after[self.morphism.f_a.index(self.target.a_index[s])]
-
-    def pre_i(self, c: Ident) -> Ident:
-        return self.source.inputs[self.morphism.f_i.index(self.target.i_index[c])]
-
-    def pre_o(self, o: Ident) -> Ident:
-        return self.source.outputs[self.morphism.f_o.index(self.target.o_index[o])]
-
 
 def open_immersion(m: SystemMorphism) -> OpenImmersion:
     for name, comp in (("before", m.f_b), ("after", m.f_a), ("input", m.f_i), ("output", m.f_o)):
@@ -433,6 +424,7 @@ def subsystem(
     a = finset(after if after is not None else system.after)
     i = finset(inputs if inputs is not None else system.inputs)
     o = finset(outputs if outputs is not None else system.outputs)
+    tables: list[tuple[int, ...]] = []
     for carrier, index, name in ((b, system.b_index, "a before-state"),
                                  (a, system.a_index, "an after-state"),
                                  (i, system.i_index, "an input"),
@@ -440,20 +432,27 @@ def subsystem(
         for x in carrier:
             if x not in index:
                 raise ForeignElement(f"{x!r} is not {name}")
-    a_set, o_set = set(a), set(o)
-    dyn: dict[tuple[Ident, Ident], tuple[Ident, Ident]] = {}
-    for s in b:
-        for c in i:
-            s2, out = system.transition(s, c)
-            if s2 not in a_set or out not in o_set:
+        tables.append(tuple(map(index.__getitem__, carrier)))
+    f_b, f_a, f_i, f_o = tables
+    at_a, at_o = _inverse(f_a), _inverse(f_o)
+    step: list[tuple[tuple[int, int], ...]] = []
+    for s, kb in zip(b, f_b):
+        row: list[tuple[int, int]] = []
+        for c, ki in zip(i, f_i):
+            ka, ko = system.step[kb][ki]
+            if ka not in at_a or ko not in at_o:
                 raise CheckerError(
                     f"carriers not closed: step at ({s!r}, {c!r}) leaves the patch"
                 )
-            dyn[(s, c)] = (s2, out)
-    sub = make_system(b, a, i, o, dyn)
-    incl = morphism(sub, system, {s: s for s in b}, {s: s for s in a},
-                    {c: c for c in i}, {x: x for x in o})
-    return OpenImmersion(incl)
+            row.append((at_a[ka], at_o[ko]))
+        step.append(tuple(row))
+    return OpenImmersion(SystemMorphism(MealySystem(b, a, i, o, tuple(step)), system,
+                                        f_b, f_a, f_i, f_o))
+
+
+def _inverse(table: tuple[int, ...]) -> dict[int, int]:
+    """The position of each value of an injective index table."""
+    return {k: j for j, k in enumerate(table)}
 
 
 @dataclass(frozen=True)
@@ -535,15 +534,11 @@ def restrict_immersion(w: OpenImmersion, p: OpenImmersion) -> OpenImmersion:
     if not (w.b_image <= p.b_image and w.a_image <= p.a_image
             and w.i_image <= p.i_image and w.o_image <= p.o_image):
         raise CheckerError("patch does not lie inside the containing patch")
-    wm = w.morphism
-    return OpenImmersion(morphism(
-        w.source,
-        p.source,
-        {s: p.pre_b(wm.map_b(s)) for s in w.source.before},
-        {s: p.pre_a(wm.map_a(s)) for s in w.source.after},
-        {c: p.pre_i(wm.map_i(c)) for c in w.source.inputs},
-        {o: p.pre_o(wm.map_o(o)) for o in w.source.outputs},
-    ))
+    wm, pm = w.morphism, p.morphism
+    return OpenImmersion(SystemMorphism(w.source, p.source, *(
+        tuple(map(_inverse(f_p).__getitem__, f_w))
+        for f_w, f_p in ((wm.f_b, pm.f_b), (wm.f_a, pm.f_a), (wm.f_i, pm.f_i), (wm.f_o, pm.f_o))
+    )))
 
 
 class _UnionFind:

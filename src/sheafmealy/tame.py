@@ -57,7 +57,8 @@ Three facts, proved directly for this class of domains, drive the algorithms:
   ``representative`` (the one piece of arithmetic) picks their fiber
   points.  A single abscissa (``robustly_disconnected``) has nothing to
   share, so the same routine runs on its rationals directly, with the
-  same result.
+  same result.  On the line a fiber is at most one point and never
+  splits, so both answer from the candidates before any rank or width.
 
 Linkage is found by a sweep along axis 0: closures of two sides meet only
 if neither side ends before the other begins, so each box, taken in order
@@ -430,14 +431,14 @@ def _relabel(rects: Iterable[Rect], tables: Sequence[Mapping | Sequence]) -> tup
 
 
 def _band(
-    dim: int, axis: int, boxes: Sequence[Rect], lo: Fraction, t: Fraction, hi: Fraction
+    axis: int, boxes: Sequence[Rect], lo: Fraction, t: Fraction, hi: Fraction
 ) -> tuple[list[list[Rect]], list[Interval | None]]:
     """The components of the strip of ``boxes`` over the open band
     ``(lo, hi)``, and the first piece of each one's fiber at ``t``, None
     where it misses the fiber.  The strip is normalized and every subset of
     a merge-free set is merge-free, so the components need no normalization
     of their own."""
-    strip = clip_band(RectUnion(dim, tuple(boxes)), axis, Interval(lo, hi, True, True))
+    strip = clip_band(RectUnion(2, tuple(boxes)), axis, Interval(lo, hi, True, True))
     groups = _linked_groups(strip.rects)
     pieces = [merge_intervals(r[1 - axis] for r in g if r[axis].contains(t)) for g in groups]
     return groups, [p[0] if p else None for p in pieces]
@@ -464,20 +465,16 @@ def _fiber_splits(boxes: Sequence[Rect], axis: int, t: Fraction) -> bool:
 
 
 def _split(
-    dim: int, axis: int, boxes: Sequence[Rect], lo: Fraction, t: Fraction, hi: Fraction,
-    gap: bool,
+    axis: int, boxes: Sequence[Rect], lo: Fraction, t: Fraction, hi: Fraction, gap: bool,
 ) -> tuple[list[list[Rect]], Sequence[Interval | None]] | None:
     """The components of the preimage of the open band ``(lo, hi)`` around
-    ``t``, given the boxes whose judged sides reach the band, with the first
-    fiber piece of each (None where it misses the fiber); None when the
-    fiber does not split across them.  ``gap`` says that the band lies in an
-    open gap between endpoints on the judged axis.  Only order matters here,
-    so the endpoints may be rationals or their ranks."""
-    if dim == 1:
-        # On the line a fiber is at most one point.
-        return None
+    ``t``, given the plane boxes whose judged sides reach the band, with the
+    first fiber piece of each (None where it misses the fiber); None when
+    the fiber does not split across them.  ``gap`` says that the band lies
+    in an open gap between endpoints on the judged axis.  Only order matters
+    here, so the endpoints may be rationals or their ranks."""
     if not gap:
-        return _band(dim, axis, boxes, lo, t, hi) if _fiber_splits(boxes, axis, t) else None
+        return _band(axis, boxes, lo, t, hi) if _fiber_splits(boxes, axis, t) else None
     # The band's preimage is the fiber times the band, one component per
     # fiber piece, each meeting the fiber.
     pieces = merge_intervals(r[1 - axis] for r in boxes)
@@ -516,24 +513,27 @@ def robustly_disconnected(
     the same answer."""
     t0 = Fraction(t0)
     crit = critical_values(u, pj.axis)
+    if u.dim == 1:
+        # On the line a fiber is at most one point.
+        return None
     delta = _width(crit, t0)
     band = Interval(t0 - delta, t0 + delta, True, True)
     boxes = [r for r in u.rects if not r[pj.axis].intersect(band).empty]
-    split = _split(u.dim, pj.axis, boxes, band.lo, t0, band.hi, t0 not in crit)
-    return None if split is None else _certificate(u.dim, pj.axis, t0, delta, *split)
+    split = _split(pj.axis, boxes, band.lo, t0, band.hi, t0 not in crit)
+    return None if split is None else _certificate(pj.axis, t0, delta, *split)
 
 
 def _certificate(
-    dim: int, axis: int, t0: Fraction, delta: Fraction,
+    axis: int, t0: Fraction, delta: Fraction,
     groups: Iterable[Iterable[Rect]], pieces: Sequence[Interval | None],
 ) -> RobustDisconnectionCertificate:
-    """The certificate of a band whose components meet the fiber at least
-    twice, with a fiber point in each from its first fiber piece."""
+    """The certificate of a plane band whose components meet the fiber at
+    least twice, with a fiber point in each from its first fiber piece."""
     points = tuple(
-        None if p is None else tuple(t0 if k == axis else p.representative() for k in range(dim))
+        None if p is None else tuple(t0 if k == axis else p.representative() for k in range(2))
         for p in pieces
     )
-    comps = tuple(RectUnion(dim, tuple(g)) for g in groups)
+    comps = tuple(RectUnion(2, tuple(g)) for g in groups)
     v_index = next(k for k, p in enumerate(points) if p is not None)
     return RobustDisconnectionCertificate(t0, t0 - delta, t0 + delta, comps, points, v_index)
 
@@ -554,10 +554,23 @@ def sheaf_verdict(u: RectUnion, pj: ProjectionJudge) -> SheafVerdict:
     the interval endpoints on the judged axis and one midpoint per gap.
     """
     crit = critical_values(u, pj.axis)
-    # The endpoints and the gap midpoints in increasing order, each with the
-    # default band width.
+    # The endpoints and the gap midpoints in increasing order.
     mids = [(a + b) / 2 for a, b in zip(crit, crit[1:])]
     candidates = [*(t for pair in zip(crit, mids) for t in pair), *crit[-1:]]
+    notes: list[str] = []
+    if any(s.lo_open or s.hi_open for r in u.rects for s in r):
+        notes.append(
+            "domain has open edges: the compactness hypothesis of the "
+            "characterization was not verified"
+        )
+    notes.append(
+        "output side assumed connected with at least two values; the verdict "
+        "covers the topological condition only"
+    )
+    if u.dim == 1:
+        # On the line a fiber is at most one point, so none splits.
+        return SheafVerdict(True, tuple(candidates), (), tuple(notes))
+    # Each candidate's default band width and band.
     widths = [_width(crit, t) for t in candidates]
     ends = [(t - d, t + d) for t, d in zip(candidates, widths)]
     values, ranks = _ranks(u, pj.axis, [*candidates, *(e for pair in ends for e in pair)])
@@ -571,25 +584,15 @@ def sheaf_verdict(u: RectUnion, pj: ProjectionJudge) -> SheafVerdict:
             reach[k].append(r)
     certs = []
     for k, (t, delta, (lo, hi), boxes) in enumerate(zip(candidates, widths, ends, reach)):
-        split = _split(u.dim, pj.axis, boxes, at[lo], at[t], at[hi], k % 2 == 1)
+        split = _split(pj.axis, boxes, at[lo], at[t], at[hi], k % 2 == 1)
         if split is None:
             continue
         groups, pieces = split
         other = values[1 - pj.axis]
         pieces = [None if p is None else Interval(other[p.lo], other[p.hi], p.lo_open, p.hi_open)
                   for p in pieces]
-        certs.append(_certificate(u.dim, pj.axis, t, delta,
+        certs.append(_certificate(pj.axis, t, delta,
                                   (_relabel(g, values) for g in groups), pieces))
-    notes: list[str] = []
-    if any(s.lo_open or s.hi_open for r in u.rects for s in r):
-        notes.append(
-            "domain has open edges: the compactness hypothesis of the "
-            "characterization was not verified"
-        )
-    notes.append(
-        "output side assumed connected with at least two values; the verdict "
-        "covers the topological condition only"
-    )
     return SheafVerdict(not certs, tuple(candidates), tuple(certs), tuple(notes))
 
 

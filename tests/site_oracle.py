@@ -1,11 +1,11 @@
 """Reference constructions on the site of Mealy machines.
 
-Pullbacks of coverings, pushouts along injective state maps, the van Kampen
-cube check (the stability condition of adhesive categories, Lack and
-Sobociński 2004) and a backtracking isomorphism test.  No checker needs
-them; the property suites use them to test the site structure that the
-checkers rely on, so they are small exhaustive references with scale caps
-rather than library code.
+Name-based patches and factorizations, pullbacks of coverings, pushouts
+along injective state maps, the van Kampen cube check (the stability
+condition of adhesive categories, Lack and Sobociński 2004) and a
+backtracking isomorphism test.  No checker needs them; the property suites
+use them to test the site structure that the checkers rely on, so they are
+small exhaustive references with scale caps rather than library code.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from sheafmealy.errors import (
     CheckerError,
+    ForeignElement,
     InterfaceMismatch,
     InternalConsistencyError,
     ScaleExceeded,
@@ -28,10 +29,71 @@ from sheafmealy.systems import (
     check_morphism,
     compose,
     covering,
+    finset,
     make_system,
     morphism,
     subsystem,
 )
+
+
+def _preimages(n: OpenImmersion) -> tuple[dict[Ident, Ident], ...]:
+    """For each carrier, the name in ``n``'s source of each name in its image."""
+    m, src, tgt = n.morphism, n.source, n.target
+    return tuple(
+        {target[k]: source[j] for j, k in enumerate(table)}
+        for table, source, target in ((m.f_b, src.before, tgt.before),
+                                      (m.f_a, src.after, tgt.after),
+                                      (m.f_i, src.inputs, tgt.inputs),
+                                      (m.f_o, src.outputs, tgt.outputs))
+    )
+
+
+def reference_subsystem(
+    system: MealySystem,
+    before: list[Ident] | None = None,
+    after: list[Ident] | None = None,
+    inputs: list[Ident] | None = None,
+    outputs: list[Ident] | None = None,
+) -> OpenImmersion:
+    """``subsystem`` by names: each kept step replayed through
+    ``transition``, the machine built by ``make_system`` and the inclusion
+    indexed by ``morphism``, with the same checks in the same order."""
+    b = finset(before if before is not None else system.before)
+    a = finset(after if after is not None else system.after)
+    i = finset(inputs if inputs is not None else system.inputs)
+    o = finset(outputs if outputs is not None else system.outputs)
+    for carrier, index, name in ((b, system.b_index, "a before-state"),
+                                 (a, system.a_index, "an after-state"),
+                                 (i, system.i_index, "an input"),
+                                 (o, system.o_index, "an output")):
+        for x in carrier:
+            if x not in index:
+                raise ForeignElement(f"{x!r} is not {name}")
+    dyn: dict[tuple[Ident, Ident], tuple[Ident, Ident]] = {}
+    for s in b:
+        for c in i:
+            s2, out = system.transition(s, c)
+            if s2 not in a or out not in o:
+                raise CheckerError(f"carriers not closed: step at ({s!r}, {c!r}) leaves the patch")
+            dyn[(s, c)] = (s2, out)
+    sub = make_system(b, a, i, o, dyn)
+    same = [{x: x for x in carrier} for carrier in (b, a, i, o)]
+    return OpenImmersion(morphism(sub, system, *same))
+
+
+def reference_factorization(w: OpenImmersion, p: OpenImmersion) -> OpenImmersion:
+    """``restrict_immersion`` by names: each name of ``w``'s source sent
+    through ``w`` and back through ``p``; no containment check."""
+    wm = w.morphism
+    pre_b, pre_a, pre_i, pre_o = _preimages(p)
+    return OpenImmersion(morphism(
+        w.source,
+        p.source,
+        {s: pre_b[wm.map_b(s)] for s in w.source.before},
+        {s: pre_a[wm.map_a(s)] for s in w.source.after},
+        {c: pre_i[wm.map_i(c)] for c in w.source.inputs},
+        {x: pre_o[wm.map_o(x)] for x in w.source.outputs},
+    ))
 
 
 def pullback_covering(c: Covering, n: OpenImmersion) -> Covering:
@@ -46,12 +108,13 @@ def pullback_covering(c: Covering, n: OpenImmersion) -> Covering:
     if n.target != c.target:
         raise CheckerError("cannot pull a covering back along a patch of another target")
     src = n.source
+    pre_b, pre_a, pre_i, pre_o = _preimages(n)
     patches: list[OpenImmersion] = []
     for p in c.patches:
-        b = sorted(n.pre_b(s) for s in (p.b_image & n.b_image))
-        a = sorted(n.pre_a(s) for s in (p.a_image & n.a_image))
-        i = sorted(n.pre_i(ch) for ch in (p.i_image & n.i_image))
-        o = sorted(n.pre_o(x) for x in (p.o_image & n.o_image))
+        b = sorted(pre_b[s] for s in (p.b_image & n.b_image))
+        a = sorted(pre_a[s] for s in (p.a_image & n.a_image))
+        i = sorted(pre_i[ch] for ch in (p.i_image & n.i_image))
+        o = sorted(pre_o[x] for x in (p.o_image & n.o_image))
         if (not b or not i) and (not a or not o):
             continue
         patches.append(subsystem(src, b, a, i, o))

@@ -1,13 +1,14 @@
 """Dead-code guard over the library, with the standard library's ``ast``.
 
-Three rules, for every module of ``sheafmealy`` but the re-exports of
+Four rules, for every module of ``sheafmealy`` but the re-exports of
 ``__init__.py``:
 
 * every name a module imports is used in that module;
 * every module-level private function, class or constant is referenced
   somewhere in the library other than its own definition;
-* every annotated field of a dataclass is read as an attribute somewhere
-  in the library, its tests or its benchmark (matched by name).
+* every annotated field of a dataclass, and every public method or
+  property of a class, is read as an attribute somewhere in the library,
+  its tests or its benchmark (matched by name).
 """
 
 import ast
@@ -89,12 +90,16 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
-def test_every_dataclass_field_is_read():
-    read = {sub.attr
+def _read_attributes() -> set[str]:
+    return {sub.attr
             for folder in READERS
             for path in sorted(folder.glob("*.py"))
             for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
             if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+
+
+def test_every_dataclass_field_is_read():
+    read = _read_attributes()
     unread = [
         f"{name}: {cls.name}.{stmt.target.id}"
         for name, tree in _trees().items()
@@ -103,5 +108,19 @@ def test_every_dataclass_field_is_read():
         for stmt in cls.body
         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
         and stmt.target.id not in read
+    ]
+    assert not unread, unread
+
+
+def test_every_public_method_is_read():
+    read = _read_attributes()
+    unread = [
+        f"{name}: {cls.name}.{stmt.name}"
+        for name, tree in _trees().items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not stmt.name.startswith("_") and stmt.name not in read
     ]
     assert not unread, unread

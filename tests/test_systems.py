@@ -7,7 +7,14 @@ import itertools
 import pytest
 
 import randgen as rg
-from site_oracle import pullback_covering, pushout_along_mono, systems_isomorphic, verify_vk_square
+from site_oracle import (
+    pullback_covering,
+    pushout_along_mono,
+    reference_factorization,
+    reference_subsystem,
+    systems_isomorphic,
+    verify_vk_square,
+)
 from sheafmealy import (
     CheckerError,
     InternalConsistencyError,
@@ -19,6 +26,7 @@ from sheafmealy import (
     make_system,
     morphism,
     open_immersion,
+    overlap_patch,
     restrict_immersion,
     subsystem,
     system_violations,
@@ -144,6 +152,67 @@ def test_pullback_drops_disjoint_patches():
     pulled = pullback_covering(covering(system, [p1, p2]), p2)
     assert len(pulled.patches) == 1
     assert pulled.patches[0].b_image == {"s1"}
+
+
+# -------------------------------------------- patches on their index tables
+
+def _rand_carriers(rng, system) -> list[list[str] | None]:
+    """Shuffled random subsets of the four carriers, closed under the kept
+    steps half of the time; now and then one carrier is left out (None),
+    or gets a duplicate or a foreign element."""
+    b = [s for s in system.before if rng.random() < 0.6]
+    a = [s for s in system.after if rng.random() < 0.5]
+    i = [c for c in system.inputs if rng.random() < 0.7]
+    o = [x for x in system.outputs if rng.random() < 0.5]
+    if rng.random() < 0.5:
+        a = sorted({*a, *(system.transition(s, c)[0] for s in b for c in i)})
+        o = sorted({*o, *(system.transition(s, c)[1] for s in b for c in i)})
+    carriers: list[list[str] | None] = [b, a, i, o]
+    for carrier in carriers:
+        rng.shuffle(carrier)
+    k, roll = rng.randrange(4), rng.random()
+    if roll < 0.1 and carriers[k]:
+        carriers[k] = [*carriers[k], carriers[k][0]]
+    elif roll < 0.2:
+        carriers[k] = [*carriers[k], "zz"]
+    elif roll < 0.3:
+        carriers[k] = None
+    return carriers
+
+
+def _outcome(build, system, carriers):
+    try:
+        return build(system, *carriers)
+    except CheckerError as exc:
+        return type(exc), str(exc)
+
+
+def test_subsystem_matches_the_name_based_reference(rng):
+    errors = ("duplicate identifier", "is not", "not closed")
+    seen = dict.fromkeys((*errors, "patch"), 0)
+    for trial in range(600):
+        system = rg.rand_system(rng, max_states=8, homogeneous=trial % 3 == 0)
+        carriers = _rand_carriers(rng, system)
+        got = _outcome(subsystem, system, carriers)
+        assert got == _outcome(reference_subsystem, system, carriers), (trial, carriers)
+        if isinstance(got, tuple):
+            seen[next(k for k in errors if k in got[1])] += 1
+        else:
+            seen["patch"] += 1
+            assert check_morphism(got.morphism).ok
+    assert min(seen.values()) >= 20, seen
+
+
+def test_overlap_factors_through_both_patches_as_by_names(rng):
+    for trial in range(400):
+        system = rg.rand_system(rng, max_states=8, homogeneous=trial % 2 == 0)
+        p, q = rg.rand_patch(rng, system), rg.rand_patch(rng, system)
+        w = overlap_patch(p, q)
+        assert w == overlap_patch(q, p)
+        for patch in (p, q):
+            r = restrict_immersion(w, patch)
+            assert r == reference_factorization(w, patch)
+            assert compose(r.morphism, patch.morphism) == w.morphism
 
 
 # ------------------------------------------------------------ check_morphism

@@ -195,6 +195,32 @@ def test_verdict_and_single_abscissa_agree_without_fiber(rng, monkeypatch):
     assert certified > 400
 
 
+def test_on_the_line_no_endpoint_is_ranked_and_no_band_measured(rng, monkeypatch):
+    """On the line a fiber is at most one point and never splits, so
+    ``sheaf_verdict`` and ``robustly_disconnected`` answer from the
+    candidates alone: with ``_ranks`` and ``_width`` refusing to run, both
+    still return and match the reference, at every candidate and off the
+    midpoints of the gaps."""
+
+    def refuse(*args):
+        raise AssertionError("a verdict on the line ranked endpoints or measured a band")
+
+    monkeypatch.setattr(tame, "_ranks", refuse)
+    monkeypatch.setattr(tame, "_width", refuse)
+    seen = {"raw": 0, "open": 0}
+    for trial in range(60):
+        boxes = _boxes(rng, 1, rng.randint(1, 200), (0, 0.3, 0.7)[trial % 3])
+        for u in (tame.rect_union(1, boxes), RectUnion(1, tuple(boxes))):
+            pj = ProjectionJudge(0)
+            got, want = tame.sheaf_verdict(u, pj), oracle.sheaf_verdict(u, pj)
+            assert got == want, trial
+            assert got.is_sheaf and not got.certificates
+            assert _robust_matches(u, pj, got.candidates) == 0
+            seen["raw"] += u.rects != tame.rect_union(1, u.rects).rects
+            seen["open"] += len(got.notes) == 2
+    assert seen["raw"] > 20 and seen["open"] > 20
+
+
 def test_preimage_components_delta_stability():
     """The reference's band components and fiber marks are the same for
     the default width and for a half and a quarter of it."""
