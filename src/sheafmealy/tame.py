@@ -41,24 +41,28 @@ Three facts, proved directly for this class of domains, drive the algorithms:
   both decide a band this way, in ``_split``.  The same fact decides the
   equality of two unions from their fibers at those points.
 
-* Order, not values.  Normalization (``rect_union``, ``_try_merge``,
-  ``merge_intervals``), linkage (``_linked_1d``, ``_closure_meets``),
-  clipping and membership (``Interval.intersect``, ``empty`` and
-  ``contains``) and the sort of boxes as tuples only compare endpoints;
-  none of them does arithmetic on one.  So each commutes with any strictly
-  increasing relabelling of the coordinates: the same merges happen in the
-  same order, with the same coface grouping and the same sorted output.
-  ``sheaf_verdict`` examines every candidate, so it sorts each axis's
-  endpoints once, together with every candidate and both ends of its band
-  on the judged axis, replaces every endpoint by its rank, and decides
-  every candidate and builds the components of every certifying band on
-  integers.  Components and their fiber pieces are mapped back to
-  rationals only when their candidate certifies, before
-  ``representative`` (the one piece of arithmetic) picks their fiber
-  points.  A single abscissa (``robustly_disconnected``) has nothing to
-  share, so the same routine runs on its rationals directly, with the
-  same result.  On the line a fiber is at most one point and never
-  splits, so both answer from the candidates before any rank or width.
+* Order, not values.  Normalization (``rect_union``, ``merge_intervals``,
+  ``_hull``), linkage (``_linked_1d``, ``_closure_meets``), clipping and
+  membership (``Interval.intersect``, ``empty`` and ``contains``) and the
+  sort of boxes as tuples only compare endpoints; none of them does
+  arithmetic on one.  So each commutes with any strictly increasing
+  relabelling of the coordinates: the same merges happen in the same
+  order, with the same coface grouping and the same sorted output.  A
+  band compares the endpoints of its boxes only with one another and with
+  its own ``t - d``, ``t`` and ``t + d``, and holds no candidate but its
+  own, though neighbouring bands may overlap.  So ``sheaf_verdict`` sorts
+  only the other axis and reads judged-axis ranks off the candidate
+  index: candidate ``k`` has rank ``3k + 1`` and its band ``(3k, 3k +
+  2)``, and a box whose judged side has the ranks ``(lo, hi)`` reaches
+  the candidates ``lo // 3`` to ``hi // 3``.  It decides every candidate
+  and builds the components of every certifying band on integers; only a
+  certifying band's width is measured, and its components and fiber
+  pieces are mapped back to rationals before ``representative`` (the one
+  piece of arithmetic) picks their fiber points.  A single abscissa
+  (``robustly_disconnected``) has nothing to share, so the same routine
+  runs on its rationals directly, with the same result.  On the line a
+  fiber is at most one point and never splits, so both answer from the
+  candidates before any rank or width.
 
 Linkage is found by a sweep along axis 0: closures of two sides meet only
 if neither side ends before the other begins, so each box, taken in order
@@ -142,9 +146,13 @@ def interval(lo: Fraction | int | str, hi: Fraction | int | str,
 
 
 def _linked_1d(a: Interval, b: Interval) -> bool:
-    """Union of two non-empty intervals is an interval: the closure of one
-    meets the other."""
-    return _closure_meets(a, b) or _closure_meets(b, a)
+    """Union of two non-empty intervals is an interval: neither ends before
+    the other begins, and where one ends at the other's start, that point
+    lies in one of them (the closure of one meets the other)."""
+    if a.hi < b.lo or b.hi < a.lo:
+        return False
+    return not ((a.hi == b.lo and a.hi_open and b.lo_open)
+                or (b.hi == a.lo and b.hi_open and a.lo_open))
 
 
 def merge_intervals(parts: Iterable[Interval]) -> tuple[Interval, ...]:
@@ -156,15 +164,18 @@ def merge_intervals(parts: Iterable[Interval]) -> tuple[Interval, ...]:
     out: list[Interval] = []
     for iv in todo:
         if out and _linked_1d(out[-1], iv):
-            last = out.pop()
-            if iv.hi > last.hi or (iv.hi == last.hi and not iv.hi_open):
-                hi, hi_open = iv.hi, iv.hi_open
-            else:
-                hi, hi_open = last.hi, last.hi_open
-            out.append(Interval(last.lo, hi, last.lo_open, hi_open))
+            out[-1] = _hull(out[-1], iv)
         else:
             out.append(iv)
     return tuple(out)
+
+
+def _hull(s: Interval, t: Interval) -> Interval:
+    """The union ``s | t`` of two linked intervals: the lower start and the
+    higher end, closed where either is closed there."""
+    lo, lo_open = min((s.lo, s.lo_open), (t.lo, t.lo_open))
+    hi, hi_closed = max((s.hi, not s.hi_open), (t.hi, not t.hi_open))
+    return Interval(lo, hi, lo_open, not hi_closed)
 
 
 class Rect(tuple):
@@ -231,27 +242,22 @@ class RectUnion:
         return not self.rects
 
 
-def _try_merge(a: Rect, b: Rect) -> Rect | None:
-    """The box ``a | b`` when the two agree on every side but one and are
-    linked on that one (the earliest such axis), else None."""
-    for k, (s, t) in enumerate(zip(a, b)):
-        if a.coface(k) == b.coface(k) and _linked_1d(s, t):
-            return a.with_side(k, merge_intervals([s, t])[0])
-    return None
-
-
 def rect_union(dim: int, rects: Iterable[Rect]) -> RectUnion:
     """Normalize: drop empty boxes, merge aligned neighbours, sort.
 
     Merging repeats one step until no pair merges: take the first mergeable
     pair ``(a, k)`` in list order, put the merged box at ``k`` and drop
-    ``a``.  The steps are replayed here without rescanning.  Boxes keep
-    their slots, and a pair merges only if it shares a coface (the sides
-    left when one axis is dropped; in dimension 1 every pair shares the
-    empty one), so row ``i`` tries only the later slots indexed under its
-    cofaces.  Rows before ``i`` have no mergeable pair, and a merge changes
-    only the pairs of the new box, so until no earlier row merges with it
-    the next step pairs it with the earliest such row.
+    ``a``.  Two boxes merge when they agree on every side but one and are
+    linked on that one (the earliest such axis), so they share that axis's
+    coface (the sides left when it is dropped; on the line, the empty one).
+    The steps are replayed here without rescanning.  Boxes keep their
+    slots, each in one coface group per axis, and two slots of axis ``a``'s
+    group merge exactly when their sides on ``a`` are linked.  Row ``i``
+    scans each group from the first later slot up to the first linked slot
+    or the best found so far, so the earliest slot wins (axis 0 on a tie,
+    which only identical boxes make).  Rows before ``i`` have no mergeable
+    pair and a merge changes only the pairs of the new box, so until no
+    earlier row merges with it, the next step pairs it with the earliest.
     """
     if dim not in (1, 2):
         raise CheckerError("only dimensions 1 and 2 are supported")
@@ -272,10 +278,6 @@ def rect_union(dim: int, rects: Iterable[Rect]) -> RectUnion:
 
     own = [place(k, r) for k, r in enumerate(slots)]
 
-    def sharing(k: int) -> list[int]:
-        """Live slots sharing a coface with slot ``k``, ascending."""
-        return sorted(set().union(*own[k]))
-
     def put(k: int, new: Rect | None) -> None:
         for g in own[k]:
             g.remove(k)
@@ -283,22 +285,35 @@ def rect_union(dim: int, rects: Iterable[Rect]) -> RectUnion:
         if new is not None:
             own[k] = place(k, new)
 
-    def first_merge(pairs: Iterable[tuple[int, int]]) -> tuple[int, int, Rect] | None:
-        for a, k in pairs:
-            merged = _try_merge(slots[a], slots[k])
-            if merged is not None:
-                return a, k, merged
-        return None
+    def first_merge(k: int, lo: int, hi: int) -> tuple[int, Rect] | None:
+        """The earliest slot in ``[lo, hi)`` that merges with slot ``k``,
+        and the merged box."""
+        box, linked = slots[k], _linked_1d
+        best, axis = hi, 0
+        for a, g in enumerate(own[k]):
+            side = box[a]
+            for pos in range(bisect_left(g, lo), len(g)):
+                j = g[pos]
+                if j >= best:
+                    break
+                if linked(side, slots[j][a]):
+                    best, axis = j, a
+                    break
+        if best == hi:
+            return None
+        return best, box.with_side(axis, _hull(box[axis], slots[best][axis]))
 
-    for i, row in enumerate(slots):
-        if row is None:
+    for i in range(len(slots)):
+        if slots[i] is None:
             continue
-        step = first_merge((i, k) for k in sharing(i) if k > i)
-        while step is not None:
-            a, k, merged = step
-            put(a, None)
+        # The pair drops its earlier slot and keeps the merged box in the later.
+        k, lo, hi = i, i + 1, len(slots)
+        while (step := first_merge(k, lo, hi)) is not None:
+            j, merged = step
+            put(min(j, k), None)
+            k = max(j, k)
             put(k, merged)
-            step = first_merge((j, k) for j in sharing(k) if j < i)
+            lo, hi = 0, i
     return RectUnion(dim, tuple(sorted(r for r in slots if r is not None)))
 
 
@@ -410,15 +425,16 @@ def _width(crit: Sequence[Fraction], t: Fraction) -> Fraction:
     return min(gaps) / 2 if gaps else Fraction(1)
 
 
-def _ranks(
-    u: RectUnion, axis: int, extra: Iterable[Fraction]
-) -> tuple[list[list[Fraction]], list[dict[Fraction, int]]]:
-    """Each axis's endpoints in increasing order, with ``extra`` on the
-    judged axis, and the rank of each endpoint on its axis."""
-    ends = [{e for r in u.rects for e in (r[k].lo, r[k].hi)} for k in range(u.dim)]
-    ends[axis].update(extra)
-    values = [sorted(vs) for vs in ends]
-    return values, [{v: i for i, v in enumerate(vs)} for vs in values]
+def _ranked(
+    u: RectUnion, axis: int, crit: Sequence[Fraction]
+) -> tuple[tuple[Rect, ...], list[Fraction]]:
+    """The boxes with every endpoint replaced by its rank, and the other
+    axis's endpoints in increasing order: ``crit[i]`` has rank ``6i + 1``
+    (candidate ``2i`` has rank ``3 * 2i + 1``), an endpoint on the other
+    axis its position there."""
+    other = sorted({e for r in u.rects for e in (r[1 - axis].lo, r[1 - axis].hi)})
+    tables = [{v: 6 * i + 1 for i, v in enumerate(crit)}, {v: i for i, v in enumerate(other)}]
+    return _relabel(u.rects, tables if axis == 0 else tables[::-1]), other
 
 
 def _relabel(rects: Iterable[Rect], tables: Sequence[Mapping | Sequence]) -> tuple[Rect, ...]:
@@ -517,25 +533,27 @@ def robustly_disconnected(
         # On the line a fiber is at most one point.
         return None
     delta = _width(crit, t0)
-    band = Interval(t0 - delta, t0 + delta, True, True)
+    lo, hi = t0 - delta, t0 + delta
+    band = Interval(lo, hi, True, True)
     boxes = [r for r in u.rects if not r[pj.axis].intersect(band).empty]
-    split = _split(pj.axis, boxes, band.lo, t0, band.hi, t0 not in crit)
-    return None if split is None else _certificate(pj.axis, t0, delta, *split)
+    split = _split(pj.axis, boxes, lo, t0, hi, t0 not in crit)
+    return None if split is None else _certificate(pj.axis, t0, lo, hi, *split)
 
 
 def _certificate(
-    axis: int, t0: Fraction, delta: Fraction,
+    axis: int, t0: Fraction, lo: Fraction, hi: Fraction,
     groups: Iterable[Iterable[Rect]], pieces: Sequence[Interval | None],
 ) -> RobustDisconnectionCertificate:
-    """The certificate of a plane band whose components meet the fiber at
-    least twice, with a fiber point in each from its first fiber piece."""
+    """The certificate of a plane band ``(lo, hi)`` whose components meet
+    the fiber at least twice, with a fiber point in each from its first
+    fiber piece."""
     points = tuple(
         None if p is None else tuple(t0 if k == axis else p.representative() for k in range(2))
         for p in pieces
     )
     comps = tuple(RectUnion(2, tuple(g)) for g in groups)
     v_index = next(k for k, p in enumerate(points) if p is not None)
-    return RobustDisconnectionCertificate(t0, t0 - delta, t0 + delta, comps, points, v_index)
+    return RobustDisconnectionCertificate(t0, lo, hi, comps, points, v_index)
 
 
 @dataclass(frozen=True)
@@ -570,29 +588,28 @@ def sheaf_verdict(u: RectUnion, pj: ProjectionJudge) -> SheafVerdict:
     if u.dim == 1:
         # On the line a fiber is at most one point, so none splits.
         return SheafVerdict(True, tuple(candidates), (), tuple(notes))
-    # Each candidate's default band width and band.
-    widths = [_width(crit, t) for t in candidates]
-    ends = [(t - d, t + d) for t, d in zip(candidates, widths)]
-    values, ranks = _ranks(u, pj.axis, [*candidates, *(e for pair in ends for e in pair)])
-    at = ranks[pj.axis]
-    # A box clips to nothing in the bands of candidates outside its extent.
-    position = {at[t]: k for k, t in enumerate(candidates)}
+    axis = pj.axis
+    boxes, other = _ranked(u, axis, crit)
+    # A box reaches the bands of the candidates within its extent.
     reach: list[list[Rect]] = [[] for _ in candidates]
-    for r in _relabel(u.rects, ranks):
-        iv = r[pj.axis]
-        for k in range(position[iv.lo], position[iv.hi] + 1):
+    for r in boxes:
+        for k in range(r[axis].lo // 3, r[axis].hi // 3 + 1):
             reach[k].append(r)
     certs = []
-    for k, (t, delta, (lo, hi), boxes) in enumerate(zip(candidates, widths, ends, reach)):
-        split = _split(pj.axis, boxes, at[lo], at[t], at[hi], k % 2 == 1)
+    for k, near in enumerate(reach):
+        split = _split(axis, near, 3 * k, 3 * k + 1, 3 * k + 2, k % 2 == 1)
         if split is None:
             continue
         groups, pieces = split
-        other = values[1 - pj.axis]
+        t = candidates[k]
+        delta = _width(crit, t)
+        lo, hi = t - delta, t + delta
+        # A certifying band's boxes have only these ranks on the judged axis.
+        judged = {3 * k: lo, 3 * k + 1: t, 3 * k + 2: hi}
+        tables = (judged, other) if axis == 0 else (other, judged)
         pieces = [None if p is None else Interval(other[p.lo], other[p.hi], p.lo_open, p.hi_open)
                   for p in pieces]
-        certs.append(_certificate(pj.axis, t, delta,
-                                  (_relabel(g, values) for g in groups), pieces))
+        certs.append(_certificate(axis, t, lo, hi, (_relabel(g, tables) for g in groups), pieces))
     return SheafVerdict(not certs, tuple(candidates), tuple(certs), tuple(notes))
 
 

@@ -7,8 +7,10 @@ JSON; every ``disconnected fiber at t`` line must agree with the fiber that
 ``tame_oracle`` computes from the boxes as drawn.  It also mutates every
 shipped fixture and runs ``validate`` and each check of the fixture's kind.
 Every run must end in a documented exit code with no exception escaping
-``main``.  The examples are derived from the test's name, and nothing is
-stored between runs.
+``main``.  Unions of up to thirty boxes, and a few fixed ones, must
+round-trip: normalization is idempotent, and a normalized union's document
+reads back into the same canonical bytes.  The examples are derived from
+the test's name, and nothing is stored between runs.
 """
 
 import copy
@@ -16,11 +18,12 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tame_oracle as oracle
 from sheafmealy import fixtures as fx
+from sheafmealy import jsonio, tame
 from sheafmealy.tame import Interval, ProjectionJudge, Rect, RectUnion
 
 from test_golden_cli import run
@@ -35,9 +38,9 @@ def _sides(dim: int):
 
 
 @st.composite
-def documents(draw):
+def documents(draw, max_boxes: int = 8):
     dim = draw(st.sampled_from((1, 2)))
-    boxes = draw(st.lists(_sides(dim), min_size=1, max_size=8))
+    boxes = draw(st.lists(_sides(dim), min_size=1, max_size=max_boxes))
     rows = [{**{key: [str(lo), str(hi)] for key, (lo, hi, _, _) in zip("xy", box)},
              "open": [flag for _, _, *flags in box for flag in flags]} for box in boxes]
     return {"dim": dim, "axis": draw(st.integers(0, dim - 1)), "rects": rows}, boxes
@@ -61,6 +64,33 @@ def test_rect_union_documents_through_the_command_line(tmp_path_factory, drawn):
     for line in lines:
         t, verdict = line[len("disconnected fiber at "):].split(";")[0].split(": ")
         assert verdict == ("yes" if len(oracle.fiber(u, pj, Fraction(t))) > 1 else "no"), line
+
+
+def _row(n: int) -> dict:
+    """``n`` unit squares in a row along axis 0, open and closed in turn
+    where they meet, and the first one twice more."""
+    rows = [{"x": [str(k), str(k + 1)], "y": ["0", "1"], "open": [k % 2 == 1, False, False, False]}
+            for k in range(n)]
+    return {"dim": 2, "axis": 1, "rects": rows + rows[:1] * 2}
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(doc=documents(max_boxes=30).map(lambda drawn: drawn[0]))
+@example(doc=fx.get_fixture("punctured-square").payload)
+@example(doc=fx.get_fixture("two-band").payload)
+@example(doc=_row(6))
+@example(doc={"dim": 1, "axis": 0, "rects": [{"x": ["0", "1"], "open": [False, True]},
+                                             {"x": ["1", "2"], "open": [True, False]},
+                                             {"x": ["2", "3"]}]})
+def test_rect_union_documents_round_trip(doc):
+    """Normalization is idempotent on its own output, and a normalized
+    union's document, written as canonical JSON and read back, gives the
+    same bytes again."""
+    u, pj = jsonio.union_from_json(doc)
+    assert tame.rect_union(u.dim, u.rects) == u
+    first = jsonio.canonical_bytes(jsonio.union_payload(u, pj))
+    again = jsonio.union_payload(*jsonio.union_from_json(json.loads(first)))
+    assert jsonio.canonical_bytes(again) == first
 
 
 # Values put in place of a node of a shipped document: every JSON type,

@@ -1,10 +1,11 @@
 """The tame layer against its reference versions in ``tame_oracle``.
 
 ``rect_union`` replays the reference loop's merges without rescanning,
-``sheaf_verdict`` takes its band widths and the boxes of each band in one
-pass and works every band on the ranks of the endpoints, and ``components``
-links boxes by a sweep along axis 0; all must give the reference results
-exactly: the same normalized boxes, candidates, notes and certificates.
+``sheaf_verdict`` reads judged-axis ranks off the candidate index, takes
+the boxes of each band in one pass and works every band on ranks, and
+``components`` links boxes by a sweep along axis 0; all must give the
+reference results exactly: the same normalized boxes, candidates, notes
+and certificates.
 ``robustly_disconnected`` decides a single abscissa on its rationals and
 must give the reference's certificate, or None, at every candidate and
 off the midpoints of the gaps.
@@ -64,6 +65,85 @@ def test_rect_union_replays_the_reference_merges(rng):
         assert tame.rect_union(dim, boxes).rects == want.rects, trial
         merged += len(want.rects) < len([b for b in boxes if not b.empty])
     assert merged > 150
+
+
+def _union_bytes(u: RectUnion) -> bytes:
+    return jsonio.canonical_bytes(jsonio.union_payload(u, ProjectionJudge(0)))
+
+
+def _strip(rng, n: int) -> list[Rect]:
+    """The clipped-strip shape: four boxes in five share their side on one
+    axis, so one coface group of the other axis holds most of the boxes."""
+    axis, band = rng.randrange(2), _side(rng, 3, 0.5)
+    boxes = []
+    for _ in range(n):
+        own = band if rng.random() < 0.8 else _side(rng, 3, 0.5)
+        free = _side(rng, 10, 0.4)
+        boxes.append(Rect.of((own, free) if axis == 0 else (free, own)))
+    return boxes
+
+
+def test_rect_union_matches_the_reference_on_strips_repeats_and_the_line(rng):
+    """Byte-identical normalized documents on three shapes that load one
+    coface group: clipped strips, unions drawn with repetition from a few
+    boxes, and unions on the line, where every box shares the empty
+    coface."""
+    seen = {"strip": 0, "repeats": 0, "1-d": 0}
+    for trial in range(240):
+        kind = ("strip", "repeats", "1-d")[trial % 3]
+        share = (0, 0.3, 0.7)[trial // 3 % 3]
+        if kind == "strip":
+            boxes, dim = _strip(rng, rng.randint(2, 50)), 2
+        elif kind == "repeats":
+            dim = 1 + trial // 3 % 2
+            pool = _boxes(rng, dim, rng.randint(1, 6), share)
+            boxes = [rng.choice(pool) for _ in range(rng.randint(2, 40))]
+        else:
+            boxes, dim = _boxes(rng, 1, rng.randint(2, 80), share), 1
+        want = oracle.rect_union(dim, boxes)
+        assert _union_bytes(tame.rect_union(dim, boxes)) == _union_bytes(want), trial
+        seen[kind] += len(want.rects) < len([b for b in boxes if not b.empty])
+    assert min(seen.values()) > 50, seen
+
+
+def test_sheaf_verdict_where_bands_overlap_their_neighbours(rng):
+    """Neighbouring gaps on the judged axis in ratios from 1:1 to 1:1000,
+    either way round.  An endpoint's band is half its nearer gap wide, so
+    where the gap before it is over half the gap after it, the band passes
+    the start of the next midpoint's band (a quarter of that gap wide); the
+    ranks give each band its own three ranks regardless.  Certificates must
+    be the reference's byte for byte, and neighbouring certifying bands
+    must overlap many times."""
+    seen = {"certificates": 0, "overlaps": 0}
+    for trial in range(40):
+        gaps = []
+        for _ in range(rng.randint(1, 3)):
+            pair = [Fraction(1, 4), Fraction(rng.choice((1, 3, 10, 100, 1000)), 4)]
+            rng.shuffle(pair)
+            gaps += pair
+        ends = [Fraction(rng.randrange(8), 4)]
+        for g in gaps:
+            ends.append(ends[-1] + g)
+
+        axis = trial % 2
+
+        def box() -> Rect:
+            lo, hi = sorted(rng.sample(range(len(ends)), 2))
+            sides = (Interval(ends[lo], ends[hi], rng.random() < 0.3, rng.random() < 0.3),
+                     _side(rng, 3, 0.3))
+            return Rect.of(sides if axis == 0 else sides[::-1])
+
+        boxes = [box() for _ in range(rng.randint(2, 12))]
+        for u in (tame.rect_union(2, boxes), RectUnion(2, tuple(boxes))):
+            pj = ProjectionJudge(axis)
+            got, want = tame.sheaf_verdict(u, pj), oracle.sheaf_verdict(u, pj)
+            assert got.candidates == want.candidates, trial
+            assert _cert_bytes(got.certificates) == _cert_bytes(want.certificates), trial
+            certs, crit = got.certificates, set(tame.critical_values(u, axis))
+            seen["certificates"] += len(certs)
+            seen["overlaps"] += sum(a.t0 in crit and a.n_hi > b.n_lo
+                                    for a, b in zip(certs, certs[1:]))
+    assert seen["certificates"] > 100 and seen["overlaps"] > 40, seen
 
 
 def test_sheaf_verdict_matches_the_per_candidate_reference(rng):
@@ -198,15 +278,16 @@ def test_verdict_and_single_abscissa_agree_without_fiber(rng, monkeypatch):
 def test_on_the_line_no_endpoint_is_ranked_and_no_band_measured(rng, monkeypatch):
     """On the line a fiber is at most one point and never splits, so
     ``sheaf_verdict`` and ``robustly_disconnected`` answer from the
-    candidates alone: with ``_ranks`` and ``_width`` refusing to run, both
-    still return and match the reference, at every candidate and off the
-    midpoints of the gaps."""
+    candidates alone: with ``_ranked`` (which ranks the endpoints) and
+    ``_width`` (which measures a band) refusing to run, both still return
+    and match the reference, at every candidate and off the midpoints of
+    the gaps."""
 
     def refuse(*args):
         raise AssertionError("a verdict on the line ranked endpoints or measured a band")
 
-    monkeypatch.setattr(tame, "_ranks", refuse)
-    monkeypatch.setattr(tame, "_width", refuse)
+    for name in ("_ranked", "_width"):
+        monkeypatch.setattr(tame, name, refuse)
     seen = {"raw": 0, "open": 0}
     for trial in range(60):
         boxes = _boxes(rng, 1, rng.randint(1, 200), (0, 0.3, 0.7)[trial % 3])
@@ -325,26 +406,28 @@ def test_components_links_a_row_of_boxes_in_linear_time(monkeypatch):
 
 
 def test_rect_union_merge_attempts_stay_linear(rng, monkeypatch):
-    """Normalizing 320 quarter-grid boxes tries fewer than five merges per
-    box; the reference loop, which rescans after every merge, tries over a
-    million on unions like this one."""
+    """Normalizing 320 quarter-grid boxes makes fewer than five linkage
+    tests per box: each row scans its coface groups only from the first
+    slot in range to the first linked one.  The reference loop, which
+    rescans after every merge, tries over a million merges on unions like
+    this one."""
     rows = []
     for _ in range(320):
         x0, y0 = rng.randrange(0, 8), rng.randrange(0, 40)
         x1, y1 = rng.randrange(x0 + 1, min(8, x0 + 8) + 1), rng.randrange(y0 + 1, min(40, y0 + 12) + 1)
         rows.append({"x": [f"{x0}/4", f"{x1}/4"], "y": [f"{y0}/4", f"{y1}/4"],
                      "open": [rng.random() < 0.3 for _ in range(4)]})
-    attempts = 0
-    try_merge = tame._try_merge
+    tests = 0
+    linked = tame._linked_1d
 
     def counting(a, b):
-        nonlocal attempts
-        attempts += 1
-        return try_merge(a, b)
+        nonlocal tests
+        tests += 1
+        return linked(a, b)
 
-    monkeypatch.setattr(tame, "_try_merge", counting)
+    monkeypatch.setattr(tame, "_linked_1d", counting)
     u, _ = tame.union_from_payload({"dim": 2, "axis": 0, "rects": rows})
-    assert attempts < 5 * len(rows)
+    assert tests < 5 * len(rows)
     assert len(u.rects) < len(rows)
 
 
@@ -358,6 +441,17 @@ def test_merge_intervals_matches_the_atom_grid(rng):
         ties += len(starts) > len(set(starts))
         assert tame.merge_intervals(parts) == oracle.merge_intervals(parts), (trial, parts)
     assert ties > 500
+
+
+def test_linkage_of_two_intervals_matches_the_atom_grid():
+    """Two non-empty intervals are linked exactly when the grid of atoms
+    makes their union one interval: every pair on four points, with every
+    combination of open and closed ends."""
+    sides = [s for s in (Interval(Fraction(lo), Fraction(hi), a, b)
+                         for lo in range(4) for hi in range(lo, 4)
+                         for a, b in product((False, True), repeat=2)) if not s.empty]
+    for a, b in product(sides, repeat=2):
+        assert tame._linked_1d(a, b) == (len(oracle.merge_intervals([a, b])) == 1), (a, b)
 
 
 def test_regions_equal_matches_the_atom_grid(rng):
