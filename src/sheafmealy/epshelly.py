@@ -10,8 +10,10 @@ non-empty exactly when the minimax radius is at most ``eps``.
 Domains: all of Euclidean space, an axis-aligned box, or the probability
 simplex.  One move-to-front solver computes the minimax radius on all
 three, exactly up to 1e-12 relative tolerance, with the domain's facets as
-constraints on the center.  The radius is compared with ``eps`` to 1e-9,
-and results within that band are flagged marginal, not silently classified.
+constraints on the center; each recursive call adds one orthogonalized
+rim point to its caller's circumcentre.  The radius is compared with
+``eps`` to 1e-9, and results within that band are flagged marginal, not
+silently classified.
 
 Because ``eps``-balls are convex, a family of patches over a common judged
 input obeys the Helly bound: in dimension ``d``, if every ``d+1`` of them
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -48,6 +51,10 @@ _ORDER_SEED = 20250817
 Vector = tuple[float, ...]
 # (axis, bound, side): a center y keeps it when side * (y[axis] - bound) >= 0.
 Facet = tuple[int, float, float]
+# A boundary in the minimax solver: its rim ball, first rim point p0, an
+# orthonormal basis of the tight facet normals and rim offsets from p0, and
+# the longest squared offset.
+Frame = tuple[tuple[Vector, float], Vector, tuple[Vector, ...], float]
 
 
 @dataclass(frozen=True)
@@ -165,68 +172,27 @@ def target_set(inst: EpsilonInstance, i_prime: str, patch: Iterable[str]) -> Tar
     return TargetSet(i_prime, tuple(sorted(pts)))
 
 
-def _dot(a: Sequence[float], b: Sequence[float]) -> float:
-    return sum(x * y for x, y in zip(a, b))
+def _dot(a: Iterable[float], b: Iterable[float]) -> float:
+    return sum(map(operator.mul, a, b))
 
 
-def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float] | None:
-    """Gaussian elimination with partial pivoting; None when singular."""
-    n = len(matrix)
-    a = [row[:] + [rhs[k]] for k, row in enumerate(matrix)]
-    scale = max((abs(x) for row in matrix for x in row), default=0.0)
-    if scale == 0.0:
+def _push(basis: tuple[Vector, ...], center: Sequence[float], row: Sequence[float],
+          residual: float, floor: float) -> tuple[tuple[Vector, ...], list[float]] | None:
+    """Add the equality ``row . y = row . center + residual`` to an
+    orthonormal ``basis`` and its ``center``: the part u of ``row``
+    orthogonal to the basis (two Gram-Schmidt passes) joins it, and the
+    center moves by ``residual / |u|^2`` times u, which the earlier rows,
+    all in the span, do not see.  None when |u|^2 <= ``floor``."""
+    u = list(row)
+    for _ in range(2):
+        for q in basis:
+            t = _dot(q, u)
+            u = [x - t * y for x, y in zip(u, q)]
+    z = _dot(u, u)
+    if z <= floor:
         return None
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if abs(a[pivot][col]) <= 1e-13 * scale:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        for r in range(col + 1, n):
-            factor = a[r][col] / a[col][col]
-            for cc in range(col, n + 1):
-                a[r][cc] -= factor * a[col][cc]
-    out = [0.0] * n
-    for r in range(n - 1, -1, -1):
-        s = a[r][n] - sum(a[r][cc] * out[cc] for cc in range(r + 1, n))
-        out[r] = s / a[r][r]
-    return out
-
-
-def _circumball(boundary: Sequence[Vector], tight: Sequence[Facet] = (),
-                simplex: bool = False) -> tuple[Vector, float] | None:
-    """Smallest ball with the given points on its rim and its center on the
-    ``tight`` facets (and at coordinate sum one for the simplex), from the
-    Gram system of the points' offsets and the facet normals, these scaled
-    to the longest offset so that the singularity test is free of scale;
-    None when the constraints are dependent.  Tight coordinates are then
-    set to their bounds, so that rounding breaks neither a tight facet nor
-    the other facet of a box side with lo == hi."""
-    p0 = boundary[0]
-    vs = [tuple(x - y for x, y in zip(p, p0)) for p in boundary[1:]]
-    gram = [[2.0 * _dot(vk, vl) for vl in vs] for vk in vs]
-    rhs = [_dot(vk, vk) for vk in vs]
-    normals = [tuple(float(k == axis) for k in range(len(p0))) for axis, _, _ in tight]
-    if simplex:
-        normals.append((1.0,) * len(p0))
-    if not vs and not normals:
-        return p0, 0.0
-    if normals:
-        s = math.sqrt(max(rhs, default=1.0))
-        normals = [tuple(s * x for x in n) for n in normals]
-        for row, vk in zip(gram, vs):
-            row.extend(2.0 * _dot(vk, n) for n in normals)
-        gram.extend([_dot(n, v) for v in vs + normals] for n in normals)
-        rhs.extend(s * (bound - p0[axis]) for axis, bound, _ in tight)
-        if simplex:
-            rhs.append(s * (1.0 - sum(p0)))
-    lam = _solve(gram, rhs)
-    if lam is None:
-        return None
-    center = [x0 + sum(l * v[k] for l, v in zip(lam, vs + normals))
-              for k, x0 in enumerate(p0)]
-    for axis, bound, _ in tight:
-        center[axis] = bound
-    return tuple(center), math.dist(center, p0)
+    step, norm = residual / z, math.sqrt(z)
+    return (*basis, tuple([x / norm for x in u])), [c + step * x for c, x in zip(center, u)]
 
 
 def _ball_contains(ball: tuple[Vector, float] | None, p: Vector) -> bool:
@@ -250,6 +216,15 @@ def _minimax(points: Sequence[Sequence[float]], facets: Sequence[Facet] = (),
     are redone.  A basis has at most d+1 constraints (d on the simplex), so
     the recursion is at most d+2 calls deep.
 
+    Each call hands its children a :data:`Frame`, which :func:`_push`
+    moves from the first rim point p0 onto the tight facets (and the
+    sum-one row), then onto the rim of each further point: the Gram
+    solution in exact arithmetic, at O(kd) per point.  A push whose |u|^2
+    is at most 1e-13 of the longest squared offset (of a normal's squared
+    length) is dependent, and leaves its boundary and all that extend it on
+    the outer rim.  Inputs beyond 2**500, facet bounds included, are first
+    scaled by an exact power of two, so that no square overflows.
+
     This is exact because the problem is LP-type (Sharir & Welzl 1992).
     The optimum is unique: between two candidate balls every ball keeps
     every point both hold, every rim point on its rim and every facet both
@@ -269,31 +244,67 @@ def _minimax(points: Sequence[Sequence[float]], facets: Sequence[Facet] = (),
             raise CheckerError("points of mixed dimension")
         if not all(math.isfinite(x) for x in p):
             raise CheckerError("points must be finite")
+    big = max(map(abs, itertools.chain(*pts, (b for _, b, _ in facets))))
+    shift = 500 - math.frexp(big)[1] if big > 2.0 ** 500 else 0
+    if shift:
+        pts = [tuple(math.ldexp(x, shift) for x in p) for p in pts]
+        facets = [(axis, math.ldexp(b, shift), side) for axis, b, side in facets]
+    total = math.ldexp(1.0, shift)  # the simplex's coordinate sum
     uniq = sorted(set(pts))
     random.Random(_ORDER_SEED).shuffle(uniq)
     full = d if simplex else d + 1
 
-    def mtf(end: int, boundary: list[Vector], tight: list[Facet],
+    def grow(frame: Frame | None, boundary: list[Vector], p: Vector,
+             tight: list[Facet]) -> Frame | None:
+        """The frame of ``boundary + [p]``, from the frame of ``boundary``."""
+        if not boundary:
+            p0, basis, center, longest = p, (), list(p), 0.0
+            rows = [(tuple(float(k == axis) for k in range(d)), bound) for axis, bound, _ in tight]
+            if simplex:
+                rows.append(((1.0,) * d, total))
+            for row, level in rows:
+                pushed = _push(basis, center, row, level - _dot(row, center), 1e-13 * _dot(row, row))
+                if pushed is None:
+                    return None
+                basis, center = pushed
+        elif frame is None:
+            return None
+        else:
+            (center, _), p0, basis, longest = frame
+            v = list(map(operator.sub, p, p0))
+            vv = _dot(v, v)
+            longest = max(longest, vv)
+            lean = _dot(map(operator.sub, center, p0), v)
+            pushed = _push(basis, center, v, (vv - 2.0 * lean) / 2.0, 1e-13 * longest)
+            if pushed is None:
+                return None
+            basis, center = pushed
+        for axis, bound, _ in tight:
+            center[axis] = bound
+        return (tuple(center), math.dist(center, p0)), p0, basis, longest
+
+    def mtf(end: int, boundary: list[Vector], frame: Frame | None, tight: list[Facet],
             outer: tuple[Vector, float] | None) -> tuple[Vector, float] | None:
         """Smallest ball with ``boundary`` on its rim and its center on the
-        ``tight`` facets that holds ``uniq[:end]``; ``outer`` is the rim
-        ball of the boundary without its last point.  Each point found
-        outside moves to the front of ``uniq``."""
+        ``tight`` facets that holds ``uniq[:end]``; ``frame`` is the
+        boundary's, and ``outer`` is the rim ball of the boundary without
+        its last point.  Each point found outside moves to the front of
+        ``uniq``."""
         # On dependent constraints the point added last is on the outer rim.
-        rim = (_circumball(boundary, tight, simplex) if boundary else None) or outer
+        rim = frame[0] if frame else outer
         if len(boundary) + len(tight) == full:
             return rim
         ball = rim
         for k in range(end):
             p = uniq[k]
             if not _ball_contains(ball, p):
-                ball = mtf(k, boundary + [p], tight, rim)
+                ball = mtf(k, boundary + [p], grow(frame, boundary, p, tight), tight, rim)
                 uniq.insert(0, uniq.pop(k))
         return ball
 
     def keep(cut: int, tight: list[Facet]) -> tuple[Vector, float] | None:
         """Smallest ball holding every point, centered on ``tight``, keeping ``facets[:cut]``."""
-        ball = mtf(len(uniq), [], tight, None)
+        ball = mtf(len(uniq), [], None, tight, None)
         for j in range(cut):
             axis, bound, side = facets[j]
             if ball is not None and side * (ball[0][axis] - bound) < 0.0:
@@ -303,7 +314,8 @@ def _minimax(points: Sequence[Sequence[float]], facets: Sequence[Facet] = (),
     ball = keep(len(facets), [])
     if ball is None or not all(_ball_contains(ball, p) for p in uniq):
         raise CheckerError("ball computation failed")
-    return ball
+    center, radius = ball
+    return tuple(math.ldexp(x, -shift) for x in center), math.ldexp(radius, -shift)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,14 @@
 """Reference versions of the epsilon layer's ball solver and depth search.
 
-``welzl_ball`` is the recursive randomized incremental solver (Welzl 1991):
-the same dedupe, sort, shuffle and circumball subroutine as the library,
-by default in the library's visiting order, but one recursion level per
-point, so it needs a raised recursion limit on large sets.  ``combination_depth`` is the plain obstruction
-search: the full family, then every subfamily of every size in
+``gram_minimax`` is the library's move-to-front solver with facets as it
+stood before the boundary frame: the same dedupe, sort, shuffle, facet
+recursion and refusal, in the library's visiting order at the time of the
+call, but each recursive call solves the Gram system of its whole boundary
+afresh in ``_circumball``.  ``welzl_ball`` is the recursive randomized
+incremental solver (Welzl 1991) on that kernel, by default in the
+library's visiting order, but one recursion level per point, so it needs a
+raised recursion limit on large sets.  ``combination_depth`` is the plain
+obstruction search: the full family, then every subfamily of every size in
 ``itertools.combinations`` order, one ``feasibility`` solve per subfamily
 and judged input.  The library recurses over the boundary only, stops at
 the Helly number and skips the solves a bound decides; the seeded tests
@@ -20,22 +24,115 @@ pass; the property suites check that bound with them.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import sys
 from typing import Sequence
 
 import numpy as np
 
+from sheafmealy import CheckerError, epshelly
 from sheafmealy.epshelly import (
     _ORDER_SEED,
     Ball,
     DepthReport,
     _ball_contains,
     _check_eps,
-    _circumball,
+    _dot,
     feasibility,
     target_set,
 )
+
+
+def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float] | None:
+    """Gaussian elimination with partial pivoting; None when singular."""
+    n = len(matrix)
+    a = [row[:] + [rhs[k]] for k, row in enumerate(matrix)]
+    scale = max((abs(x) for row in matrix for x in row), default=0.0)
+    if scale == 0.0:
+        return None
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if abs(a[pivot][col]) <= 1e-13 * scale:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        for r in range(col + 1, n):
+            factor = a[r][col] / a[col][col]
+            for cc in range(col, n + 1):
+                a[r][cc] -= factor * a[col][cc]
+    out = [0.0] * n
+    for r in range(n - 1, -1, -1):
+        s = a[r][n] - sum(a[r][cc] * out[cc] for cc in range(r + 1, n))
+        out[r] = s / a[r][r]
+    return out
+
+
+def _circumball(boundary, tight=(), simplex=False):
+    """Smallest ball with the given points on its rim and its center on the
+    ``tight`` facets (and at coordinate sum one for the simplex), from the
+    Gram system of the points' offsets and the facet normals, these scaled
+    to the longest offset so that the singularity test is free of scale;
+    None when the constraints are dependent.  Tight coordinates are then
+    set to their bounds."""
+    p0 = boundary[0]
+    vs = [tuple(x - y for x, y in zip(p, p0)) for p in boundary[1:]]
+    gram = [[2.0 * _dot(vk, vl) for vl in vs] for vk in vs]
+    rhs = [_dot(vk, vk) for vk in vs]
+    normals = [tuple(float(k == axis) for k in range(len(p0))) for axis, _, _ in tight]
+    if simplex:
+        normals.append((1.0,) * len(p0))
+    if not vs and not normals:
+        return p0, 0.0
+    if normals:
+        s = math.sqrt(max(rhs, default=1.0))
+        normals = [tuple(s * x for x in n) for n in normals]
+        for row, vk in zip(gram, vs):
+            row.extend(2.0 * _dot(vk, n) for n in normals)
+        gram.extend([_dot(n, v) for v in vs + normals] for n in normals)
+        rhs.extend(s * (bound - p0[axis]) for axis, bound, _ in tight)
+        if simplex:
+            rhs.append(s * (1.0 - sum(p0)))
+    lam = _solve(gram, rhs)
+    if lam is None:
+        return None
+    center = [x0 + sum(l * v[k] for l, v in zip(lam, vs + normals))
+              for k, x0 in enumerate(p0)]
+    for axis, bound, _ in tight:
+        center[axis] = bound
+    return tuple(center), math.dist(center, p0)
+
+
+def gram_minimax(points, facets=(), simplex=False):
+    """Center and radius of the smallest ball holding ``points`` whose
+    center keeps every facet, by move-to-front on ``_circumball``."""
+    uniq = sorted({tuple(float(x) for x in p) for p in points})
+    random.Random(epshelly._ORDER_SEED).shuffle(uniq)
+    full = len(uniq[0]) + (not simplex)
+
+    def mtf(end, boundary, tight, outer):
+        rim = (_circumball(boundary, tight, simplex) if boundary else None) or outer
+        if len(boundary) + len(tight) == full:
+            return rim
+        ball = rim
+        for k in range(end):
+            p = uniq[k]
+            if not _ball_contains(ball, p):
+                ball = mtf(k, boundary + [p], tight, rim)
+                uniq.insert(0, uniq.pop(k))
+        return ball
+
+    def keep(cut, tight):
+        ball = mtf(len(uniq), [], tight, None)
+        for j in range(cut):
+            axis, bound, side = facets[j]
+            if ball is not None and side * (ball[0][axis] - bound) < 0.0:
+                ball = keep(j, tight + [facets[j]])
+        return ball
+
+    ball = keep(len(facets), [])
+    if ball is None or not all(_ball_contains(ball, p) for p in uniq):
+        raise CheckerError("ball computation failed")
+    return ball
 
 
 def welzl_ball(points, seed=_ORDER_SEED) -> Ball:

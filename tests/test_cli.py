@@ -772,6 +772,19 @@ def test_eps_depth_verb(capsys):
         assert code == 0 and doc["depth"] == dim + 1
 
 
+def test_eps_depth_on_targets_whose_squares_overflow(capsys, tmp_path):
+    """Offsets of 1e160 square past float range; the solver rescales them
+    by a power of two and finds the radius 1e160 / sqrt(2), well within
+    eps 1e200, instead of refusing the document."""
+    doc = {"dim": 2, "domain": "euclidean",
+           "values": {"a": [1e160, 0.0], "b": [0.0, 1e160], "c": [0.0, 0.0]},
+           "i_map": {"a": "x", "b": "x", "c": "x"}, "patches": [["a"], ["b"], ["c"]],
+           "eps": 1e200}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    assert _run(capsys, ["check", "eps-depth", str(path)]) == (0, "feasible at eps=1e+200\n", "")
+
+
 def test_eps_depth_wrong_kind_is_an_error(capsys):
     code, _, err = _run(capsys, ["check", "eps-depth", "two-band"])
     assert code == 1 and "needs an epsilon fixture" in err

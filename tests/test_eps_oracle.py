@@ -1,13 +1,14 @@
 """The move-to-front ball solver and the certified, Helly-capped depth
-search, held to the recursive solver and the plain combination search in
-``eps_oracle``."""
+search, held to the Gram-solve reference, the recursive solver and the
+plain combination search in ``eps_oracle``."""
 
 import math
 import random
 import sys
 
 import randgen as rg
-from eps_oracle import combination_depth, welzl_ball
+import test_domain_minimax as dm
+from eps_oracle import combination_depth, gram_minimax, welzl_ball
 
 from sheafmealy import epshelly
 from sheafmealy import (
@@ -161,3 +162,91 @@ def test_meb_recursion_stays_shallow():
         want = welzl_ball(pts[:n])
         assert abs(ball.radius - want.radius) <= 1e-12 * want.radius
         assert math.dist(ball.center, want.center) <= 1e-9
+
+
+def _cloud(rng, dim):
+    """1 to 40 points: Gaussian, on a line or a plane (dependent rims), on
+    a small integer grid, the corners of a cube or the vertices of a
+    cross-polytope (cospherical, with integer coordinates), or a few
+    distinct points repeated."""
+    n = rng.randint(1, 40)
+    kind = rng.choice(("gaussian", "line", "plane", "grid", "cube", "cross", "duplicates"))
+    if kind in ("gaussian", "line", "plane"):
+        span = {"line": 1, "plane": 2}.get(kind, dim)
+        axes = [[rng.gauss(0, 1) for _ in range(dim)] for _ in range(span)]
+        base = [rng.uniform(-3, 3) for _ in range(dim)]
+        return [tuple(b + sum(t * a[k] for t, a in zip(ts, axes)) for k, b in enumerate(base))
+                for ts in ([rng.gauss(0, 1) for _ in axes] for _ in range(n))]
+    if kind == "grid":
+        return [tuple(float(rng.randint(-2, 2)) for _ in range(dim)) for _ in range(n)]
+    if kind == "cube":
+        return [tuple(float((m >> k) & 1) for k in range(dim)) for m in range(2 ** dim)]
+    if kind == "cross":
+        return [tuple(s * float(k == m) for k in range(dim)) for m in range(dim) for s in (1, -1)]
+    few = [tuple(rng.gauss(0, 1) for _ in range(dim)) for _ in range(rng.randint(1, 4))]
+    return [rng.choice(few) for _ in range(n)]
+
+
+def test_minimax_matches_the_gram_reference(rng, monkeypatch):
+    """The boundary frame against the Gram solve it replaces, in the same
+    visiting order: euclidean clouds in 1 to 8 dimensions, and the box and
+    simplex instances of ``test_domain_minimax``."""
+    for trial in range(480):
+        monkeypatch.setattr(epshelly, "_ORDER_SEED", trial)
+        dim = 1 + trial % 8
+        pts = _cloud(rng, dim)
+        (got_center, got), (_, want) = epshelly._minimax(pts), gram_minimax(pts)
+        assert abs(got - want) <= 1e-12 * want, pts
+        assert all(math.dist(got_center, p) <= got * (1 + 1e-12) + 1e-14 for p in pts)
+    for trial in range(360):
+        monkeypatch.setattr(epshelly, "_ORDER_SEED", trial)
+        domain, dim = ("box", "simplex")[trial % 2], 1 + trial % 4
+        box = dm._box(rng, dim) if domain == "box" else None
+        facets = dm._box_facets(box) if box else [(k, 0.0, 1.0) for k in range(dim)]
+        pts = dm._targets(rng, domain, dim, box)
+        (got_center, got) = epshelly._minimax(pts, facets, domain == "simplex")
+        _, want = gram_minimax(pts, facets, domain == "simplex")
+        assert abs(got - want) <= 1e-12 * want, (box, pts)
+        assert dm._in_domain(got_center, domain, box), (box, pts, got_center)
+
+
+def test_depth_reports_match_on_the_gram_reference(rng, monkeypatch):
+    """``obstruction_depth`` on the boundary frame and on the Gram solve
+    agree field by field, ``marginal`` included, with eps on, inside and
+    just outside the 1e-9 band around a subfamily radius."""
+    seen = {"feasible": 0, "depth": 0, "marginal": 0}
+    for trial in range(300):
+        domain = ("euclidean", "box", "simplex")[trial % 3]
+        dim = rng.randint(1 if domain != "simplex" else 2, 4)
+        inst, patches, eps = _family(rng, dim, domain, integer=trial % 2 == 1)
+        monkeypatch.setattr(epshelly, "_ORDER_SEED", trial)
+        got = obstruction_depth(inst, patches, eps)
+        with monkeypatch.context() as m:
+            m.setattr(epshelly, "_minimax", gram_minimax)
+            want = obstruction_depth(inst, patches, eps)
+        assert got == want, (domain, patches, eps)
+        seen["feasible"] += got.feasible
+        seen["depth"] += got.depth is not None
+        seen["marginal"] += got.marginal
+    assert min(seen.values()) > 30, seen
+
+
+def test_coordinates_whose_squares_overflow_are_rescaled(rng):
+    """Scaling an instance by 2**600 is exact, and its squared offsets
+    overflow; the solver rescales by a power of two and finds 2**600 times
+    the unit radius, on a cloud and on a box."""
+    big = 2.0 ** 600
+    for dim in range(1, 6):
+        pts = [tuple(rng.gauss(0, 1) for _ in range(dim)) for _ in range(30)]
+        unit = min_enclosing_ball(pts)
+        ball = min_enclosing_ball([tuple(x * big for x in p) for p in pts])
+        assert abs(ball.radius - unit.radius * big) <= 1e-12 * unit.radius * big
+        assert math.dist([x / big for x in ball.center], unit.center) <= 1e-12 * unit.radius
+        box = dm._box(rng, dim)
+        targets = dm._targets(rng, "box", dim, box)
+        facets = dm._box_facets(box)
+        _, want = epshelly._minimax(targets, facets)
+        center, radius = epshelly._minimax([tuple(x * big for x in p) for p in targets],
+                                           [(axis, b * big, side) for axis, b, side in facets])
+        assert abs(radius - want * big) <= 1e-12 * want * big
+        assert dm._in_domain([x / big for x in center], "box", box)

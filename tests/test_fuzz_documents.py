@@ -9,8 +9,10 @@ shipped fixture and runs ``validate`` and each check of the fixture's kind.
 Every run must end in a documented exit code with no exception escaping
 ``main``.  Unions of up to thirty boxes, and a few fixed ones, must
 round-trip: normalization is idempotent, and a normalized union's document
-reads back into the same canonical bytes.  The examples are derived from
-the test's name, and nothing is stored between runs.
+reads back into the same canonical bytes.  Valid euclidean, box and
+simplex epsilon documents round-trip too, and ``check eps-depth`` prints
+the same bytes on a document and on its round trip.  The examples are
+derived from the test's name, and nothing is stored between runs.
 """
 
 import copy
@@ -91,6 +93,55 @@ def test_rect_union_documents_round_trip(doc):
     first = jsonio.canonical_bytes(jsonio.union_payload(u, pj))
     again = jsonio.union_payload(*jsonio.union_from_json(json.loads(first)))
     assert jsonio.canonical_bytes(again) == first
+
+
+_COORDS = st.floats(-4.0, 4.0) | st.integers(-3, 3).map(float)
+
+
+@st.composite
+def epsilon_documents(draw):
+    """Valid epsilon documents: one to three dimensions, a euclidean, box or
+    simplex domain, one to six raw inputs over one to three judged inputs,
+    one to four patches and a tolerance."""
+    dim = draw(st.integers(1, 3))
+    domain = draw(st.sampled_from(("euclidean", "box", "simplex")))
+    raws = [f"r{k}" for k in range(draw(st.integers(1, 6)))]
+    judged = [f"c{k}" for k in range(draw(st.integers(1, 3)))]
+    doc = {"dim": dim, "domain": domain}
+    if domain == "box":
+        doc["box"] = [sorted(draw(st.tuples(_COORDS, _COORDS))) for _ in range(dim)]
+        doc["values"] = {r: [draw(st.floats(lo, hi)) for lo, hi in doc["box"]] for r in raws}
+    elif domain == "simplex":
+        weights = {r: draw(st.lists(st.integers(0, 4), min_size=dim, max_size=dim)
+                           .filter(any)) for r in raws}
+        doc["values"] = {r: [w / sum(ws) for w in ws] for r, ws in weights.items()}
+    else:
+        doc["values"] = {r: draw(st.lists(_COORDS, min_size=dim, max_size=dim)) for r in raws}
+    doc["i_map"] = {r: draw(st.sampled_from(judged)) for r in raws}
+    doc["interp_inputs"] = judged
+    doc["patches"] = draw(st.lists(st.lists(st.sampled_from(raws), min_size=1, max_size=3,
+                                            unique=True), min_size=1, max_size=4))
+    doc["eps"] = draw(st.floats(0.0, 4.0))
+    return doc
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(epsilon_documents())
+def test_epsilon_documents_round_trip(tmp_path_factory, doc):
+    """An epsilon document read and written once is a fixed point of its
+    canonical bytes, and ``check eps-depth`` prints the same bytes on the
+    document as drawn and on its round trip, as text and as JSON."""
+    once = jsonio.canonical_bytes(jsonio.epsilon_payload(*jsonio.epsilon_from_payload(doc)))
+    again = jsonio.epsilon_payload(*jsonio.epsilon_from_payload(json.loads(once)))
+    assert jsonio.canonical_bytes(again) == once
+    drawn, written = (tmp_path_factory.getbasetemp() / f"eps-{k}.json" for k in range(2))
+    drawn.write_text(json.dumps(doc))
+    written.write_bytes(once)
+    for fmt in ([], ["--format", "json"]):
+        first, second = (run([*fmt, "check", "eps-depth", str(p)]) for p in (drawn, written))
+        assert first["exit"] == 0 and first["stderr"] == ""
+        assert (first["stdout"], second["exit"], second["stderr"]) == (
+            second["stdout"], 0, "")
 
 
 # Values put in place of a node of a shipped document: every JSON type,
