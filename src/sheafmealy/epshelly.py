@@ -222,8 +222,9 @@ def _minimax(points: Sequence[Sequence[float]], facets: Sequence[Facet] = (),
     solution in exact arithmetic, at O(kd) per point.  A push whose |u|^2
     is at most 1e-13 of the longest squared offset (of a normal's squared
     length) is dependent, and leaves its boundary and all that extend it on
-    the outer rim.  Inputs beyond 2**500, facet bounds included, are first
-    scaled by an exact power of two, so that no square overflows.
+    the outer rim.  Points beyond 2**500 are first scaled down, with the
+    facet bounds, by an exact power of two, so that no square overflows;
+    the scale comes from the points alone, so far bounds never shrink them.
 
     This is exact because the problem is LP-type (Sharir & Welzl 1992).
     The optimum is unique: between two candidate balls every ball keeps
@@ -244,12 +245,11 @@ def _minimax(points: Sequence[Sequence[float]], facets: Sequence[Facet] = (),
             raise CheckerError("points of mixed dimension")
         if not all(math.isfinite(x) for x in p):
             raise CheckerError("points must be finite")
-    big = max(map(abs, itertools.chain(*pts, (b for _, b, _ in facets))))
+    big = max(map(abs, itertools.chain(*pts)), default=0.0)
     shift = 500 - math.frexp(big)[1] if big > 2.0 ** 500 else 0
     if shift:
         pts = [tuple(math.ldexp(x, shift) for x in p) for p in pts]
         facets = [(axis, math.ldexp(b, shift), side) for axis, b, side in facets]
-    total = math.ldexp(1.0, shift)  # the simplex's coordinate sum
     uniq = sorted(set(pts))
     random.Random(_ORDER_SEED).shuffle(uniq)
     full = d if simplex else d + 1
@@ -261,7 +261,7 @@ def _minimax(points: Sequence[Sequence[float]], facets: Sequence[Facet] = (),
             p0, basis, center, longest = p, (), list(p), 0.0
             rows = [(tuple(float(k == axis) for k in range(d)), bound) for axis, bound, _ in tight]
             if simplex:
-                rows.append(((1.0,) * d, total))
+                rows.append(((1.0,) * d, 1.0))  # simplex points never shift
             for row, level in rows:
                 pushed = _push(basis, center, row, level - _dot(row, center), 1e-13 * _dot(row, row))
                 if pushed is None:

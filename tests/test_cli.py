@@ -785,6 +785,18 @@ def test_eps_depth_on_targets_whose_squares_overflow(capsys, tmp_path):
     assert _run(capsys, ["check", "eps-depth", str(path)]) == (0, "feasible at eps=1e+200\n", "")
 
 
+def test_eps_depth_on_a_box_with_far_bounds(capsys, tmp_path):
+    """Box bounds of 1e300 do not scale the targets down: 0 and 1 are a
+    radius 1/2 apart, so eps 0.1 fails on the pair, not on either alone."""
+    doc = {"dim": 1, "domain": "box", "box": [[-1e300, 1e300]],
+           "values": {"a": [0.0], "b": [1.0]}, "i_map": {"a": "x", "b": "x"},
+           "patches": [["a"], ["b"]], "eps": 0.1}
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc))
+    assert _run(capsys, ["check", "eps-depth", str(path)]) == (
+        0, "depth 2\nsmallest infeasible subfamily [0, 1] at judged input x\n", "")
+
+
 def test_eps_depth_wrong_kind_is_an_error(capsys):
     code, _, err = _run(capsys, ["check", "eps-depth", "two-band"])
     assert code == 1 and "needs an epsilon fixture" in err

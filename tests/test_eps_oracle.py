@@ -13,6 +13,7 @@ from eps_oracle import combination_depth, gram_minimax, welzl_ball
 from sheafmealy import epshelly
 from sheafmealy import (
     epsilon_instance,
+    feasibility,
     min_enclosing_ball,
     obstruction_depth,
     target_set,
@@ -250,3 +251,25 @@ def test_coordinates_whose_squares_overflow_are_rescaled(rng):
                                            [(axis, b * big, side) for axis, b, side in facets])
         assert abs(radius - want * big) <= 1e-12 * want * big
         assert dm._in_domain([x / big for x in center], "box", box)
+
+
+def test_far_box_bounds_leave_the_targets_unscaled(rng):
+    """Box bounds near 1e300 do not set the solver's scale: targets of
+    unit size, or 1e-5 apart, keep the Gram reference's radius and their
+    feasibility verdicts, with some of the near bounds tight."""
+    for trial in range(120):
+        dim = 1 + trial % 4
+        spread = (1.0, 1e-5)[trial % 2]
+        box = [rng.choice([(-1e300, 1e300), (0.0, 1e300), (-1e300, 0.0)])
+               for _ in range(dim)]
+        targets = [tuple(rng.uniform(0.0, spread) * (-1.0 if hi == 0.0 else 1.0)
+                         for _, hi in box) for _ in range(rng.randint(2, 6))]
+        facets = dm._box_facets(box)
+        center, radius = epshelly._minimax(targets, facets)
+        _, want = gram_minimax(targets, facets)
+        assert 0.0 < want and abs(radius - want) <= 1e-12 * want, (box, targets)
+        assert dm._in_domain(center, "box", box)
+        values = {f"p{k}": p for k, p in enumerate(targets)}
+        inst = epsilon_instance(dim, "box", values, {raw: "c" for raw in values}, box=box)
+        assert not feasibility(inst, targets, want / 2).feasible
+        assert feasibility(inst, targets, want).feasible

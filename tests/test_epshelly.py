@@ -15,6 +15,7 @@ import randgen as rg
 from eps_oracle import discrete_feasible, discrete_obstruction_depth
 
 from sheafmealy import (
+    Ball,
     CheckerError,
     DepthReport,
     EmptyInput,
@@ -99,6 +100,8 @@ def test_meb_small_exact_cases():
     obtuse = min_enclosing_ball([(0.0, 0.0), (4.0, 0.0), (1.0, 0.5)])
     assert abs(obtuse.radius - 2.0) <= 1e-12
     assert math.dist(obtuse.center, (2.0, 0.0)) <= 1e-12
+    # points with no coordinates: the one point of R^0, radius 0
+    assert min_enclosing_ball([()]) == Ball((), 0.0)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
