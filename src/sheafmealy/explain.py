@@ -41,11 +41,11 @@ from .systems import (
     MealySystem,
     OpenImmersion,
     SystemMorphism,
+    _table_system,
     check_morphism,
     compose,
     finset,
     identity_patch,
-    make_system,
     morphism,
 )
 
@@ -445,8 +445,8 @@ def behavioral_equiv(
     out_table, succ_table = _classes(outs, succs, block)
     n1 = len(m1.before)
     least = least_witness(
-        ((s, block[m1.b_index[s1.psi_b(s)]], block[n1 + m2.b_index[s2.psi_b(s)]])
-         for s in s1.patch.source.before),
+        ((s, block[x], block[n1 + y])
+         for s, x, y in zip(s1.patch.source.before, s1.psi.f_b, s2.psi.f_b)),
         lambda b1, b2: _class_word(alphabet, out_table, succ_table, b1, b2))
     return BehEquivReport(True) if least is None else BehEquivReport(False, least[1], least[0])
 
@@ -520,14 +520,13 @@ def cogerm_equiv(s1: Section, s2: Section) -> CogermWitness | None:
     m1, m2 = s1.explanatory, s2.explanatory
     if m1.inputs != m2.inputs or m1.outputs != m2.outputs:
         raise CheckerError("core comparison needs matching explanatory interfaces")
-    alphabet = m1.inputs
-    u = s1.patch.source
-    seeds = {(s1.psi_b(s), s2.psi_b(s)) for s in u.before}
-    seeds |= {(s1.psi_a(s), s2.psi_a(s)) for s in u.after}
-    fwd: dict[Ident, Ident] = {}
-    bwd: dict[Ident, Ident] = {}
-    todo = sorted(seeds)
-    pairs: set[tuple[Ident, Ident]] = set()
+    if not (m1.homogeneous and m2.homogeneous):
+        raise CheckerError("core comparison needs homogeneous explanatory machines")
+    p1, p2 = s1.psi, s2.psi
+    todo = [*zip(p1.f_b, p2.f_b), *zip(p1.f_a, p2.f_a)]
+    fwd: dict[int, int] = {}
+    bwd: dict[int, int] = {}
+    pairs: set[tuple[int, int]] = set()
     while todo:
         x, y = todo.pop()
         if (x, y) in pairs:
@@ -535,36 +534,26 @@ def cogerm_equiv(s1: Section, s2: Section) -> CogermWitness | None:
         if fwd.setdefault(x, y) != y or bwd.setdefault(y, x) != x:
             return None
         pairs.add((x, y))
-        for c in alphabet:
-            x2, o1 = m1.transition(x, c)
-            y2, o2 = m2.transition(y, c)
+        for (x2, o1), (y2, o2) in zip(m1.step[x], m2.step[y]):
             if o1 != o2:
                 return None
             todo.append((x2, y2))
+    # Carriers are sorted, so index pairs sort as the name pairs do.
     ordered = sorted(pairs)
-    names = {p: f"{p[0]}~{p[1]}" for p in ordered}
-    if len(set(names.values())) != len(ordered):
-        names = {p: f"r{k}" for k, p in enumerate(ordered)}
-    dyn: dict[tuple[Ident, Ident], tuple[Ident, Ident]] = {}
-    for (x, y) in ordered:
-        for c in alphabet:
-            x2, o = m1.transition(x, c)
-            y2 = m2.transition(y, c)[0]
-            dyn[(names[(x, y)], c)] = (names[(x2, y2)], o)
-    carrier = sorted(names.values())
-    core = make_system(carrier, carrier, alphabet, m1.outputs, dyn)
-    back = {names[p]: p for p in ordered}
-    i1 = morphism(core, m1,
-                  {n: back[n][0] for n in carrier}, {n: back[n][0] for n in carrier},
-                  {c: c for c in alphabet}, {o: o for o in m1.outputs})
-    i2 = morphism(core, m2,
-                  {n: back[n][1] for n in carrier}, {n: back[n][1] for n in carrier},
-                  {c: c for c in alphabet}, {o: o for o in m2.outputs})
-    phi = morphism(u, core,
-                   {s: names[(s1.psi_b(s), s2.psi_b(s))] for s in u.before},
-                   {s: names[(s1.psi_a(s), s2.psi_a(s))] for s in u.after},
-                   {c: s1.psi.map_i(c) for c in u.inputs},
-                   {o: s1.psi.map_o(o) for o in u.outputs})
+    at = {p: k for k, p in enumerate(ordered)}
+    names = [f"{m1.before[x]}~{m2.before[y]}" for x, y in ordered]
+    if len(set(names)) != len(names):
+        names = [f"r{k}" for k in range(len(ordered))]
+    core, pos = _table_system(names, m1.inputs, m1.outputs, (
+        [(at[x2, y2], o) for (x2, o), (y2, _) in zip(m1.step[x], m2.step[y])] for x, y in ordered))
+    member = [ordered[k] for k in sorted(range(len(ordered)), key=pos.__getitem__)]
+    letters, outs = tuple(range(len(m1.inputs))), tuple(range(len(m1.outputs)))
+    f1, f2 = tuple([x for x, _ in member]), tuple([y for _, y in member])
+    i1 = SystemMorphism(core, m1, f1, f1, letters, outs)
+    i2 = SystemMorphism(core, m2, f2, f2, letters, outs)
+    phi = SystemMorphism(s1.patch.source, core,
+                         tuple([pos[at[p]] for p in zip(p1.f_b, p2.f_b)]),
+                         tuple([pos[at[p]] for p in zip(p1.f_a, p2.f_a)]), p1.f_i, p1.f_o)
     return CogermWitness(core, i1, i2, phi)
 
 
@@ -590,22 +579,19 @@ def minimize(system: MealySystem, j: Judge | None = None) -> MinimizeResult:
         raise HeterogeneousInput("minimization is defined for homogeneous machines")
     if j is not None:
         validate_judge(j, system)
-    out_of = (lambda o: j.j_o[o]) if j is not None else (lambda o: o)
-    alphabet = system.inputs
-    outs = [tuple([out_of(system.outputs[o]) for _, o in row]) for row in system.step]
+    outputs = system.outputs if j is None else j.interp_outputs
+    out_of = [outputs.index(o if j is None else j.j_o[o]) for o in system.outputs]
+    outs = [tuple([out_of[o] for _, o in row]) for row in system.step]
     succs = [tuple([a for a, _ in row]) for row in system.step]
     block = _refine(outs, succs)
-    rename: dict[int, str] = {}
-    for b in block:
-        rename.setdefault(b, f"p{len(rename)}")
-    dyn: dict[tuple[Ident, Ident], tuple[Ident, Ident]] = {}
-    for b, row_out, row_succ in zip(block, outs, succs):
-        for c, o, t in zip(alphabet, row_out, row_succ):
-            dyn[(rename[b], c)] = (rename[block[t]], o)
-    carrier = sorted(rename.values())
-    machine = make_system(carrier, carrier, alphabet,
-                          system.outputs if j is None else j.interp_outputs, dyn)
-    state_map = tuple((s, rename[b]) for s, b in zip(system.before, block))
+    first: dict[int, int] = {}
+    for s, b in enumerate(block):
+        first.setdefault(b, s)
+    number = {b: k for k, b in enumerate(first)}
+    names = [f"p{k}" for k in range(len(first))]
+    machine, _ = _table_system(names, system.inputs, outputs, (
+        [(number[block[t]], o) for t, o in zip(succs[s], outs[s])] for s in first.values()))
+    state_map = tuple((s, names[number[b]]) for s, b in zip(system.before, block))
     return MinimizeResult(machine, state_map)
 
 

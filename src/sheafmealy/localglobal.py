@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import (
     CheckerError,
@@ -46,7 +46,6 @@ from .explain import (
     block_distinguishing_word,
     check_cogerm_witness,
     cogerm_equiv,
-    judged_section,
     least_witness,
     pooled_behavior,
     restrict_section,
@@ -59,10 +58,10 @@ from .systems import (
     MealySystem,
     OpenImmersion,
     SystemMorphism,
+    _table_system,
     amalgamate,
     check_covering,
     identity_patch,
-    make_system,
     overlap_patch,
     restrict_immersion,
     subsystem,
@@ -101,12 +100,16 @@ def _glued_section(
     tgt: MealySystem,
     machine: MealySystem,
     j: Judge,
-    psi_b: Mapping[Ident, Ident],
-    psi_a: Mapping[Ident, Ident],
+    f_b: Sequence[int],
+    f_a: Sequence[int],
 ) -> Section:
-    """The judged section of the whole target that a gluer assembled; it is
-    valid by construction, so a failure is a bug."""
-    glued = judged_section(identity_patch(tgt), machine, j, psi_b, psi_a)
+    """The judged section of the whole target that a gluer assembled from
+    the positions of its before- and after-states' images in ``machine``;
+    it is valid by construction, so a failure is a bug."""
+    psi = SystemMorphism(tgt, machine, tuple(f_b), tuple(f_a),
+                         tuple([machine.i_index[j.j_i[c]] for c in tgt.inputs]),
+                         tuple([machine.o_index[j.j_o[o]] for o in tgt.outputs]))
+    glued = Section(identity_patch(tgt), machine, psi)
     rep = validate_section(j, glued)
     if not rep.ok:
         raise InternalConsistencyError(f"glued section fails validation: {rep.reason}")
@@ -117,25 +120,25 @@ def _paste(
     c: Covering,
     sections: Sequence[Section],
     embeddings: Sequence[SystemMorphism] | None = None,
-) -> tuple[dict[Ident, Ident], dict[Ident, Ident], tuple[bool, Ident] | None]:
+) -> tuple[list[int], list[int], tuple[bool, Ident] | None]:
     """The sections' state maps pasted patch by patch into before- and
-    after-state maps of the target, carried along ``embeddings`` when given,
-    and the first conflict ``(is_after, state)``, or None."""
-    psi_b: dict[Ident, Ident] = {}
-    psi_a: dict[Ident, Ident] = {}
+    after-state tables of the target, carried along ``embeddings`` when
+    given, and the first conflict ``(is_after, state)``, or None."""
+    tgt = c.target
+    carriers = (tgt.before, tgt.after)
+    glued: tuple[list, list] = ([None] * len(tgt.before), [None] * len(tgt.after))
     for k, (p, s) in enumerate(zip(c.patches, sections)):
         emb = None if embeddings is None else embeddings[k]
-        for u in p.source.before:
-            x = p.morphism.map_b(u)
-            v = s.psi_b(u) if emb is None else emb.map_b(s.psi_b(u))
-            if psi_b.setdefault(x, v) != v:
-                return psi_b, psi_a, (False, x)
-        for u in p.source.after:
-            x = p.morphism.map_a(u)
-            v = s.psi_a(u) if emb is None else emb.map_a(s.psi_a(u))
-            if psi_a.setdefault(x, v) != v:
-                return psi_b, psi_a, (True, x)
-    return psi_b, psi_a, None
+        for after, f_p, f_s in ((0, p.morphism.f_b, s.psi.f_b), (1, p.morphism.f_a, s.psi.f_a)):
+            if emb is not None:
+                f_s = [(emb.f_a if after else emb.f_b)[v] for v in f_s]
+            table = glued[after]
+            for x, v in zip(f_p, f_s):
+                if table[x] is None:
+                    table[x] = v
+                elif table[x] != v:
+                    return *glued, (bool(after), carriers[after][x])
+    return *glued, None
 
 
 def _closure(seeds, successors) -> set:
@@ -317,13 +320,13 @@ def glue_cogerm(c: Covering, sections: Sequence[Section], j: Judge) -> Section:
             for r in w.core.before:
                 idents.append((a, w.i1.map_b(r), b, w.i2.map_b(r)))
     amalgam = amalgamate(machines, idents)
-    psi_b, psi_a, conflict = _paste(c, sections, amalgam.embeddings)
+    f_b, f_a, conflict = _paste(c, sections, amalgam.embeddings)
     if conflict is not None:
         after, x = conflict
         raise InternalConsistencyError(
             f"glued {'after' if after else 'before'}-assignment conflicts at {x!r}"
         )
-    return _glued_section(c.target, amalgam.system, j, psi_b, psi_a)
+    return _glued_section(c.target, amalgam.system, j, f_b, f_a)
 
 
 def glue_behavioral(
@@ -346,30 +349,31 @@ def glue_behavioral(
     _check_family(c, j, sections, alphabet)
     machines = [s.explanatory for s in sections]
     part = pooled_behavior(machines, alphabet)
+    block_of = [[part.block_index[(k, s)] for s in m.before] for k, m in enumerate(machines)]
     tgt = c.target
-    before_block = _forced_blocks(c, sections, part)
+    before_block = _forced_blocks(c, sections, part, block_of)
+    judged_in = [part.letter_index[j.j_i[ch]] for ch in tgt.inputs]
+    judged_out = [part.outputs.index(j.j_o[o]) for o in tgt.outputs]
     # Each step is explained by its before-state's class and forces a class on its after-state.
-    derived: dict[Ident, dict[int, tuple[Ident, Ident]]] = {}
-    for s_st in tgt.before:
-        for i_raw in tgt.inputs:
-            x, o = tgt.transition(s_st, i_raw)
-            if part.out(before_block[s_st], j.j_i[i_raw]) != j.j_o[o]:
+    derived: dict[int, dict[int, tuple[int, int]]] = {}
+    for b, (blk, row) in enumerate(zip(before_block, tgt.step)):
+        for i, (x, o) in enumerate(row):
+            if part.out_table[blk][judged_in[i]] != judged_out[o]:
                 # Valid, compatible local sections explain every step of a covering.
                 raise InternalConsistencyError(
-                    f"pooled class misexplains the step at ({s_st!r}, {i_raw!r})"
+                    f"pooled class misexplains the step at ({tgt.before[b]!r}, {tgt.inputs[i]!r})"
                 )
-            blk = part.succ(before_block[s_st], j.j_i[i_raw])
-            derived.setdefault(x, {}).setdefault(blk, (s_st, i_raw))
+            derived.setdefault(x, {}).setdefault(part.succ_table[blk][judged_in[i]], (b, i))
     for x in sorted(derived):
         if len(derived[x]) > 1:
             (b1, via1), (b2, via2) = sorted(derived[x].items())[:2]
             word = block_distinguishing_word(part, b1, b2)
             forced = []
-            for blk, via in ((b1, via1), (b2, via2)):
+            for blk, (b, i) in ((b1, via1), (b2, via2)):
                 mk, rep_state = part.blocks[blk][0]
                 forced.append(
                     ForcedBehavior(
-                        f"forced by the step at ({via[0]!r}, {via[1]!r})",
+                        f"forced by the step at ({tgt.before[b]!r}, {tgt.inputs[i]!r})",
                         machines[mk],
                         rep_state,
                         machines[mk].run(rep_state, word),
@@ -377,44 +381,33 @@ def glue_behavioral(
                 )
             return ObstructionReport(
                 "behavioral-gluing",
-                (x,),
+                (tgt.after[x],),
                 word,
                 tuple(forced),
-                f"after-state {x!r} is forced into two behavior classes; "
+                f"after-state {tgt.after[x]!r} is forced into two behavior classes; "
                 f"they diverge on the word {'/'.join(word)}",
             )
-    after_block: dict[Ident, int] = {}
-    for x in tgt.after:
-        if x in derived:
-            after_block[x] = next(iter(derived[x]))
+    after_block = [next(iter(derived[x])) if x in derived else None for x in range(len(tgt.after))]
     for k, (p, s) in enumerate(zip(c.patches, sections)):
-        for u in p.source.after:
-            x = p.morphism.map_a(u)
-            after_block.setdefault(x, part.block_index[(k, s.psi_a(u))])
-    reach = _closure(set(before_block.values()) | set(after_block.values()),
-                     lambda blk: (part.succ(blk, ch) for ch in alphabet))
-    names = {blk: f"b{k}" for k, blk in enumerate(sorted(reach))}
-    dyn: dict[tuple[Ident, Ident], tuple[Ident, Ident]] = {}
-    for blk in names:
-        for ch in alphabet:
-            dyn[(names[blk], ch)] = (names[part.succ(blk, ch)], part.out(blk, ch))
-    carrier = sorted(names.values())
-    machine = make_system(carrier, carrier, alphabet, j.interp_outputs, dyn)
-    return _glued_section(
-        tgt,
-        machine,
-        j,
-        {x: names[before_block[x]] for x in tgt.before},
-        {x: names[after_block[x]] for x in tgt.after},
-    )
+        for x, v in zip(p.morphism.f_a, s.psi.f_a):
+            if after_block[x] is None:
+                after_block[x] = block_of[k][v]
+    order = sorted(_closure({*before_block, *after_block}, part.succ_table.__getitem__))
+    at = {blk: k for k, blk in enumerate(order)}
+    names = [f"b{k}" for k in range(len(order))]
+    machine, pos = _table_system(names, alphabet, j.interp_outputs, (
+        [(at[t], o) for t, o in zip(part.succ_table[blk], part.out_table[blk])] for blk in order))
+    return _glued_section(tgt, machine, j, [pos[at[blk]] for blk in before_block],
+                          [pos[at[blk]] for blk in after_block])
 
 
 def _forced_blocks(
-    c: Covering, sections: Sequence[Section], part: BehaviorPartition
-) -> dict[Ident, int]:
+    c: Covering, sections: Sequence[Section], part: BehaviorPartition, block_of: list[list[int]]
+) -> list[int]:
     """Behavior class each target before-state must carry, read off the
     first patch containing it, in the partition pooled from the sections'
-    machines in family order.  Only the before-side is constrained:
+    machines in family order, whose class of state ``v`` of machine ``k``
+    is ``block_of[k][v]``.  Only the before-side is constrained:
     behavioral identity of sections compares the images of before-states.
 
     Two patches are compatible when their sections put every shared
@@ -424,25 +417,27 @@ def _forced_blocks(
     the two sections restricted to the overlap.  The first incompatible pair
     of patches raises :class:`IncompatibleFamily` naming the
     :func:`explain.least_witness` of their shared before-states."""
-    index = part.block_index
     per_patch = [
-        {p.morphism.map_b(u): index[(k, s.psi_b(u))] for u in p.source.before}
+        {x: block_of[k][v] for x, v in zip(p.morphism.f_b, s.psi.f_b)}
         for k, (p, s) in enumerate(zip(c.patches, sections))
     ]
+    tgt = c.target
     for a, b in itertools.combinations(range(len(per_patch)), 2):
+        # Target states are numbered in name order, so the least position is the least name.
         least = least_witness(
             ((x, blk, per_patch[b].get(x, blk)) for x, blk in per_patch[a].items()),
             lambda b1, b2: block_distinguishing_word(part, b1, b2))
         if least is not None:
             word, x = least
             raise IncompatibleFamily(
-                f"patches {a} and {b} disagree behaviorally at state {x!r} "
+                f"patches {a} and {b} disagree behaviorally at state {tgt.before[x]!r} "
                 f"on word {'/'.join(word)}"
             )
-    forced: dict[Ident, int] = {}
+    forced: list = [None] * len(tgt.before)
     for blocks in per_patch:
         for x, blk in blocks.items():
-            forced.setdefault(x, blk)
+            if forced[x] is None:
+                forced[x] = blk
     return forced
 
 
@@ -469,26 +464,20 @@ def search_bounded_behavioral_glue(
     glued = glue_behavioral(c, sections, j)
     if isinstance(glued, ObstructionReport):
         return None
-    tgt = c.target
-    m = glued.explanatory
-    reach = _closure({glued.psi_b(x) for x in tgt.before},
-                     lambda q: (m.transition(q, ch)[0] for ch in m.inputs))
-    keep = sorted(reach) or list(m.before[:1])
+    m, psi = glued.explanatory, glued.psi
+    reach = _closure(set(psi.f_b), lambda q: [a for a, _ in m.step[q]])
+    keep = sorted(reach) or [0][:len(m.before)]
     if len(keep) > max_states:
         return None
     if len(keep) == len(m.before):
         return glued
     # Only the one-state machine of a target without before-states has
     # steps leaving ``reach``; they loop back.
-    dyn = {}
-    for q in keep:
-        for ch in m.inputs:
-            q2, o = m.transition(q, ch)
-            dyn[(q, ch)] = (q2 if q2 in reach else q, o)
-    machine = make_system(keep, keep, m.inputs, m.outputs, dyn)
-    kept = set(keep)
-    psi_a = {x: glued.psi_a(x) if glued.psi_a(x) in kept else keep[0] for x in tgt.after}
-    return _glued_section(tgt, machine, j, {x: glued.psi_b(x) for x in tgt.before}, psi_a)
+    at = {q: k for k, q in enumerate(keep)}
+    machine, pos = _table_system([m.before[q] for q in keep], m.inputs, m.outputs, (
+        [(at.get(a, k), o) for a, o in m.step[q]] for k, q in enumerate(keep)))
+    return _glued_section(c.target, machine, j, [pos[at[q]] for q in psi.f_b],
+                          [pos[at.get(q, 0)] for q in psi.f_a])
 
 
 @dataclass(frozen=True)
@@ -508,13 +497,13 @@ def glue_strict(c: Covering, sections: Sequence[Section], j: Judge) -> GlueStric
     for k, s in enumerate(sections):
         if s.explanatory != machine:
             return GlueStrictResult(None, f"patch {k} explains with a different machine")
-    psi_b, psi_a, conflict = _paste(c, sections)
+    f_b, f_a, conflict = _paste(c, sections)
     if conflict is not None:
         after, x = conflict
         return GlueStrictResult(
             None, f"patches assign different images to {'after-' if after else ''}state {x!r}"
         )
-    return GlueStrictResult(_glued_section(c.target, machine, j, psi_b, psi_a), None)
+    return GlueStrictResult(_glued_section(c.target, machine, j, f_b, f_a), None)
 
 
 @dataclass(frozen=True)
@@ -540,10 +529,10 @@ def stateless_ri_section(m: OpenImmersion, j: Judge) -> StatelessSectionReport:
     if s0 is None:
         return StatelessSectionReport(True, (), None)
     values: dict[Ident, tuple[Ident, Ident]] = {}
-    for c in m.source.inputs:
-        raw = m.morphism.map_i(c)
+    for ki in m.morphism.f_i:
+        raw = system.inputs[ki]
         judged_in = j.j_i[raw]
-        judged_out = j.j_o[system.transition(system.before[0], raw)[1]]
+        judged_out = j.j_o[system.outputs[system.step[0][ki][1]]]
         prev = values.get(judged_in)
         if prev is not None and prev[1] != judged_out:
             first = min((prev, (raw, judged_out)), key=lambda t: t[0])
@@ -558,8 +547,8 @@ def stateless_ri_section(m: OpenImmersion, j: Judge) -> StatelessSectionReport:
 
 
 def _stateless_machine(j: Judge, letters: tuple[Ident, ...], out: Ident) -> MealySystem:
-    dyn = {("s", c): ("s", out) for c in letters}
-    return make_system(["s"], ["s"], letters, j.interp_outputs, dyn)
+    row = [(0, j.interp_outputs.index(out))] * len(letters)
+    return _table_system(["s"], letters, j.interp_outputs, [row])[0]
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,11 @@ carriers coincide.
 Carriers are sets of string identifiers, stored sorted and duplicate-free, so
 structural equality of systems is plain dataclass equality.  Dynamics are
 stored as dense index tables over the sorted carriers, and so are
-morphisms; patches are built (:func:`subsystem`) and factored through one
-another (:func:`restrict_immersion`) on those tables, not on names.
+morphisms.  Every machine a checker builds (patches, overlaps, amalgams,
+cores, glued and minimal machines) is built on those tables, not through
+:func:`make_system` and :func:`morphism`, which read names for documents.
+Names sort as strings (``"b10" < "b2"``), so a new state's position comes
+from the one constructor that sorts them, never from its class number.
 
 The whole system is a patch of itself, :func:`identity_patch`; global
 sections sit on it.  Top-level systems must have non-empty inputs and
@@ -27,6 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
@@ -91,10 +95,11 @@ class MealySystem:
 
     def run(self, state: Ident, word: Iterable[Ident]) -> tuple[Ident, ...]:
         """Emitted output sequence along ``word``; requires a homogeneous system."""
+        k = self.b_index[state]
         outs: list[Ident] = []
         for letter in word:
-            state, o = self.transition(state, letter)
-            outs.append(o)
+            k, o = self.step[k][self.i_index[letter]]
+            outs.append(self.outputs[o])
         return tuple(outs)
 
 
@@ -134,6 +139,24 @@ def make_system(
             row.append((a_ix[s2], o_ix[out]))
         table.append(tuple(row))
     return MealySystem(b, a, i, o, tuple(table))
+
+
+def _table_system(
+    states: list[Ident],
+    inputs: tuple[Ident, ...],
+    outputs: tuple[Ident, ...],
+    rows: Iterable[Iterable[tuple[int, int]]],
+) -> tuple[MealySystem, list[int]]:
+    """A homogeneous machine from distinct state names in any order and
+    their rows of ``(successor's place in states, output index)`` pairs,
+    over given carriers; with each state's position in the sorted carrier."""
+    carrier = finset(states)
+    at = {s: k for k, s in enumerate(carrier)}
+    pos = [at[s] for s in states]
+    step: list = [None] * len(carrier)
+    for p, row in zip(pos, rows):
+        step[p] = tuple([(pos[t], o) for t, o in row])
+    return MealySystem(carrier, carrier, inputs, outputs, tuple(step)), pos
 
 
 @dataclass(frozen=True)
@@ -433,19 +456,31 @@ def subsystem(
             if x not in index:
                 raise ForeignElement(f"{x!r} is not {name}")
         tables.append(tuple(map(index.__getitem__, carrier)))
-    f_b, f_a, f_i, f_o = tables
+    return _closed_patch(system, *tables)
+
+
+def _closed_patch(
+    system: MealySystem,
+    f_b: tuple[int, ...],
+    f_a: tuple[int, ...],
+    f_i: tuple[int, ...],
+    f_o: tuple[int, ...],
+) -> OpenImmersion:
+    """The full subsystem on the carrier positions of four increasing index
+    tables, refused unless its steps stay inside it."""
     at_a, at_o = _inverse(f_a), _inverse(f_o)
     step: list[tuple[tuple[int, int], ...]] = []
-    for s, kb in zip(b, f_b):
+    for kb in f_b:
         row: list[tuple[int, int]] = []
-        for c, ki in zip(i, f_i):
+        for ki in f_i:
             ka, ko = system.step[kb][ki]
             if ka not in at_a or ko not in at_o:
-                raise CheckerError(
-                    f"carriers not closed: step at ({s!r}, {c!r}) leaves the patch"
-                )
+                s, c = system.before[kb], system.inputs[ki]
+                raise CheckerError(f"carriers not closed: step at ({s!r}, {c!r}) leaves the patch")
             row.append((at_a[ka], at_o[ko]))
         step.append(tuple(row))
+    b, a, i, o = (tuple(map(carrier.__getitem__, table)) for carrier, table in (
+        (system.before, f_b), (system.after, f_a), (system.inputs, f_i), (system.outputs, f_o)))
     return OpenImmersion(SystemMorphism(MealySystem(b, a, i, o, tuple(step)), system,
                                         f_b, f_a, f_i, f_o))
 
@@ -514,13 +549,9 @@ def overlap_patch(p: OpenImmersion, q: OpenImmersion) -> OpenImmersion:
     """Intersection of two patches of one target, as a patch of that target."""
     if p.target != q.target:
         raise CheckerError("patches of different targets have no overlap")
-    return subsystem(
-        p.target,
-        sorted(p.b_image & q.b_image),
-        sorted(p.a_image & q.a_image),
-        sorted(p.i_image & q.i_image),
-        sorted(p.o_image & q.o_image),
-    )
+    pm, qm = p.morphism, q.morphism
+    return _closed_patch(p.target, *(tuple(sorted(set(f).intersection(g))) for f, g in (
+        (pm.f_b, qm.f_b), (pm.f_a, qm.f_a), (pm.f_i, qm.f_i), (pm.f_o, qm.f_o))))
 
 
 def restrict_immersion(w: OpenImmersion, p: OpenImmersion) -> OpenImmersion:
@@ -585,57 +616,47 @@ def amalgamate(
             raise CheckerError("amalgamation is defined for homogeneous machines")
         if comp.inputs != iface_i or comp.outputs != iface_o:
             raise InterfaceMismatch("amalgamation components must share one interface")
-    offsets: list[int] = []
-    total = 0
-    for comp in components:
-        offsets.append(total)
-        total += len(comp.before)
-    uf = _UnionFind(total)
-    for k, s, l, t in identifications:
-        uf.union(offsets[k] + components[k].b_index[s], offsets[l] + components[l].b_index[t])
+    offsets = [0, *accumulate(len(comp.before) for comp in components)]
+    uf = _UnionFind(offsets[-1])
+    for ident in identifications:
+        ends = []
+        for k, s in (ident[:2], ident[2:]):
+            comp = components[k] if isinstance(k, int) and 0 <= k < len(components) else None
+            if comp is None or s not in comp.b_index:
+                raise CheckerError(f"identification {ident!r}: component {k!r} has no state {s!r}")
+            ends.append(offsets[k] + comp.b_index[s])
+        uf.union(*ends)
     classes: dict[int, list[tuple[int, Ident]]] = {}
     for k, comp in enumerate(components):
-        for s in comp.before:
-            classes.setdefault(uf.find(offsets[k] + comp.b_index[s]), []).append((k, s))
-    # Deterministic readable names: member names joined, disambiguated on clash.
-    roots = sorted(classes, key=lambda r: sorted(classes[r]))
-    base_names = {r: "+".join(sorted({s for _, s in classes[r]})) for r in roots}
-    totals, seen = Counter(base_names.values()), Counter()
-    names: dict[int, Ident] = {}
-    for r in roots:
-        n = base_names[r]
-        names[r] = n if totals[n] == 1 else f"{n}#{seen[n]}"
+        for b, s in enumerate(comp.before):
+            classes.setdefault(uf.find(offsets[k] + b), []).append((k, s))
+    # Deterministic readable names: member names joined, disambiguated on
+    # clash.  Members are listed in (component, state) order, so the classes
+    # are in the order of their least members.
+    base_names = ["+".join(sorted({s for _, s in members})) for members in classes.values()]
+    totals, seen = Counter(base_names), Counter()
+    names: list[Ident] = []
+    for n in base_names:
+        names.append(n if totals[n] == 1 else f"{n}#{seen[n]}")
         seen[n] += 1
-    if len(set(names.values())) != len(roots):
+    if len(set(names)) != len(names):
         # Pathological identifier clash; fall back to opaque canonical names.
-        names = {r: f"q{k}" for k, r in enumerate(roots)}
-    state_of: dict[tuple[int, Ident], Ident] = {}
-    for r, members in classes.items():
-        for member in members:
-            state_of[member] = names[r]
-    dyn: dict[tuple[Ident, Ident], tuple[Ident, Ident]] = {}
+        names = [f"q{k}" for k in range(len(names))]
+    cls = dict(zip(classes, range(len(names))))
+    of = [cls[uf.find(g)] for g in range(offsets[-1])]
+    rows: list = [None] * len(names)
     for k, comp in enumerate(components):
-        for s in comp.before:
-            for c in iface_i:
-                s2, out = comp.transition(s, c)
-                key = (state_of[(k, s)], c)
-                val = (state_of[(k, s2)], out)
-                if key in dyn and dyn[key] != val:
-                    raise InternalConsistencyError(
-                        f"quotient dynamics ill defined at {key!r}: {dyn[key]!r} vs {val!r}"
-                    )
-                dyn.setdefault(key, val)
-    carrier = sorted(names[r] for r in roots)
-    system = make_system(carrier, carrier, iface_i, iface_o, dyn)
-    embeds = tuple(
-        morphism(
-            comp,
-            system,
-            {s: state_of[(k, s)] for s in comp.before},
-            {s: state_of[(k, s)] for s in comp.after},
-            {c: c for c in iface_i},
-            {o: o for o in iface_o},
-        )
-        for k, comp in enumerate(components)
-    )
-    return Amalgam(system, embeds)
+        for b, step_row in enumerate(comp.step):
+            row = tuple([(of[offsets[k] + a], o) for a, o in step_row])
+            q = of[offsets[k] + b]
+            if rows[q] is None:
+                rows[q] = row
+            elif rows[q] != row:
+                raise InternalConsistencyError(f"quotient dynamics ill defined at {names[q]!r}")
+    system, pos = _table_system(names, iface_i, iface_o, rows)
+    letters, outs = tuple(range(len(iface_i))), tuple(range(len(iface_o)))
+    embeds = []
+    for k, comp in enumerate(components):
+        f = tuple([pos[of[offsets[k] + b]] for b in range(len(comp.before))])
+        embeds.append(SystemMorphism(comp, system, f, f, letters, outs))
+    return Amalgam(system, tuple(embeds))

@@ -90,7 +90,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import CheckerError, InternalConsistencyError, MalformedDocument
 from .explain import Judge, judge as make_judge
 from .localglobal import ObstructionReport, _unglueable_stateless
-from .systems import Covering, MealySystem, _UnionFind, covering, make_system, subsystem
+from .systems import Covering, MealySystem, _table_system, _UnionFind, covering, finset, subsystem
 
 Point = tuple[Fraction, ...]
 
@@ -662,11 +662,8 @@ def two_patch_counterexample(
             raise InternalConsistencyError(f"sample {name} fell outside the domain")
     i_map = {name: str(p[pj.axis]) for name, p in samples}
     o_map = {"0": "0", "1": "1"}
-    dyn = {
-        ("s", name): ("s", "1" if name == "w" else "0")
-        for name, _ in samples
-    }
-    system = make_system(["s"], ["s"], [name for name, _ in samples], ["0", "1"], dyn)
+    letters = finset(name for name, _ in samples)
+    system = _table_system(["s"], letters, ("0", "1"), [[(0, int(c == "w")) for c in letters]])[0]
     jdg = make_judge(i_map, o_map)
     c_names = [name for name, _ in samples if name.startswith("c")]
     patch1 = subsystem(system, inputs=sorted(["v", *c_names]))

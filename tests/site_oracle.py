@@ -1,16 +1,22 @@
 """Reference constructions on the site of Mealy machines.
 
-Name-based patches and factorizations, pullbacks of coverings, pushouts
-along injective state maps, the van Kampen cube check (the stability
-condition of adhesive categories, Lack and Sobociński 2004) and a
-backtracking isomorphism test.  No checker needs them; the property suites
-use them to test the site structure that the checkers rely on, so they are
-small exhaustive references with scale caps rather than library code.
+Name-based patches and factorizations, amalgams, common cores and glued
+sections, pullbacks of coverings, pushouts along injective state maps, the
+van Kampen cube check (the stability condition of adhesive categories, Lack
+and Sobociński 2004) and a backtracking isomorphism test.  No checker needs
+them; the property suites use them to test the site structure that the
+checkers rely on, so they are small exhaustive references with scale caps
+rather than library code.  The name-based builders replay each step
+through ``transition`` and build through ``make_system`` and ``morphism``,
+as the library once did; the library builds the same machines on index
+tables, and the seeded tests require equal dataclasses from both.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 from sheafmealy.errors import (
     CheckerError,
@@ -19,7 +25,9 @@ from sheafmealy.errors import (
     InternalConsistencyError,
     ScaleExceeded,
 )
+from sheafmealy.explain import BehaviorPartition, CogermWitness, Judge, Section, validate_section
 from sheafmealy.systems import (
+    Amalgam,
     Covering,
     Ident,
     MealySystem,
@@ -30,6 +38,7 @@ from sheafmealy.systems import (
     compose,
     covering,
     finset,
+    identity_patch,
     make_system,
     morphism,
     subsystem,
@@ -94,6 +103,159 @@ def reference_factorization(w: OpenImmersion, p: OpenImmersion) -> OpenImmersion
         {c: pre_i[wm.map_i(c)] for c in w.source.inputs},
         {x: pre_o[wm.map_o(x)] for x in w.source.outputs},
     ))
+
+
+def reference_amalgamate(
+    components: list[MealySystem],
+    identifications: Iterable[tuple[int, Ident, int, Ident]],
+) -> Amalgam:
+    """``amalgamate`` by names: classes named by their members as there,
+    each step replayed through ``transition`` into a name-keyed dynamics
+    dict, the quotient built by ``make_system`` and each embedding by
+    ``morphism``.  An ill-defined quotient raises
+    :class:`InternalConsistencyError` naming the class."""
+    if not components:
+        raise CheckerError("amalgamation needs at least one component")
+    iface_i, iface_o = components[0].inputs, components[0].outputs
+    for comp in components:
+        if not comp.homogeneous:
+            raise CheckerError("amalgamation is defined for homogeneous machines")
+        if comp.inputs != iface_i or comp.outputs != iface_o:
+            raise InterfaceMismatch("amalgamation components must share one interface")
+    parent = {(k, s): (k, s) for k, comp in enumerate(components) for s in comp.before}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for k, s, l, t in identifications:
+        rx, ry = find((k, s)), find((l, t))
+        parent[max(rx, ry)] = min(rx, ry)
+    classes: dict[tuple[int, Ident], list[tuple[int, Ident]]] = {}
+    for member in parent:
+        classes.setdefault(find(member), []).append(member)
+    roots = sorted(classes, key=lambda r: sorted(classes[r]))
+    base_names = {r: "+".join(sorted({s for _, s in classes[r]})) for r in roots}
+    totals, seen = Counter(base_names.values()), Counter()
+    names: dict = {}
+    for r in roots:
+        n = base_names[r]
+        names[r] = n if totals[n] == 1 else f"{n}#{seen[n]}"
+        seen[n] += 1
+    if len(set(names.values())) != len(roots):
+        names = {r: f"q{k}" for k, r in enumerate(roots)}
+    state_of = {member: names[find(member)] for member in parent}
+    dyn: dict[tuple[Ident, Ident], tuple[Ident, Ident]] = {}
+    for k, comp in enumerate(components):
+        for s in comp.before:
+            for c in iface_i:
+                s2, out = comp.transition(s, c)
+                key, val = (state_of[(k, s)], c), (state_of[(k, s2)], out)
+                if dyn.setdefault(key, val) != val:
+                    raise InternalConsistencyError(f"quotient dynamics ill defined at {key[0]!r}")
+    carrier = sorted(names.values())
+    system = make_system(carrier, carrier, iface_i, iface_o, dyn)
+    return Amalgam(system, tuple(
+        morphism(comp, system, {s: state_of[(k, s)] for s in comp.before},
+                 {s: state_of[(k, s)] for s in comp.after},
+                 {c: c for c in iface_i}, {o: o for o in iface_o})
+        for k, comp in enumerate(components)
+    ))
+
+
+def reference_cogerm_witness(s1: Section, s2: Section) -> CogermWitness | None:
+    """``cogerm_equiv`` by names: the closure of name pairs, its pairs
+    named ``x~y`` (or ``r<k>`` in pair order when two names clash), the
+    core built by ``make_system`` and the span and factoring maps by
+    ``morphism``."""
+    m1, m2 = s1.explanatory, s2.explanatory
+    alphabet, u = m1.inputs, s1.patch.source
+    todo = sorted({(s1.psi_b(s), s2.psi_b(s)) for s in u.before}
+                  | {(s1.psi_a(s), s2.psi_a(s)) for s in u.after})
+    fwd: dict[Ident, Ident] = {}
+    bwd: dict[Ident, Ident] = {}
+    pairs: set[tuple[Ident, Ident]] = set()
+    while todo:
+        x, y = todo.pop()
+        if (x, y) in pairs:
+            continue
+        if fwd.setdefault(x, y) != y or bwd.setdefault(y, x) != x:
+            return None
+        pairs.add((x, y))
+        for c in alphabet:
+            (x2, o1), (y2, o2) = m1.transition(x, c), m2.transition(y, c)
+            if o1 != o2:
+                return None
+            todo.append((x2, y2))
+    ordered = sorted(pairs)
+    names = {p: f"{p[0]}~{p[1]}" for p in ordered}
+    if len(set(names.values())) != len(ordered):
+        names = {p: f"r{k}" for k, p in enumerate(ordered)}
+    dyn = {}
+    for x, y in ordered:
+        for c in alphabet:
+            x2, o = m1.transition(x, c)
+            dyn[(names[(x, y)], c)] = (names[(x2, m2.transition(y, c)[0])], o)
+    carrier = sorted(names.values())
+    core = make_system(carrier, carrier, alphabet, m1.outputs, dyn)
+    back = {names[p]: p for p in ordered}
+    legs = [morphism(core, m, {n: back[n][k] for n in carrier}, {n: back[n][k] for n in carrier},
+                     {c: c for c in alphabet}, {o: o for o in m.outputs})
+            for k, m in enumerate((m1, m2))]
+    phi = morphism(u, core,
+                   {s: names[(s1.psi_b(s), s2.psi_b(s))] for s in u.before},
+                   {s: names[(s1.psi_a(s), s2.psi_a(s))] for s in u.after},
+                   {c: s1.psi.map_i(c) for c in u.inputs},
+                   {o: s1.psi.map_o(o) for o in u.outputs})
+    return CogermWitness(core, *legs, phi)
+
+
+def reference_glued_section(
+    c: Covering,
+    sections: Sequence[Section],
+    j: Judge,
+    part: BehaviorPartition,
+    before_block: Mapping[Ident, int],
+    derived: Mapping[Ident, Mapping[int, object]],
+) -> Section:
+    """``glue_behavioral``'s glued section by names, once no after-state is
+    forced into two classes: ``before_block`` holds each target
+    before-state's class and ``derived`` the classes the steps force on
+    after-states.  Other after-states take the class of their image in the
+    first patch holding them; the classes reached from all of these are
+    named ``b<k>`` in class order, and the machine is built by
+    ``make_system`` and ``psi`` by ``morphism``."""
+    tgt = c.target
+    after_block = {x: next(iter(derived[x])) for x in tgt.after if x in derived}
+    for k, (p, s) in enumerate(zip(c.patches, sections)):
+        for u in p.source.after:
+            after_block.setdefault(p.morphism.map_a(u), part.block_index[(k, s.psi_a(u))])
+    missing = [x for x in tgt.after if x not in after_block]
+    if missing:
+        raise CheckerError(f"covering leaves after-states unexplained: {missing!r}")
+    reach = set(before_block.values()) | set(after_block.values())
+    frontier = sorted(reach)
+    while frontier:
+        blk = frontier.pop()
+        for ch in part.alphabet:
+            if part.succ(blk, ch) not in reach:
+                reach.add(part.succ(blk, ch))
+                frontier.append(part.succ(blk, ch))
+    names = {blk: f"b{k}" for k, blk in enumerate(sorted(reach))}
+    dyn = {(names[blk], ch): (names[part.succ(blk, ch)], part.out(blk, ch))
+           for blk in names for ch in part.alphabet}
+    carrier = sorted(names.values())
+    machine = make_system(carrier, carrier, part.alphabet, j.interp_outputs, dyn)
+    psi = morphism(tgt, machine,
+                   {x: names[before_block[x]] for x in tgt.before},
+                   {x: names[after_block[x]] for x in tgt.after},
+                   {i: j.j_i[i] for i in tgt.inputs},
+                   {o: j.j_o[o] for o in tgt.outputs})
+    glued = Section(identity_patch(tgt), machine, psi)
+    if not validate_section(j, glued).ok:
+        raise InternalConsistencyError("glued section fails validation")
+    return glued
 
 
 def pullback_covering(c: Covering, n: OpenImmersion) -> Covering:

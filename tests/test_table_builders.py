@@ -1,0 +1,314 @@
+"""Every machine a checker builds, held to its name-based reference.
+
+The library builds patches, overlaps, amalgams, common cores, glued
+machines and minimal quotients on index tables.  ``site_oracle`` builds the
+amalgam, the core and the glued section by names, replaying each step
+through ``transition`` into ``make_system`` and ``morphism``; on seeded
+inputs both must give equal dataclasses.  The inputs reach the places where
+names sort apart from the order of their classes: ``"b10" < "b2"``, and
+``"ab~c" < "a~z"`` although ``("a", "z") < ("ab", "c")``.  A guard runs the
+builders on the shipped fixtures with the name-based constructors patched
+to raise, and every machine they return, like random ones, round-trips
+through its system document.
+"""
+
+from __future__ import annotations
+
+import importlib
+import itertools
+import json
+import pkgutil
+
+import pytest
+
+import randgen as rg
+from glue_oracle import overlap_glue_behavioral
+from site_oracle import reference_amalgamate, reference_cogerm_witness
+import sheafmealy
+from sheafmealy import (
+    CheckerError,
+    IncompatibleFamily,
+    InternalConsistencyError,
+    MealySystem,
+    amalgamate,
+    check_cogerm_witness,
+    check_separation,
+    cogerm_equiv,
+    discrete_stateless_sheaf_check,
+    glue_behavioral,
+    glue_cogerm,
+    jsonio,
+    judge,
+    judged_section,
+    make_system,
+    minimize,
+    overlap_patch,
+    pooled_behavior,
+    restrict_immersion,
+    restrict_section,
+    search_bounded_behavioral_glue,
+    sheaf_verdict,
+    two_patch_counterexample,
+)
+from sheafmealy import fixtures as fx
+from sheafmealy.systems import identity_patch
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except (CheckerError, InternalConsistencyError) as exc:
+        return type(exc), str(exc)
+
+
+def _loops(states, letters=("a",), out="0") -> MealySystem:
+    return make_system(states, states, letters, [out],
+                       {(s, c): (s, out) for s in states for c in letters})
+
+
+# ---------------------------------------------------------------- amalgams
+
+_NAMES = ["x", "x#0", "y", "y+z", "z"]
+
+
+def _component(rng, inputs, outputs) -> MealySystem:
+    """A random machine whose states are named ``m<k>`` (up to twelve, so
+    ``m10`` sorts before ``m2``) or drawn from names that clash once joined
+    or suffixed."""
+    if rng.random() < 0.5:
+        return rg.rand_machine(rng, inputs, outputs, rng.randint(1, 12), duplicate_rows=True)
+    states = rng.sample(_NAMES, rng.randint(1, 5))
+    return make_system(states, states, inputs, outputs,
+                       {(s, c): (rng.choice(states), rng.choice(outputs))
+                        for s in states for c in inputs})
+
+
+def _congruent_identifications(rng, comps):
+    """Pairs of behaviorally equal states closed under successors, so the
+    quotient is well defined, in random order."""
+    inputs = comps[0].inputs
+    blocks = [b for b in pooled_behavior(comps, inputs).blocks if len(b) > 1]
+    todo = [tuple(rng.sample(rng.choice(blocks), 2)) for _ in range(rng.randint(1, 4))
+            if blocks]
+    pairs = set()
+    while todo:
+        pair = todo.pop()
+        if pair not in pairs:
+            pairs.add(pair)
+            (k, s), (l, t) = pair
+            todo += [((k, comps[k].transition(s, c)[0]), (l, comps[l].transition(t, c)[0]))
+                     for c in inputs]
+    idents = [(k, s, l, t) for (k, s), (l, t) in pairs]
+    rng.shuffle(idents)
+    return idents
+
+
+def test_amalgamate_matches_the_name_based_reference(rng):
+    seen = {"big": 0, "suffixed": 0, "opaque": 0, "ill defined": 0}
+    for _ in range(400):
+        inputs = rg.RAW_INPUTS[: rng.randint(1, 2)]
+        outputs = rg.RAW_OUTPUTS[: rng.randint(1, 2)]
+        comps = [_component(rng, inputs, outputs) for _ in range(rng.randint(1, 3))]
+        idents = _congruent_identifications(rng, comps)
+        if rng.random() < 0.2:
+            k, l = rng.randrange(len(comps)), rng.randrange(len(comps))
+            idents.append((k, rng.choice(comps[k].before), l, rng.choice(comps[l].before)))
+        got = _outcome(amalgamate, comps, idents)
+        ref = _outcome(reference_amalgamate, comps, idents)
+        assert got == ref, (comps, idents)
+        if isinstance(got, tuple):
+            seen["ill defined"] += 1
+            continue
+        names = got.system.before
+        seen["big"] += len(names) > 10
+        seen["suffixed"] += any("#" in n for n in names)
+        seen["opaque"] += names[0] == "q0"
+    assert min(seen.values()) >= 2, seen
+
+
+def test_amalgamate_names_each_identification_it_cannot_resolve():
+    comps = [_loops(["s", "t"]), _loops(["u"])]
+    for bad, named in (((0, "zz", 1, "u"), "'zz'"), ((0, "s", 1, "s"), "'s'"),
+                       ((0, "s", 2, "u"), "component 2"), ((-1, "s", 1, "u"), "component -1"),
+                       (("0", "s", 1, "u"), "component '0'")):
+        with pytest.raises(CheckerError, match=named):
+            amalgamate(comps, [(0, "s", 0, "t"), bad])
+
+
+# ------------------------------------------------------------ common cores
+
+def _section_pairs(rng):
+    """Pairs of sections of one patch: random section pairs on the whole
+    system and on each patch of a covering, and the overlap restrictions
+    of a random family, as the core gluer compares them."""
+    for _ in range(150):
+        system, _, cov, s, t = rg.rand_section_pair(rng)
+        for p in (identity_patch(system), *cov.patches):
+            yield restrict_section(s, p), restrict_section(t, p)
+        _, _, cov, locals_, _ = rg.rand_cogerm_family(rng)
+        for a, b in itertools.combinations(range(len(locals_)), 2):
+            w = overlap_patch(cov.patches[a], cov.patches[b])
+            yield tuple(restrict_section(locals_[k], restrict_immersion(w, cov.patches[k]))
+                        for k in (a, b))
+
+
+def test_cogerm_witness_matches_the_name_based_reference(rng):
+    found = {True: 0, False: 0}
+    for s, t in _section_pairs(rng):
+        got = cogerm_equiv(s, t)
+        assert got == reference_cogerm_witness(s, t)
+        found[got is not None] += 1
+    assert min(found.values()) >= 5, found
+
+
+def _loop_sections(pairs):
+    """Two sections of a loop system with one state per pair, sending it to
+    the pair's first and second names in two loop machines."""
+    states = [f"u{k:02d}" for k in range(len(pairs))]
+    j = judge({"a": "a"}, {"0": "0"})
+    whole = identity_patch(_loops(states))
+    return tuple(
+        judged_section(whole, _loops(sorted({p[side] for p in pairs})), j, images, images)
+        for side in (0, 1)
+        for images in [{u: p[side] for u, p in zip(states, pairs)}]
+    )
+
+
+@pytest.mark.parametrize("pairs, core", [
+    # "ab~c" sorts before "a~z", though ("a", "z") comes first as a pair.
+    ([("a", "z"), ("ab", "c")], ("ab~c", "a~z")),
+    # "a~b~c" names two pairs, so every pair is r<k> in pair order, and
+    # r10 and r11 sort before r2.
+    ([("a", "b~c"), ("a~b", "c"), *((f"p{k}", f"q{k}") for k in range(10))],
+     ("r0", "r1", "r10", "r11", *(f"r{k}" for k in range(2, 10)))),
+])
+def test_core_positions_come_from_the_sorted_names(pairs, core):
+    s, t = _loop_sections(pairs)
+    got = cogerm_equiv(s, t)
+    assert got == reference_cogerm_witness(s, t)
+    assert got.core.before == core
+    assert check_cogerm_witness(s, t, got) == (True, None)
+
+
+def test_cogerm_equiv_refuses_a_machine_that_is_not_homogeneous():
+    # The closure steps from after-states as before-states.
+    one = identity_patch(_loops(["u"]))
+    split = make_system(["p"], ["q"], ["a"], ["0"], {("p", "a"): ("q", "0")})
+    s = judged_section(one, split, judge({"a": "a"}, {"0": "0"}), {"u": "p"}, {"u": "q"})
+    with pytest.raises(CheckerError, match="homogeneous"):
+        cogerm_equiv(s, s)
+
+
+# ---------------------------------------------------------- glued machines
+
+def _chain(n: int) -> MealySystem:
+    """States c0 .. c<n-1>: ``a`` walks down the chain and emits 1 only at
+    its end, ``b`` returns to c0, so no two states behave alike."""
+    names = [f"c{k}" for k in range(n)]
+    dyn = {}
+    for k, s in enumerate(names):
+        dyn[(s, "a")] = (names[min(k + 1, n - 1)], "1" if k == n - 1 else "0")
+        dyn[(s, "b")] = (names[0], "0")
+    return make_system(names, names, ["a", "b"], ["0", "1"], dyn)
+
+
+def test_glued_machines_of_many_classes_match_the_name_based_reference(rng):
+    sizes = []
+    for _ in range(40):
+        system = _chain(rng.randint(11, 16))
+        j = judge({"a": "a", "b": "b"}, {"0": "0", "1": "1"})
+        ids = {s: s for s in system.before}
+        whole = judged_section(identity_patch(system), system, j, ids, ids)
+        cov = rg.rand_data_local_covering(rng, system)
+        locals_ = [rg.mutate_section(rng, restrict_section(whole, p), f"l{k}")
+                   for k, p in enumerate(cov.patches)]
+        got = glue_behavioral(cov, locals_, j)
+        assert got == overlap_glue_behavioral(cov, locals_, j)
+        assert search_bounded_behavioral_glue(cov, locals_, j, 16) == got
+        sizes.append(len(got.explanatory.before))
+    assert min(sizes) > 10
+
+
+# ----------------------------------------------------------------- guard
+
+def _fixture_inputs():
+    """The sections fixtures with their local families, and the
+    rectangle unions, parsed from the shipped documents."""
+    families, unions = [], []
+    for f in fx.all_fixtures():
+        if f.kind == "sections":
+            sf = fx.sections_from_payload(f.payload)
+            family = (list(sf.sections) if sf.scope == "local" else
+                      [restrict_section(sf.sections[0], p) for p in sf.covering.patches])
+            families.append((sf, family))
+        elif f.kind == "rect-union":
+            unions.append(jsonio.union_from_json(f.payload))
+    return families, unions
+
+
+def _rebuilt_machines(families, unions):
+    """Every machine the table builders return on the fixtures."""
+    for sf, family in families:
+        c, j = sf.covering, sf.judge
+        machines = [s.explanatory for s in family]
+        yield amalgamate(machines, []).system
+        yield minimize(sf.system, j).machine
+        yield from (minimize(m).machine for m in machines)
+        yield from (overlap_patch(p, q).source for p in c.patches for q in c.patches)
+        for glue in (glue_behavioral, search_bounded_behavioral_glue, glue_cogerm):
+            try:
+                glued = glue(c, family, j)
+            except IncompatibleFamily:
+                continue
+            if hasattr(glued, "explanatory"):
+                yield glued.explanatory
+        if sf.scope == "global":
+            for kind in ("strict", "cogerm", "beh", "ri"):
+                check_separation(kind, c, *sf.sections[:2], j)
+            w = cogerm_equiv(*sf.sections[:2])
+            if w is not None:
+                yield w.core
+    for u, pj in unions:
+        verdict = sheaf_verdict(u, pj)
+        if verdict.certificates:
+            cex = two_patch_counterexample(u, pj, verdict.certificates[0])
+            yield cex.system
+            yield from (fb.machine for fb in cex.obstruction.forced)
+            report = discrete_stateless_sheaf_check(cex.system, cex.judge)
+            yield from (fb.machine for fb in report.obstruction.forced)
+
+
+def test_builders_on_the_fixtures_build_nothing_by_names(monkeypatch):
+    inputs = _fixture_inputs()
+    expected = list(_rebuilt_machines(*inputs))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a checker built a machine by names")
+
+    for info in pkgutil.iter_modules(sheafmealy.__path__):
+        module = importlib.import_module(f"sheafmealy.{info.name}")
+        for name in ("make_system", "morphism"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(MealySystem, "transition", refuse)
+    assert list(_rebuilt_machines(*inputs)) == expected
+
+
+# ------------------------------------------------------------ round trips
+
+def _round_trips(m: MealySystem) -> None:
+    payload = jsonio.system_payload(m)
+    data = jsonio.canonical_bytes(payload)
+    back = jsonio.system_from_payload(json.loads(data))
+    assert back == m
+    assert jsonio.canonical_bytes(jsonio.system_payload(back)) == data
+
+
+def test_system_documents_round_trip(rng):
+    for trial in range(300):
+        _round_trips(rg.rand_system(rng, homogeneous=trial % 2 == 0))
+        inputs = rg.RAW_INPUTS[: rng.randint(1, 3)]
+        _round_trips(_component(rng, inputs, rg.RAW_OUTPUTS[:2]))
+    for m in _rebuilt_machines(*_fixture_inputs()):
+        if m.inputs and m.outputs:
+            _round_trips(m)
