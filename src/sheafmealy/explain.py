@@ -22,9 +22,11 @@ both directions with matching outputs.  Seeding only before-images would
 accept strictly more pairs; the stronger seeding keeps restriction of
 witness cores pointwise.
 
-A behavioral failure names one witness, by one rule (:func:`least_witness`):
-of the states whose two images lie in different classes, the one whose
-separating word is shortest, then least, then the state itself.  Both
+An equal behavioral verdict comes from a union-find over state pairs and
+builds no partition; an unequal one refines both machines into behavior
+classes and names one witness, by one rule (:func:`least_witness`): of the
+states whose two images lie in different classes, the one whose separating
+word is shortest, then least, then the state itself.  Both
 :func:`behavioral_equiv` and the overlap check of the behavioral gluer use it.
 """
 
@@ -42,6 +44,7 @@ from .systems import (
     OpenImmersion,
     SystemMorphism,
     _table_system,
+    _UnionFind,
     check_morphism,
     compose,
     finset,
@@ -409,6 +412,31 @@ def _class_word(
     raise InternalConsistencyError("distinct behavior classes admit no separating word")
 
 
+def _same_behavior(m1: MealySystem, m2: MealySystem, alphabet: tuple[Ident, ...],
+                   starts: Iterable[tuple[int, int]]) -> bool:
+    """Whether each start pair (a state of ``m1``, one of ``m2``) emits equal
+    outputs on every word over ``alphabet``, by Hopcroft and Karp's
+    union-find (1971).  A pair is expanded only when its union joins two
+    classes; each expanded pair emits equal outputs and steps into one
+    class, so on True the classes are a bisimulation up to equivalence."""
+    if not (m1.homogeneous and m2.homogeneous):
+        raise HeterogeneousInput("behavior is defined for homogeneous machines")
+    n1, out1, out2 = len(m1.before), m1.outputs, m2.outputs
+    cols = [(m1.i_index[c], m2.i_index[c]) for c in alphabet]
+    uf = _UnionFind(n1 + len(m2.before))
+    todo = [(x, y) for x, y in starts if uf.union(x, n1 + y)]
+    while todo:
+        x, y = todo.pop()
+        r1, r2 = m1.step[x], m2.step[y]
+        for k1, k2 in cols:
+            (x2, o1), (y2, o2) = r1[k1], r2[k2]
+            if out1[o1] != out2[o2]:
+                return False
+            if uf.union(x2, n1 + y2):
+                todo.append((x2, y2))
+    return True
+
+
 @dataclass(frozen=True)
 class BehEquivReport:
     ok: bool
@@ -425,11 +453,13 @@ def behavioral_equiv(
 
     For every before-state of the patch, the images under the two sections
     must emit identical output sequences on every word over ``alphabet``.
-    The two machines may have different output sets.  Their states are
-    pooled and refined as in :func:`pooled_behavior`; an image pair in two
-    classes is separated by the shortest word, least in alphabet order, that
-    the class walk of :func:`block_distinguishing_word` finds.  On failure
-    the witness is the :func:`least_witness` of the patch's before-states.
+    The two machines may have different output sets.  An equal verdict comes
+    from the union-find of :func:`_same_behavior` and never refines; an
+    unequal one pools and refines the states as in :func:`pooled_behavior`,
+    and an image pair in two classes is separated by the shortest word, least
+    in alphabet order, that the class walk of :func:`block_distinguishing_word`
+    finds.  The witness is the :func:`least_witness` of the patch's
+    before-states.
     """
     if s1.patch.source != s2.patch.source:
         raise CheckerError("behavioral comparison needs sections of one patch")
@@ -441,6 +471,8 @@ def behavioral_equiv(
     for c in alphabet:
         if c not in m1.i_index or c not in m2.i_index:
             raise CheckerError(f"alphabet letter {c!r} outside an explanatory interface")
+    if _same_behavior(m1, m2, alphabet, zip(s1.psi.f_b, s2.psi.f_b)):
+        return BehEquivReport(True)
     outs, succs, block = _pool((m1, m2), alphabet)
     out_table, succ_table = _classes(outs, succs, block)
     n1 = len(m1.before)

@@ -582,10 +582,12 @@ class _UnionFind:
             x = self.parent[x]
         return x
 
-    def union(self, x: int, y: int) -> None:
+    def union(self, x: int, y: int) -> bool:
+        """Join the classes of ``x`` and ``y``; whether they were apart."""
         rx, ry = self.find(x), self.find(y)
         if rx != ry:
             self.parent[max(rx, ry)] = min(rx, ry)
+        return rx != ry
 
 
 @dataclass(frozen=True)

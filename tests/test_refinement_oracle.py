@@ -6,6 +6,11 @@ one-letter and reordered alphabets, and machines with different output
 sets, their results must equal those of the pair-level scan and the
 index-ranked Moore loop in ``explain_oracles``: the same witnesses, the
 same quotient tables and the same block numbers.
+
+``behavioral_equiv`` decides an equal pair with a union-find and refines
+only an unequal one.  Its reports must also equal those of the same call
+with the union-find made to report a mismatch, so that the refinement
+decides every pair, and equal comparisons must never reach the refinement.
 """
 
 from __future__ import annotations
@@ -17,8 +22,13 @@ import pytest
 from explain_oracles import moore_minimize, moore_pooled, pair_level_behavioral_equiv
 from sheafmealy import (
     CheckerError,
+    HeterogeneousInput,
     behavioral_equiv,
+    check_separation,
+    covering,
+    explain,
     judge,
+    localglobal,
     make_system,
     minimize,
     morphism,
@@ -26,6 +36,8 @@ from sheafmealy import (
     section,
     subsystem,
 )
+from sheafmealy import fixtures as fx
+from test_golden_cli import run
 
 OUTS = ("0", "1", "2")
 
@@ -281,3 +293,177 @@ def test_minimize_of_a_3000_state_chain_keeps_every_class():
     res = minimize(_machine(d))
     assert len(res.machine.before) == n
     assert res.mapping["t0003"] == res.mapping["s0003"] != res.mapping["s0004"]
+
+
+def _sections_at(m1, m2, pairs):
+    # One self-looping patch state per pair of before-images.
+    states = [f"u{k}" for k in range(len(pairs))]
+    u = make_system(states, states, ["x"], ["y"], {(s, "x"): (s, "y") for s in states})
+
+    def sec(m, images):
+        f = dict(zip(states, images))
+        return section(subsystem(u), m,
+                       morphism(u, m, f, f, {"x": m.inputs[0]}, {"y": m.outputs[0]}))
+
+    return sec(m1, [x for x, _ in pairs]), sec(m2, [y for _, y in pairs])
+
+
+def _mismatch(*args):
+    return False
+
+
+def _both_paths(monkeypatch, s1, s2, alphabet=None) -> tuple:
+    """The report of ``behavioral_equiv``, required to equal the report of
+    the same call with the union-find made to report a mismatch."""
+    got = _report(behavioral_equiv(s1, s2, alphabet))
+    with monkeypatch.context() as mp:
+        mp.setattr(explain, "_same_behavior", _mismatch)
+        assert _report(behavioral_equiv(s1, s2, alphabet)) == got
+    return got
+
+
+def test_union_find_exit_matches_refinement_and_oracle(rng, monkeypatch):
+    seen = {True: 0, False: 0}
+    for _ in range(160):
+        kind = rng.choice(("random", "chain"))
+        inputs = ["a", "b", "c"][: rng.randint(1, 3)]
+        d1 = _table(rng, kind, "p", inputs)
+        how = rng.choice(("copy", "mutate", "outputs"))
+        d2 = _renamed(_mutated(rng, d1, OUTS) if how == "mutate" else d1, "q")
+        # A renamed copy with a larger output set behaves alike.
+        m1, m2 = _machine(d1), _machine(d2, OUTS + ("3",) if how == "outputs" else OUTS)
+        picked = rng.sample(m1.before, rng.randint(1, min(4, len(m1.before))))
+        pairs = [(x, "q" + x) for x in picked]
+        if rng.random() < 0.3:
+            pairs.append((rng.choice(m1.before), rng.choice(m2.before)))
+        shape = rng.choice(("full", "one", "reversed", "empty"))
+        alphabet = {"full": tuple(inputs), "one": (rng.choice(inputs),),
+                    "reversed": tuple(inputs[::-1]), "empty": ()}[shape]
+        s1, s2 = _sections_at(m1, m2, pairs)
+        got = _both_paths(monkeypatch, s1, s2, alphabet)
+        assert got == pair_level_behavioral_equiv(s1, s2, alphabet)
+        seen[got[0]] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_union_find_exit_on_empty_carriers_and_other_outputs(rng, monkeypatch):
+    empty = make_system([], [], ["a", "b"], OUTS, {})
+    m = _machine(_table(rng, "random", "s", ["a", "b"]))
+    nines = _machine(_random_table(rng, _names(rng, "n", 4), ["a", "b"], ("9",)), ("9",))
+    for m1, m2 in ((empty, empty), (empty, m), (m, empty)):
+        s1, s2 = _sections_at(m1, m2, [])
+        for alphabet in (("a", "b"), ()):
+            assert (_both_paths(monkeypatch, s1, s2, alphabet)
+                    == pair_level_behavioral_equiv(s1, s2, alphabet) == (True, None, None))
+    for alphabet in (("a", "b"), ("b",), ()):
+        s1, s2 = _sections_at(m, nines, [(x, nines.before[0]) for x in m.before])
+        assert (_both_paths(monkeypatch, s1, s2, alphabet)
+                == pair_level_behavioral_equiv(s1, s2, alphabet))
+
+
+def test_union_find_exit_on_long_chains_flipped_at_the_far_end(rng, monkeypatch):
+    # The union-find walks the whole chain pair before the flipped output
+    # shows, then the refinement must give the word a^(n-1) b.
+    for n in (60, rng.randint(61, 149), 150):
+        states = _names(rng, "s", n)
+        d = _chain_table(states, ("a", "b"))
+        flipped = _renamed(d, "q")
+        flipped[("q" + states[-1], "b")] = ("q" + states[0], "2")
+        m1 = _machine(d)
+        for d2, expect in ((_renamed(d, "q"), (True, None, None)),
+                           (flipped, (False, "u0", ("a",) * (n - 1) + ("b",)))):
+            s1, s2 = _sections_at(m1, _machine(d2), [(states[0], "q" + states[0])])
+            assert _both_paths(monkeypatch, s1, s2, ("a", "b")) == expect
+            if n == 60:
+                # The pair-level oracle is cubic; one chain length suffices.
+                assert pair_level_behavioral_equiv(s1, s2, ("a", "b")) == expect
+
+
+def test_heterogeneous_machines_are_refused_as_before(monkeypatch):
+    homo = _machine(_chain_table(["p0", "p1"], ["a"]))
+    hetero = make_system(["h"], ["h", "k"], ["a"], OUTS, {("h", "a"): ("k", "0")})
+    u = make_system(["u"], ["u"], ["x"], ["y"], {("u", "x"): ("u", "y")})
+
+    def sec(m, b, a):
+        return section(subsystem(u), m,
+                       morphism(u, m, {"u": b}, {"u": a}, {"x": "a"}, {"y": "0"}))
+
+    h, p = sec(hetero, "h", "k"), sec(homo, "p0", "p0")
+    for s1, s2 in ((h, p), (p, h), (h, h)):
+        for patched in (False, True):
+            with monkeypatch.context() as mp:
+                if patched:
+                    mp.setattr(explain, "_same_behavior", _mismatch)
+                with pytest.raises(HeterogeneousInput) as err:
+                    behavioral_equiv(s1, s2)
+            assert type(err.value) is HeterogeneousInput
+            assert str(err.value) == "behavior is defined for homogeneous machines"
+
+
+def _refuse_refinement(mp) -> None:
+    def refuse(*args):
+        raise AssertionError("an equal comparison reached the refinement")
+
+    mp.setattr(explain, "_refine", refuse)
+    mp.setattr(explain, "_pool", refuse)
+
+
+def _mixed_copy(d: dict, states) -> dict:
+    """Four renamed copies X, A, B, Z of ``d`` over a and b: X is entered
+    first, a keeps to A and b to B, and a mixed word ends in Z, so ``X.s``
+    behaves as ``s`` on every word."""
+    goes = {"X": "AB", "A": "AZ", "B": "ZB", "Z": "ZZ"}
+    return {(f"{tag}.{s}", c): (f"{goes[tag][k]}.{d[(s, c)][0]}", d[(s, c)][1])
+            for tag in goes for s in states for k, c in enumerate("ab")}
+
+
+def test_equal_comparisons_never_refine(rng, monkeypatch):
+    j = judge({"a": "a", "b": "b"}, {o: o for o in OUTS})
+    for trial in range(40):
+        d = _table(rng, ("random", "chain")[trial % 2], "p", ["a", "b"])
+        m = _machine(d)
+        copy, mixed = _machine(_renamed(d, "q")), _machine(_mixed_copy(d, m.before))
+        s1, s2 = _sections_at(m, copy, [(x, "q" + x) for x in m.before])
+        cov = covering(m, [subsystem(m, inputs=["a"]), subsystem(m, inputs=["b"])])
+        s, t = (section(subsystem(m), target, morphism(m, target, f, f, j.j_i, j.j_o))
+                for target, f in ((m, {x: x for x in m.before}),
+                                  (mixed, {x: f"X.{x}" for x in m.before})))
+        with monkeypatch.context() as mp:
+            _refuse_refinement(mp)
+            assert behavioral_equiv(s1, s2).ok
+            for kind in ("beh", "ri"):
+                rep = check_separation(kind, cov, s, t, j)
+                assert rep.locally_equal == (True, True) and rep.globally_equal
+
+
+def test_fixture_separation_checks_refine_only_unequal_pairs(monkeypatch):
+    """Every comparison that ``check separation --kind beh`` and ``--kind ri``
+    make on the shipped fixtures: an unequal one refines exactly once, and
+    an equal one answers with the refinement made to raise."""
+    real_equiv, real_refine = explain.behavioral_equiv, explain._refine
+    refined, calls = [], []
+
+    def counting_refine(*args):
+        refined.append(args)
+        return real_refine(*args)
+
+    def recording_equiv(*args):
+        before = len(refined)
+        rep = real_equiv(*args)
+        calls.append((args, rep.ok, len(refined) - before))
+        return rep
+
+    with monkeypatch.context() as mp:
+        mp.setattr(explain, "_refine", counting_refine)
+        mp.setattr(localglobal, "behavioral_equiv", recording_equiv)
+        for f in fx.all_fixtures():
+            if f.kind == "sections":
+                for kind in ("beh", "ri"):
+                    run(["check", "separation", f.name, "--kind", kind])
+    assert {ok for _, ok, _ in calls} == {True, False}
+    assert [n for _, ok, n in calls] == [0 if ok else 1 for _, ok, _ in calls]
+    with monkeypatch.context() as mp:
+        _refuse_refinement(mp)
+        for args, ok, _ in calls:
+            if ok:
+                assert real_equiv(*args).ok

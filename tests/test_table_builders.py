@@ -9,11 +9,13 @@ names sort apart from the order of their classes: ``"b10" < "b2"``, and
 ``"ab~c" < "a~z"`` although ``("a", "z") < ("ab", "c")``.  A guard runs the
 builders on the shipped fixtures with the name-based constructors patched
 to raise, and every machine they return, like random ones, round-trips
-through its system document.
+through its system document.  Random judges, coverings and sections, with
+each section's restriction to every patch, round-trip through theirs.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib
 import itertools
 import json
@@ -312,3 +314,22 @@ def test_system_documents_round_trip(rng):
     for m in _rebuilt_machines(*_fixture_inputs()):
         if m.inputs and m.outputs:
             _round_trips(m)
+
+
+def test_section_covering_and_judge_documents_round_trip(rng):
+    """A judge, a covering and a section, with the section's restriction to
+    every patch, read back equal from their canonical documents, and give
+    the same bytes when written again."""
+    for _ in range(150):
+        system, j, s = rg.rand_explained_system(rng)
+        c = rg.rand_covering(rng, system)
+        docs = [(jsonio.judge_payload, jsonio.judge_from_payload, j),
+                (jsonio.covering_payload, jsonio.covering_from_payload, c)]
+        for sec in (s, *(restrict_section(s, p) for p in c.patches)):
+            docs.append((jsonio.section_payload,
+                         functools.partial(jsonio.section_from_payload, sec.patch, j), sec))
+        for write, read, x in docs:
+            data = jsonio.canonical_bytes(write(x))
+            back = read(json.loads(data))
+            assert back == x
+            assert jsonio.canonical_bytes(write(back)) == data
