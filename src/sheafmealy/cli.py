@@ -68,37 +68,35 @@ def _load_document(target: str) -> tuple[str, dict]:
     return fixture.kind, fixture.payload
 
 
+def _invalid(args: SimpleNamespace, violations: list, lines: list[str]) -> int:
+    _emit(args, {"valid": False, "violations": violations}, [f"invalid: {x}" for x in lines])
+    return 1
+
+
 def _validate(args: SimpleNamespace) -> int:
     kind, payload = _load_document(args.path)
     if kind == "system":
         violations = system_violations(payload)
         if violations:
-            _emit(args,
-                  {"valid": False,
-                   "violations": [{"kind": v.kind, "detail": v.detail}
-                                  for v in violations]},
-                  [f"invalid: {v.kind}: {v.detail}" for v in violations])
-            return 1
+            return _invalid(args, [{"kind": v.kind, "detail": v.detail} for v in violations],
+                            [f"{v.kind}: {v.detail}" for v in violations])
     elif kind == "sections":
         sf = fx.sections_from_payload(payload)
         cov = check_covering(sf.covering)
         if not cov.ok:
-            _emit(args, {"valid": False, "violations": [f"covering not jointly surjective on {cov.side}"]},
-                  [f"invalid: covering not jointly surjective on {cov.side}"])
-            return 1
+            why = f"covering not jointly surjective on {cov.side}"
+            return _invalid(args, [why], [why])
         for k, s in enumerate(sf.sections):
             rep = validate_section(sf.judge, s)
             if not rep.ok:
-                _emit(args, {"valid": False, "violations": [f"section {k}: {rep.reason}"]},
-                      [f"invalid: section {k}: {rep.reason}"])
-                return 1
+                why = f"section {k}: {rep.reason}"
+                return _invalid(args, [why], [why])
     elif kind == "covering":
         c = jsonio.covering_from_payload(payload)
         cov = check_covering(c)
         if not cov.ok:
-            _emit(args, {"valid": False, "violations": [f"not jointly surjective on {cov.side}"]},
-                  [f"invalid: not jointly surjective on {cov.side}"])
-            return 1
+            why = f"not jointly surjective on {cov.side}"
+            return _invalid(args, [why], [why])
     elif kind == "judge":
         jsonio.require(payload, "a judge document", "system", "judge", objects=("system",))
         sys_ = validate_system(payload["system"])
@@ -149,26 +147,11 @@ def _family(sf: fx.SectionsFixture) -> list[Section]:
     return [restrict_section(sf.sections[0], p) for p in sf.covering.patches]
 
 
-def _check_glue_cogerm(args: SimpleNamespace) -> int:
+def _check_glue(args: SimpleNamespace, gluer: Callable[..., Any]) -> int:
     sf = _sections_for_check(args.target)
     secs = _family(sf)
     try:
-        glued = glue_cogerm(sf.covering, secs, sf.judge)
-    except IncompatibleFamily as exc:
-        _emit(args, {"glued": False, "reason": str(exc)},
-              [f"incompatible family: {exc}"])
-        return 0
-    _emit(args,
-          {"glued": True, "machine": jsonio.system_payload(glued.explanatory)},
-          [f"glued: machine with {len(glued.explanatory.before)} states"])
-    return 0
-
-
-def _check_glue_beh(args: SimpleNamespace) -> int:
-    sf = _sections_for_check(args.target)
-    secs = _family(sf)
-    try:
-        result = glue_behavioral(sf.covering, secs, sf.judge)
+        result = gluer(sf.covering, secs, sf.judge)
     except IncompatibleFamily as exc:
         _emit(args, {"glued": False, "reason": str(exc)},
               [f"incompatible family: {exc}"])
@@ -335,9 +318,11 @@ _COMMANDS: dict[tuple[str, ...], _Command] = {
         _Option("--kind", str, ("strict", "cogerm", "beh", "ri"), "ri",
                 "which separation to compare"),),
         "compare two global sections on every patch and on the whole system"),
-    ("check", "glue-cogerm"): _Command(_check_glue_cogerm, "target", (),
-                                       "glue a compatible family along common cores"),
-    ("check", "glue-beh"): _Command(_check_glue_beh, "target", (
+    # A gluer is looked up when its command runs, so a wrapper bound in its
+    # place (as the benchmark's tracer binds one) is the one called.
+    ("check", "glue-cogerm"): _Command(lambda args: _check_glue(args, glue_cogerm), "target",
+                                       (), "glue a compatible family along common cores"),
+    ("check", "glue-beh"): _Command(lambda args: _check_glue(args, glue_behavioral), "target", (
         _Option("--max-states", int, None, 4,
                 "state bound of the bounded search after an obstruction; 0 skips"),),
         "glue a family up to behavior, or report the obstruction"),

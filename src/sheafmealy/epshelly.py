@@ -143,10 +143,6 @@ class TargetSet:
     i_prime: str
     points: tuple[Vector, ...]
 
-    @property
-    def empty(self) -> bool:
-        return not self.points
-
 
 def _patch_targets(inst: EpsilonInstance, patches: Sequence[Sequence[str]]
                    ) -> dict[str, list[set[Vector]]]:

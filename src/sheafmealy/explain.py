@@ -219,7 +219,7 @@ def restrict_section(s: Section, n: OpenImmersion) -> Section:
     )
 
 
-def _refine(outs: Sequence[tuple[Ident, ...]], succs: Sequence[tuple[int, ...]]) -> list[int]:
+def _refine(outs: Sequence[tuple[int, ...]], succs: Sequence[tuple[int, ...]]) -> list[int]:
     """Moore partition refinement of states given by their per-letter
     outputs and successor indices; returns a block number per state.
 
@@ -350,27 +350,31 @@ def _refine(outs: Sequence[tuple[Ident, ...]], succs: Sequence[tuple[int, ...]])
 
 def _pool(
     machines: Sequence[MealySystem], alphabet: tuple[Ident, ...]
-) -> tuple[list[tuple[Ident, ...]], list[tuple[int, ...]], list[int]]:
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
     """One-step tables of the disjoint union of homogeneous machines over
-    ``alphabet`` and its refinement.  States are numbered machine by machine
-    in carrier order; rows hold the emitted outputs and successor numbers."""
-    outs: list[tuple[Ident, ...]] = []
+    ``alphabet`` and its refinement.  States, and then outputs, are numbered
+    machine by machine in carrier order, an output on its first appearance;
+    rows hold the emitted output numbers and successor numbers, so only
+    output equality is read."""
+    outs: list[tuple[int, ...]] = []
     succs: list[tuple[int, ...]] = []
+    number: dict[Ident, int] = {}
     base = 0
     for m in machines:
         if not m.homogeneous:
             raise HeterogeneousInput("behavior is defined for homogeneous machines")
         cols = [m.i_index[c] for c in alphabet]
+        emit = [number.setdefault(o, len(number)) for o in m.outputs]
         for row in m.step:
-            outs.append(tuple([m.outputs[row[k][1]] for k in cols]))
+            outs.append(tuple([emit[row[k][1]] for k in cols]))
             succs.append(tuple([base + row[k][0] for k in cols]))
         base += len(m.before)
     return outs, succs, _refine(outs, succs)
 
 
 def _classes(
-    outs: Sequence[tuple[Ident, ...]], succs: Sequence[tuple[int, ...]], block: Sequence[int]
-) -> tuple[list[tuple[Ident, ...]], list[tuple[int, ...]]]:
+    outs: Sequence[tuple[int, ...]], succs: Sequence[tuple[int, ...]], block: Sequence[int]
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Per-block output and successor-block rows, read off each block's
     first state."""
     rep: dict[int, int] = {}
@@ -383,7 +387,7 @@ def _classes(
 
 def _class_word(
     alphabet: tuple[Ident, ...],
-    out_table: Sequence[Sequence],
+    out_table: Sequence[Sequence[int]],
     succ_table: Sequence[Sequence[int]],
     b1: int,
     b2: int,
@@ -453,7 +457,8 @@ def behavioral_equiv(
 
     For every before-state of the patch, the images under the two sections
     must emit identical output sequences on every word over ``alphabet``.
-    The two machines may have different output sets.  An equal verdict comes
+    The two machines may have different output sets, compared only for
+    equality, so their outputs need not be ordered.  An equal verdict comes
     from the union-find of :func:`_same_behavior` and never refines; an
     unequal one pools and refines the states as in :func:`pooled_behavior`,
     and an image pair in two classes is separated by the shortest word, least
@@ -679,14 +684,9 @@ def pooled_behavior(machines: Sequence[MealySystem], alphabet: tuple[Ident, ...]
     members: list[list[tuple[int, Ident]]] = [[] for _ in out_rows]
     for ks, b in zip(states, block):
         members[b].append(ks)
-    o_ix = machines[0].o_index
-    return BehaviorPartition(
-        tuple(alphabet),
-        tuple(tuple(sorted(ms)) for ms in members),
-        tuple(tuple([o_ix[o] for o in row]) for row in out_rows),
-        tuple(succ_rows),
-        outputs,
-    )
+    # On the one shared carrier the pooled output numbers are its positions.
+    return BehaviorPartition(tuple(alphabet), tuple(tuple(sorted(ms)) for ms in members),
+                             tuple(out_rows), tuple(succ_rows), outputs)
 
 
 def block_distinguishing_word(

@@ -303,9 +303,8 @@ def rect_union(dim: int, rects: Iterable[Rect]) -> RectUnion:
             return None
         return best, box.with_side(axis, _hull(box[axis], slots[best][axis]))
 
+    # Row ``i`` empties only slots at or below ``i``, so slot ``i`` is live.
     for i in range(len(slots)):
-        if slots[i] is None:
-            continue
         # The pair drops its earlier slot and keeps the merged box in the later.
         k, lo, hi = i, i + 1, len(slots)
         while (step := first_merge(k, lo, hi)) is not None:

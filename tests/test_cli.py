@@ -12,6 +12,7 @@ from sheafmealy import covering, restrict_section, subsystem
 from sheafmealy import fixtures as fx
 from sheafmealy import jsonio
 from sheafmealy.cli import main
+from test_localglobal import _off_range_conflict_family
 
 ALL_FIXTURES = [f.name for f in fx.all_fixtures()]
 
@@ -459,6 +460,25 @@ def test_gluing_a_document_without_global_sections_is_refused(capsys, tmp_path):
     refused = (1, "", "CheckerError: gluing needs a global section to restrict to the patches\n")
     for verb in (["check", "glue-beh"], ["check", "glue-cogerm"]):
         assert _text_and_json(capsys, [*verb, str(path)]) == (refused, refused)
+
+
+def test_gluing_an_incompatible_family_is_a_result(capsys, tmp_path):
+    """Two input-split patches whose valid locals disagree off their own
+    ranges: both gluing checks report the incompatible family with exit 0,
+    as a verdict and not as an error."""
+    _, j, c, locals_ = _off_range_conflict_family()
+    path = tmp_path / "off-range.json"
+    path.write_text(json.dumps({
+        "system": jsonio.system_payload(c.target), "judge": jsonio.judge_payload(j),
+        "patches": [jsonio.immersion_payload(p) for p in c.patches],
+        "local_sections": [jsonio.section_payload(s) for s in locals_]}))
+    assert _run(capsys, ["validate", str(path)]) == (0, "valid sections\n", "")
+    for verb, reason in (
+            ("glue-beh", "patches 0 and 1 disagree behaviorally at state 'u' on word a"),
+            ("glue-cogerm", "patches 0 and 1 admit no common core on their overlap")):
+        assert _text_and_json(capsys, ["check", verb, str(path)]) == (
+            (0, f"incompatible family: {reason}\n", ""),
+            (0, jsonio.canonical_dumps({"glued": False, "reason": reason}) + "\n", ""))
 
 
 def test_validate_covering_document(capsys, tmp_path):

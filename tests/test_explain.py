@@ -27,7 +27,13 @@ from sheafmealy import (
     validate_section,
 )
 from sheafmealy.explain import CogermWitness
-from sheafmealy.systems import OpenImmersion, compose, identity_morphism
+from sheafmealy.systems import (
+    OpenImmersion,
+    SystemMorphism,
+    check_morphism,
+    compose,
+    identity_morphism,
+)
 
 
 # ------------------------------------------------------------- validation
@@ -248,6 +254,81 @@ def test_cogerm_witness_checker_rejects_tampering(rng):
             bad = CogermWitness(w.core, bad_leg, w.i2, w.phi)
             ok2, reason = check_cogerm_witness(sec, other, bad)
             assert not ok2 and reason is not None
+
+
+def _twin_loops(names):
+    """Three self-loops over one letter: the first two emit 0 and may be
+    swapped, the third emits 1."""
+    x, y, z = names
+    return make_system(names, names, ["a"], ["0", "1"],
+                       {(x, "a"): (x, "0"), (y, "a"): (y, "0"), (z, "a"): (z, "1")})
+
+
+def test_cogerm_witness_checker_names_each_tampering():
+    """One tampered part of a true common core per refusal, each refused
+    with its own reason before any later check reads the witness."""
+    m1, m2 = _twin_loops(["x", "y", "z"]), _twin_loops(["p", "q", "r"])
+    patch = subsystem(m1)
+    iface = ({"a": "a"}, {"0": "0", "1": "1"})
+    s1 = section(patch, m1, identity_morphism(m1))
+    s2 = section(patch, m2, morphism(m1, m2, *[{"x": "p", "y": "q", "z": "r"}] * 2, *iface))
+    w = cogerm_equiv(s1, s2)
+    assert w is not None and check_cogerm_witness(s1, s2, w) == (True, None)
+    core = w.core
+    xp, yq, zr = core.before
+
+    def leg(target, images, source=core, outputs=iface[1]):
+        f = dict(zip(source.before, images))
+        return morphism(source, target, f, f, iface[0], outputs)
+
+    hetero = make_system(["h"], ["h", "k"], ["a"], ["0", "1"], {("h", "a"): ("k", "0")})
+    wide = make_system(core.before, core.after, ["a"], ["0", "1", "2"],
+                       {(s, "a"): (s, "1" if s == zr else "0") for s in core.before})
+    onto = {"0": "0", "1": "1", "2": "1"}
+    split = SystemMorphism(core, m1, w.i1.f_b, (0, 0, 0), w.i1.f_i, w.i1.f_o)
+    bent1, bent2 = leg(m1, "zyx"), leg(m2, "rqp")
+    mixed = {"x": yq, "y": xp, "z": zr}
+    cases = [
+        (CogermWitness(hetero, w.i1, w.i2, w.phi), "core is not homogeneous"),
+        (CogermWitness(core, identity_morphism(m1), w.i2, w.phi),
+         "span legs do not start at the core"),
+        (CogermWitness(core, w.i1, w.i1, w.phi),
+         "span legs do not reach the explanatory machines"),
+        (CogermWitness(core, leg(m1, "xxz"), w.i2, w.phi),
+         "first leg is not an injective state map"),
+        (CogermWitness(core, split, w.i2, w.phi), "first leg is not an injective state map"),
+        (CogermWitness(core, w.i1, leg(m2, "pqq"), w.phi),
+         "second leg is not an injective state map"),
+        (CogermWitness(wide, leg(m1, "xyz", wide, onto), leg(m2, "pqr", wide, onto), w.phi),
+         "first leg does not fix the interface"),
+        (CogermWitness(core, bent1, w.i2, w.phi),
+         f"first leg breaks dynamics at {check_morphism(bent1).witness!r}"),
+        (CogermWitness(core, w.i1, bent2, w.phi),
+         f"second leg breaks dynamics at {check_morphism(bent2).witness!r}"),
+        (CogermWitness(core, w.i1, w.i2, s1.psi), "factoring morphism has the wrong endpoints"),
+        (CogermWitness(core, w.i1, w.i2, morphism(m1, core, mixed, mixed, *iface)),
+         "factoring through the first leg does not recover psi"),
+        # Swapping the two 0-loops keeps the second leg a morphism.
+        (CogermWitness(core, w.i1, leg(m2, "qpr"), w.phi),
+         "factoring through the second leg does not recover psi"),
+    ]
+    for tampered, reason in cases:
+        assert check_cogerm_witness(s1, s2, tampered) == (False, reason)
+
+
+def test_cogerm_witness_checker_refuses_a_factoring_map_off_the_dynamics():
+    """Legs that merge both outputs into 0 recover psi from a factoring map
+    that sends the patch's output 0 to 1, which the core never emits."""
+    m = make_system(["s"], ["s"], ["a"], ["0", "1"], {("s", "a"): ("s", "0")})
+    patch = subsystem(m, outputs=["0"])
+    psi = morphism(patch.source, m, {"s": "s"}, {"s": "s"}, {"a": "a"}, {"0": "0"})
+    s1 = section(patch, m, psi)
+    w = cogerm_equiv(s1, s1)
+    merge = SystemMorphism(w.core, m, w.i1.f_b, w.i1.f_a, w.i1.f_i, (0, 0))
+    phi = SystemMorphism(patch.source, w.core, w.phi.f_b, w.phi.f_a, w.phi.f_i, (1,))
+    assert compose(phi, merge) == psi
+    assert check_cogerm_witness(s1, s1, CogermWitness(w.core, merge, merge, phi)) == (
+        False, f"factoring morphism breaks dynamics at {check_morphism(phi).witness!r}")
 
 
 # ------------------------------------------------------------- minimization

@@ -13,6 +13,7 @@ from sheafmealy import (
     NotStateless,
     ObstructionReport,
     Section,
+    StatelessSectionReport,
     behavioral_equiv,
     check_cogerm_witness,
     check_separation,
@@ -528,6 +529,15 @@ def test_stateless_ri_section_cases():
                       {("s", "a"): ("t", "0"), ("t", "a"): ("s", "0")})
     with pytest.raises(NotStateless):
         stateless_ri_section(subsystem(two), identity_judge(two))
+
+
+def test_stateless_ri_section_of_a_patch_without_states_is_empty():
+    """A patch with no before-states forces no judged output: its stateless
+    explanation exists and assigns nothing."""
+    system = _stateless_system({"a": "0", "b": "1"})
+    j = judge({"a": "A", "b": "A"}, {"0": "o0", "1": "o1"})
+    for patch in (subsystem(system, before=[]), subsystem(system, before=[], after=[])):
+        assert stateless_ri_section(patch, j) == StatelessSectionReport(True, (), None)
 
 
 def test_glue_stateless_success_and_checks():

@@ -21,6 +21,7 @@ import pytest
 
 from explain_oracles import moore_minimize, moore_pooled, pair_level_behavioral_equiv
 from sheafmealy import (
+    BehEquivReport,
     CheckerError,
     HeterogeneousInput,
     behavioral_equiv,
@@ -359,6 +360,22 @@ def test_union_find_exit_on_empty_carriers_and_other_outputs(rng, monkeypatch):
         s1, s2 = _sections_at(m, nines, [(x, nines.before[0]) for x in m.before])
         assert (_both_paths(monkeypatch, s1, s2, alphabet)
                 == pair_level_behavioral_equiv(s1, s2, alphabet))
+
+
+def test_outputs_that_do_not_compare_are_told_apart_by_equality(monkeypatch):
+    """One machine emits "0" and the other 0.  The pooled rows number the
+    outputs, so the refinement never orders a str against an int, and the
+    report is the pair-level oracle's."""
+    u = make_system(["u"], ["u"], ["x"], ["y"], {("u", "x"): ("u", "y")})
+
+    def sec(out):
+        m = make_system(["m"], ["m"], ["a"], [out], {("m", "a"): ("m", out)})
+        return section(subsystem(u), m,
+                       morphism(u, m, {"u": "m"}, {"u": "m"}, {"x": "a"}, {"y": out}))
+
+    for s1, s2 in ((sec("0"), sec(0)), (sec(0), sec("0"))):
+        assert behavioral_equiv(s1, s2) == BehEquivReport(False, "u", ("a",))
+        assert _both_paths(monkeypatch, s1, s2) == pair_level_behavioral_equiv(s1, s2)
 
 
 def test_union_find_exit_on_long_chains_flipped_at_the_far_end(rng, monkeypatch):

@@ -17,7 +17,10 @@ from site_oracle import (
 )
 from sheafmealy import (
     CheckerError,
+    ForeignElement,
+    InterfaceMismatch,
     InternalConsistencyError,
+    PartialDynamics,
     amalgamate,
     check_covering,
     check_morphism,
@@ -382,6 +385,42 @@ def test_pushout_universal_property(rng):
                 assert _mediating_checks(po, c, a, b, m, f, x, h_a, h_b)
                 cocones_checked += 1
     assert cocones_checked > 0
+
+
+@pytest.mark.parametrize("change, error, message", [
+    ({("t", "a"): ("s", "0")}, ForeignElement, "dynamics defined at foreign pair ('t', 'a')"),
+    ({("s", "c"): ("s", "0")}, ForeignElement, "dynamics defined at foreign pair ('s', 'c')"),
+    ({("s", "a"): ("t", "0")}, ForeignElement,
+     "successor 't' of ('s', 'a') is not an after-state"),
+    ({("s", "a"): ("s", "2")}, ForeignElement,
+     "output '2' of ('s', 'a') is not in the output set"),
+    ({("s", "b"): None}, PartialDynamics, "dynamics missing at ('s', 'b')"),
+])
+def test_make_system_refuses_dynamics_off_its_carriers(change, error, message):
+    """Each refusal of ``make_system``'s dynamics, from one changed step of
+    a one-state machine over inputs a and b."""
+    dyn = {("s", "a"): ("s", "0"), ("s", "b"): ("s", "1")}
+    dyn.update(change)
+    dyn = {k: v for k, v in dyn.items() if v is not None}
+    with pytest.raises(error) as err:
+        make_system(["s"], ["s"], ["a", "b"], ["0", "1"], dyn)
+    assert type(err.value) is error and str(err.value) == message
+
+
+def test_amalgamate_refuses_its_arguments():
+    """No component, a heterogeneous component, and components on two
+    interfaces are refused before any identification is read."""
+    loop = make_system(["s"], ["s"], ["u"], ["0"], {("s", "u"): ("s", "0")})
+    hetero = make_system(["s"], ["s", "t"], ["u"], ["0"], {("s", "u"): ("t", "0")})
+    other = make_system(["s"], ["s"], ["v"], ["0"], {("s", "v"): ("s", "0")})
+    for comps, error, message in (
+            ([], CheckerError, "amalgamation needs at least one component"),
+            ([loop, hetero], CheckerError, "amalgamation is defined for homogeneous machines"),
+            ([loop, other], InterfaceMismatch,
+             "amalgamation components must share one interface")):
+        with pytest.raises(CheckerError) as err:
+            amalgamate(comps, [(0, "nowhere", 0, "nowhere")])
+        assert type(err.value) is error and str(err.value) == message
 
 
 def test_amalgamate_conflicting_identification_is_internal_error():
