@@ -541,6 +541,12 @@ def check_cogerm_witness(s1: Section, s2: Section, w: CogermWitness) -> tuple[bo
     chk = check_morphism(w.phi)
     if not chk.ok:
         return False, f"factoring morphism breaks dynamics at {chk.witness!r}"
+    # The carriers matched above, so a leg fixes the interface when its
+    # letter maps are identities; a map off the dynamics is named first.
+    for leg, label in ((w.i1, "first"), (w.i2, "second")):
+        if (leg.f_i != tuple(range(len(leg.source.inputs)))
+                or leg.f_o != tuple(range(len(leg.source.outputs)))):
+            return False, f"{label} leg does not fix the interface"
     return True, None
 
 

@@ -21,9 +21,12 @@ Conventions used throughout:
   family;
 * behavioral comparisons on an overlap use the componentwise intersection
   patch of the two covering patches;
-* after-states that no transition forces are explained by the first patch
-  containing them, in patch order.  Only the before-state assignment is
-  observable, so this choice never affects behavioral comparisons.
+* every state of the target is read off the first patch holding it, in
+  patch order, by one rule, ``_paste``: the strict and core gluers paste
+  their state maps with it, and the behavioral gluer its before-classes and
+  the classes of after-states that no transition forces.  Only the
+  before-state assignment is observable, so this choice never affects
+  behavioral comparisons.
 """
 
 from __future__ import annotations
@@ -85,8 +88,9 @@ class ObstructionReport:
 
     ``kind`` is one of behavioral-gluing, separation, stateless.  ``site``
     names the offending identifiers (an after-state, a state, or a judged
-    input).  Running each forced behavior's machine from its state along
-    ``word`` reproduces ``outputs``, and the two output sequences differ.
+    input).  Each forced behavior's ``outputs`` are its machine's run from
+    its state along ``word``, replayed by construction in
+    :func:`_obstruction`, and the two output sequences differ.
     """
 
     kind: str
@@ -94,6 +98,19 @@ class ObstructionReport:
     word: tuple[Ident, ...] | None
     forced: tuple[ForcedBehavior, ...]
     narrative: str
+
+
+def _obstruction(
+    kind: str,
+    site: tuple[Ident, ...],
+    word: tuple[Ident, ...] | None,
+    narrative: str,
+    *forced: tuple[str, MealySystem, Ident],
+) -> ObstructionReport:
+    """The report whose forced behaviors are the ``(label, machine, state)``
+    triples, each with its machine's outputs from its state along ``word``."""
+    return ObstructionReport(kind, site, word, tuple(
+        ForcedBehavior(label, m, q, m.run(q, word)) for label, m, q in forced), narrative)
 
 
 def _glued_section(
@@ -119,26 +136,25 @@ def _glued_section(
 def _paste(
     c: Covering,
     sections: Sequence[Section],
-    embeddings: Sequence[SystemMorphism] | None = None,
+    relabel: Sequence[Sequence[int]] | None = None,
 ) -> tuple[list[int], list[int], tuple[bool, Ident] | None]:
     """The sections' state maps pasted patch by patch into before- and
-    after-state tables of the target, carried along ``embeddings`` when
-    given, and the first conflict ``(is_after, state)``, or None."""
+    after-state tables of the target, each state taken from the first patch
+    holding it and its image relabelled by ``relabel[k]`` for patch ``k``
+    when given, and the first conflict ``(is_after, state)``, or None."""
     tgt = c.target
     carriers = (tgt.before, tgt.after)
     glued: tuple[list, list] = ([None] * len(tgt.before), [None] * len(tgt.after))
+    conflict = None
     for k, (p, s) in enumerate(zip(c.patches, sections)):
-        emb = None if embeddings is None else embeddings[k]
         for after, f_p, f_s in ((0, p.morphism.f_b, s.psi.f_b), (1, p.morphism.f_a, s.psi.f_a)):
-            if emb is not None:
-                f_s = [(emb.f_a if after else emb.f_b)[v] for v in f_s]
             table = glued[after]
-            for x, v in zip(f_p, f_s):
+            for x, v in zip(f_p, f_s if relabel is None else map(relabel[k].__getitem__, f_s)):
                 if table[x] is None:
                     table[x] = v
-                elif table[x] != v:
-                    return *glued, (bool(after), carriers[after][x])
-    return *glued, None
+                elif conflict is None and table[x] != v:
+                    conflict = (bool(after), carriers[after][x])
+    return *glued, conflict
 
 
 def _closure(seeds, successors) -> set:
@@ -255,31 +271,16 @@ def check_separation(
     obstruction = None
     if violated and gwit is not None:
         state, word = gwit
-        forced = tuple(
-            ForcedBehavior(
-                f"{which} section from its image of the witness state",
-                sec.explanatory,
-                sec.psi_b(state),
-                sec.explanatory.run(sec.psi_b(state), word),
-            )
-            for which, sec in (("first", s), ("second", t))
-        )
-        obstruction = ObstructionReport(
-            "separation",
-            (state,),
-            word,
-            forced,
+        obstruction = _obstruction(
+            "separation", (state,), word,
             f"sections agree on every patch but diverge from state {state!r} "
             f"on the word {'/'.join(word)}",
-        )
+            *((f"{which} section from its image of the witness state",
+               sec.explanatory, sec.psi_b(state)) for which, sec in (("first", s), ("second", t))))
     elif violated:
-        obstruction = ObstructionReport(
-            "separation",
-            (),
-            None,
-            (),
-            "sections agree on every patch but admit no common core globally",
-        )
+        obstruction = _obstruction(
+            "separation", (), None,
+            "sections agree on every patch but admit no common core globally")
     return SeparationReport(
         kind,
         locally,
@@ -320,7 +321,7 @@ def glue_cogerm(c: Covering, sections: Sequence[Section], j: Judge) -> Section:
             for r in w.core.before:
                 idents.append((a, w.i1.map_b(r), b, w.i2.map_b(r)))
     amalgam = amalgamate(machines, idents)
-    f_b, f_a, conflict = _paste(c, sections, amalgam.embeddings)
+    f_b, f_a, conflict = _paste(c, sections, [e.f_b for e in amalgam.embeddings])
     if conflict is not None:
         after, x = conflict
         raise InternalConsistencyError(
@@ -338,9 +339,10 @@ def glue_behavioral(
 
     The local machines are pooled into one behavior partition; each
     before-state of the target takes the class of its image in the first
-    patch containing it, which pairwise overlap compatibility (checked
-    first on the same partition, raising :class:`IncompatibleFamily`)
-    makes patch-independent.  Every transition of the target then forces a class on its successor;
+    patch containing it (:func:`_paste`), which pairwise overlap
+    compatibility (checked first on the same partition, raising
+    :class:`IncompatibleFamily`) makes patch-independent.  Every transition
+    of the target then forces a class on its successor;
     an after-state forced to two distinct classes is a gluing obstruction,
     returned as a replayable report.  Otherwise the forced classes, closed
     under one-step dynamics, form the global machine.
@@ -351,7 +353,8 @@ def glue_behavioral(
     part = pooled_behavior(machines, alphabet)
     block_of = [[part.block_index[(k, s)] for s in m.before] for k, m in enumerate(machines)]
     tgt = c.target
-    before_block = _forced_blocks(c, sections, part, block_of)
+    _check_compatible(c, sections, part, block_of)
+    before_block, first_after, _ = _paste(c, sections, block_of)
     judged_in = [part.letter_index[j.j_i[ch]] for ch in tgt.inputs]
     judged_out = [part.outputs.index(j.j_o[o]) for o in tgt.outputs]
     # Each step is explained by its before-state's class and forces a class on its after-state.
@@ -371,27 +374,14 @@ def glue_behavioral(
             forced = []
             for blk, (b, i) in ((b1, via1), (b2, via2)):
                 mk, rep_state = part.blocks[blk][0]
-                forced.append(
-                    ForcedBehavior(
-                        f"forced by the step at ({tgt.before[b]!r}, {tgt.inputs[i]!r})",
-                        machines[mk],
-                        rep_state,
-                        machines[mk].run(rep_state, word),
-                    )
-                )
-            return ObstructionReport(
-                "behavioral-gluing",
-                (tgt.after[x],),
-                word,
-                tuple(forced),
+                forced.append((f"forced by the step at ({tgt.before[b]!r}, {tgt.inputs[i]!r})",
+                               machines[mk], rep_state))
+            return _obstruction(
+                "behavioral-gluing", (tgt.after[x],), word,
                 f"after-state {tgt.after[x]!r} is forced into two behavior classes; "
-                f"they diverge on the word {'/'.join(word)}",
-            )
-    after_block = [next(iter(derived[x])) if x in derived else None for x in range(len(tgt.after))]
-    for k, (p, s) in enumerate(zip(c.patches, sections)):
-        for x, v in zip(p.morphism.f_a, s.psi.f_a):
-            if after_block[x] is None:
-                after_block[x] = block_of[k][v]
+                f"they diverge on the word {'/'.join(word)}", *forced)
+    after_block = [next(iter(derived[x])) if x in derived else blk
+                   for x, blk in enumerate(first_after)]
     order = sorted(_closure({*before_block, *after_block}, part.succ_table.__getitem__))
     at = {blk: k for k, blk in enumerate(order)}
     names = [f"b{k}" for k in range(len(order))]
@@ -401,11 +391,11 @@ def glue_behavioral(
                           [pos[at[blk]] for blk in after_block])
 
 
-def _forced_blocks(
+def _check_compatible(
     c: Covering, sections: Sequence[Section], part: BehaviorPartition, block_of: list[list[int]]
-) -> list[int]:
-    """Behavior class each target before-state must carry, read off the
-    first patch containing it, in the partition pooled from the sections'
+) -> None:
+    """Refuse a family whose patches disagree on the behavior class of a
+    shared before-state, in the partition pooled from the sections'
     machines in family order, whose class of state ``v`` of machine ``k``
     is ``block_of[k][v]``.  Only the before-side is constrained:
     behavioral identity of sections compares the images of before-states.
@@ -433,12 +423,6 @@ def _forced_blocks(
                 f"patches {a} and {b} disagree behaviorally at state {tgt.before[x]!r} "
                 f"on word {'/'.join(word)}"
             )
-    forced: list = [None] * len(tgt.before)
-    for blocks in per_patch:
-        for x, blk in blocks.items():
-            if forced[x] is None:
-                forced[x] = blk
-    return forced
 
 
 def search_bounded_behavioral_glue(
@@ -584,46 +568,15 @@ def glue_stateless(c: Covering, j: Judge) -> GlueStatelessResult:
         for i_p, o_p in asg:
             prev = merged.get(i_p)
             if prev is not None and prev != o_p:
-                forced = tuple(
-                    ForcedBehavior(
-                        f"assignment of a patch containing judged input {i_p!r}",
-                        _stateless_machine(j, (i_p,), o_val),
-                        "s",
-                        (o_val,),
-                    )
-                    for o_val in (prev, o_p)
-                )
-                return GlueStatelessResult(
-                    False,
-                    None,
-                    ObstructionReport(
-                        "stateless",
-                        (i_p,),
-                        (i_p,),
-                        forced,
-                        f"judged input {i_p!r} is forced to both {prev!r} and {o_p!r} "
-                        "by patches whose overlap never sees it",
-                    ),
-                    assignments,
-                )
+                return GlueStatelessResult(False, None, _obstruction(
+                    "stateless", (i_p,), (i_p,),
+                    f"judged input {i_p!r} is forced to both {prev!r} and {o_p!r} "
+                    "by patches whose overlap never sees it",
+                    *((f"assignment of a patch containing judged input {i_p!r}",
+                       _stateless_machine(j, (i_p,), o_val), "s") for o_val in (prev, o_p))),
+                    assignments)
             merged.setdefault(i_p, o_p)
     return GlueStatelessResult(True, tuple(sorted(merged.items())), None, assignments)
-
-
-def _unglueable_stateless(
-    c: Covering, j: Judge
-) -> tuple[tuple[tuple[tuple[Ident, Ident], ...], ...], ObstructionReport]:
-    """The forced stateless assignment of every patch of a witness
-    covering, and the obstruction to gluing them.  A witness is built to be
-    unglueable, so a patch without its forced explanation, or a family that
-    glues, is a bug."""
-    try:
-        res = glue_stateless(c, j)
-    except IncompatibleFamily as exc:
-        raise InternalConsistencyError(f"witness covering lost its forced family: {exc}") from exc
-    if res.ok or res.obstruction is None:
-        raise InternalConsistencyError("witness covering unexpectedly glues")
-    return res.patch_assignments, res.obstruction
 
 
 @dataclass(frozen=True)
@@ -641,19 +594,20 @@ def discrete_stateless_sheaf_check(system: MealySystem, j: Judge) -> StatelessSh
     and gluing over arbitrary coverings reduces to a per-fiber condition:
     explanations glue over every covering exactly when the judged output is
     constant on every judged-input fiber.  The reduction is exercised
-    against genuine covering enumeration in the test suite.  On failure the
-    report carries the canonical witness: the covering that splits off each
-    input as its own patch, whose forced local family is compatible (the
-    overlaps see no shared judged input) yet unglueable at the named fiber.
+    against genuine covering enumeration in the test suite.  The verdict is
+    :func:`glue_stateless` over the covering that splits off each input as
+    its own patch: its forced local family is compatible (the overlaps see
+    no shared judged input) and glues exactly when every fiber is constant.
+    On failure the report carries that covering as the witness, unglueable
+    at the named fiber.
     """
     if len(system.before) != 1 or len(system.after) != 1 or not system.homogeneous:
         raise NotStateless("the discrete sheaf check needs a single-state system")
-    if stateless_ri_section(identity_patch(system), j).ok:
-        return StatelessSheafReport(True, None, None, None)
     s0 = system.before[0]
-    patches = [
+    cov = Covering(system, tuple(
         subsystem(system, before=[s0], after=[s0], inputs=[raw], outputs=system.outputs)
-        for raw in system.inputs
-    ]
-    cov = Covering(system, tuple(patches))
-    return StatelessSheafReport(False, cov, *_unglueable_stateless(cov, j))
+        for raw in system.inputs))
+    res = glue_stateless(cov, j)
+    if res.ok:
+        return StatelessSheafReport(True, None, None, None)
+    return StatelessSheafReport(False, cov, res.patch_assignments, res.obstruction)

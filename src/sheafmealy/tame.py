@@ -87,9 +87,9 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
-from .errors import CheckerError, InternalConsistencyError, MalformedDocument
+from .errors import CheckerError, IncompatibleFamily, InternalConsistencyError, MalformedDocument
 from .explain import Judge, judge as make_judge
-from .localglobal import ObstructionReport, _unglueable_stateless
+from .localglobal import ObstructionReport, glue_stateless
 from .systems import Covering, MealySystem, _table_system, _UnionFind, covering, finset, subsystem
 
 Point = tuple[Fraction, ...]
@@ -668,8 +668,16 @@ def two_patch_counterexample(
     patch1 = subsystem(system, inputs=sorted(["v", *c_names]))
     patch2 = subsystem(system, inputs=sorted(["w", *c_names]))
     cov = covering(system, [patch1, patch2])
-    assignments, obstruction = _unglueable_stateless(cov, jdg)
-    return TameCounterexample(system, jdg, cov, assignments, tuple(samples), obstruction)
+    # The covering is built to be unglueable, so a patch without its forced
+    # explanation, or a family that glues, is a bug.
+    try:
+        res = glue_stateless(cov, jdg)
+    except IncompatibleFamily as exc:
+        raise InternalConsistencyError(f"witness covering lost its forced family: {exc}") from exc
+    if res.ok:
+        raise InternalConsistencyError("witness covering unexpectedly glues")
+    return TameCounterexample(system, jdg, cov, res.patch_assignments, tuple(samples),
+                              res.obstruction)
 
 
 def regions_equal(u1: RectUnion, u2: RectUnion) -> bool:

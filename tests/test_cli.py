@@ -1004,6 +1004,24 @@ def test_bad_command_line_exits_two(capsys, argv):
     assert lines[0].startswith("usage: sheafmealy") and lines[1].startswith("sheafmealy: error: ")
 
 
+
+def test_an_empty_option_name_is_ambiguous(capsys):
+    """``--=1`` names no option, so every long option is a prefix match."""
+    with pytest.raises(SystemExit) as exc:
+        main([*_GLUE, "cex-beh-gluing", "--=1"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.splitlines() == [
+        "usage: sheafmealy check glue-beh [-h] [--max-states MAX_STATES] target",
+        "sheafmealy: error: ambiguous option: --=1 could match --help, --max-states"]
+
+
+def test_a_lone_dash_is_a_positional(capsys):
+    """``-`` is no option: ``validate`` reads it as a fixture name."""
+    refused = (1, "", "CheckerError: no fixture named '-'\n")
+    assert _run(capsys, ["validate", "-"]) == refused
+
+
 def test_cli_call_loads_no_argparse():
     probe = ("import sys\nfrom sheafmealy.cli import main\n"
              "main(['--format', 'json', 'fixtures', 'list'])\n"

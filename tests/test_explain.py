@@ -331,6 +331,24 @@ def test_cogerm_witness_checker_refuses_a_factoring_map_off_the_dynamics():
         False, f"factoring morphism breaks dynamics at {check_morphism(phi).witness!r}")
 
 
+
+def test_cogerm_witness_checker_refuses_legs_that_merge_outputs():
+    """Legs that send both outputs to 0, over a machine that emits only 0,
+    commute with the dynamics and recover psi through the true factoring
+    map, yet do not fix the interface."""
+    m = make_system(["s"], ["s"], ["a"], ["0", "1"], {("s", "a"): ("s", "0")})
+    patch = subsystem(m, outputs=["0"])
+    psi = morphism(patch.source, m, {"s": "s"}, {"s": "s"}, {"a": "a"}, {"0": "0"})
+    s1 = section(patch, m, psi)
+    w = cogerm_equiv(s1, s1)
+    merge = SystemMorphism(w.core, m, w.i1.f_b, w.i1.f_a, w.i1.f_i, (0, 0))
+    assert check_morphism(merge).ok and compose(w.phi, merge) == psi
+    assert check_cogerm_witness(s1, s1, CogermWitness(w.core, merge, merge, w.phi)) == (
+        False, "first leg does not fix the interface")
+    assert check_cogerm_witness(s1, s1, CogermWitness(w.core, w.i1, merge, w.phi)) == (
+        False, "second leg does not fix the interface")
+
+
 # ------------------------------------------------------------- minimization
 
 def test_minimize_six_cycle_constant_output():

@@ -423,6 +423,33 @@ def test_amalgamate_refuses_its_arguments():
         assert type(err.value) is error and str(err.value) == message
 
 
+
+def test_site_operations_refuse_patches_off_their_target():
+    """Each refusal of composition, immersion, covering, overlap and
+    factoring, pinned to its message."""
+    two = make_system(["s", "t"], ["s", "t"], ["u"], ["0"],
+                      {("s", "u"): ("t", "0"), ("t", "u"): ("s", "0")})
+    loop = make_system(["s"], ["s"], ["u"], ["0"], {("s", "u"): ("s", "0")})
+    fold = morphism(two, loop, {"s": "s", "t": "s"}, {"s": "s", "t": "s"}, {"u": "u"}, {"0": "0"})
+    whole, foreign = subsystem(two), subsystem(loop)
+    inner = subsystem(loop, inputs=[])
+    for refuse, message in (
+            (lambda: compose(identity_morphism(loop), fold),
+             "composition mismatch: target of first is not source of second"),
+            (lambda: open_immersion(fold), "immersion before component is not injective"),
+            (lambda: covering(two, [whole, foreign]),
+             "covering patch does not map into the stated target"),
+            (lambda: covering(two, []), "coverings need at least one patch"),
+            (lambda: overlap_patch(whole, foreign), "patches of different targets have no overlap"),
+            (lambda: restrict_immersion(whole, foreign),
+             "patches of different targets cannot be factored"),
+            (lambda: restrict_immersion(foreign, inner),
+             "patch does not lie inside the containing patch")):
+        with pytest.raises(CheckerError) as err:
+            refuse()
+        assert type(err.value) is CheckerError and str(err.value) == message
+
+
 def test_amalgamate_conflicting_identification_is_internal_error():
     # Two genuine 3-cycles share only their base point: the class of the
     # base has two distinct successors, so the quotient dynamics cannot be
