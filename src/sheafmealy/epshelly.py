@@ -135,15 +135,6 @@ def epsilon_instance(
                            tuple(sorted(i_map.items())), interp, bx)
 
 
-@dataclass(frozen=True)
-class TargetSet:
-    """Judged sample points a patch forces for one judged input.  Empty when
-    the patch never sees the judged input; such targets constrain nothing."""
-
-    i_prime: str
-    points: tuple[Vector, ...]
-
-
 def _patch_targets(inst: EpsilonInstance, patches: Sequence[Sequence[str]]
                    ) -> dict[str, list[set[Vector]]]:
     """Each patch's target points for each judged input, in one pass over
@@ -161,11 +152,6 @@ def _patch_targets(inst: EpsilonInstance, patches: Sequence[Sequence[str]]
             if judged[raw] in targets:
                 targets[judged[raw]][k].add(value[raw])
     return targets
-
-
-def target_set(inst: EpsilonInstance, i_prime: str, patch: Iterable[str]) -> TargetSet:
-    (pts,) = _patch_targets(inst, [patch]).get(i_prime, [set()])
-    return TargetSet(i_prime, tuple(sorted(pts)))
 
 
 def _dot(a: Iterable[float], b: Iterable[float]) -> float:
@@ -364,10 +350,6 @@ class FeasibilityResult:
     feasible: bool
     marginal: bool
     unconstrained: bool
-
-    def feasible_at(self, eps: float) -> bool:
-        _check_eps(eps)
-        return self.radius <= eps + COMPARISON_TOL
 
 
 def feasibility(

@@ -300,12 +300,15 @@ def _refine(outs: Sequence[tuple[int, ...]], succs: Sequence[tuple[int, ...]]) -
                     continue
                 stay = max(groups, key=lambda k: len(groups[k]))
             else:
+                # A reached state steps, on some letter, into a split child
+                # that is not the largest; an unreached state of the block
+                # steps on that letter into the same parent, so into its
+                # largest child. So ``stay`` is no key of ``groups``, and the
+                # block splits.
                 for rep in mem:
                     if rep not in hit:
                         break
                 stay = tuple([pos[blk[t]] for t in succs[rep]])
-                if groups.keys() == {stay}:
-                    continue
             plans.append((b, stay, groups))
         work = []
         for b, stay, groups in plans:
@@ -605,10 +608,6 @@ class MinimizeResult:
     machine: MealySystem
     state_map: tuple[tuple[Ident, Ident], ...]
 
-    @cached_property
-    def mapping(self) -> dict[Ident, Ident]:
-        return dict(self.state_map)
-
 
 def minimize(system: MealySystem, j: Judge | None = None) -> MinimizeResult:
     """Quotient of a homogeneous machine by behavioral equality of states
@@ -657,12 +656,6 @@ class BehaviorPartition:
     def block_index(self) -> dict[tuple[int, Ident], int]:
         """Block of each ``(machine number, state)`` member."""
         return {ks: bk for bk, members in enumerate(self.blocks) for ks in members}
-
-    def out(self, block: int, letter: Ident) -> Ident:
-        return self.outputs[self.out_table[block][self.letter_index[letter]]]
-
-    def succ(self, block: int, letter: Ident) -> int:
-        return self.succ_table[block][self.letter_index[letter]]
 
 
 def pooled_behavior(machines: Sequence[MealySystem], alphabet: tuple[Ident, ...]) -> BehaviorPartition:

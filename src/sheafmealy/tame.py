@@ -38,8 +38,7 @@ Three facts, proved directly for this class of domains, drive the algorithms:
   splits at an endpoint is clipped, normalized and linked, to build the
   components of its certificate; each component's first fiber piece
   gives its fiber point.  ``sheaf_verdict`` and ``robustly_disconnected``
-  both decide a band this way, in ``_split``.  The same fact decides the
-  equality of two unions from their fibers at those points.
+  both decide a band this way, in ``_split``.
 
 * Order, not values.  Normalization (``rect_union``, ``merge_intervals``,
   ``_hull``), linkage (``_linked_1d``, ``_closure_meets``), clipping and
@@ -127,9 +126,6 @@ class Interval:
         else:
             hi, hi_open = other.hi, other.hi_open
         return Interval(lo, hi, lo_open, hi_open)
-
-    def closure(self) -> Interval:
-        return Interval(self.lo, self.hi, False, False)
 
     def representative(self) -> Fraction:
         """A rational point inside a non-empty interval."""
@@ -678,27 +674,6 @@ def two_patch_counterexample(
         raise InternalConsistencyError("witness covering unexpectedly glues")
     return TameCounterexample(system, jdg, cov, res.patch_assignments, tuple(samples),
                               res.obstruction)
-
-
-def regions_equal(u1: RectUnion, u2: RectUnion) -> bool:
-    """Exact set equality of two rectangle unions: their fibers over axis 0
-    agree at every endpoint on that axis and at the midpoint of each gap,
-    the candidate abscissae of both."""
-    if u1.dim != u2.dim:
-        return False
-    xs = sorted(set(critical_values(u1, 0)).union(critical_values(u2, 0)))
-    pj = ProjectionJudge(0)
-    ts = [*xs, *((a + b) / 2 for a, b in zip(xs, xs[1:]))]
-    return all(fiber(u1, pj, t) == fiber(u2, pj, t) for t in ts)
-
-
-def disjoint(u1: RectUnion, u2: RectUnion) -> bool:
-    """Whether two rectangle unions share no point."""
-    return not any(
-        all(not s.intersect(t).empty for s, t in zip(a, b))
-        for a in u1.rects
-        for b in u2.rects
-    )
 
 
 SIDE_KEYS = ("x", "y")

@@ -16,9 +16,11 @@ hold it to these results, in the visiting orders they choose by setting
 ``epshelly._ORDER_SEED``.  ``basis_minimax`` solves the box and simplex
 minimax problem apart from the library, with numpy least squares over
 every candidate basis of rim points and tight facets.
-``discrete_feasible`` and ``discrete_obstruction_depth`` decide the
-discrete metric (exact-match explanations), whose Helly number is 2, in one
-pass; the property suites check that bound with them.
+``target_set`` reads one patch's target points for one judged input off
+the library's ``_patch_targets``.  ``discrete_feasible`` and
+``discrete_obstruction_depth`` decide the discrete metric (exact-match
+explanations), whose Helly number is 2, in one pass; the property suites
+check that bound with them.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from sheafmealy.epshelly import (
     _ball_contains,
     _check_eps,
     _dot,
+    _patch_targets,
     feasibility,
-    target_set,
 )
 
 
@@ -163,10 +165,17 @@ def welzl_ball(points, seed=_ORDER_SEED) -> Ball:
     return Ball(center, radius)
 
 
+def target_set(inst, i_prime, patch) -> tuple[tuple[float, ...], ...]:
+    """The sorted judged sample points a patch forces for one judged input;
+    empty when the patch never sees it."""
+    (pts,) = _patch_targets(inst, [patch]).get(i_prime, [set()])
+    return tuple(sorted(pts))
+
+
 def _union_points(inst, patches, subset, i_prime):
     pts = set()
     for k in subset:
-        pts.update(target_set(inst, i_prime, patches[k]).points)
+        pts.update(target_set(inst, i_prime, patches[k]))
     return tuple(sorted(pts))
 
 

@@ -95,7 +95,8 @@ def overlap_glue_behavioral(
     for x in tgt.before:
         for i_raw in tgt.inputs:
             _, o = tgt.transition(x, i_raw)
-            if part.out(before_block[x], j.j_i[i_raw]) != j.j_o[o]:
+            row = part.out_table[before_block[x]]
+            if part.outputs[row[part.letter_index[j.j_i[i_raw]]]] != j.j_o[o]:
                 if not any((x, i_raw) in {(p.morphism.map_b(u), p.morphism.map_i(ch))
                                           for u in p.source.before for ch in p.source.inputs}
                            for p in c.patches):
@@ -108,7 +109,7 @@ def overlap_glue_behavioral(
     for s_st in tgt.before:
         for i_raw in tgt.inputs:
             x, _ = tgt.transition(s_st, i_raw)
-            blk = part.succ(before_block[s_st], j.j_i[i_raw])
+            blk = part.succ_table[before_block[s_st]][part.letter_index[j.j_i[i_raw]]]
             derived.setdefault(x, {}).setdefault(blk, (s_st, i_raw))
     for x in sorted(derived):
         if len(derived[x]) > 1:

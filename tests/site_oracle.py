@@ -238,13 +238,14 @@ def reference_glued_section(
     frontier = sorted(reach)
     while frontier:
         blk = frontier.pop()
-        for ch in part.alphabet:
-            if part.succ(blk, ch) not in reach:
-                reach.add(part.succ(blk, ch))
-                frontier.append(part.succ(blk, ch))
+        for t in part.succ_table[blk]:
+            if t not in reach:
+                reach.add(t)
+                frontier.append(t)
     names = {blk: f"b{k}" for k, blk in enumerate(sorted(reach))}
-    dyn = {(names[blk], ch): (names[part.succ(blk, ch)], part.out(blk, ch))
-           for blk in names for ch in part.alphabet}
+    dyn = {(names[blk], ch): (names[part.succ_table[blk][i]],
+                              part.outputs[part.out_table[blk][i]])
+           for blk in names for i, ch in enumerate(part.alphabet)}
     carrier = sorted(names.values())
     machine = make_system(carrier, carrier, part.alphabet, j.interp_outputs, dyn)
     psi = morphism(tgt, machine,

@@ -8,11 +8,12 @@ the strip normalized by the loop here.  The library replays the same merges
 without rescanning and works through the candidates in one pass; the
 differential suite holds it to these results.
 
-The box helpers here (merging, linkage, clipping, fibers, fiber points and
-region equality) are written per dimension, reading a box's ``x`` and ``y``
-sides by name, so that they stay independent of the library's versions,
-which work over the sides of a box in any order.  Intervals are merged by
-membership on the grid of atoms, not by the library's sweep.
+The box helpers here (merging, linkage, clipping, fibers, fiber points,
+region equality and disjointness) are written per dimension, reading a
+box's ``x`` and ``y`` sides by name, so that they stay independent of the
+library's versions, which work over the sides of a box in any order.
+Intervals are merged by membership on the grid of atoms, not by the
+library's sweep.
 """
 
 from __future__ import annotations
@@ -81,14 +82,18 @@ def _rects_linked(a: Rect, b: Rect) -> bool:
     if a.y is None:
         return _merged(a.x, b.x) is not None
     fwd = (
-        not a.x.closure().intersect(b.x).empty
-        and not a.y.closure().intersect(b.y).empty
+        not _closed(a.x).intersect(b.x).empty
+        and not _closed(a.y).intersect(b.y).empty
     )
     bwd = (
-        not a.x.intersect(b.x.closure()).empty
-        and not a.y.intersect(b.y.closure()).empty
+        not a.x.intersect(_closed(b.x)).empty
+        and not a.y.intersect(_closed(b.y)).empty
     )
     return fwd or bwd
+
+
+def _closed(iv: Interval) -> Interval:
+    return Interval(iv.lo, iv.hi)
 
 
 def _clip_axis(r: Rect, axis: int, band: Interval) -> Rect | None:
@@ -161,6 +166,13 @@ def regions_equal(u1: RectUnion, u2: RectUnion) -> bool:
         if ys1 != ys2:
             return False
     return True
+
+
+def disjoint(u1: RectUnion, u2: RectUnion) -> bool:
+    """Whether two rectangle unions share no point."""
+    return not any(not a.x.intersect(b.x).empty
+                   and (a.y is None or not a.y.intersect(b.y).empty)
+                   for a in u1.rects for b in u2.rects)
 
 
 def rect_union(dim, rects) -> RectUnion:

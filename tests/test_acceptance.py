@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 import randgen as rg
-from eps_oracle import discrete_feasible, discrete_obstruction_depth
+from eps_oracle import discrete_feasible, discrete_obstruction_depth, target_set
 from test_systems import run_vk_trials
 
 from sheafmealy import (
@@ -35,7 +35,6 @@ from sheafmealy import (
     search_bounded_behavioral_glue,
     sheaf_verdict,
     stateless_ri_section,
-    target_set,
     two_patch_counterexample,
     validate_section,
 )
@@ -168,10 +167,10 @@ def test_c07_triangle_numbers(verdict):
         names = [p[0] for p in patches]
         for i in range(3):
             for j in range(i + 1, 3):
-                pts = target_set(inst, "cls", [names[i], names[j]]).points
+                pts = target_set(inst, "cls", [names[i], names[j]])
                 assert abs(min_enclosing_ball(pts).radius - 1.0) <= 1e-9
                 assert feasibility(inst, pts, eps).feasible
-        all_pts = target_set(inst, "cls", names).points
+        all_pts = target_set(inst, "cls", names)
         full = min_enclosing_ball(all_pts).radius
         assert abs(full - 2.0 / math.sqrt(3.0)) <= 1e-9
         assert not feasibility(inst, all_pts, eps).feasible

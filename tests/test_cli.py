@@ -170,6 +170,12 @@ def _sections_with(*path, value=None):
     return doc
 
 
+_MALFORMED_LINES = {
+    "unknown-kind": "unknown fixture kind 'bogus'",
+    "epsilon-patch-not-a-list": "an epsilon document: each patch must be a list of raw inputs",
+}
+
+
 @pytest.mark.parametrize("doc", [
     {"before_states": ["p"], "after_states": ["p"], "inputs": ["i"], "outputs": ["o"],
      "dynamics": [{"s": "p", "i": "i", "o": "o"}]},
@@ -208,6 +214,8 @@ def _sections_with(*path, value=None):
     {"dim": 1, "axis": 0, "rects": [{"x": ["0", "1"], "open": ["no", 0]}]},
     {"kind": "system", "payload": 5},
     {**_EPS_DOC, "values": {"v": [10 ** 400, 0.0]}},
+    {"kind": "bogus", "payload": {}},
+    {**_EPS_DOC, "patches": ["v"]},
     "[" * 200000 + "]" * 200000,
     '{"a":' * 200000 + "1" + "}" * 200000,
 ], ids=["row-without-s2", "endpoint-1-over-0", "rect-without-y", "endpoint-not-a-number",
@@ -221,11 +229,12 @@ def _sections_with(*path, value=None):
         "wrapped-covering-without-patches", "epsilon-point-a-string", "epsilon-coordinate-boolean",
         "epsilon-box-bound-a-string", "epsilon-eps-a-numeric-string", "epsilon-eps-boolean",
         "endpoint-boolean", "open-flags-not-booleans", "wrapped-system-payload-5",
-        "epsilon-coordinate-past-float-range",
+        "epsilon-coordinate-past-float-range", "unknown-kind", "epsilon-patch-not-a-list",
         "nested-200000-arrays", "nested-200000-objects"])
-def test_validate_exit_two_on_malformed_document(capsys, tmp_path, doc):
+def test_validate_exit_two_on_malformed_document(capsys, tmp_path, doc, request):
     """Documents given as text are written as they are: JSON too deep for
-    the reader, which either verb must refuse as malformed."""
+    the reader, which either verb must refuse as malformed.  Some refusals
+    are pinned to their whole line."""
     path = tmp_path / "doc.json"
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     verbs = [["validate"]]
@@ -235,6 +244,8 @@ def test_validate_exit_two_on_malformed_document(capsys, tmp_path, doc):
         code, out, err = _run(capsys, [*verb, str(path)])
         assert (code, out) == (2, "")
         assert err.startswith("malformed input:") and "Traceback" not in err
+        want = _MALFORMED_LINES.get(request.node.callspec.id)
+        assert want is None or err == f"malformed input: {want}\n"
 
 
 @pytest.mark.parametrize("path, value, named", [

@@ -8,7 +8,7 @@ import sys
 
 import randgen as rg
 import test_domain_minimax as dm
-from eps_oracle import combination_depth, gram_minimax, welzl_ball
+from eps_oracle import combination_depth, gram_minimax, target_set, welzl_ball
 
 from sheafmealy import epshelly
 from sheafmealy import (
@@ -16,7 +16,6 @@ from sheafmealy import (
     feasibility,
     min_enclosing_ball,
     obstruction_depth,
-    target_set,
 )
 
 # Offsets of eps from a subfamily radius: on it, inside the 1e-9 band on
@@ -50,7 +49,7 @@ def _family(rng, dim, domain, integer):
     # eps at or near the radius of a random subfamily and judged input
     combo = rng.sample(range(n), rng.randint(1, n))
     i_prime = rng.choice(inst.interp_inputs)
-    pts = target_set(inst, i_prime, [r for k in combo for r in patches[k]]).points
+    pts = target_set(inst, i_prime, [r for k in combo for r in patches[k]])
     radius = min_enclosing_ball(pts).radius if pts else 0.5
     return inst, patches, max(0.0, radius + rng.choice(EPS_OFFSETS))
 

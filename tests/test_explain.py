@@ -357,6 +357,7 @@ def test_minimize_six_cycle_constant_output():
     system = make_system(states, states, ["u"], ["0"], dyn)
     res = minimize(system)
     assert len(res.machine.before) == 1
+    block = dict(res.state_map)
     # Partition oracle: pairwise word search to the depth bound finds no
     # separating word, so all states share one class.
     depth = len(states) ** 2
@@ -365,7 +366,7 @@ def test_minimize_six_cycle_constant_output():
             system.run(x, ("u",) * n) == system.run(y, ("u",) * n)
             for n in range(1, depth + 1)
         )
-        assert res.mapping[x] == res.mapping[y]
+        assert block[x] == block[y]
 
 
 def test_minimize_idempotent_and_output_preserving(rng):
@@ -376,8 +377,9 @@ def test_minimize_idempotent_and_output_preserving(rng):
         res = minimize(mach)
         again = minimize(res.machine)
         assert len(again.machine.before) == len(res.machine.before)
+        block = dict(res.state_map)
         for s in mach.before:
-            rep = res.mapping[s]
+            rep = block[s]
             for n in range(1, 4):
                 for word in itertools.product(mach.inputs, repeat=n):
                     assert mach.run(s, word) == res.machine.run(rep, word)

@@ -1,6 +1,6 @@
 """Dead-code guard over the library, with the standard library's ``ast``.
 
-Four rules, for every module of ``sheafmealy`` but the re-exports of
+Five rules, for every module of ``sheafmealy`` but the re-exports of
 ``__init__.py``:
 
 * every name a module imports is used in that module;
@@ -8,22 +8,40 @@ Four rules, for every module of ``sheafmealy`` but the re-exports of
   somewhere in the library other than its own definition;
 * every annotated field of a dataclass, and every public method or
   property of a class, is read as an attribute somewhere in the library,
-  its tests or its benchmark (matched by name).
+  its tests or its benchmark (matched by name);
+* every function that ``__init__.py`` exports is read somewhere in the
+  library other than its own definition, or by the benchmark: named in
+  ``TRACED`` of ``bench/tracing.py``, read as an attribute of a
+  ``sheafmealy`` module or imported from one.  A name that the benchmark
+  imports from its own ``oracles`` does not count, and a helper that only
+  the tests call belongs in ``tests/``.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import sheafmealy
 
 SRC = Path(sheafmealy.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
-READERS = (SRC, ROOT / "tests", ROOT / "bench")
+BENCH = ROOT / "bench"
+READERS = (SRC, ROOT / "tests", BENCH)
+
+# Exported functions that no checker reaches, each kept for its reason.
+UNREACHED_EXPORTS = {
+    "discrete_stateless_sheaf_check": "the per-input stateless sheaf criterion, kept until a "
+                                      "verb for it is decided (ROADMAP item 6)",
+    "interval": "the rational box side constructor that the test files build with",
+}
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
 def _trees() -> dict[str, ast.Module]:
-    return {p.name: ast.parse(p.read_text(encoding="utf-8"), str(p))
-            for p in sorted(SRC.glob("*.py"))}
+    return {p.name: _parse(p) for p in sorted(SRC.glob("*.py"))}
 
 
 def _loaded(node: ast.AST) -> set[str]:
@@ -94,7 +112,7 @@ def _read_attributes() -> set[str]:
     return {sub.attr
             for folder in READERS
             for path in sorted(folder.glob("*.py"))
-            for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+            for sub in ast.walk(_parse(path))
             if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
 
 
@@ -124,3 +142,49 @@ def test_every_public_method_is_read():
         and not stmt.name.startswith("_") and stmt.name not in read
     ]
     assert not unread, unread
+
+
+def _root(node: ast.expr) -> str | None:
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _benchmark_reads() -> set[str]:
+    """Names the benchmark reads off the library: ``TRACED`` strings,
+    attributes of a bound ``sheafmealy`` module, and names imported from
+    one."""
+    traced = next(stmt.value for stmt in _parse(BENCH / "tracing.py").body
+                  if isinstance(stmt, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in stmt.targets))
+    reads = {sub.value for sub in ast.walk(traced)
+             if isinstance(sub, ast.Constant) and isinstance(sub.value, str)}
+    for path in sorted(BENCH.glob("*.py")):
+        tree = _parse(path)
+        modules = set()
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.ImportFrom) and (sub.module or "").split(".")[0] == "sheafmealy":
+                reads.update(alias.name for alias in sub.names)
+                modules.update(alias.asname or alias.name for alias in sub.names)
+            elif isinstance(sub, ast.Import):
+                modules.update(alias.asname or alias.name.split(".")[0] for alias in sub.names
+                               if alias.name.split(".")[0] == "sheafmealy")
+        reads.update(sub.attr for sub in ast.walk(tree)
+                     if isinstance(sub, ast.Attribute) and _root(sub.value) in modules)
+    return reads
+
+
+def test_every_exported_function_is_reached():
+    trees = _trees()
+    exported = [alias.name
+                for stmt in trees.pop("__init__.py").body if isinstance(stmt, ast.ImportFrom)
+                for alias in stmt.names
+                if inspect.isfunction(getattr(sheafmealy, alias.asname or alias.name))]
+    library = [(getattr(stmt, "name", None), _loaded(stmt))
+               for tree in trees.values() for stmt in tree.body]
+    reached = _benchmark_reads() | {
+        name for defined, reads in library for name in reads if name != defined}
+    unreached = sorted(set(exported) - reached - set(UNREACHED_EXPORTS))
+    assert not unreached, unreached
+    # An allowlisted name must still be an unreached export.
+    assert set(UNREACHED_EXPORTS) <= set(exported) - reached

@@ -208,10 +208,6 @@ def test_pooled_behavior_matches_moore_oracle(rng):
             alphabet = alphabet[::-1]
         part = pooled_behavior(machines, alphabet)
         assert (part.blocks, part.out_table, part.succ_table) == moore_pooled(machines, alphabet)
-        for b in range(len(part.blocks)):
-            for i, c in enumerate(alphabet):
-                assert part.out(b, c) == part.outputs[part.out_table[b][i]]
-                assert part.succ(b, c) == part.succ_table[b][i]
 
 
 def _pooled_matches(machines, alphabet) -> None:
@@ -293,7 +289,8 @@ def test_minimize_of_a_3000_state_chain_keeps_every_class():
             d[(f"t{k:04d}", c)] = d[(f"s{k:04d}", c)]
     res = minimize(_machine(d))
     assert len(res.machine.before) == n
-    assert res.mapping["t0003"] == res.mapping["s0003"] != res.mapping["s0004"]
+    block = dict(res.state_map)
+    assert block["t0003"] == block["s0003"] != block["s0004"]
 
 
 def _sections_at(m1, m2, pairs):

@@ -14,12 +14,10 @@ from sheafmealy import (
     RectUnion,
     components,
     critical_values,
-    disjoint,
     fiber,
     glue_stateless,
     interval,
     rect_union,
-    regions_equal,
     robustly_disconnected,
     sheaf_verdict,
     stateless_ri_section,
@@ -29,6 +27,7 @@ from sheafmealy import (
 )
 from sheafmealy import fixtures as fx
 from sheafmealy.tame import clip_band, merge_intervals
+from tame_oracle import disjoint, regions_equal
 
 HALF = Fraction(1, 2)
 

@@ -452,27 +452,3 @@ def test_linkage_of_two_intervals_matches_the_atom_grid():
                          for a, b in product((False, True), repeat=2)) if not s.empty]
     for a, b in product(sides, repeat=2):
         assert tame._linked_1d(a, b) == (len(oracle.merge_intervals([a, b])) == 1), (a, b)
-
-
-def test_regions_equal_matches_the_atom_grid(rng):
-    """Fibers at the candidate abscissae decide equality exactly as the
-    reference's grid of atoms does.  First a fixed case: [0,1]x(4,6] lies
-    inside [0,2]x[4,7), so dropping it leaves the region as it was."""
-    a = Rect(interval(0, 3), interval(3, 4, False, True))
-    b = Rect(interval(0, 1), interval(4, 6, True, False))
-    c = Rect(interval(0, 2), interval(4, 7, False, True))
-    for u in (RectUnion(2, (a, b, c)), tame.rect_union(2, [a, b, c])):
-        assert oracle.regions_equal(u, RectUnion(2, (a, c)))
-        assert tame.regions_equal(u, tame.rect_union(2, [a, c]))
-    seen = {True: 0, False: 0}
-    for trial in range(300):
-        dim = 1 + trial % 2
-        share = (0, 0.3, 0.7)[trial % 3]
-        boxes = _boxes(rng, dim, rng.randint(1, 20), share)
-        u = tame.rect_union(dim, boxes)
-        for other in (RectUnion(dim, tuple(boxes)), RectUnion(dim, tuple(boxes[1:])),
-                      tame.rect_union(dim, _boxes(rng, dim, rng.randint(0, 3), share))):
-            want = oracle.regions_equal(u, other)
-            assert tame.regions_equal(u, other) == tame.regions_equal(other, u) == want, trial
-            seen[want] += 1
-    assert seen[True] > 300 and seen[False] > 300
