@@ -40,28 +40,23 @@ Three facts, proved directly for this class of domains, drive the algorithms:
   gives its fiber point.  ``sheaf_verdict`` and ``robustly_disconnected``
   both decide a band this way, in ``_split``.
 
-* Order, not values.  Normalization (``rect_union``, ``merge_intervals``,
+* Order, not values.  Normalization (``_merge``, ``merge_intervals``,
   ``_hull``), linkage (``_linked_1d``, ``_closure_meets``), clipping and
-  membership (``Interval.intersect``, ``empty`` and ``contains``) and the
-  sort of boxes as tuples only compare endpoints; none of them does
-  arithmetic on one.  So each commutes with any strictly increasing
-  relabelling of the coordinates: the same merges happen in the same
-  order, with the same coface grouping and the same sorted output.  A
-  band compares the endpoints of its boxes only with one another and with
-  its own ``t - d``, ``t`` and ``t + d``, and holds no candidate but its
-  own, though neighbouring bands may overlap.  So ``sheaf_verdict`` sorts
-  only the other axis and reads judged-axis ranks off the candidate
-  index: candidate ``k`` has rank ``3k + 1`` and its band ``(3k, 3k +
-  2)``, and a box whose judged side has the ranks ``(lo, hi)`` reaches
-  the candidates ``lo // 3`` to ``hi // 3``.  It decides every candidate
-  and builds the components of every certifying band on integers; only a
-  certifying band's width is measured, and its components and fiber
-  pieces are mapped back to rationals before ``representative`` (the one
-  piece of arithmetic) picks their fiber points.  A single abscissa
-  (``robustly_disconnected``) has nothing to share, so the same routine
-  runs on its rationals directly, with the same result.  On the line a
-  fiber is at most one point and never splits, so both answer from the
-  candidates before any rank or width.
+  membership (``Interval.intersect``, ``empty``, ``contains``) and the sort
+  of boxes as tuples only compare endpoints, so each commutes with any
+  strictly increasing relabelling of the coordinates.  Each union keeps
+  one rank grid, built once (from the document's spellings, from the boxes
+  given to ``rect_union``, or on first use): per axis its distinct endpoint
+  values in order, and its boxes with the ``i``-th value as rank ``4i``.
+  Boxes merge on ranks, and ``rects`` is read off the tables.  Candidate
+  ``k`` has rank ``2k`` and its band ``(2k - 1, 2k + 1)``; a band compares
+  its boxes' endpoints only with one another and with its own ``t - d``,
+  ``t`` and ``t + d``, so it is decided and its components are built on
+  ranks.  A counterexample cuts on ranks too, each cut at a rank of its own
+  in its gap.  Rationals appear only at parse, in candidate midpoints and
+  band widths, in ``representative`` (fiber points and samples) and in the
+  outputs.  On the line a fiber is at most one point and never splits, so
+  verdicts there answer from the candidates.
 
 Linkage is found by a sweep along axis 0: closures of two sides meet only
 if neither side ends before the other begins, so each box, taken in order
@@ -81,10 +76,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from heapq import heappop, heappush
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import CheckerError, IncompatibleFamily, InternalConsistencyError, MalformedDocument
 from .explain import Judge, judge as make_judge
@@ -103,37 +98,23 @@ class Interval:
 
     @property
     def empty(self) -> bool:
-        if self.lo > self.hi:
-            return True
-        return self.lo == self.hi and (self.lo_open or self.hi_open)
+        return self.lo > self.hi or (self.lo == self.hi and (self.lo_open or self.hi_open))
 
     def contains(self, x: Fraction) -> bool:
-        if x < self.lo or x > self.hi:
-            return False
-        if self.lo_open and x == self.lo:
-            return False
-        if self.hi_open and x == self.hi:
-            return False
-        return True
+        return ((self.lo < x or (x == self.lo and not self.lo_open))
+                and (x < self.hi or (x == self.hi and not self.hi_open)))
 
     def intersect(self, other: Interval) -> Interval:
-        if self.lo > other.lo or (self.lo == other.lo and self.lo_open):
-            lo, lo_open = self.lo, self.lo_open
-        else:
-            lo, lo_open = other.lo, other.lo_open
-        if self.hi < other.hi or (self.hi == other.hi and self.hi_open):
-            hi, hi_open = self.hi, self.hi_open
-        else:
-            hi, hi_open = other.hi, other.hi_open
-        return Interval(lo, hi, lo_open, hi_open)
+        """The higher start and the lower end, open where either is open."""
+        lo, lo_open = max((self.lo, self.lo_open), (other.lo, other.lo_open))
+        hi, hi_closed = min((self.hi, not self.hi_open), (other.hi, not other.hi_open))
+        return Interval(lo, hi, lo_open, not hi_closed)
 
     def representative(self) -> Fraction:
         """A rational point inside a non-empty interval."""
         if self.empty:
             raise CheckerError("empty interval has no representative")
-        if self.lo == self.hi:
-            return self.lo
-        return (self.lo + self.hi) / 2
+        return self.lo if self.lo == self.hi else (self.lo + self.hi) / 2
 
 
 def interval(lo: Fraction | int | str, hi: Fraction | int | str,
@@ -145,9 +126,7 @@ def _linked_1d(a: Interval, b: Interval) -> bool:
     """Union of two non-empty intervals is an interval: neither ends before
     the other begins, and where one ends at the other's start, that point
     lies in one of them (the closure of one meets the other)."""
-    if a.hi < b.lo or b.hi < a.lo:
-        return False
-    return not ((a.hi == b.lo and a.hi_open and b.lo_open)
+    return not (a.hi < b.lo or b.hi < a.lo or (a.hi == b.lo and a.hi_open and b.lo_open)
                 or (b.hi == a.lo and b.hi_open and a.lo_open))
 
 
@@ -225,10 +204,27 @@ class Rect(tuple):
         return len(p) == len(self) and all(map(Interval.contains, self, p))
 
 
+class _Grid(NamedTuple):
+    """A union's rank grid: per axis its endpoint values in increasing order,
+    and its boxes with ``tables[a][i]`` on axis ``a`` as the rank ``4i``;
+    the values by rank, and the representatives of ranked sides so far."""
+
+    tables: tuple[tuple[Fraction, ...], ...]
+    boxes: tuple[Rect, ...]
+    values: tuple[dict[int, Fraction], ...]
+    points: tuple[dict[Interval, Fraction], ...]
+
+    @classmethod
+    def of(cls, tables: tuple[tuple[Fraction, ...], ...], boxes: tuple[Rect, ...]) -> _Grid:
+        return cls(tables, boxes, tuple({4 * i: v for i, v in enumerate(t)} for t in tables),
+                   tuple({} for _ in tables))
+
+
 @dataclass(frozen=True)
 class RectUnion:
     dim: int
     rects: tuple[Rect, ...]
+    _grid: _Grid | None = field(default=None, init=False, repr=False, compare=False)
 
     def contains(self, p: Point) -> bool:
         return any(map(Rect.contains, self.rects, repeat(p)))
@@ -238,8 +234,56 @@ class RectUnion:
         return not self.rects
 
 
+def _rank_grid(dim: int, boxes: Sequence[Rect], value: Mapping | None = None) -> _Grid:
+    """The rank grid of ``boxes``.  Given ``value``, their endpoints are
+    spellings and ``value`` holds the number each one spells: spellings of
+    one number share its rank, and no number is hashed."""
+    tables, ranks = [], []
+    for a in range(dim):
+        table, rank, number = [], {}, None if value is None else value.__getitem__
+        for e in sorted({e for r in boxes for e in (r[a].lo, r[a].hi)}, key=number):
+            v = e if number is None else number(e)
+            if not table or table[-1] < v:
+                table.append(v)
+            rank[e] = 4 * len(table) - 4
+        tables.append(tuple(table))
+        ranks.append(rank)
+    return _Grid.of(tuple(tables), _relabel(boxes, ranks))
+
+
+def _grid_of(u: RectUnion) -> _Grid:
+    """The union's rank grid, built on first use and kept."""
+    if u._grid is None:
+        object.__setattr__(u, "_grid", _rank_grid(u.dim, u.rects))
+    return u._grid
+
+
+def _normalized(dim: int, grid: _Grid) -> RectUnion:
+    """The union of a grid's boxes merged on ranks, its grid cut down to the
+    endpoints the merged boxes keep, and ``rects`` read off the tables."""
+    boxes = _merge(dim, grid.boxes)
+    kept = [sorted({e for r in boxes for e in (r[a].lo, r[a].hi)}) for a in range(dim)]
+    tables = tuple(tuple(t[e >> 2] for e in ks) for t, ks in zip(grid.tables, kept))
+    if sum(map(len, kept)) < sum(map(len, grid.tables)):
+        boxes = _relabel(boxes, [{e: 4 * i for i, e in enumerate(ks)} for ks in kept])
+    grid = _Grid.of(tables, boxes)
+    u = RectUnion(dim, _relabel(boxes, grid.values))
+    object.__setattr__(u, "_grid", grid)
+    return u
+
+
 def rect_union(dim: int, rects: Iterable[Rect]) -> RectUnion:
-    """Normalize: drop empty boxes, merge aligned neighbours, sort.
+    """Normalize: drop empty boxes, merge aligned neighbours on ranks, sort."""
+    if dim not in (1, 2):
+        raise CheckerError("only dimensions 1 and 2 are supported")
+    boxes = [r for r in rects if not r.empty]
+    if any(len(r) != dim for r in boxes):
+        raise CheckerError(f"{dim}-dimensional unions need {dim} sides per box")
+    return _normalized(dim, _rank_grid(dim, boxes))
+
+
+def _merge(dim: int, boxes: Iterable[Rect]) -> tuple[Rect, ...]:
+    """The non-empty boxes merged and sorted.
 
     Merging repeats one step until no pair merges: take the first mergeable
     pair ``(a, k)`` in list order, put the merged box at ``k`` and drop
@@ -255,13 +299,9 @@ def rect_union(dim: int, rects: Iterable[Rect]) -> RectUnion:
     pair and a merge changes only the pairs of the new box, so until no
     earlier row merges with it, the next step pairs it with the earliest.
     """
-    if dim not in (1, 2):
-        raise CheckerError("only dimensions 1 and 2 are supported")
-    slots: list[Rect | None] = [r for r in rects if not r.empty]
-    if any(len(r) != dim for r in slots):
-        raise CheckerError(f"{dim}-dimensional unions need {dim} sides per box")
+    slots: list[Rect | None] = [r for r in boxes if not r.empty]
     if len(slots) < 2:
-        return RectUnion(dim, tuple(slots))
+        return tuple(slots)
     # Live slots by axis and coface, ascending; each slot keeps its groups,
     # so cofaces are hashed only when a box is placed.
     groups: dict[tuple[int, tuple[Interval, ...]], list[int]] = {}
@@ -309,7 +349,7 @@ def rect_union(dim: int, rects: Iterable[Rect]) -> RectUnion:
             k = max(j, k)
             put(k, merged)
             lo, hi = 0, i
-    return RectUnion(dim, tuple(sorted(r for r in slots if r is not None)))
+    return tuple(sorted(r for r in slots if r is not None))
 
 
 def _closure_meets(s: Interval, t: Interval) -> bool:
@@ -363,94 +403,47 @@ def critical_values(u: RectUnion, axis: int) -> tuple[Fraction, ...]:
     """Interval endpoints of the union on the given axis, sorted."""
     if not 0 <= axis < u.dim:
         raise CheckerError(f"axis {axis} out of range")
-    vals: set[Fraction] = set()
-    for r in u.rects:
-        iv = r.axis(axis)
-        vals.add(iv.lo)
-        vals.add(iv.hi)
-    return tuple(sorted(vals))
+    return _grid_of(u).tables[axis]
 
 
 def fiber(u: RectUnion, pj: ProjectionJudge, t: Fraction) -> tuple[Interval, ...]:
     """The fiber of the projection at ``t`` as merged interval components:
     the cofaces of the boxes over ``t``.  A box in the plane has one side in
     its coface; on the line the coface is empty and the fiber is the point
-    itself (a degenerate interval) when it lies in the union.
-    """
+    itself (a degenerate interval) when it lies in the union."""
     t = Fraction(t)
     if not 0 <= pj.axis < u.dim:
         raise CheckerError(f"axis {pj.axis} out of range")
     point = (Interval(t, t),)
-    return merge_intervals(
-        (r.coface(pj.axis) or point)[0] for r in u.rects if r[pj.axis].contains(t)
-    )
+    return merge_intervals((r.coface(pj.axis) or point)[0]
+                           for r in u.rects if r[pj.axis].contains(t))
 
 
-def _clip_axis(r: Rect, axis: int, band: Interval) -> Rect | None:
-    iv = r.axis(axis).intersect(band)
-    return None if iv.empty else r.with_side(axis, iv)
-
-
-def clip_band(u: RectUnion, axis: int, band: Interval) -> RectUnion:
-    kept = [c for c in (_clip_axis(r, axis, band) for r in u.rects) if c is not None]
-    return rect_union(u.dim, kept)
-
-
-def subtract_closed_band(u: RectUnion, axis: int, lo: Fraction, hi: Fraction) -> RectUnion:
-    """Remove ``axis-coordinate in [lo, hi]`` from the union; the cut edges
-    of the remainder are open because the removed band is closed."""
-    out: list[Rect] = []
-    for r in u.rects:
-        iv = r.axis(axis)
-        left = iv.intersect(Interval(iv.lo, lo, iv.lo_open, True))
-        right = iv.intersect(Interval(hi, iv.hi, True, iv.hi_open))
-        out.extend(r.with_side(axis, piece) for piece in (left, right) if not piece.empty)
-    return rect_union(u.dim, out)
-
-
-def _width(crit: Sequence[Fraction], t: Fraction) -> Fraction:
-    """The default band width at ``t``: half the distance to the nearest
-    critical value other than ``t`` in the sorted ``crit``, or 1 when there
-    is none."""
-    k = bisect_left(crit, t)
-    after = k + (k < len(crit) and crit[k] == t)
-    gaps = [t - crit[k - 1]] if k else []
-    if after < len(crit):
-        gaps.append(crit[after] - t)
+def _width(crit: Sequence[Fraction], t: Fraction, pos: int) -> Fraction:
+    """The default band width at ``t``, of rank ``pos``: half the distance to
+    the nearest other critical value in ``crit``, or 1 when there is none."""
+    below, above = (pos - 1) // 4, (pos + 4) // 4
+    gaps = [t - crit[below]] if below >= 0 else []
+    if above < len(crit):
+        gaps.append(crit[above] - t)
     return min(gaps) / 2 if gaps else Fraction(1)
 
 
-def _ranked(
-    u: RectUnion, axis: int, crit: Sequence[Fraction]
-) -> tuple[tuple[Rect, ...], list[Fraction]]:
-    """The boxes with every endpoint replaced by its rank, and the other
-    axis's endpoints in increasing order: ``crit[i]`` has rank ``6i + 1``
-    (candidate ``2i`` has rank ``3 * 2i + 1``), an endpoint on the other
-    axis its position there."""
-    other = sorted({e for r in u.rects for e in (r[1 - axis].lo, r[1 - axis].hi)})
-    tables = [{v: 6 * i + 1 for i, v in enumerate(crit)}, {v: i for i, v in enumerate(other)}]
-    return _relabel(u.rects, tables if axis == 0 else tables[::-1]), other
-
-
-def _relabel(rects: Iterable[Rect], tables: Sequence[Mapping | Sequence]) -> tuple[Rect, ...]:
+def _relabel(rects: Iterable[Rect], tables: Sequence[Mapping]) -> tuple[Rect, ...]:
     """Each box with every endpoint ``e`` of its side on axis ``k`` replaced
     by ``tables[k][e]``: ranks for endpoints, or endpoints for ranks."""
-    return tuple(
-        Rect.of(Interval(m[s.lo], m[s.hi], s.lo_open, s.hi_open) for m, s in zip(tables, r))
-        for r in rects
-    )
+    return tuple(Rect.of(Interval(m[s.lo], m[s.hi], s.lo_open, s.hi_open)
+                         for m, s in zip(tables, r)) for r in rects)
 
 
-def _band(
-    axis: int, boxes: Sequence[Rect], lo: Fraction, t: Fraction, hi: Fraction
-) -> tuple[list[list[Rect]], list[Interval | None]]:
-    """The components of the strip of ``boxes`` over the open band
-    ``(lo, hi)``, and the first piece of each one's fiber at ``t``, None
-    where it misses the fiber.  The strip is normalized and every subset of
-    a merge-free set is merge-free, so the components need no normalization
-    of their own."""
-    strip = clip_band(RectUnion(2, tuple(boxes)), axis, Interval(lo, hi, True, True))
-    groups = _linked_groups(strip.rects)
+def _band(axis: int, boxes: Sequence[Rect], t: int) -> tuple[list[list[Rect]], list]:
+    """The components of the strip of ``boxes`` over the open band of ranks
+    ``(t - 1, t + 1)``, and the first piece of each one's fiber at ``t``,
+    None where it misses the fiber.  The strip is normalized and every
+    subset of a merge-free set is merge-free, so the components need no
+    normalization of their own."""
+    band = Interval(t - 1, t + 1, True, True)
+    groups = _linked_groups(_merge(2, (r.with_side(axis, r[axis].intersect(band)) for r in boxes)))
     pieces = [merge_intervals(r[1 - axis] for r in g if r[axis].contains(t)) for g in groups]
     return groups, [p[0] if p else None for p in pieces]
 
@@ -476,22 +469,20 @@ def _fiber_splits(boxes: Sequence[Rect], axis: int, t: Fraction) -> bool:
 
 
 def _split(
-    axis: int, boxes: Sequence[Rect], lo: Fraction, t: Fraction, hi: Fraction, gap: bool,
+    axis: int, boxes: Sequence[Rect], t: int
 ) -> tuple[list[list[Rect]], Sequence[Interval | None]] | None:
-    """The components of the preimage of the open band ``(lo, hi)`` around
-    ``t``, given the plane boxes whose judged sides reach the band, with the
-    first fiber piece of each (None where it misses the fiber); None when
-    the fiber does not split across them.  ``gap`` says that the band lies
-    in an open gap between endpoints on the judged axis.  Only order matters
-    here, so the endpoints may be rationals or their ranks."""
-    if not gap:
-        return _band(axis, boxes, lo, t, hi) if _fiber_splits(boxes, axis, t) else None
-    # The band's preimage is the fiber times the band, one component per
-    # fiber piece, each meeting the fiber.
+    """The components of the preimage of the band around the rank ``t``,
+    given the grid's plane boxes whose judged sides reach it, with the first
+    fiber piece of each (None where it misses the fiber); None when the
+    fiber does not split across them."""
+    if t % 4 == 0:
+        return _band(axis, boxes, t) if _fiber_splits(boxes, axis, t) else None
+    # In a gap the band's preimage is the fiber times the band, one
+    # component per fiber piece, each meeting the fiber.
     pieces = merge_intervals(r[1 - axis] for r in boxes)
     if len(pieces) < 2:
         return None
-    band = Interval(lo, hi, True, True)
+    band = Interval(t - 1, t + 1, True, True)
     return [[Rect.of((band, p) if axis == 0 else (p, band))] for p in pieces], pieces
 
 
@@ -514,9 +505,17 @@ class RobustDisconnectionCertificate:
     v_index: int
 
 
-def robustly_disconnected(
-    u: RectUnion, pj: ProjectionJudge, t0: Fraction
-) -> RobustDisconnectionCertificate | None:
+def _point(memo: dict[Interval, Fraction], values: Mapping[int, Fraction], s: Interval) -> Fraction:
+    """The representative of the ranked side ``s`` read through ``values``,
+    kept in ``memo``."""
+    x = memo.get(s)
+    if x is None:
+        x = memo[s] = Interval(values[s.lo], values[s.hi], s.lo_open, s.hi_open).representative()
+    return x
+
+
+def robustly_disconnected(u: RectUnion, pj: ProjectionJudge,
+                          t0: Fraction) -> RobustDisconnectionCertificate | None:
     """Certificate that the fiber at ``t0`` splits across the components of
     the preimage of the open band ``(t0 - d, t0 + d)``, or None when it does
     not.  The width ``d`` is half the distance to the nearest interval
@@ -527,26 +526,29 @@ def robustly_disconnected(
     if u.dim == 1:
         # On the line a fiber is at most one point.
         return None
-    delta = _width(crit, t0)
+    grid, pos, axis = _grid_of(u), _position(crit, t0, 2), pj.axis
+    return _certify(grid, axis, [r for r in grid.boxes if r[axis].lo <= pos <= r[axis].hi], pos, t0)
+
+
+def _certify(
+    grid: _Grid, axis: int, near: Sequence[Rect], pos: int, t0: Fraction
+) -> RobustDisconnectionCertificate | None:
+    """The certificate of the band around ``t0``, whose rank is ``pos``,
+    given the grid's plane boxes whose judged sides span ``pos``, or None
+    when the fiber does not split across them.  Only a certifying band is
+    measured and mapped back to rationals."""
+    split = _split(axis, near, pos)
+    if split is None:
+        return None
+    groups, pieces = split
+    delta = _width(grid.tables[axis], t0, pos)
     lo, hi = t0 - delta, t0 + delta
-    band = Interval(lo, hi, True, True)
-    boxes = [r for r in u.rects if not r[pj.axis].intersect(band).empty]
-    split = _split(pj.axis, boxes, lo, t0, hi, t0 not in crit)
-    return None if split is None else _certificate(pj.axis, t0, lo, hi, *split)
-
-
-def _certificate(
-    axis: int, t0: Fraction, lo: Fraction, hi: Fraction,
-    groups: Iterable[Iterable[Rect]], pieces: Sequence[Interval | None],
-) -> RobustDisconnectionCertificate:
-    """The certificate of a plane band ``(lo, hi)`` whose components meet
-    the fiber at least twice, with a fiber point in each from its first
-    fiber piece."""
-    points = tuple(
-        None if p is None else tuple(t0 if k == axis else p.representative() for k in range(2))
-        for p in pieces
-    )
-    comps = tuple(RectUnion(2, tuple(g)) for g in groups)
+    # A certifying band's boxes have only these ranks on the judged axis.
+    judged, other = {pos - 1: lo, pos: t0, pos + 1: hi}, grid.values[1 - axis]
+    back = (judged, other) if axis == 0 else (other, judged)
+    points = tuple(None if p is None else tuple(
+        t0 if k == axis else _point(grid.points[k], other, p) for k in range(2)) for p in pieces)
+    comps = tuple(RectUnion(2, _relabel(g, back)) for g in groups)
     v_index = next(k for k, p in enumerate(points) if p is not None)
     return RobustDisconnectionCertificate(t0, lo, hi, comps, points, v_index)
 
@@ -572,39 +574,22 @@ def sheaf_verdict(u: RectUnion, pj: ProjectionJudge) -> SheafVerdict:
     candidates = [*(t for pair in zip(crit, mids) for t in pair), *crit[-1:]]
     notes: list[str] = []
     if any(s.lo_open or s.hi_open for r in u.rects for s in r):
-        notes.append(
-            "domain has open edges: the compactness hypothesis of the "
-            "characterization was not verified"
-        )
-    notes.append(
-        "output side assumed connected with at least two values; the verdict "
-        "covers the topological condition only"
-    )
+        notes.append("domain has open edges: the compactness hypothesis of the "
+                     "characterization was not verified")
+    notes.append("output side assumed connected with at least two values; the verdict "
+                 "covers the topological condition only")
     if u.dim == 1:
         # On the line a fiber is at most one point, so none splits.
         return SheafVerdict(True, tuple(candidates), (), tuple(notes))
-    axis = pj.axis
-    boxes, other = _ranked(u, axis, crit)
-    # A box reaches the bands of the candidates within its extent.
+    axis, grid = pj.axis, _grid_of(u)
+    # Candidate ``k`` has the rank ``2k``; a box reaches the bands of the
+    # candidates whose ranks its judged side spans.
     reach: list[list[Rect]] = [[] for _ in candidates]
-    for r in boxes:
-        for k in range(r[axis].lo // 3, r[axis].hi // 3 + 1):
+    for r in grid.boxes:
+        for k in range(r[axis].lo >> 1, (r[axis].hi >> 1) + 1):
             reach[k].append(r)
-    certs = []
-    for k, near in enumerate(reach):
-        split = _split(axis, near, 3 * k, 3 * k + 1, 3 * k + 2, k % 2 == 1)
-        if split is None:
-            continue
-        groups, pieces = split
-        t = candidates[k]
-        delta = _width(crit, t)
-        lo, hi = t - delta, t + delta
-        # A certifying band's boxes have only these ranks on the judged axis.
-        judged = {3 * k: lo, 3 * k + 1: t, 3 * k + 2: hi}
-        tables = (judged, other) if axis == 0 else (other, judged)
-        pieces = [None if p is None else Interval(other[p.lo], other[p.hi], p.lo_open, p.hi_open)
-                  for p in pieces]
-        certs.append(_certificate(axis, t, lo, hi, (_relabel(g, tables) for g in groups), pieces))
+    certs = [c for k, (near, t) in enumerate(zip(reach, candidates))
+             if (c := _certify(grid, axis, near, 2 * k, t)) is not None]
     return SheafVerdict(not certs, tuple(candidates), tuple(certs), tuple(notes))
 
 
@@ -629,41 +614,51 @@ class TameCounterexample:
     obstruction: ObstructionReport
 
 
-def two_patch_counterexample(
-    u: RectUnion,
-    pj: ProjectionJudge,
-    cert: RobustDisconnectionCertificate,
-) -> TameCounterexample:
+def _position(table: Sequence[Fraction], x: Fraction, back: int) -> int:
+    """The rank of ``x`` on a grid axis with the values ``table``: ``4i`` at
+    ``table[i]``, else ``4i - back`` in the gap below it, where ``back``
+    from 1 to 3 orders points within one gap."""
+    i = bisect_left(table, x)
+    return 4 * i if i < len(table) and table[i] == x else 4 * i - back
+
+
+def two_patch_counterexample(u: RectUnion, pj: ProjectionJudge,
+                             cert: RobustDisconnectionCertificate) -> TameCounterexample:
+    axis, grid = pj.axis, _grid_of(u)
+    tables, boxes = grid.tables, grid.boxes
     delta = (cert.n_hi - cert.n_lo) / 2
-    inner_lo = cert.t0 - delta / 2
-    inner_hi = cert.t0 + delta / 2
-    off_band = subtract_closed_band(u, pj.axis, inner_lo, inner_hi)
-    v_point = cert.fiber_points[cert.v_index]
-    w_index = next(
-        k
-        for k, p in enumerate(cert.fiber_points)
-        if p is not None and k != cert.v_index
-    )
-    w_point = cert.fiber_points[w_index]
-    samples: list[tuple[str, Point]] = [("v", v_point), ("w", w_point)]
-    for k, r in enumerate(off_band.rects):
-        samples.append((f"c{k}", tuple(s.representative() for s in r)))
-    # Sanity: every sample lies in the domain.  Only boxes whose low end on
-    # axis 0 is at most the sample's can hold it; the nearest are tried first.
-    boxes = sorted(u.rects, key=lambda r: r[0].lo)
+    inner = (cert.t0 - delta / 2, cert.t0 + delta / 2)
+    # Remove the closed band between the cuts on ranks: each cut has a rank
+    # of its own, the low one below the high one when both fall in one gap,
+    # and the cut edges of the remainder are open.
+    lo, hi = map(_position, repeat(critical_values(u, axis)), inner, (3, 1))
+    off_band = []
+    for r in boxes:
+        s = r[axis]
+        for piece in (s.intersect(Interval(s.lo, lo, s.lo_open, True)),
+                      s.intersect(Interval(hi, s.hi, True, s.hi_open))):
+            if not piece.empty:
+                off_band.append(r.with_side(axis, piece))
+    # The cuts' values, and representatives kept for this call alone.
+    values, memos = [*grid.values], [*grid.points]
+    values[axis], memos[axis] = {**values[axis], lo: inner[0], hi: inner[1]}, {}
+    w = next(p for k, p in enumerate(cert.fiber_points) if p is not None and k != cert.v_index)
+    samples: list[tuple[str, Point]] = [("v", cert.fiber_points[cert.v_index]), ("w", w)]
+    samples += [(f"c{k}", tuple(map(_point, memos, values, r)))
+                for k, r in enumerate(_merge(u.dim, off_band))]
+    # Sanity: every sample, placed on the grid, lies in the domain.  Only boxes
+    # whose low end on axis 0 is at most the sample's can hold it, nearest first.
+    boxes = sorted(boxes, key=lambda r: r[0].lo)
     lows = [r[0].lo for r in boxes]
     for name, p in samples:
-        if not any(map(Rect.contains, reversed(boxes[:bisect_right(lows, p[0])]), repeat(p))):
+        q = tuple(map(_position, tables, p, repeat(2)))
+        if not any(map(Rect.contains, reversed(boxes[:bisect_right(lows, q[0])]), repeat(q))):
             raise InternalConsistencyError(f"sample {name} fell outside the domain")
-    i_map = {name: str(p[pj.axis]) for name, p in samples}
-    o_map = {"0": "0", "1": "1"}
     letters = finset(name for name, _ in samples)
     system = _table_system(["s"], letters, ("0", "1"), [[(0, int(c == "w")) for c in letters]])[0]
-    jdg = make_judge(i_map, o_map)
+    jdg = make_judge({name: str(p[axis]) for name, p in samples}, {"0": "0", "1": "1"})
     c_names = [name for name, _ in samples if name.startswith("c")]
-    patch1 = subsystem(system, inputs=sorted(["v", *c_names]))
-    patch2 = subsystem(system, inputs=sorted(["w", *c_names]))
-    cov = covering(system, [patch1, patch2])
+    cov = covering(system, [subsystem(system, inputs=sorted([side, *c_names])) for side in "vw"])
     # The covering is built to be unglueable, so a patch without its forced
     # explanation, or a family that glues, is a bug.
     try:
@@ -686,9 +681,9 @@ def union_from_payload(payload: Mapping) -> tuple[RectUnion, ProjectionJudge]:
     "open": [left, right, bottom, top]}, ...]}``.  A missing field, a value
     of the wrong type, an endpoint that is not a finite rational (a boolean
     is none), or an ``open`` list of the wrong length or holding a flag that
-    is no boolean raises :class:`MalformedDocument`; a
-    dimension other than 1 or 2, or an axis outside ``[0, dim)``, raises
-    :class:`CheckerError`."""
+    is no boolean raises :class:`MalformedDocument`; a dimension other than
+    1 or 2, or an axis outside ``[0, dim)``, raises :class:`CheckerError`.
+    Each distinct spelling of an endpoint is parsed once."""
     if "dim" not in payload or "rects" not in payload:
         raise MalformedDocument("a rectangle union needs the fields dim and rects")
     dim, axis = _integer(payload, "dim"), _integer(payload, "axis", 0)
@@ -698,7 +693,8 @@ def union_from_payload(payload: Mapping) -> tuple[RectUnion, ProjectionJudge]:
         raise CheckerError("only dimensions 1 and 2 are supported")
     if not 0 <= axis < dim:
         raise CheckerError(f"axis {axis} out of range")
-    rects = []
+    rects: list[Rect] = []
+    value: dict = {}
     for k, row in enumerate(payload["rects"]):
         if not isinstance(row, Mapping):
             raise MalformedDocument(f"rectangle {k} must be an object")
@@ -707,9 +703,9 @@ def union_from_payload(payload: Mapping) -> tuple[RectUnion, ProjectionJudge]:
             raise MalformedDocument(f"rectangle {k}: open needs {2 * dim} flags")
         if not all(isinstance(f, bool) for f in flags):
             raise MalformedDocument(f"rectangle {k}: open flags must be booleans, got {flags!r}")
-        rects.append(Rect.of(_side(row, k, key, flags[2 * a:2 * a + 2])
+        rects.append(Rect.of(_side(row, k, key, flags[2 * a:2 * a + 2], value)
                              for a, key in enumerate(SIDE_KEYS[:dim])))
-    return rect_union(dim, rects), ProjectionJudge(axis)
+    return _normalized(dim, _rank_grid(dim, rects, value)), ProjectionJudge(axis)
 
 
 def _integer(payload: Mapping, key: str, default: int | None = None) -> int:
@@ -721,15 +717,19 @@ def _integer(payload: Mapping, key: str, default: int | None = None) -> int:
     return value
 
 
-def _side(row: Mapping, k: int, key: str, flags: Sequence) -> Interval:
-    """The interval ``row[key]`` of rectangle ``k`` with its open flags."""
-    if not isinstance(row.get(key), (list, tuple)) or len(row[key]) != 2:
+def _side(row: Mapping, k: int, key: str, flags: Sequence, value: dict) -> Interval:
+    """The interval ``row[key]`` of rectangle ``k``, its endpoints as spelled,
+    with its open flags; ``value`` gains the number of each new spelling."""
+    ends = row.get(key)
+    if not isinstance(ends, (list, tuple)) or len(ends) != 2:
         raise MalformedDocument(f"rectangle {k}: {key} needs two endpoints")
-    bad = f"rectangle {k}: {key} endpoints must be finite rationals, got {row[key]!r}"
-    if any(isinstance(v, bool) for v in row[key]):
+    bad = f"rectangle {k}: {key} endpoints must be finite rationals, got {ends!r}"
+    if any(isinstance(v, bool) for v in ends):
         raise MalformedDocument(bad)
     try:
-        lo, hi = (Fraction(v) for v in row[key])
+        for v in ends:
+            if v not in value:
+                value[v] = Fraction(v)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise MalformedDocument(bad) from exc
-    return Interval(lo, hi, flags[0], flags[1])
+    return Interval(ends[0], ends[1], flags[0], flags[1])

@@ -4,8 +4,10 @@
 first row after every merge, so it is cubic, but the order of its merges is
 plain to read.  ``sheaf_verdict`` examines each candidate abscissa on its
 own: the band width from all critical values, every box clipped to the band,
-the strip normalized by the loop here.  The library replays the same merges
-without rescanning and works through the candidates in one pass; the
+the strip normalized by the loop here.  ``two_patch_counterexample`` cuts
+the closed band out of the union and picks its samples on rationals.  The
+library replays the same merges without rescanning, works through the
+candidates in one pass and cuts on the ranks of the endpoints; the
 differential suite holds it to these results.
 
 The box helpers here (merging, linkage, clipping, fibers, fiber points,
@@ -22,7 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from sheafmealy.errors import CheckerError
-from sheafmealy.systems import _UnionFind
+from sheafmealy.explain import judge as make_judge
+from sheafmealy.localglobal import glue_stateless
+from sheafmealy.systems import _table_system, _UnionFind, covering, finset, subsystem
 from sheafmealy.tame import (
     Interval,
     ProjectionJudge,
@@ -30,8 +34,13 @@ from sheafmealy.tame import (
     RectUnion,
     RobustDisconnectionCertificate,
     SheafVerdict,
-    critical_values,
+    TameCounterexample,
 )
+
+
+def critical_values(u: RectUnion, axis: int) -> tuple[Fraction, ...]:
+    """The endpoints of the union's sides on ``axis``, sorted."""
+    return tuple(sorted({e for r in u.rects for e in (r.axis(axis).lo, r.axis(axis).hi)}))
 
 
 def merge_intervals(parts) -> tuple[Interval, ...]:
@@ -103,6 +112,25 @@ def _clip_axis(r: Rect, axis: int, band: Interval) -> Rect | None:
     if r.y is None:
         return Rect(iv, None)
     return Rect(iv, r.y) if axis == 0 else Rect(r.x, iv)
+
+
+def clip_band(u: RectUnion, axis: int, band: Interval) -> RectUnion:
+    """The part of the union over ``band`` on ``axis``."""
+    kept = [c for c in (_clip_axis(r, axis, band) for r in u.rects) if c is not None]
+    return rect_union(u.dim, kept)
+
+
+def subtract_closed_band(u: RectUnion, axis: int, lo: Fraction, hi: Fraction) -> RectUnion:
+    """Remove ``axis-coordinate in [lo, hi]`` from the union; the cut edges
+    of the remainder are open because the removed band is closed."""
+    out: list[Rect] = []
+    for r in u.rects:
+        iv = r.axis(axis)
+        left = iv.intersect(Interval(iv.lo, lo, iv.lo_open, True))
+        right = iv.intersect(Interval(hi, iv.hi, True, iv.hi_open))
+        out.extend(Rect(piece, r.y) if axis == 0 else Rect(r.x, piece)
+                   for piece in (left, right) if not piece.empty)
+    return rect_union(u.dim, out)
 
 
 def fiber(u: RectUnion, pj: ProjectionJudge, t: Fraction) -> tuple[Interval, ...]:
@@ -265,3 +293,28 @@ def sheaf_verdict(u: RectUnion, pj: ProjectionJudge) -> SheafVerdict:
         "covers the topological condition only"
     )
     return SheafVerdict(not certs, tuple(candidates), tuple(certs), tuple(notes))
+
+
+def two_patch_counterexample(u: RectUnion, pj: ProjectionJudge,
+                             cert: RobustDisconnectionCertificate) -> TameCounterexample:
+    """The two-patch covering of a certificate, cut and sampled on
+    rationals: the closed band ``t0 -+ delta / 2`` is subtracted from the
+    union, and each remaining box gives the midpoint of its sides."""
+    delta = (cert.n_hi - cert.n_lo) / 2
+    off_band = subtract_closed_band(u, pj.axis, cert.t0 - delta / 2, cert.t0 + delta / 2)
+    hits = [k for k, p in enumerate(cert.fiber_points) if p is not None and k != cert.v_index]
+    samples = [("v", cert.fiber_points[cert.v_index]), ("w", cert.fiber_points[hits[0]])]
+    samples += [(f"c{k}", tuple(s.representative() for s in r))
+                for k, r in enumerate(off_band.rects)]
+    for name, p in samples:
+        if not u.contains(p):
+            raise AssertionError(f"sample {name} fell outside the domain")
+    letters = finset(name for name, _ in samples)
+    system = _table_system(["s"], letters, ("0", "1"), [[(0, int(c == "w")) for c in letters]])[0]
+    jdg = make_judge({name: str(p[pj.axis]) for name, p in samples}, {"0": "0", "1": "1"})
+    c_names = [name for name, _ in samples if name.startswith("c")]
+    cov = covering(system, [subsystem(system, inputs=sorted([side, *c_names])) for side in "vw"])
+    res = glue_stateless(cov, jdg)
+    assert not res.ok
+    return TameCounterexample(system, jdg, cov, res.patch_assignments, tuple(samples),
+                              res.obstruction)

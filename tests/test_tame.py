@@ -21,13 +21,14 @@ from sheafmealy import (
     robustly_disconnected,
     sheaf_verdict,
     stateless_ri_section,
-    subtract_closed_band,
     two_patch_counterexample,
     union_from_payload,
 )
 from sheafmealy import fixtures as fx
-from sheafmealy.tame import clip_band, merge_intervals
-from tame_oracle import disjoint, regions_equal
+from sheafmealy import jsonio, tame
+from sheafmealy.errors import MalformedDocument
+from sheafmealy.tame import merge_intervals
+from tame_oracle import clip_band, disjoint, regions_equal, subtract_closed_band
 
 HALF = Fraction(1, 2)
 
@@ -409,3 +410,119 @@ def test_union_from_payload_shapes():
     u1, pj1 = union_from_payload({"dim": 1, "rects": [{"x": ["-1/2", "1/2"]}]})
     assert pj1.axis == 0
     assert u1.contains((Fraction(0),))
+
+
+# ------------------------------------------------------- parsing and ranks
+
+def _spellings(v: Fraction) -> list:
+    """Ways a document may write ``v``: its canonical string, the same
+    fraction unreduced, a decimal string and a JSON number where ``v`` has
+    a finite binary expansion."""
+    out = [str(v), f"{2 * v.numerator}/{2 * v.denominator}"]
+    if v.denominator in (1, 2, 4):
+        out += [str(float(v)), float(v)]
+    if v.denominator == 1:
+        out.append(int(v))
+    return out
+
+
+def _half_grid_rows(rng, n: int) -> list[list[Fraction]]:
+    rows = []
+    for _ in range(n):
+        x0, y0 = rng.randrange(0, 8), rng.randrange(0, 8)
+        rows.append([Fraction(x0, 2), Fraction(rng.randrange(x0 + 1, x0 + 4), 2),
+                     Fraction(y0, 2), Fraction(rng.randrange(y0, y0 + 4), 2)])
+    return rows
+
+
+def _cert_bytes(certs) -> list[bytes]:
+    return [jsonio.canonical_bytes(jsonio.certificate_payload(c)) for c in certs]
+
+
+def test_spellings_of_one_value_share_a_rank(rng):
+    """A document that spells one value in several ways (``"1/2"``,
+    ``"2/4"``, ``"0.5"`` and the JSON number 0.5) gives the union, the
+    candidates and the certificate bytes of the canonical spelling."""
+    seen: set = set()
+    for trial in range(60):
+        rows = _half_grid_rows(rng, rng.randint(2, 14))
+        flags = [[rng.random() < 0.3 for _ in range(4)] for _ in rows]
+
+        def doc(spell):
+            return {"dim": 2, "axis": trial % 2, "rects": [
+                {"x": [spell(r[0]), spell(r[1])], "y": [spell(r[2]), spell(r[3])], "open": f}
+                for r, f in zip(rows, flags)]}
+
+        def mixed(v):
+            s = rng.choice(_spellings(v))
+            if v == HALF:
+                seen.add(repr(s))
+            return s
+
+        (want, pj), (got, pj2) = union_from_payload(doc(str)), union_from_payload(doc(mixed))
+        assert pj == pj2 and got.rects == want.rects and got == want, trial
+        assert jsonio.union_payload(got, pj) == jsonio.union_payload(want, pj)
+        for axis in (0, 1):
+            a, b = (sheaf_verdict(v, ProjectionJudge(axis)) for v in (got, want))
+            assert a.candidates == b.candidates and a.is_sheaf == b.is_sheaf
+            assert _cert_bytes(a.certificates) == _cert_bytes(b.certificates)
+    assert {"'1/2'", "'2/4'", "'0.5'", "0.5"} <= seen, seen
+
+
+def test_a_malformed_endpoint_is_refused_at_its_first_rectangle():
+    """Parsing each spelling once changes no refusal: with a malformed
+    endpoint in rectangles 0 and 3 (after valid ones in rectangle 0 and a
+    repeat of the bad one), the refusal names rectangle 0 with the text
+    that parsing every endpoint gives."""
+    for bad in ("zz", "1/0", [1], {"a": 1}, float("nan"), float("inf"), None):
+        rows = [{"x": ["0", "1/2"], "y": ["0", bad]}, {"x": ["1/2", "1"], "y": ["0", "1"]},
+                {"x": [0.5, "1"], "y": ["0", "1/2"]}, {"x": [bad, "1"], "y": ["0", "1"]}]
+        with pytest.raises(MalformedDocument) as exc:
+            union_from_payload({"dim": 2, "rects": rows})
+        assert str(exc.value) == (f"rectangle 0: y endpoints must be finite rationals, "
+                                  f"got {['0', bad]!r}"), bad
+
+
+def test_each_union_is_ranked_once(rng, monkeypatch):
+    """The chain the benchmark times (a union read from its document, its
+    verdicts on both axes, then a counterexample from each verdict's first
+    certificate) ranks the union's endpoints once; a union built by hand
+    is ranked on first use, once across its verdicts, a single abscissa and
+    a counterexample."""
+    calls = 0
+    rank_grid = tame._rank_grid
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return rank_grid(*args)
+
+    monkeypatch.setattr(tame, "_rank_grid", counting)
+    built = 0
+
+    def chain(v):
+        nonlocal built
+        for axis in (0, 1):
+            pj = ProjectionJudge(axis)
+            cert = sheaf_verdict(v, pj).certificates[0]
+            assert robustly_disconnected(v, pj, cert.t0) == cert
+            two_patch_counterexample(v, pj, cert)
+            built += 1
+
+    for _ in range(20):
+        rows = _half_grid_rows(rng, rng.randint(4, 30))
+        # Two stacked boxes and two side by side certify both axes.
+        rows += [[Fraction(v) for v in r] for r in ((9, 10, 0, 1), (9, 10, 2, 3),
+                                                     (0, 1, 9, 10), (2, 3, 9, 10))]
+        doc = {"dim": 2, "axis": 0, "rects": [
+            {"x": [str(r[0]), str(r[1])], "y": [str(r[2]), str(r[3])]} for r in rows]}
+
+        calls = 0
+        u, _ = union_from_payload(doc)
+        assert calls == 1
+        chain(u)
+        assert calls == 1
+        calls = 0
+        chain(RectUnion(2, tuple(box(*r) for r in rows)))
+        assert calls == 1
+    assert built == 80

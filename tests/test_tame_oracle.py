@@ -6,9 +6,10 @@ the boxes of each band in one pass and works every band on ranks, and
 ``components`` links boxes by a sweep along axis 0; all must give the
 reference results exactly: the same normalized boxes, candidates, notes
 and certificates.
-``robustly_disconnected`` decides a single abscissa on its rationals and
-must give the reference's certificate, or None, at every candidate and
-off the midpoints of the gaps.
+``robustly_disconnected`` decides a single abscissa on the same rank grid
+and must give the reference's certificate, or None, at every candidate and
+off the midpoints of the gaps.  ``two_patch_counterexample`` cuts on ranks
+and must give the reference's samples, cut on rationals, byte for byte.
 """
 
 from fractions import Fraction
@@ -256,8 +257,8 @@ def test_robustly_disconnected_builds_a_band_only_where_an_endpoint_certifies(rn
 
 
 def test_verdict_and_single_abscissa_agree_without_fiber(rng, monkeypatch):
-    """At every candidate ``robustly_disconnected``, on rationals, returns
-    the certificate of the verdict, which works on ranks, or None where the
+    """At every candidate ``robustly_disconnected``, deciding that abscissa
+    alone, returns the certificate of the verdict, or None where the
     verdict has none.  Neither calls ``fiber``: the fiber point of each
     component comes from the fiber pieces that decided its band."""
 
@@ -278,15 +279,15 @@ def test_verdict_and_single_abscissa_agree_without_fiber(rng, monkeypatch):
 def test_on_the_line_no_endpoint_is_ranked_and_no_band_measured(rng, monkeypatch):
     """On the line a fiber is at most one point and never splits, so
     ``sheaf_verdict`` and ``robustly_disconnected`` answer from the
-    candidates alone: with ``_ranked`` (which ranks the endpoints) and
-    ``_width`` (which measures a band) refusing to run, both still return
-    and match the reference, at every candidate and off the midpoints of
-    the gaps."""
+    candidates alone, which the union's rank grid gives: with ``_split``
+    (which decides a band on ranks beyond the grid) and ``_width`` (which
+    measures a band) refusing to run, both still return and match the
+    reference, at every candidate and off the midpoints of the gaps."""
 
     def refuse(*args):
-        raise AssertionError("a verdict on the line ranked endpoints or measured a band")
+        raise AssertionError("a verdict on the line decided or measured a band")
 
-    for name in ("_ranked", "_width"):
+    for name in ("_split", "_width"):
         monkeypatch.setattr(tame, name, refuse)
     seen = {"raw": 0, "open": 0}
     for trial in range(60):
@@ -452,3 +453,22 @@ def test_linkage_of_two_intervals_matches_the_atom_grid():
                          for a, b in product((False, True), repeat=2)) if not s.empty]
     for a, b in product(sides, repeat=2):
         assert tame._linked_1d(a, b) == (len(oracle.merge_intervals([a, b])) == 1), (a, b)
+
+
+def test_counterexamples_match_the_rational_cut(rng):
+    """Every certificate's counterexample, cut and sampled on ranks, gives
+    the samples that cutting the closed band out on rationals gives, byte
+    for byte, and the same obstruction: at endpoint certificates, whose cuts
+    fall in the gaps on either side, and at gap certificates, whose two cuts
+    fall in one gap."""
+    seen = {"endpoint": 0, "gap": 0}
+    for trial, u, pj in _seeded_unions(rng, 40):
+        crit = set(tame.critical_values(u, pj.axis))
+        for cert in tame.sheaf_verdict(u, pj).certificates:
+            got = tame.two_patch_counterexample(u, pj, cert)
+            want = oracle.two_patch_counterexample(u, pj, cert)
+            assert repr(got.samples) == repr(want.samples), (trial, cert.t0)
+            assert got.obstruction == want.obstruction, (trial, cert.t0)
+            assert got.assignments == want.assignments
+            seen["endpoint" if cert.t0 in crit else "gap"] += 1
+    assert seen["endpoint"] > 200 and seen["gap"] > 200, seen
