@@ -22,7 +22,11 @@ are jointly feasible then all of them are (``d`` on the simplex).
 subfamily up to that size, and decides most subfamilies without a ball
 solve: half the diameter of their targets bounds the radius from below,
 and on the euclidean domain Jung's theorem and the centroid bound it from
-above.
+above.  On that domain it joins two patches when their farthest targets
+clear Jung's bound at the largest dimension a subfamily of the size being
+searched can span, and passes over every subfamily whose patches are all
+joined without reading it; the solves, their order and the report stay
+those of deciding every subfamily.
 """
 
 from __future__ import annotations
@@ -379,6 +383,15 @@ def _farthest(a: Iterable[Vector], b: Iterable[Vector]) -> float:
     return max((math.dist(p, q) for p in a for q in b), default=0.0)
 
 
+def _jung_clears(diameter: float, m: int, eps: float) -> bool:
+    """Jung's theorem puts the radius of points of diameter ``diameter``
+    whose affine hull has dimension at most ``m`` below ``eps``, clear of
+    the 1e-9 band.  The factor sqrt(m / (2(m+1))) grows with m, and sqrt,
+    / and * round monotonically, so a pass at some m is a pass at every
+    smaller one."""
+    return diameter * math.sqrt(m / (2.0 * (m + 1))) < eps - COMPARISON_TOL
+
+
 def _certified(inst: EpsilonInstance, pts: set[Vector], diameter: float,
                eps: float) -> bool | None:
     """Feasibility of ``pts`` when a bound alone decides it, clear of the
@@ -396,8 +409,7 @@ def _certified(inst: EpsilonInstance, pts: set[Vector], diameter: float,
         return False
     if inst.domain != "euclidean":
         return None
-    m = min(inst.dim, len(pts) - 1)
-    if diameter * math.sqrt(m / (2.0 * (m + 1))) < eps - COMPARISON_TOL:
+    if _jung_clears(diameter, min(inst.dim, len(pts) - 1), eps):
         return True
     centroid = tuple(sum(xs) / len(pts) for xs in zip(*pts))
     if all(math.dist(centroid, p) < eps - COMPARISON_TOL for p in pts):
@@ -417,6 +429,29 @@ class DepthReport:
 MAX_SUBFAMILIES = 2**20 - 1
 
 
+def _unjoined(n: int, size: int, joined: Sequence[int]) -> Iterable[tuple[int, ...]]:
+    """The ``size``-subsets of ``range(n)`` in ``itertools.combinations``
+    order, less those whose every two members, each member with itself
+    too, are joined: bit ``b`` of ``joined[a]`` joins ``a`` and ``b``.
+
+    The walk goes depth first over prefixes and carries the members joined
+    to the whole prefix, so while the prefix stays a clique each child
+    costs one bit test; past its first unjoined member every completion is
+    yielded."""
+
+    def walk(prefix: tuple[int, ...], start: int, common: int) -> Iterable[tuple[int, ...]]:
+        left = size - len(prefix)
+        for c in range(start, n - left + 1):
+            if not common >> c & 1:
+                for rest in itertools.combinations(range(c + 1, n), left - 1):
+                    yield (*prefix, c, *rest)
+            elif left > 1:
+                yield from walk((*prefix, c), c + 1, common & joined[c])
+
+    common = sum(1 << k for k in range(n) if joined[k] >> k & 1)
+    return walk((), 0, common)
+
+
 def obstruction_depth(
     inst: EpsilonInstance,
     patches: Sequence[Sequence[str]],
@@ -432,7 +467,15 @@ def obstruction_depth(
     tolerance) gets depth None.  A subfamily is solved only when
     :func:`_certified` cannot decide it from the diameter of its targets,
     read from a table of the farthest pair of targets of every two patches.
-    More than 2**20 - 1 subfamilies to search raise :class:`ScaleExceeded`.
+
+    On the euclidean domain a subfamily of ``size`` patches holds at most
+    the ``size`` largest target counts together, which caps the dimension
+    m in Jung's bound.  Two patches are joined when their farthest pair
+    clears that bound at the cap for every judged input; a subfamily whose
+    every pair is joined is feasible by the bound :func:`_certified` would
+    apply, so it is skipped unread.  The solves, their order and the report
+    are those of deciding every subfamily.  More than 2**20 - 1 subfamilies
+    to search raise :class:`ScaleExceeded`.
     """
     _check_eps(eps)
     n = len(patches)
@@ -459,6 +502,9 @@ def obstruction_depth(
         return DepthReport(True, None, None, None, marginal)
     far = {i_prime: {(k, k): _farthest(t, t) for k, t in enumerate(groups)}
            for i_prime, groups in targets.items()}
+    # Each patch's most targets over the judged inputs, most first.
+    counts = sorted(map(max, zip(*(map(len, groups) for groups in targets.values()))),
+                    reverse=True)
     for size in sizes:
         if size == 2:
             for i_prime, groups in targets.items():
@@ -466,7 +512,15 @@ def obstruction_depth(
                     ((a, b), _farthest(groups[a], groups[b]))
                     for a, b in itertools.combinations(range(n), 2)
                 )
-        for combo in itertools.combinations(range(n), size):
+        joined = [0] * n
+        if inst.domain == "euclidean":
+            # No subfamily of this size spans more than m dimensions.
+            m = min(inst.dim, max(sum(counts[:size]) - 1, 0))
+            for a, b in far[full_bad]:
+                if all(_jung_clears(table[a, b], m, eps) for table in far.values()):
+                    joined[a] |= 1 << b
+                    joined[b] |= 1 << a
+        for combo in _unjoined(n, size, joined):
             pairs = list(itertools.combinations_with_replacement(combo, 2))
             for i_prime in inst.interp_inputs:
                 pts = set().union(*(targets[i_prime][k] for k in combo))

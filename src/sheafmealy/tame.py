@@ -188,11 +188,6 @@ class Rect(tuple):
     def empty(self) -> bool:
         return any(s.empty for s in self)
 
-    def axis(self, k: int) -> Interval:
-        if not 0 <= k < len(self):
-            raise CheckerError(f"axis {k} out of range")
-        return self[k]
-
     def coface(self, k: int) -> tuple[Interval, ...]:
         """The sides left when axis ``k`` is dropped."""
         return self[:k] + self[k + 1:]
@@ -225,9 +220,6 @@ class RectUnion:
     dim: int
     rects: tuple[Rect, ...]
     _grid: _Grid | None = field(default=None, init=False, repr=False, compare=False)
-
-    def contains(self, p: Point) -> bool:
-        return any(map(Rect.contains, self.rects, repeat(p)))
 
     @property
     def empty(self) -> bool:

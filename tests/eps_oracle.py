@@ -10,8 +10,12 @@ library's visiting order, but one recursion level per point, so it needs a
 raised recursion limit on large sets.  ``combination_depth`` is the plain
 obstruction search: the full family, then every subfamily of every size in
 ``itertools.combinations`` order, one ``feasibility`` solve per subfamily
-and judged input.  The library recurses over the boundary only, stops at
-the Helly number and skips the solves a bound decides; the seeded tests
+and judged input.  ``pairwise_depth`` is the library's depth search as it
+stood before it skipped the subfamilies Jung's bound clears from the pair
+table: up to the Helly number, it reads every subfamily's diameter off that
+table and hands every one to ``_certified``, solving where that cannot
+decide.  The library recurses over the boundary only, stops at the Helly
+number and skips the solves a bound decides; the seeded tests
 hold it to these results, in the visiting orders they choose by setting
 ``epshelly._ORDER_SEED``.  ``basis_minimax`` solves the box and simplex
 minimax problem apart from the library, with numpy least squares over
@@ -41,6 +45,7 @@ from sheafmealy.epshelly import (
     _ball_contains,
     _check_eps,
     _dot,
+    _farthest,
     _patch_targets,
     feasibility,
 )
@@ -202,6 +207,62 @@ def combination_depth(inst, patches, eps) -> DepthReport:
                 res = feasibility(inst, pts, eps)
                 marginal = marginal or res.marginal
                 if not res.feasible:
+                    return DepthReport(False, size, combo, i_prime, marginal)
+    return DepthReport(False, None, None, full_bad, marginal)
+
+
+def pairwise_depth(inst, patches, eps, skip=None) -> DepthReport:
+    """The depth search deciding every subfamily up to the Helly number,
+    with ``epshelly._certified`` and ``epshelly.feasibility`` looked up at
+    each call, so that a test can record them; ``skip(size, combo)``, when
+    given, passes over the subfamilies it is true for."""
+    _check_eps(eps)
+    n = len(patches)
+    helly = inst.dim if inst.domain == "simplex" else inst.dim + 1
+    sizes = range(1, min(helly, n) + 1)
+    if sum(math.comb(n, size) for size in sizes) > epshelly.MAX_SUBFAMILIES:
+        raise epshelly.ScaleExceeded(
+            f"obstruction search over {n} patches up to size {helly} "
+            f"exceeds {epshelly.MAX_SUBFAMILIES} subfamilies"
+        )
+    targets = _patch_targets(inst, patches)
+    marginal = False
+    full_bad = None
+    for i_prime in inst.interp_inputs:
+        pts = set().union(*targets[i_prime])
+        if not pts:
+            continue
+        res = epshelly.feasibility(inst, sorted(pts), eps)
+        marginal = marginal or res.marginal
+        if not res.feasible:
+            full_bad = i_prime
+            break
+    if full_bad is None:
+        return DepthReport(True, None, None, None, marginal)
+    far = {i_prime: {(k, k): _farthest(t, t) for k, t in enumerate(groups)}
+           for i_prime, groups in targets.items()}
+    for size in sizes:
+        if size == 2:
+            for i_prime, groups in targets.items():
+                far[i_prime].update(
+                    ((a, b), _farthest(groups[a], groups[b]))
+                    for a, b in itertools.combinations(range(n), 2)
+                )
+        for combo in itertools.combinations(range(n), size):
+            if skip is not None and skip(size, combo):
+                continue
+            pairs = list(itertools.combinations_with_replacement(combo, 2))
+            for i_prime in inst.interp_inputs:
+                pts = set().union(*(targets[i_prime][k] for k in combo))
+                if not pts:
+                    continue
+                diameter = max(far[i_prime][pair] for pair in pairs)
+                ok = epshelly._certified(inst, pts, diameter, eps)
+                if ok is None:
+                    res = epshelly.feasibility(inst, sorted(pts), eps)
+                    marginal = marginal or res.marginal
+                    ok = res.feasible
+                if not ok:
                     return DepthReport(False, size, combo, i_prime, marginal)
     return DepthReport(False, None, None, full_bad, marginal)
 

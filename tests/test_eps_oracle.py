@@ -1,14 +1,16 @@
 """The move-to-front ball solver and the certified, Helly-capped depth
-search, held to the Gram-solve reference, the recursive solver and the
-plain combination search in ``eps_oracle``."""
+search, held to the Gram-solve reference, the recursive solver, the
+plain combination search and the search over every subfamily in
+``eps_oracle``."""
 
+import itertools
 import math
 import random
 import sys
 
 import randgen as rg
 import test_domain_minimax as dm
-from eps_oracle import combination_depth, gram_minimax, target_set, welzl_ball
+from eps_oracle import combination_depth, gram_minimax, pairwise_depth, target_set, welzl_ball
 
 from sheafmealy import epshelly
 from sheafmealy import (
@@ -86,10 +88,9 @@ def test_depth_matches_combination_search_up_to_helly_on_box_and_simplex(rng):
     assert found > 20
 
 
-def test_depth_search_solves_few_subfamilies(monkeypatch):
-    """A regular simplex hidden among 10 patches near its centroid: the
-    search passes 1,000 smaller subfamilies and finds the simplex, solving
-    only where neither bound decides."""
+def _hidden_simplex():
+    """A regular simplex hidden among 10 patches near its centroid, at a
+    tolerance between its facets' circumradius and its own."""
     dim = 3
     r_face, r_full = math.sqrt((dim - 1) / dim), math.sqrt(dim / (dim + 1))
     shape = random.Random(7)
@@ -105,19 +106,181 @@ def test_depth_search_solves_few_subfamilies(monkeypatch):
             values[f"p{k:02d}"] = tuple(shape.uniform(-0.03, 0.03) for _ in range(dim))
     inst = epsilon_instance(dim, "euclidean", values, {r: "cls" for r in values})
     patches = [[name] for name in sorted(values)]
-    eps = (r_face + r_full) / 2
-    solves = []
-    real = epshelly.feasibility
+    return inst, patches, (r_face + r_full) / 2
 
-    def counted(*args, **kwargs):
-        solves.append(args)
+
+def _recorded(monkeypatch, name):
+    """The arguments of every call to ``epshelly.<name>``, in order."""
+    calls = []
+    real = getattr(epshelly, name)
+
+    def record(*args, **kwargs):
+        calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(epshelly, "feasibility", counted)
+    monkeypatch.setattr(epshelly, name, record)
+    return calls
+
+
+def test_depth_search_solves_few_subfamilies(monkeypatch):
+    """On the hidden simplex the search passes 1,000 smaller subfamilies
+    and finds the simplex, solving only where neither bound decides."""
+    inst, patches, eps = _hidden_simplex()
+    solves = _recorded(monkeypatch, "feasibility")
     report = obstruction_depth(inst, patches, eps)
     assert (report.depth, report.subfamily) == (4, (10, 11, 12, 13))
     assert report == combination_depth(inst, patches, eps)
     assert len(solves) < 20
+
+
+def test_depth_search_skips_the_subfamilies_jung_clears(monkeypatch):
+    """Of the 1,470 subfamilies up to the simplex, most are pairwise close
+    enough for Jung's bound at their size, and the search never reads
+    them: fewer than 400 reach ``_certified``."""
+    inst, patches, eps = _hidden_simplex()
+    decided = _recorded(monkeypatch, "_certified")
+    report = obstruction_depth(inst, patches, eps)
+    assert (report.depth, report.subfamily) == (4, (10, 11, 12, 13))
+    assert len(decided) < 400
+
+
+def _regular_simplex(k, dim):
+    """k+1 vertices of a regular k-simplex with edge sqrt(2), centered at
+    the origin: in the first k+1 coordinates of ``dim`` when k < dim."""
+    if k == dim:
+        alpha = (1.0 - math.sqrt(dim + 1.0)) / dim
+        verts = [tuple(float(j == m) for j in range(dim)) for m in range(dim)]
+        verts.append((alpha,) * dim)
+    else:
+        verts = [tuple(float(j == m) for j in range(dim)) for m in range(k + 1)]
+    mid = [sum(v[j] for v in verts) / len(verts) for j in range(dim)]
+    return [tuple(x - c for x, c in zip(v, mid)) for v in verts]
+
+
+def _planted_family(rng, domain, dim):
+    """8 to 14 patches over 1 to 3 judged inputs.  The first judged input
+    carries a regular simplex of Helly-number many vertices, one per
+    patch, among distractors near its centroid; patches share raw inputs
+    from one pool near the centroid.  Returns the instance, the patches,
+    and the tolerance halfway between the simplex's facet and full
+    circumradius."""
+    n = rng.randint(8, 14)
+    judged = [f"c{k}" for k in range(rng.randint(1, 3))]
+    k = dim - 1 if domain == "simplex" else dim
+    if domain == "simplex":
+        t = rng.uniform(0.3, 0.9)
+        bary = (1.0 / dim,) * dim
+        edge = t * math.sqrt(2.0)
+        verts = [tuple(b + t * x for b, x in zip(bary, v)) for v in _regular_simplex(k, dim)]
+        center = bary
+
+        def near():
+            w = [rng.uniform(-1.0, 1.0) for _ in range(dim)]
+            mean = sum(w) / dim
+            return tuple(b + 0.03 * t * (x - mean) / dim for b, x in zip(bary, w))
+    else:
+        scale = rng.uniform(0.2, 1.0)
+        edge = scale * math.sqrt(2.0)
+        center = tuple(rng.uniform(-1.0, 1.0) for _ in range(dim))
+        verts = [tuple(c + scale * x for c, x in zip(center, v))
+                 for v in _regular_simplex(k, dim)]
+
+        def near():
+            return tuple(c + scale * rng.uniform(-0.03, 0.03) for c in center)
+    values, i_map = {}, {}
+    pool = []
+    for m in range(n):
+        name = f"q{m}"
+        values[name], i_map[name] = near(), rng.choice(judged)
+        pool.append(name)
+    planted = sorted(rng.sample(range(n), k + 1))
+    patches = []
+    for j in range(n):
+        names = set(rng.sample(pool, rng.randint(0 if j in planted else 1, 2)))
+        if j in planted:
+            v = verts[planted.index(j)]
+            for i in judged:
+                if i == judged[0] or rng.random() < 0.5:
+                    values[f"v{j}{i}"], i_map[f"v{j}{i}"] = v, i
+                    names.add(f"v{j}{i}")
+        patches.append(sorted(names))
+    if rng.random() < 0.2:  # one patch also sees a vertex of the simplex
+        patches[rng.randrange(n)].append(f"v{planted[0]}{judged[0]}")
+    box = [(c - 2.0, c + 2.0) for c in center] if domain == "box" else None
+    inst = epsilon_instance(dim, domain, values, i_map, interp_inputs=judged, box=box)
+    r_full, r_face = (edge * math.sqrt(j / (2.0 * (j + 1))) for j in (k, k - 1))
+    return inst, patches, (r_face + r_full) / 2
+
+
+def _jung_cliques(inst, patches, eps):
+    """Whether the search may pass a subfamily unread: on the euclidean
+    domain, when every two of its patches (each with itself too) have, for
+    every judged input, a farthest pair of targets that clears Jung's bound
+    at the largest dimension a subfamily of its size can span."""
+    sets = {i: [target_set(inst, i, p) for p in patches] for i in inst.interp_inputs}
+    counts = sorted((max(len(s[k]) for s in sets.values()) for k in range(len(patches))),
+                    reverse=True)
+    far = {}
+
+    def farthest(i, a, b):
+        if (i, a, b) not in far:
+            far[i, a, b] = max((math.dist(p, q) for p in sets[i][a] for q in sets[i][b]),
+                               default=0.0)
+        return far[i, a, b]
+
+    def clique(size, combo):
+        if inst.domain != "euclidean":
+            return False
+        m = min(inst.dim, max(sum(counts[:size]) - 1, 0))
+        factor = math.sqrt(m / (2.0 * (m + 1)))
+        return all(farthest(i, a, b) * factor < eps - 1e-9 for i in sets
+                   for a, b in itertools.combinations_with_replacement(combo, 2))
+    return clique
+
+
+def test_depth_matches_the_pairwise_search(rng, monkeypatch):
+    """The search against the one that decides every subfamily: the same
+    report, after the same solves in the same order, and the same bounds
+    read on every subfamily but the Jung cliques.  Families of 8 to 14
+    patches hide a regular simplex among distractors near its centroid,
+    at a tolerance between its facet and full radius, on or 5e-10 either
+    side of a subfamily's radius, zero, or below 1e-9."""
+    seen = {"feasible": 0, "depth": 0, "marginal": 0, "skipped": 0}
+    for trial in range(120):
+        domain = ("euclidean", "euclidean", "box", "simplex")[trial % 4]
+        dim = rng.randint(2, 3) if trial % 8 else 4 if domain != "simplex" else 3
+        inst, patches, between = _planted_family(rng, domain, dim)
+        kind = trial // 4 % 6
+        if kind < 2:
+            eps = between
+        elif kind < 4:
+            # a few patches, or all of them
+            helly = dim if domain == "simplex" else dim + 1
+            size = rng.randint(1, helly) if kind == 2 else len(patches)
+            combo = rng.sample(range(len(patches)), size)
+            i_prime = rng.choice(inst.interp_inputs)
+            pts = target_set(inst, i_prime, [r for k in combo for r in patches[k]])
+            radius = feasibility(inst, pts, 0.0).radius if pts else 0.5
+            eps = max(0.0, radius + rng.choice((0.0, 5e-10, -5e-10)))
+        else:
+            eps = (0.0, rng.uniform(0.0, 1e-9))[kind - 4]
+        with monkeypatch.context() as m:
+            solves, decided = _recorded(m, "feasibility"), _recorded(m, "_certified")
+            got = obstruction_depth(inst, patches, eps)
+            want_solves, want_decided = list(solves), list(decided)
+            solves.clear()
+            decided.clear()
+            want = pairwise_depth(inst, patches, eps)
+            assert got == want, (domain, patches, eps)
+            assert want_solves == solves, (domain, patches, eps)
+            seen["skipped"] += len(want_decided) < len(decided)
+            decided.clear()
+            pairwise_depth(inst, patches, eps, skip=_jung_cliques(inst, patches, eps))
+            assert want_decided == decided, (domain, patches, eps)
+        seen["feasible"] += got.feasible
+        seen["depth"] += got.depth is not None
+        seen["marginal"] += got.marginal
+    assert min(seen.values()) > 5, seen
 
 
 def _clouds(rng):

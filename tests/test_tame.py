@@ -26,9 +26,16 @@ from sheafmealy import (
 )
 from sheafmealy import fixtures as fx
 from sheafmealy import jsonio, tame
-from sheafmealy.errors import MalformedDocument
+from sheafmealy.errors import InternalConsistencyError, MalformedDocument
 from sheafmealy.tame import merge_intervals
-from tame_oracle import clip_band, disjoint, regions_equal, subtract_closed_band
+from tame_oracle import (
+    clip_band,
+    disjoint,
+    rect_side,
+    regions_equal,
+    subtract_closed_band,
+    union_contains,
+)
 
 HALF = Fraction(1, 2)
 
@@ -172,7 +179,7 @@ def test_rect_is_the_tuple_of_its_sides():
     assert r.contains((HALF, Fraction(3))) and not r.contains((HALF, Fraction(2)))
     assert not r.contains((HALF,)) and Rect(x, interval(1, 0)).empty
     with pytest.raises(CheckerError):
-        r.axis(-1)
+        rect_side(r, -1)
 
 
 # ------------------------------------------------------ robust disconnection
@@ -191,7 +198,7 @@ def _check_certificate(u, pj, cert):
             continue
         marked += 1
         assert point[pj.axis] == cert.t0
-        assert comp.contains(point) and u.contains(point)
+        assert union_contains(comp, point) and union_contains(u, point)
     assert marked >= 2
     assert cert.fiber_points[cert.v_index] is not None
 
@@ -326,7 +333,7 @@ def _check_counterexample(u, pj, cut):
         rep = stateless_ri_section(p, cut.judge)
         assert rep.ok and rep.assignment == asg
     for _, point in cut.samples:
-        assert u.contains(point)
+        assert union_contains(u, point)
     assert cut.obstruction.kind == "stateless"
 
 
@@ -353,6 +360,16 @@ def test_random_certificates_yield_counterexamples(rng):
             _check_counterexample(u, pj, cut)
             built += 1
     assert built > 30
+
+
+def test_a_sample_past_its_box_is_refused(monkeypatch):
+    """The sample check places every sample on the grid by its value alone,
+    so a representative past its side's high end is caught."""
+    u, pj = fx.two_band_objects()
+    cert = robustly_disconnected(u, pj, HALF)
+    monkeypatch.setattr(tame, "_point", lambda memo, values, s: values[s.hi] + 1)
+    with pytest.raises(InternalConsistencyError, match="sample c0 fell outside the domain"):
+        two_patch_counterexample(u, pj, cert)
 
 
 # ------------------------------------------------------ region comparisons
@@ -409,7 +426,7 @@ def test_union_from_payload_shapes():
     assert regions_equal(u, rect_union(2, [box(0, 1, 0, 1)]))
     u1, pj1 = union_from_payload({"dim": 1, "rects": [{"x": ["-1/2", "1/2"]}]})
     assert pj1.axis == 0
-    assert u1.contains((Fraction(0),))
+    assert union_contains(u1, (Fraction(0),))
 
 
 # ------------------------------------------------------- parsing and ranks
