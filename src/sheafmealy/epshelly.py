@@ -88,8 +88,8 @@ def _check_eps(eps: float) -> None:
         raise NegativeEpsilon("tolerances must be finite")
 
 
-def _on_simplex(p: Vector, tol: float = COMPARISON_TOL) -> bool:
-    return all(x >= -tol for x in p) and abs(sum(p) - 1.0) <= tol
+def _on_simplex(p: Vector) -> bool:
+    return all(x >= -COMPARISON_TOL for x in p) and abs(sum(p) - 1.0) <= COMPARISON_TOL
 
 
 def epsilon_instance(

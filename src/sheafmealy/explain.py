@@ -143,12 +143,6 @@ class Section:
     explanatory: MealySystem
     psi: SystemMorphism
 
-    def psi_b(self, s: Ident) -> Ident:
-        return self.psi.map_b(s)
-
-    def psi_a(self, s: Ident) -> Ident:
-        return self.psi.map_a(s)
-
 
 def section(patch: OpenImmersion, explanatory: MealySystem, psi: SystemMorphism) -> Section:
     if psi.source != patch.source or psi.target != explanatory:

@@ -67,7 +67,6 @@ from .systems import (
     identity_patch,
     overlap_patch,
     restrict_immersion,
-    subsystem,
 )
 
 
@@ -276,7 +275,8 @@ def check_separation(
             f"sections agree on every patch but diverge from state {state!r} "
             f"on the word {'/'.join(word)}",
             *((f"{which} section from its image of the witness state",
-               sec.explanatory, sec.psi_b(state)) for which, sec in (("first", s), ("second", t))))
+               sec.explanatory, sec.psi.map_b(state))
+              for which, sec in (("first", s), ("second", t))))
     elif violated:
         obstruction = _obstruction(
             "separation", (), None,
@@ -577,37 +577,3 @@ def glue_stateless(c: Covering, j: Judge) -> GlueStatelessResult:
                     assignments)
             merged.setdefault(i_p, o_p)
     return GlueStatelessResult(True, tuple(sorted(merged.items())), None, assignments)
-
-
-@dataclass(frozen=True)
-class StatelessSheafReport:
-    is_sheaf: bool
-    witness_covering: Covering | None
-    witness_assignments: tuple[tuple[tuple[Ident, Ident], ...], ...] | None
-    obstruction: ObstructionReport | None
-
-
-def discrete_stateless_sheaf_check(system: MealySystem, j: Judge) -> StatelessSheafReport:
-    """Sheaf verdict for stateless explanations of a single-state system.
-
-    Over discrete carriers every fiber of the judged input map is clopen,
-    and gluing over arbitrary coverings reduces to a per-fiber condition:
-    explanations glue over every covering exactly when the judged output is
-    constant on every judged-input fiber.  The reduction is exercised
-    against genuine covering enumeration in the test suite.  The verdict is
-    :func:`glue_stateless` over the covering that splits off each input as
-    its own patch: its forced local family is compatible (the overlaps see
-    no shared judged input) and glues exactly when every fiber is constant.
-    On failure the report carries that covering as the witness, unglueable
-    at the named fiber.
-    """
-    if len(system.before) != 1 or len(system.after) != 1 or not system.homogeneous:
-        raise NotStateless("the discrete sheaf check needs a single-state system")
-    s0 = system.before[0]
-    cov = Covering(system, tuple(
-        subsystem(system, before=[s0], after=[s0], inputs=[raw], outputs=system.outputs)
-        for raw in system.inputs))
-    res = glue_stateless(cov, j)
-    if res.ok:
-        return StatelessSheafReport(True, None, None, None)
-    return StatelessSheafReport(False, cov, res.patch_assignments, res.obstruction)

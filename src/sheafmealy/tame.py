@@ -117,11 +117,6 @@ class Interval:
         return self.lo if self.lo == self.hi else (self.lo + self.hi) / 2
 
 
-def interval(lo: Fraction | int | str, hi: Fraction | int | str,
-             lo_open: bool = False, hi_open: bool = False) -> Interval:
-    return Interval(Fraction(lo), Fraction(hi), lo_open, hi_open)
-
-
 def _linked_1d(a: Interval, b: Interval) -> bool:
     """Union of two non-empty intervals is an interval: neither ends before
     the other begins, and where one ends at the other's start, that point

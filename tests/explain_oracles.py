@@ -78,7 +78,7 @@ def pair_level_behavioral_equiv(s1: Section, s2: Section, alphabet=None):
     levels = _pair_levels(m1, m2, alphabet)
     best = None
     for s in s1.patch.source.before:
-        pair = (s1.psi_b(s), s2.psi_b(s))
+        pair = (s1.psi.map_b(s), s2.psi.map_b(s))
         if pair in levels:
             word = _word_from_pair(m1, m2, alphabet, levels, *pair)
             key = (len(word), word, s)

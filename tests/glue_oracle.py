@@ -79,7 +79,7 @@ def _overlap_forced_classes(c: Covering, sections: Sequence[Section], j: Judge):
     before_block: dict[str, int] = {}
     for k, (p, s) in enumerate(zip(c.patches, sections)):
         for u in p.source.before:
-            before_block.setdefault(p.morphism.map_b(u), lookup[(k, s.psi_b(u))])
+            before_block.setdefault(p.morphism.map_b(u), lookup[(k, s.psi.map_b(u))])
     missing = [x for x in tgt.before if x not in before_block]
     if missing:
         raise CheckerError(f"covering leaves before-states unexplained: {missing!r}")

@@ -171,8 +171,8 @@ def reference_cogerm_witness(s1: Section, s2: Section) -> CogermWitness | None:
     ``morphism``."""
     m1, m2 = s1.explanatory, s2.explanatory
     alphabet, u = m1.inputs, s1.patch.source
-    todo = sorted({(s1.psi_b(s), s2.psi_b(s)) for s in u.before}
-                  | {(s1.psi_a(s), s2.psi_a(s)) for s in u.after})
+    todo = sorted({(s1.psi.map_b(s), s2.psi.map_b(s)) for s in u.before}
+                  | {(s1.psi.map_a(s), s2.psi.map_a(s)) for s in u.after})
     fwd: dict[Ident, Ident] = {}
     bwd: dict[Ident, Ident] = {}
     pairs: set[tuple[Ident, Ident]] = set()
@@ -204,8 +204,8 @@ def reference_cogerm_witness(s1: Section, s2: Section) -> CogermWitness | None:
                      {c: c for c in alphabet}, {o: o for o in m.outputs})
             for k, m in enumerate((m1, m2))]
     phi = morphism(u, core,
-                   {s: names[(s1.psi_b(s), s2.psi_b(s))] for s in u.before},
-                   {s: names[(s1.psi_a(s), s2.psi_a(s))] for s in u.after},
+                   {s: names[(s1.psi.map_b(s), s2.psi.map_b(s))] for s in u.before},
+                   {s: names[(s1.psi.map_a(s), s2.psi.map_a(s))] for s in u.after},
                    {c: s1.psi.map_i(c) for c in u.inputs},
                    {o: s1.psi.map_o(o) for o in u.outputs})
     return CogermWitness(core, *legs, phi)
@@ -230,7 +230,7 @@ def reference_glued_section(
     after_block = {x: next(iter(derived[x])) for x in tgt.after if x in derived}
     for k, (p, s) in enumerate(zip(c.patches, sections)):
         for u in p.source.after:
-            after_block.setdefault(p.morphism.map_a(u), part.block_index[(k, s.psi_a(u))])
+            after_block.setdefault(p.morphism.map_a(u), part.block_index[(k, s.psi.map_a(u))])
     missing = [x for x in tgt.after if x not in after_block]
     if missing:
         raise CheckerError(f"covering leaves after-states unexplained: {missing!r}")
@@ -284,6 +284,17 @@ def pullback_covering(c: Covering, n: OpenImmersion) -> Covering:
     if not patches:
         patches.append(subsystem(src))
     return covering(src, patches)
+
+
+def per_input_covering(system: MealySystem) -> Covering:
+    """The covering of a single-state system that splits off each raw input
+    as its own patch.  The overlaps see no shared judged input, so the
+    forced stateless family over it is compatible, and it glues exactly
+    when every judged-input fiber carries one judged output."""
+    s0 = system.before[0]
+    return Covering(system, tuple(
+        subsystem(system, before=[s0], after=[s0], inputs=[raw], outputs=system.outputs)
+        for raw in system.inputs))
 
 
 @dataclass(frozen=True)

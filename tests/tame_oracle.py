@@ -38,6 +38,12 @@ from sheafmealy.tame import (
 )
 
 
+def interval(lo: Fraction | int | str, hi: Fraction | int | str,
+             lo_open: bool = False, hi_open: bool = False) -> Interval:
+    """The box side from ``lo`` to ``hi``, each read as a rational."""
+    return Interval(Fraction(lo), Fraction(hi), lo_open, hi_open)
+
+
 def rect_side(r: Rect, k: int) -> Interval:
     """Side ``k`` of a box; an axis the box does not have is refused."""
     if not 0 <= k < len(r):

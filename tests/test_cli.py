@@ -306,7 +306,14 @@ def test_rect_union_outside_its_dimensions_is_invalid(capsys, tmp_path, doc, err
     ({"eps": -1}, "NegativeEpsilon: tolerances must be non-negative\n"),
     ({"eps": float("nan")}, "NegativeEpsilon: tolerances must be non-negative\n"),
     ({"eps": float("inf")}, "NegativeEpsilon: tolerances must be finite\n"),
-], ids=["unknown-raw-input", "negative-eps", "nan-eps", "infinite-eps"])
+    ({"dim": 0}, "CheckerError: dimension must be positive\n"),
+    ({"values": {**fx.get_fixture("triangle").payload["values"], "va": [float("nan"), 0.0]}},
+     "CheckerError: value of 'va' is not finite\n"),
+    ({"dim": 1, "domain": "box", "box": [[1, 0]],
+      "values": {v: [0.5] for v in ("va", "vb", "vc")}},
+     "CheckerError: box bounds must be finite and ordered\n"),
+], ids=["unknown-raw-input", "negative-eps", "nan-eps", "infinite-eps", "dim-0", "nan-coordinate",
+        "unordered-box"])
 def test_epsilon_document_the_check_refuses_is_invalid(capsys, tmp_path, change, err):
     """What ``check eps-depth`` refuses, ``validate`` refuses too."""
     path = tmp_path / "eps.json"

@@ -470,6 +470,29 @@ def test_instance_validation():
         epsilon_instance(1, "gibberish", {"a": (0.0,)}, {"a": "x"})
 
 
+@pytest.mark.parametrize("refused, text", [
+    (lambda: epsilon_instance(0, "euclidean", {}, {}), "dimension must be positive"),
+    (lambda: epsilon_instance(1, "euclidean", {"a": (math.nan,)}, {"a": "x"}),
+     "value of 'a' is not finite"),
+    (lambda: epsilon_instance(1, "box", {"a": (0.5,)}, {"a": "x"}, box=[(1.0, 0.0)]),
+     "box bounds must be finite and ordered"),
+    (lambda: epsilon_instance(1, "box", {"a": (0.5,)}, {"a": "x"}, box=[(0.0, math.inf)]),
+     "box bounds must be finite and ordered"),
+    (lambda: min_enclosing_ball([(0.0, 1.0), (math.inf, 0.0)]), "points must be finite"),
+    (lambda: fx.sharp_simplex_objects(0), "the simplex family starts at dimension 1"),
+], ids=["dimension-zero", "nan-value", "unordered-box", "infinite-box", "infinite-point",
+        "sharp-simplex-dimension-zero"])
+def test_epsilon_refusals_name_their_cause(refused, text):
+    with pytest.raises(CheckerError) as caught:
+        refused()
+    assert type(caught.value) is CheckerError and str(caught.value) == text
+
+
+def test_a_dependent_row_is_not_pushed():
+    """A row in the span of the basis has no orthogonal part to add."""
+    assert epshelly._push(((1.0, 0.0),), [0.0, 0.0], (2.0, 0.0), 1.0, 1e-13) is None
+
+
 def test_eps_glue_assignment_and_flags():
     values = {"a": (0.0, 0.0), "b": (0.6, 0.0), "c": (0.0, 0.8)}
     i_map = {"a": "u", "b": "u", "c": "v"}

@@ -10,15 +10,19 @@ import randgen as rg
 from randgen import extend_section_alphabet
 from sheafmealy import (
     CheckerError,
+    HeterogeneousInput,
     behavioral_equiv,
     check_cogerm_witness,
     cogerm_equiv,
     identity_judge,
+    identity_patch,
     is_j_full,
     judge,
+    judged_section,
     make_system,
     minimize,
     morphism,
+    pooled_behavior,
     restrict_section,
     restricted_interface,
     section,
@@ -26,7 +30,7 @@ from sheafmealy import (
     validate_judge,
     validate_section,
 )
-from sheafmealy.explain import CogermWitness
+from sheafmealy.explain import CogermWitness, block_distinguishing_word
 from sheafmealy.systems import (
     OpenImmersion,
     SystemMorphism,
@@ -87,6 +91,50 @@ def test_validate_judge_names_the_raw_letter_it_misses():
             validate_judge(j, system)
 
 
+def _one_state_pair():
+    """A one-state machine on ``a`` and ``b``, its patch on ``a`` alone, and
+    two sections of that patch: by the machine itself, and by a machine on
+    ``a`` alone."""
+    whole = make_system(["s"], ["s"], ["a", "b"], ["0"],
+                        {("s", "a"): ("s", "0"), ("s", "b"): ("s", "0")})
+    narrow = make_system(["q"], ["q"], ["a"], ["0"], {("q", "a"): ("q", "0")})
+    j = identity_judge(whole)
+    on_a = subsystem(whole, inputs=["a"])
+    by_whole = judged_section(on_a, whole, j, {"s": "s"}, {"s": "s"})
+    by_narrow = judged_section(on_a, narrow, j, {"s": "q"}, {"s": "q"})
+    return whole, narrow, by_whole, by_narrow
+
+
+@pytest.mark.parametrize("refused, error, text", [
+    (lambda w, n, bw, bn: section(identity_patch(w), n, identity_morphism(w)), CheckerError,
+     "section morphism must map the patch into the explanatory machine"),
+    (lambda w, n, bw, bn: restrict_section(bw, identity_patch(w)), CheckerError,
+     "restriction patch must map into the section's patch"),
+    (lambda w, n, bw, bn: cogerm_equiv(section(identity_patch(w), w, identity_morphism(w)), bw),
+     CheckerError, "core comparison needs sections of one patch"),
+    (lambda w, n, bw, bn: cogerm_equiv(bw, bn), CheckerError,
+     "core comparison needs matching explanatory interfaces"),
+    (lambda *_: minimize(make_system(["s"], ["t"], ["a"], ["0"], {("s", "a"): ("t", "0")})),
+     HeterogeneousInput, "minimization is defined for homogeneous machines"),
+    (lambda *_: pooled_behavior([], ("a",)), CheckerError,
+     "behavior pooling needs at least one machine"),
+    (lambda w, n, bw, bn: pooled_behavior([w], ("a", "z")), CheckerError,
+     "letter 'z' missing from a pooled machine"),
+], ids=["section-into-another-machine", "restrict-along-a-foreign-patch",
+        "cores-of-two-patches", "cores-of-two-interfaces", "minimize-heterogeneous",
+        "pool-nothing", "pool-a-missing-letter"])
+def test_explain_refusals_name_their_cause(refused, error, text):
+    with pytest.raises(error) as caught:
+        refused(*_one_state_pair())
+    assert type(caught.value) is error and str(caught.value) == text
+
+
+def test_one_class_has_no_distinguishing_word():
+    whole = _one_state_pair()[0]
+    part = pooled_behavior([whole], whole.inputs)
+    assert block_distinguishing_word(part, 0, 0) is None
+
+
 # ----------------------------------------------------------- functoriality
 
 def _sections_equal(s, t) -> bool:
@@ -125,7 +173,7 @@ def _behavior_oracle(s1, s2, alphabet) -> bool:
     m1, m2 = s1.explanatory, s2.explanatory
     depth = len(m1.before) * len(m2.before)
     for x in s1.patch.source.before:
-        u, v = s1.psi_b(x), s2.psi_b(x)
+        u, v = s1.psi.map_b(x), s2.psi.map_b(x)
         for n in range(1, depth + 1):
             for word in itertools.product(alphabet, repeat=n):
                 if m1.run(u, word) != m2.run(v, word):
@@ -158,8 +206,8 @@ def test_behavioral_equiv_matches_word_oracle(rng):
             if not rep.ok:
                 checked_unequal += 1
                 m1, m2 = s1.explanatory, s2.explanatory
-                run1 = m1.run(s1.psi_b(rep.state), rep.word)
-                run2 = m2.run(s2.psi_b(rep.state), rep.word)
+                run1 = m1.run(s1.psi.map_b(rep.state), rep.word)
+                run2 = m2.run(s2.psi.map_b(rep.state), rep.word)
                 assert run1 != run2
     assert checked_unequal > 0
 

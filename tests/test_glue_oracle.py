@@ -48,7 +48,7 @@ def _rewired_family(rng):
         local = rg.mutate_section(rng, restrict_section(sec, p), f"g{k}")
         mach = local.explanatory
         pinned_letters = set(restricted_interface(jdg, p))
-        pinned_states = {local.psi_b(u) for u in p.source.before}
+        pinned_states = {local.psi.map_b(u) for u in p.source.before}
         dyn = {}
         for st in mach.before:
             for ch in mach.inputs:
@@ -59,8 +59,8 @@ def _rewired_family(rng):
                     dyn[(st, ch)] = mach.transition(st, ch)
         rewired = make_system(mach.before, mach.after, mach.inputs, mach.outputs, dyn)
         local = judged_section(p, rewired, jdg,
-                               {u: local.psi_b(u) for u in p.source.before},
-                               {u: local.psi_a(u) for u in p.source.after})
+                               {u: local.psi.map_b(u) for u in p.source.before},
+                               {u: local.psi.map_a(u) for u in p.source.after})
         assert validate_section(jdg, local).ok
         locals_.append(local)
     return cov, jdg, locals_
@@ -123,19 +123,19 @@ def _stray_after_family(rng):
     dyn = {(x, c): system.transition(x, c) for x in system.before for c in system.inputs}
     target = make_system(system.before, [*system.after, "z"], system.inputs,
                          system.outputs, dyn)
-    psi_a = {x: sec.psi_a(x) for x in system.after}
+    psi_a = {x: sec.psi.map_a(x) for x in system.after}
     whole = judged_section(subsystem(target), sec.explanatory, jdg,
-                           {x: sec.psi_b(x) for x in target.before},
+                           {x: sec.psi.map_b(x) for x in target.before},
                            {**psi_a, "z": sec.explanatory.before[0]})
     cov = rg.rand_covering(rng, target)
     locals_ = []
     for k, p in enumerate(cov.patches):
         local = rg.junk_extend(rng, restrict_section(whole, p), f"g{k}")
-        psi_a = {u: local.psi_a(u) for u in p.source.after}
+        psi_a = {u: local.psi.map_a(u) for u in p.source.after}
         psi_a["z"] = rng.choice([q for q in local.explanatory.before
                                  if q.startswith(f"g{k}")])
         locals_.append(judged_section(p, local.explanatory, jdg,
-                                      {u: local.psi_b(u) for u in p.source.before}, psi_a))
+                                      {u: local.psi.map_b(u) for u in p.source.before}, psi_a))
     return cov, jdg, locals_
 
 

@@ -7,6 +7,7 @@ import pytest
 
 import randgen as rg
 from randgen import extend_section_alphabet
+from site_oracle import per_input_covering
 from sheafmealy import (
     CheckerError,
     IncompatibleFamily,
@@ -19,7 +20,6 @@ from sheafmealy import (
     check_separation,
     cogerm_equiv,
     covering,
-    discrete_stateless_sheaf_check,
     glue_behavioral,
     glue_cogerm,
     glue_stateless,
@@ -578,36 +578,47 @@ def test_glue_stateless_cut_fixture():
 
 # ------------------------------------------------- discrete sheaf verdicts
 
+def _discrete_verdicts(system, j):
+    """The discrete stateless sheaf verdict, read two ways: gluing the
+    forced family over the covering that splits off each input, and the
+    stateless section of the whole system.  A failing gluing keeps one
+    patch per input, and its forced machines replay."""
+    glued = glue_stateless(per_input_covering(system), j)
+    if not glued.ok:
+        assert len(glued.patch_assignments) == len(system.inputs)
+        ob = glued.obstruction
+        assert ob.kind == "stateless"
+        for forced in ob.forced:
+            assert forced.machine.run(forced.state, ob.word) == forced.outputs
+    return glued.ok, stateless_ri_section(identity_patch(system), j).ok
+
+
 def test_discrete_sheaf_check_trivial_cases():
     sys1 = _stateless_system({"x": "0", "y": "1"})
     j1 = judge({"x": "X", "y": "Y"}, {"0": "o0", "1": "o1"})
-    assert discrete_stateless_sheaf_check(sys1, j1).is_sheaf
+    assert _discrete_verdicts(sys1, j1) == (True, True)
 
     # Outputs judged to one value: fibers may collapse freely.
     sys2 = _stateless_system({"a": "0", "b": "1"})
     j_const = judge({"a": "A", "b": "A"}, {"0": "o", "1": "o"})
-    assert discrete_stateless_sheaf_check(sys2, j_const).is_sheaf
+    assert _discrete_verdicts(sys2, j_const) == (True, True)
 
     j2 = judge({"a": "A", "b": "A"}, {"0": "o0", "1": "o1"})
-    rep = discrete_stateless_sheaf_check(sys2, j2)
-    assert not rep.is_sheaf
-    assert rep.witness_covering is not None
-    assert len(rep.witness_covering.patches) == len(sys2.inputs)
-    redo = glue_stateless(rep.witness_covering, j2)
-    assert not redo.ok and redo.patch_assignments == rep.witness_assignments
+    assert _discrete_verdicts(sys2, j2) == (False, False)
+    assert glue_stateless(per_input_covering(sys2), j2).obstruction.site == ("A",)
 
     two = make_system(["s", "t"], ["s", "t"], ["a"], ["0"],
                       {("s", "a"): ("t", "0"), ("t", "a"): ("s", "0")})
     with pytest.raises(NotStateless):
-        discrete_stateless_sheaf_check(two, identity_judge(two))
+        stateless_ri_section(identity_patch(two), identity_judge(two))
 
     # No input cap: 13 inputs, one fiber holding two judged outputs.
     wide = _stateless_system({f"i{k:02d}": str(k % 2) for k in range(13)})
     j_wide = judge({c: "A" if c in ("i00", "i01") else c for c in wide.inputs},
                    {"0": "o0", "1": "o1"})
-    verdict = discrete_stateless_sheaf_check(wide, j_wide)
-    assert not verdict.is_sheaf
-    assert verdict.is_sheaf == _brute_force_stateless_sheaf(wide, j_wide, max_patches=1)
+    brute = _brute_force_stateless_sheaf(wide, j_wide, max_patches=1)
+    assert not brute
+    assert _discrete_verdicts(wide, j_wide) == (brute, brute)
 
 
 def _brute_force_stateless_sheaf(system, j, max_patches=3):
@@ -655,9 +666,8 @@ def test_discrete_sheaf_check_matches_brute_force(rng):
         system = _stateless_system(table)
         jdg = judge({c: j_i[c] for c in system.inputs},
                     {o: j_o[o] for o in system.outputs})
-        verdict = discrete_stateless_sheaf_check(system, jdg)
         brute = _brute_force_stateless_sheaf(system, jdg)
-        assert verdict.is_sheaf == brute
+        assert _discrete_verdicts(system, jdg) == (brute, brute)
         if brute:
             agree_sheaf += 1
         else:

@@ -25,7 +25,7 @@ import pytest
 
 import randgen as rg
 from glue_oracle import overlap_glue_behavioral
-from site_oracle import reference_amalgamate, reference_cogerm_witness
+from site_oracle import per_input_covering, reference_amalgamate, reference_cogerm_witness
 import sheafmealy
 from sheafmealy import (
     CheckerError,
@@ -36,9 +36,9 @@ from sheafmealy import (
     check_cogerm_witness,
     check_separation,
     cogerm_equiv,
-    discrete_stateless_sheaf_check,
     glue_behavioral,
     glue_cogerm,
+    glue_stateless,
     jsonio,
     judge,
     judged_section,
@@ -276,7 +276,7 @@ def _rebuilt_machines(families, unions):
             cex = two_patch_counterexample(u, pj, verdict.certificates[0])
             yield cex.system
             yield from (fb.machine for fb in cex.obstruction.forced)
-            report = discrete_stateless_sheaf_check(cex.system, cex.judge)
+            report = glue_stateless(per_input_covering(cex.system), cex.judge)
             yield from (fb.machine for fb in report.obstruction.forced)
 
 

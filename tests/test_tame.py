@@ -16,7 +16,6 @@ from sheafmealy import (
     critical_values,
     fiber,
     glue_stateless,
-    interval,
     rect_union,
     robustly_disconnected,
     sheaf_verdict,
@@ -31,6 +30,7 @@ from sheafmealy.tame import merge_intervals
 from tame_oracle import (
     clip_band,
     disjoint,
+    interval,
     rect_side,
     regions_equal,
     subtract_closed_band,
@@ -68,6 +68,16 @@ def test_merge_intervals_touching_flags():
     got = merge_intervals([interval(3, 4, False, True), interval(4, 6, True, False),
                            interval(4, 7, False, True)])
     assert got == (interval(3, 7, False, True),)
+
+
+@pytest.mark.parametrize("side", [interval(1, 0), interval(0, 0, True, False),
+                                  interval(0, 0, False, True), interval(0, 0, True, True)],
+                         ids=["reversed", "open-start", "open-end", "open-point"])
+def test_an_empty_side_has_no_representative(side):
+    with pytest.raises(CheckerError) as caught:
+        side.representative()
+    assert type(caught.value) is CheckerError
+    assert str(caught.value) == "empty interval has no representative"
 
 
 def test_rect_union_normalizes_and_validates():

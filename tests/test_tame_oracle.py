@@ -17,9 +17,10 @@ from itertools import product
 
 from sheafmealy import fixtures as fx
 from sheafmealy import jsonio, tame
-from sheafmealy.tame import Interval, ProjectionJudge, Rect, RectUnion, interval
+from sheafmealy.tame import Interval, ProjectionJudge, Rect, RectUnion
 
 import tame_oracle as oracle
+from tame_oracle import interval
 
 
 def _side(rng, span: int, open_share: float) -> Interval:
