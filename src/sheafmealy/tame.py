@@ -40,28 +40,29 @@ Three facts, proved directly for this class of domains, drive the algorithms:
   gives its fiber point.  ``sheaf_verdict`` and ``robustly_disconnected``
   both decide a band this way, in ``_split``.
 
-* Order, not values.  Normalization (``_merge``, ``merge_intervals``,
-  ``_hull``), linkage (``_linked_1d``, ``_closure_meets``), clipping and
-  membership (``Interval.intersect``, ``empty``, ``contains``) and the sort
-  of boxes as tuples only compare endpoints, so each commutes with any
-  strictly increasing relabelling of the coordinates.  Each union keeps
-  one rank grid, built once (from the document's spellings, from the boxes
-  given to ``rect_union``, or on first use): per axis its distinct endpoint
-  values in order, and its boxes with the ``i``-th value as rank ``4i``.
-  Boxes merge on ranks, and ``rects`` is read off the tables.  Candidate
-  ``k`` has rank ``2k`` and its band ``(2k - 1, 2k + 1)``; a band compares
-  its boxes' endpoints only with one another and with its own ``t - d``,
-  ``t`` and ``t + d``, so it is decided and its components are built on
-  ranks.  A counterexample cuts on ranks too, each cut at a rank of its own
-  in its gap.  Rationals appear only at parse, in candidate midpoints and
-  band widths, in ``representative`` (fiber points and samples) and in the
-  outputs.  On the line a fiber is at most one point and never splits, so
-  verdicts there answer from the candidates.
+* Cells, not values.  Every box operation compares endpoints only, so it
+  commutes with any strictly increasing relabelling of the coordinates.
+  Each union keeps one rank grid, built once (from the document's
+  spellings, from the boxes given to ``rect_union``, or on first use): per
+  axis its distinct endpoint values in order, the ``i``-th of rank ``4i``,
+  and its boxes with each side as the run of cells it covers (``_Run``).
+  Cell ``2r`` is the point of rank ``r`` and cell ``2r + 1`` the open gap
+  after it, so the side from rank ``lo`` to rank ``hi`` is the run from
+  ``2 lo + lo_open`` to ``2 hi - hi_open``, and emptiness, clips, hulls,
+  linkage, closures and membership are int comparisons.  Candidate ``k``
+  has rank ``2k`` and its band the run ``(4k - 1, 4k + 1)``, so bands are
+  decided and their components built on runs; a counterexample cuts on
+  runs, each cut at a rank of its own in its gap.  Rationals appear only at
+  parse, in candidate midpoints and band widths, in ``_point`` (fiber
+  points and samples) and in the outputs: an ``Interval`` is built only for
+  ``RectUnion.rects``, for certificate components and by ``fiber``.  On
+  the line a fiber is at most one point and never splits, so verdicts
+  there answer from the candidates.
 
 Linkage is found by a sweep along axis 0: closures of two sides meet only
-if neither side ends before the other begins, so each box, taken in order
-of its low endpoint, is tested only against the earlier boxes whose high
-endpoint is not below that low endpoint.
+if neither closure ends before the other begins, so each box, taken in
+order of its first cell, is tested only against the earlier boxes whose
+closure does not end below the start of its own.
 
 A robustly disconnected fiber at ``t0`` means: some open band around ``t0``
 has its preimage split by two disjoint relatively open sets, both meeting
@@ -78,6 +79,7 @@ from bisect import bisect_left, bisect_right, insort
 from heapq import heappop, heappush
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, partial
 from itertools import repeat
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -99,53 +101,6 @@ class Interval:
     @property
     def empty(self) -> bool:
         return self.lo > self.hi or (self.lo == self.hi and (self.lo_open or self.hi_open))
-
-    def contains(self, x: Fraction) -> bool:
-        return ((self.lo < x or (x == self.lo and not self.lo_open))
-                and (x < self.hi or (x == self.hi and not self.hi_open)))
-
-    def intersect(self, other: Interval) -> Interval:
-        """The higher start and the lower end, open where either is open."""
-        lo, lo_open = max((self.lo, self.lo_open), (other.lo, other.lo_open))
-        hi, hi_closed = min((self.hi, not self.hi_open), (other.hi, not other.hi_open))
-        return Interval(lo, hi, lo_open, not hi_closed)
-
-    def representative(self) -> Fraction:
-        """A rational point inside a non-empty interval."""
-        if self.empty:
-            raise CheckerError("empty interval has no representative")
-        return self.lo if self.lo == self.hi else (self.lo + self.hi) / 2
-
-
-def _linked_1d(a: Interval, b: Interval) -> bool:
-    """Union of two non-empty intervals is an interval: neither ends before
-    the other begins, and where one ends at the other's start, that point
-    lies in one of them (the closure of one meets the other)."""
-    return not (a.hi < b.lo or b.hi < a.lo or (a.hi == b.lo and a.hi_open and b.lo_open)
-                or (b.hi == a.lo and b.hi_open and a.lo_open))
-
-
-def merge_intervals(parts: Iterable[Interval]) -> tuple[Interval, ...]:
-    """Maximal connected components of a finite union of intervals.
-
-    The sweep takes a closed start before an open one at the same point:
-    ``[4,7)`` joins ``[3,4)`` to ``(4,6]``, so it must come first."""
-    todo = sorted((p for p in parts if not p.empty), key=lambda p: (p.lo, p.lo_open))
-    out: list[Interval] = []
-    for iv in todo:
-        if out and _linked_1d(out[-1], iv):
-            out[-1] = _hull(out[-1], iv)
-        else:
-            out.append(iv)
-    return tuple(out)
-
-
-def _hull(s: Interval, t: Interval) -> Interval:
-    """The union ``s | t`` of two linked intervals: the lower start and the
-    higher end, closed where either is closed there."""
-    lo, lo_open = min((s.lo, s.lo_open), (t.lo, t.lo_open))
-    hi, hi_closed = max((s.hi, not s.hi_open), (t.hi, not t.hi_open))
-    return Interval(lo, hi, lo_open, not hi_closed)
 
 
 class Rect(tuple):
@@ -183,29 +138,75 @@ class Rect(tuple):
     def empty(self) -> bool:
         return any(s.empty for s in self)
 
-    def coface(self, k: int) -> tuple[Interval, ...]:
-        """The sides left when axis ``k`` is dropped."""
-        return self[:k] + self[k + 1:]
 
-    def with_side(self, k: int, side: Interval) -> Rect:
-        return Rect.of((*self[:k], side, *self[k + 1:]))
+class _Run(NamedTuple):
+    """A box side on a rank grid: the cells ``first`` to ``last``, none if ``first > last``."""
 
-    def contains(self, p: Point) -> bool:
-        return len(p) == len(self) and all(map(Interval.contains, self, p))
+    first: int
+    last: int
+
+    @property
+    def lo(self) -> int:
+        return self.first >> 1
+
+    @property
+    def hi(self) -> int:
+        return (self.last + 1) >> 1
+
+
+_Box = tuple[_Run, ...]
+_Tables = tuple[tuple[Fraction, ...], ...]
+
+
+def _interval(values: Mapping[int, Fraction], s: _Run) -> Interval:
+    """The side that the run ``s`` covers, its ends read through ``values``."""
+    return Interval(values[s.lo], values[s.hi], bool(s.first & 1), bool(s.last & 1))
+
+
+def _rects(boxes: Iterable[_Box], values: Sequence[Mapping[int, Fraction]]) -> tuple[Rect, ...]:
+    """Each box of runs as a ``Rect``, axis ``k`` read through ``values[k]``."""
+    return tuple(Rect.of(map(_interval, values, r)) for r in boxes)
+
+
+def _order(r: _Box) -> list:
+    """The key that sorts boxes of runs as the tuples of their intervals sort."""
+    return [(first >> 1, (last + 1) >> 1, first & 1, last & 1) for first, last in r]
+
+
+def _with_side(r: _Box, k: int, s: _Run) -> _Box:
+    return (*r[:k], s, *r[k + 1:])
+
+
+def _linked_1d(a: _Run, b: _Run) -> bool:
+    """Union of two non-empty runs is a run: neither starts more than one
+    cell past the other's end, as a point and an open gap beside it touch."""
+    return a.first <= b.last + 1 and b.first <= a.last + 1
+
+
+def _merge_runs(parts: Iterable[_Run]) -> list[_Run]:
+    """Maximal connected components of a finite union of sides: in order of
+    their first cells, each run joins the last component it is linked to."""
+    out: list[_Run] = []
+    for s in sorted(p for p in parts if p.first <= p.last):
+        if out and s.first <= out[-1].last + 1:
+            if s.last > out[-1].last:
+                out[-1] = _Run(out[-1].first, s.last)
+        else:
+            out.append(s)
+    return out
 
 
 class _Grid(NamedTuple):
-    """A union's rank grid: per axis its endpoint values in increasing order,
-    and its boxes with ``tables[a][i]`` on axis ``a`` as the rank ``4i``;
-    the values by rank, and the representatives of ranked sides so far."""
+    """A union's rank grid: per axis its endpoint values in increasing order, the ``i``-th at
+    rank ``4i``; its boxes as runs, the values by rank, and the representatives of runs so far."""
 
-    tables: tuple[tuple[Fraction, ...], ...]
-    boxes: tuple[Rect, ...]
+    tables: _Tables
+    boxes: tuple[_Box, ...]
     values: tuple[dict[int, Fraction], ...]
-    points: tuple[dict[Interval, Fraction], ...]
+    points: tuple[dict[_Run, Fraction], ...]
 
     @classmethod
-    def of(cls, tables: tuple[tuple[Fraction, ...], ...], boxes: tuple[Rect, ...]) -> _Grid:
+    def of(cls, tables: _Tables, boxes: tuple[_Box, ...]) -> _Grid:
         return cls(tables, boxes, tuple({4 * i: v for i, v in enumerate(t)} for t in tables),
                    tuple({} for _ in tables))
 
@@ -221,10 +222,11 @@ class RectUnion:
         return not self.rects
 
 
-def _rank_grid(dim: int, boxes: Sequence[Rect], value: Mapping | None = None) -> _Grid:
-    """The rank grid of ``boxes``.  Given ``value``, their endpoints are
-    spellings and ``value`` holds the number each one spells: spellings of
-    one number share its rank, and no number is hashed."""
+def _rank_grid(dim: int, boxes: Sequence[Rect],
+               value: Mapping | None = None) -> tuple[_Tables, tuple[_Box, ...]]:
+    """The endpoint tables of ``boxes`` and the boxes as runs on them.  Given ``value``, their
+    endpoints are spellings and ``value`` holds the number each one spells: spellings of one
+    number share its rank, and no number is hashed."""
     tables, ranks = [], []
     for a in range(dim):
         table, rank, number = [], {}, None if value is None else value.__getitem__
@@ -235,26 +237,28 @@ def _rank_grid(dim: int, boxes: Sequence[Rect], value: Mapping | None = None) ->
             rank[e] = 4 * len(table) - 4
         tables.append(tuple(table))
         ranks.append(rank)
-    return _Grid.of(tuple(tables), _relabel(boxes, ranks))
+    return tuple(tables), tuple(tuple(_Run(2 * k[s.lo] + s.lo_open, 2 * k[s.hi] - s.hi_open)
+                                      for k, s in zip(ranks, r)) for r in boxes)
 
 
 def _grid_of(u: RectUnion) -> _Grid:
     """The union's rank grid, built on first use and kept."""
     if u._grid is None:
-        object.__setattr__(u, "_grid", _rank_grid(u.dim, u.rects))
+        object.__setattr__(u, "_grid", _Grid.of(*_rank_grid(u.dim, u.rects)))
     return u._grid
 
 
-def _normalized(dim: int, grid: _Grid) -> RectUnion:
-    """The union of a grid's boxes merged on ranks, its grid cut down to the
-    endpoints the merged boxes keep, and ``rects`` read off the tables."""
-    boxes = _merge(dim, grid.boxes)
+def _normalized(dim: int, tables: _Tables, boxes: Iterable[_Box]) -> RectUnion:
+    """The union of boxes of runs on ``tables`` merged, its tables cut down
+    to the endpoints the merged boxes keep, and ``rects`` read off them."""
+    boxes = _merge(dim, boxes)
     kept = [sorted({e for r in boxes for e in (r[a].lo, r[a].hi)}) for a in range(dim)]
-    tables = tuple(tuple(t[e >> 2] for e in ks) for t, ks in zip(grid.tables, kept))
-    if sum(map(len, kept)) < sum(map(len, grid.tables)):
-        boxes = _relabel(boxes, [{e: 4 * i for i, e in enumerate(ks)} for ks in kept])
-    grid = _Grid.of(tables, boxes)
-    u = RectUnion(dim, _relabel(boxes, grid.values))
+    if sum(map(len, kept)) < sum(map(len, tables)):
+        ranks = [{e: 4 * i for i, e in enumerate(ks)} for ks in kept]
+        boxes = tuple(tuple(_Run(2 * m[s.lo] + (s.first & 1), 2 * m[s.hi] - (s.last & 1))
+                            for m, s in zip(ranks, r)) for r in boxes)
+    grid = _Grid.of(tuple(tuple(t[e >> 2] for e in ks) for t, ks in zip(tables, kept)), boxes)
+    u = RectUnion(dim, _rects(boxes, grid.values))
     object.__setattr__(u, "_grid", grid)
     return u
 
@@ -266,10 +270,10 @@ def rect_union(dim: int, rects: Iterable[Rect]) -> RectUnion:
     boxes = [r for r in rects if not r.empty]
     if any(len(r) != dim for r in boxes):
         raise CheckerError(f"{dim}-dimensional unions need {dim} sides per box")
-    return _normalized(dim, _rank_grid(dim, boxes))
+    return _normalized(dim, *_rank_grid(dim, boxes))
 
 
-def _merge(dim: int, boxes: Iterable[Rect]) -> tuple[Rect, ...]:
+def _merge(dim: int, boxes: Iterable[_Box]) -> tuple[_Box, ...]:
     """The non-empty boxes merged and sorted.
 
     Merging repeats one step until no pair merges: take the first mergeable
@@ -286,29 +290,29 @@ def _merge(dim: int, boxes: Iterable[Rect]) -> tuple[Rect, ...]:
     pair and a merge changes only the pairs of the new box, so until no
     earlier row merges with it, the next step pairs it with the earliest.
     """
-    slots: list[Rect | None] = [r for r in boxes if not r.empty]
+    slots: list[_Box | None] = [r for r in boxes if all(s.first <= s.last for s in r)]
     if len(slots) < 2:
         return tuple(slots)
     # Live slots by axis and coface, ascending; each slot keeps its groups,
     # so cofaces are hashed only when a box is placed.
-    groups: dict[tuple[int, tuple[Interval, ...]], list[int]] = {}
+    groups: dict[tuple[int, _Box], list[int]] = {}
 
-    def place(k: int, r: Rect) -> list[list[int]]:
-        own = [groups.setdefault((a, r.coface(a)), []) for a in range(dim)]
+    def place(k: int, r: _Box) -> list[list[int]]:
+        own = [groups.setdefault((a, r[:a] + r[a + 1:]), []) for a in range(dim)]
         for g in own:
             insort(g, k)
         return own
 
     own = [place(k, r) for k, r in enumerate(slots)]
 
-    def put(k: int, new: Rect | None) -> None:
+    def put(k: int, new: _Box | None) -> None:
         for g in own[k]:
             g.remove(k)
         slots[k] = new
         if new is not None:
             own[k] = place(k, new)
 
-    def first_merge(k: int, lo: int, hi: int) -> tuple[int, Rect] | None:
+    def first_merge(k: int, lo: int, hi: int) -> tuple[int, _Box] | None:
         """The earliest slot in ``[lo, hi)`` that merges with slot ``k``,
         and the merged box."""
         box, linked = slots[k], _linked_1d
@@ -324,7 +328,8 @@ def _merge(dim: int, boxes: Iterable[Rect]) -> tuple[Rect, ...]:
                     break
         if best == hi:
             return None
-        return best, box.with_side(axis, _hull(box[axis], slots[best][axis]))
+        s, t = box[axis], slots[best][axis]
+        return best, _with_side(box, axis, _Run(min(s.first, t.first), max(s.last, t.last)))
 
     # Row ``i`` empties only slots at or below ``i``, so slot ``i`` is live.
     for i in range(len(slots)):
@@ -336,47 +341,47 @@ def _merge(dim: int, boxes: Iterable[Rect]) -> tuple[Rect, ...]:
             k = max(j, k)
             put(k, merged)
             lo, hi = 0, i
-    return tuple(sorted(r for r in slots if r is not None))
+    return tuple(sorted((r for r in slots if r is not None), key=_order))
 
 
-def _closure_meets(s: Interval, t: Interval) -> bool:
-    """Whether the closure of ``s`` meets ``t``: ``cl(s) & t`` without
-    building it."""
-    lo, lo_open = (t.lo, t.lo_open) if t.lo >= s.lo else (s.lo, False)
-    hi, hi_open = (t.hi, t.hi_open) if t.hi <= s.hi else (s.hi, False)
-    return lo < hi or (lo == hi and not (lo_open or hi_open))
+def _closure_meets(s: _Run, t: _Run) -> bool:
+    """Whether the closure of the run ``s``, from the point cell of its low
+    end to that of its high end, meets the run ``t``."""
+    return s.first & -2 <= t.last and t.first <= s.last + (s.last & 1)
 
 
-def _rects_linked(a: Rect, b: Rect) -> bool:
+def _rects_linked(a: _Box, b: _Box) -> bool:
     """Whether the union of two non-empty boxes is connected: the closure of
     one meets the other, side by side."""
     return all(map(_closure_meets, a, b)) or all(map(_closure_meets, b, a))
 
 
-def _linked_groups(rects: Sequence[Rect]) -> list[list[Rect]]:
+def _linked_groups(boxes: Sequence[_Box]) -> list[list[_Box]]:
     """The boxes grouped by the transitive closure of linkage, each group in
     list order, the groups in the order of their sorted boxes."""
-    uf = _UnionFind(len(rects))
-    active: list[tuple[Fraction, int]] = []  # heap of (high end on axis 0, index)
-    for i in sorted(range(len(rects)), key=lambda i: rects[i][0].lo):
-        lo = rects[i][0].lo
-        while active and active[0][0] < lo:
+    uf = _UnionFind(len(boxes))
+    active: list[tuple[int, int]] = []  # heap of (closure's last cell on axis 0, index)
+    for i in sorted(range(len(boxes)), key=lambda i: boxes[i][0].first):
+        s = boxes[i][0]
+        while active and active[0][0] < s.first & -2:
             heappop(active)
         for _, k in active:
-            if _rects_linked(rects[k], rects[i]):
+            if _rects_linked(boxes[k], boxes[i]):
                 uf.union(k, i)
-        heappush(active, (rects[i][0].hi, i))
-    groups: dict[int, list[Rect]] = {}
-    for i, r in enumerate(rects):
+        heappush(active, (s.last + (s.last & 1), i))
+    groups: dict[int, list[_Box]] = {}
+    for i, r in enumerate(boxes):
         groups.setdefault(uf.find(i), []).append(r)
-    return sorted(groups.values(), key=sorted)
+    # Identical boxes are linked, so distinct groups have distinct least boxes.
+    return sorted(groups.values(), key=lambda g: min(map(_order, g)))
 
 
 def components(u: RectUnion) -> tuple[RectUnion, ...]:
     """Connected components, each as a rectangle union; empty boxes are
     dropped first, as :func:`rect_union` drops them."""
-    boxes = [r for r in u.rects if not r.empty]
-    return tuple(rect_union(u.dim, g) for g in _linked_groups(boxes))
+    grid = _grid_of(u)
+    groups = _linked_groups([r for r in grid.boxes if all(s.first <= s.last for s in r)])
+    return tuple(_normalized(u.dim, grid.tables, g) for g in groups)
 
 
 @dataclass(frozen=True)
@@ -394,16 +399,17 @@ def critical_values(u: RectUnion, axis: int) -> tuple[Fraction, ...]:
 
 
 def fiber(u: RectUnion, pj: ProjectionJudge, t: Fraction) -> tuple[Interval, ...]:
-    """The fiber of the projection at ``t`` as merged interval components:
-    the cofaces of the boxes over ``t``.  A box in the plane has one side in
-    its coface; on the line the coface is empty and the fiber is the point
-    itself (a degenerate interval) when it lies in the union."""
-    t = Fraction(t)
-    if not 0 <= pj.axis < u.dim:
-        raise CheckerError(f"axis {pj.axis} out of range")
-    point = (Interval(t, t),)
-    return merge_intervals((r.coface(pj.axis) or point)[0]
-                           for r in u.rects if r[pj.axis].contains(t))
+    """The fiber of the projection at ``t`` as merged interval components: the other sides of
+    the boxes over ``t``, merged on the grid.  On the line the fiber is the point itself (a
+    degenerate interval) when it lies in the union."""
+    t, axis = Fraction(t), pj.axis
+    cell = 2 * _position(critical_values(u, axis), t, 2)
+    grid = _grid_of(u)
+    over = [r for r in grid.boxes if r[axis].first <= cell <= r[axis].last]
+    if u.dim == 1:
+        return (Interval(t, t),) if over else ()
+    return tuple(map(partial(_interval, grid.values[1 - axis]),
+                     _merge_runs(r[1 - axis] for r in over)))
 
 
 def _width(crit: Sequence[Fraction], t: Fraction, pos: int) -> Fraction:
@@ -416,37 +422,33 @@ def _width(crit: Sequence[Fraction], t: Fraction, pos: int) -> Fraction:
     return min(gaps) / 2 if gaps else Fraction(1)
 
 
-def _relabel(rects: Iterable[Rect], tables: Sequence[Mapping]) -> tuple[Rect, ...]:
-    """Each box with every endpoint ``e`` of its side on axis ``k`` replaced
-    by ``tables[k][e]``: ranks for endpoints, or endpoints for ranks."""
-    return tuple(Rect.of(Interval(m[s.lo], m[s.hi], s.lo_open, s.hi_open)
-                         for m, s in zip(tables, r)) for r in rects)
-
-
-def _band(axis: int, boxes: Sequence[Rect], t: int) -> tuple[list[list[Rect]], list]:
+def _band(axis: int, boxes: Sequence[_Box], t: int) -> tuple[list[list[_Box]], list]:
     """The components of the strip of ``boxes`` over the open band of ranks
     ``(t - 1, t + 1)``, and the first piece of each one's fiber at ``t``,
     None where it misses the fiber.  The strip is normalized and every
     subset of a merge-free set is merge-free, so the components need no
     normalization of their own."""
-    band = Interval(t - 1, t + 1, True, True)
-    groups = _linked_groups(_merge(2, (r.with_side(axis, r[axis].intersect(band)) for r in boxes)))
-    pieces = [merge_intervals(r[1 - axis] for r in g if r[axis].contains(t)) for g in groups]
+    cell = 2 * t
+    clipped = (_with_side(r, axis, _Run(max(r[axis].first, cell - 1), min(r[axis].last, cell + 1)))
+               for r in boxes)
+    groups = _linked_groups(_merge(2, clipped))
+    pieces = [_merge_runs(r[1 - axis] for r in g if r[axis].first <= cell <= r[axis].last)
+              for g in groups]
     return groups, [p[0] if p else None for p in pieces]
 
 
-def _fiber_splits(boxes: Sequence[Rect], axis: int, t: Fraction) -> bool:
-    """Whether the fiber at the endpoint ``t`` meets two components of the
-    preimage of a band around it, given the plane boxes whose judged sides
-    reach ``t``: whether the fiber's pieces, joined through each piece just
-    left of ``t`` (sides starting before it) or just right of it (sides
-    ending after it) whose closure meets them, fall into two or more
-    classes.  The module docstring's candidate-abscissae fact shows why."""
-    here = merge_intervals(r[1 - axis] for r in boxes if r[axis].contains(t))
+def _fiber_splits(boxes: Sequence[_Box], axis: int, t: int) -> bool:
+    """Whether the fiber at the endpoint of rank ``t`` meets two components
+    of the preimage of a band around it, given the plane boxes whose judged
+    sides reach ``t``: whether the fiber's pieces (over cell ``2t``), joined
+    through each piece just left or right of it whose closure meets them,
+    fall into two or more classes; see the candidate-abscissae fact."""
+    cell, other = 2 * t, 1 - axis
+    here = _merge_runs(r[other] for r in boxes if r[axis].first <= cell <= r[axis].last)
     if len(here) < 2:
         return False
-    left = merge_intervals(r[1 - axis] for r in boxes if r[axis].lo < t)
-    right = merge_intervals(r[1 - axis] for r in boxes if r[axis].hi > t)
+    left = _merge_runs(r[other] for r in boxes if r[axis].first < cell)
+    right = _merge_runs(r[other] for r in boxes if r[axis].last > cell)
     uf = _UnionFind(len(here))
     for piece in left + right:
         met = [j for j, h in enumerate(here) if _closure_meets(piece, h)]
@@ -455,9 +457,8 @@ def _fiber_splits(boxes: Sequence[Rect], axis: int, t: Fraction) -> bool:
     return len({uf.find(j) for j in range(len(here))}) > 1
 
 
-def _split(
-    axis: int, boxes: Sequence[Rect], t: int
-) -> tuple[list[list[Rect]], Sequence[Interval | None]] | None:
+def _split(axis: int, boxes: Sequence[_Box],
+           t: int) -> tuple[list[list[_Box]], Sequence[_Run | None]] | None:
     """The components of the preimage of the band around the rank ``t``,
     given the grid's plane boxes whose judged sides reach it, with the first
     fiber piece of each (None where it misses the fiber); None when the
@@ -466,11 +467,11 @@ def _split(
         return _band(axis, boxes, t) if _fiber_splits(boxes, axis, t) else None
     # In a gap the band's preimage is the fiber times the band, one
     # component per fiber piece, each meeting the fiber.
-    pieces = merge_intervals(r[1 - axis] for r in boxes)
+    pieces = _merge_runs(r[1 - axis] for r in boxes)
     if len(pieces) < 2:
         return None
-    band = Interval(t - 1, t + 1, True, True)
-    return [[Rect.of((band, p) if axis == 0 else (p, band))] for p in pieces], pieces
+    band = _Run(2 * t - 1, 2 * t + 1)
+    return [[(band, p) if axis == 0 else (p, band)] for p in pieces], pieces
 
 
 @dataclass(frozen=True)
@@ -492,12 +493,13 @@ class RobustDisconnectionCertificate:
     v_index: int
 
 
-def _point(memo: dict[Interval, Fraction], values: Mapping[int, Fraction], s: Interval) -> Fraction:
-    """The representative of the ranked side ``s`` read through ``values``,
-    kept in ``memo``."""
+def _point(memo: dict[_Run, Fraction], values: Mapping[int, Fraction], s: _Run) -> Fraction:
+    """The representative of the run ``s`` read through ``values`` (its end
+    if it is one point, else the middle of its ends), kept in ``memo``."""
     x = memo.get(s)
     if x is None:
-        x = memo[s] = Interval(values[s.lo], values[s.hi], s.lo_open, s.hi_open).representative()
+        lo, hi = s.lo, s.hi
+        x = memo[s] = values[lo] if lo == hi else (values[lo] + values[hi]) / 2
     return x
 
 
@@ -517,9 +519,8 @@ def robustly_disconnected(u: RectUnion, pj: ProjectionJudge,
     return _certify(grid, axis, [r for r in grid.boxes if r[axis].lo <= pos <= r[axis].hi], pos, t0)
 
 
-def _certify(
-    grid: _Grid, axis: int, near: Sequence[Rect], pos: int, t0: Fraction
-) -> RobustDisconnectionCertificate | None:
+def _certify(grid: _Grid, axis: int, near: Sequence[_Box], pos: int,
+             t0: Fraction) -> RobustDisconnectionCertificate | None:
     """The certificate of the band around ``t0``, whose rank is ``pos``,
     given the grid's plane boxes whose judged sides span ``pos``, or None
     when the fiber does not split across them.  Only a certifying band is
@@ -535,7 +536,7 @@ def _certify(
     back = (judged, other) if axis == 0 else (other, judged)
     points = tuple(None if p is None else tuple(
         t0 if k == axis else _point(grid.points[k], other, p) for k in range(2)) for p in pieces)
-    comps = tuple(RectUnion(2, _relabel(g, back)) for g in groups)
+    comps = tuple(RectUnion(2, _rects(g, back)) for g in groups)
     v_index = next(k for k, p in enumerate(points) if p is not None)
     return RobustDisconnectionCertificate(t0, lo, hi, comps, points, v_index)
 
@@ -571,7 +572,7 @@ def sheaf_verdict(u: RectUnion, pj: ProjectionJudge) -> SheafVerdict:
     axis, grid = pj.axis, _grid_of(u)
     # Candidate ``k`` has the rank ``2k``; a box reaches the bands of the
     # candidates whose ranks its judged side spans.
-    reach: list[list[Rect]] = [[] for _ in candidates]
+    reach: list[list[_Box]] = [[] for _ in candidates]
     for r in grid.boxes:
         for k in range(r[axis].lo >> 1, (r[axis].hi >> 1) + 1):
             reach[k].append(r)
@@ -612,20 +613,16 @@ def _position(table: Sequence[Fraction], x: Fraction, back: int) -> int:
 def two_patch_counterexample(u: RectUnion, pj: ProjectionJudge,
                              cert: RobustDisconnectionCertificate) -> TameCounterexample:
     axis, grid = pj.axis, _grid_of(u)
-    tables, boxes = grid.tables, grid.boxes
     delta = (cert.n_hi - cert.n_lo) / 2
     inner = (cert.t0 - delta / 2, cert.t0 + delta / 2)
-    # Remove the closed band between the cuts on ranks: each cut has a rank
+    # Remove the closed band between the cuts on runs: each cut has a rank
     # of its own, the low one below the high one when both fall in one gap,
-    # and the cut edges of the remainder are open.
-    lo, hi = map(_position, repeat(critical_values(u, axis)), inner, (3, 1))
-    off_band = []
-    for r in boxes:
-        s = r[axis]
-        for piece in (s.intersect(Interval(s.lo, lo, s.lo_open, True)),
-                      s.intersect(Interval(hi, s.hi, True, s.hi_open))):
-            if not piece.empty:
-                off_band.append(r.with_side(axis, piece))
+    # and each side keeps its cells below the low cut and above the high one.
+    lo, hi = map(_position, repeat(grid.tables[axis]), inner, (3, 1))
+    off_band = [_with_side(r, axis, piece) for r in grid.boxes
+                for piece in (_Run(r[axis].first, min(r[axis].last, 2 * lo - 1)),
+                              _Run(max(r[axis].first, 2 * hi + 1), r[axis].last))
+                if piece.first <= piece.last]
     # The cuts' values, and representatives kept for this call alone.
     values, memos = [*grid.values], [*grid.points]
     values[axis], memos[axis] = {**values[axis], lo: inner[0], hi: inner[1]}, {}
@@ -633,13 +630,15 @@ def two_patch_counterexample(u: RectUnion, pj: ProjectionJudge,
     samples: list[tuple[str, Point]] = [("v", cert.fiber_points[cert.v_index]), ("w", w)]
     samples += [(f"c{k}", tuple(map(_point, memos, values, r)))
                 for k, r in enumerate(_merge(u.dim, off_band))]
-    # Sanity: every sample, placed on the grid, lies in the domain.  Only boxes
-    # whose low end on axis 0 is at most the sample's can hold it, nearest first.
-    boxes = sorted(boxes, key=lambda r: r[0].lo)
-    lows = [r[0].lo for r in boxes]
+    # Sanity: every sample, placed on the grid by bisecting its value (each
+    # value once per axis), lies in a box starting at or before it on axis 0.
+    place = [cache(partial(_position, t, back=2)) for t in grid.tables]
+    boxes = sorted(grid.boxes, key=lambda r: r[0].first)
+    firsts = [r[0].first for r in boxes]
     for name, p in samples:
-        q = tuple(map(_position, tables, p, repeat(2)))
-        if not any(map(Rect.contains, reversed(boxes[:bisect_right(lows, q[0])]), repeat(q))):
+        q = [2 * f(x) for f, x in zip(place, p)]
+        if not any(all(s.first <= c <= s.last for s, c in zip(r, q))
+                   for r in reversed(boxes[:bisect_right(firsts, q[0])])):
             raise InternalConsistencyError(f"sample {name} fell outside the domain")
     letters = finset(name for name, _ in samples)
     system = _table_system(["s"], letters, ("0", "1"), [[(0, int(c == "w")) for c in letters]])[0]
@@ -692,7 +691,7 @@ def union_from_payload(payload: Mapping) -> tuple[RectUnion, ProjectionJudge]:
             raise MalformedDocument(f"rectangle {k}: open flags must be booleans, got {flags!r}")
         rects.append(Rect.of(_side(row, k, key, flags[2 * a:2 * a + 2], value)
                              for a, key in enumerate(SIDE_KEYS[:dim])))
-    return _normalized(dim, _rank_grid(dim, rects, value)), ProjectionJudge(axis)
+    return _normalized(dim, *_rank_grid(dim, rects, value)), ProjectionJudge(axis)
 
 
 def _integer(payload: Mapping, key: str, default: int | None = None) -> int:

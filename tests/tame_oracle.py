@@ -13,9 +13,13 @@ differential suite holds it to these results.
 The box helpers here (merging, linkage, clipping, fibers, fiber points,
 region equality and disjointness) are written per dimension, reading a
 box's ``x`` and ``y`` sides by name, so that they stay independent of the
-library's versions, which work over the sides of a box in any order.
-Intervals are merged by membership on the grid of atoms, not by the
-library's sweep.
+library's versions, which work on cell runs over the sides of a box in any
+order.  Intervals are merged by membership on the grid of atoms, not by
+the library's sweep.  The side and box predicates (``contains``,
+``intersect``, ``representative``, ``coface``, ``with_side``,
+``rect_contains``) work on rationals and live only here; the library
+compares runs.  ``library_merge`` is the seam that runs the library's
+sweep on intervals, through the library's encoder.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from sheafmealy import tame as _tame
 from sheafmealy.errors import CheckerError
 from sheafmealy.explain import judge as make_judge
 from sheafmealy.localglobal import glue_stateless
@@ -44,6 +49,49 @@ def interval(lo: Fraction | int | str, hi: Fraction | int | str,
     return Interval(Fraction(lo), Fraction(hi), lo_open, hi_open)
 
 
+def contains(iv: Interval, x: Fraction) -> bool:
+    """Whether the side ``iv`` holds the rational ``x``."""
+    return ((iv.lo < x or (x == iv.lo and not iv.lo_open))
+            and (x < iv.hi or (x == iv.hi and not iv.hi_open)))
+
+
+def intersect(a: Interval, b: Interval) -> Interval:
+    """The higher start and the lower end, open where either is open."""
+    lo, lo_open = max((a.lo, a.lo_open), (b.lo, b.lo_open))
+    hi, hi_closed = min((a.hi, not a.hi_open), (b.hi, not b.hi_open))
+    return Interval(lo, hi, lo_open, not hi_closed)
+
+
+def representative(iv: Interval) -> Fraction:
+    """A rational point inside a non-empty interval."""
+    if iv.empty:
+        raise CheckerError("empty interval has no representative")
+    return iv.lo if iv.lo == iv.hi else (iv.lo + iv.hi) / 2
+
+
+def coface(r: Rect, k: int) -> tuple[Interval, ...]:
+    """The sides of a box left when axis ``k`` is dropped."""
+    return r[:k] + r[k + 1:]
+
+
+def with_side(r: Rect, k: int, side: Interval) -> Rect:
+    """The box ``r`` with its side on axis ``k`` replaced by ``side``."""
+    return Rect.of((*r[:k], side, *r[k + 1:]))
+
+
+def rect_contains(r: Rect, p) -> bool:
+    """Whether the box ``r`` holds the point ``p`` of its dimension."""
+    return len(p) == len(r) and all(map(contains, r, p))
+
+
+def library_merge(parts) -> tuple[Interval, ...]:
+    """The library's sweep, ``tame._merge_runs``, on ``parts`` encoded as
+    runs on the ranks of their endpoints, its runs read back as intervals."""
+    tables, boxes = _tame._rank_grid(1, [Rect(p) for p in parts])
+    values = {4 * i: v for i, v in enumerate(tables[0])}
+    return tuple(_tame._interval(values, s) for s in _tame._merge_runs(r[0] for r in boxes))
+
+
 def rect_side(r: Rect, k: int) -> Interval:
     """Side ``k`` of a box; an axis the box does not have is refused."""
     if not 0 <= k < len(r):
@@ -53,7 +101,7 @@ def rect_side(r: Rect, k: int) -> Interval:
 
 def union_contains(u: RectUnion, p) -> bool:
     """Whether some box of the union holds the point ``p``."""
-    return any(r.contains(p) for r in u.rects)
+    return any(rect_contains(r, p) for r in u.rects)
 
 
 def critical_values(u: RectUnion, axis: int) -> tuple[Fraction, ...]:
@@ -109,12 +157,12 @@ def _rects_linked(a: Rect, b: Rect) -> bool:
     if a.y is None:
         return _merged(a.x, b.x) is not None
     fwd = (
-        not _closed(a.x).intersect(b.x).empty
-        and not _closed(a.y).intersect(b.y).empty
+        not intersect(_closed(a.x), b.x).empty
+        and not intersect(_closed(a.y), b.y).empty
     )
     bwd = (
-        not a.x.intersect(_closed(b.x)).empty
-        and not a.y.intersect(_closed(b.y)).empty
+        not intersect(a.x, _closed(b.x)).empty
+        and not intersect(a.y, _closed(b.y)).empty
     )
     return fwd or bwd
 
@@ -124,7 +172,7 @@ def _closed(iv: Interval) -> Interval:
 
 
 def _clip_axis(r: Rect, axis: int, band: Interval) -> Rect | None:
-    iv = rect_side(r, axis).intersect(band)
+    iv = intersect(rect_side(r, axis), band)
     if iv.empty:
         return None
     if r.y is None:
@@ -144,8 +192,8 @@ def subtract_closed_band(u: RectUnion, axis: int, lo: Fraction, hi: Fraction) ->
     out: list[Rect] = []
     for r in u.rects:
         iv = rect_side(r, axis)
-        left = iv.intersect(Interval(iv.lo, lo, iv.lo_open, True))
-        right = iv.intersect(Interval(hi, iv.hi, True, iv.hi_open))
+        left = intersect(iv, Interval(iv.lo, lo, iv.lo_open, True))
+        right = intersect(iv, Interval(hi, iv.hi, True, iv.hi_open))
         out.extend(Rect(piece, r.y) if axis == 0 else Rect(r.x, piece)
                    for piece in (left, right) if not piece.empty)
     return rect_union(u.dim, out)
@@ -160,7 +208,7 @@ def fiber(u: RectUnion, pj: ProjectionJudge, t: Fraction) -> tuple[Interval, ...
     if pj.axis not in (0, 1):
         raise CheckerError("projection axis must be 0 or 1")
     other = 1 - pj.axis
-    parts = [rect_side(r, other) for r in u.rects if rect_side(r, pj.axis).contains(t)]
+    parts = [rect_side(r, other) for r in u.rects if contains(rect_side(r, pj.axis), t)]
     return merge_intervals(parts)
 
 
@@ -170,7 +218,7 @@ def _fiber_point(comp: RectUnion, pj: ProjectionJudge, t0: Fraction):
         return None
     if comp.dim == 1:
         return (t0,)
-    y = pieces[0].representative()
+    y = representative(pieces[0])
     return (t0, y) if pj.axis == 0 else (y, t0)
 
 
@@ -186,7 +234,7 @@ def _atom_intervals(values) -> list[Interval]:
 
 def _covers_atom(iv: Interval, atom: Interval) -> bool:
     if atom.lo == atom.hi:
-        return iv.contains(atom.lo)
+        return contains(iv, atom.lo)
     return not iv.empty and iv.lo <= atom.lo and iv.hi >= atom.hi
 
 
@@ -216,8 +264,8 @@ def regions_equal(u1: RectUnion, u2: RectUnion) -> bool:
 
 def disjoint(u1: RectUnion, u2: RectUnion) -> bool:
     """Whether two rectangle unions share no point."""
-    return not any(not a.x.intersect(b.x).empty
-                   and (a.y is None or not a.y.intersect(b.y).empty)
+    return not any(not intersect(a.x, b.x).empty
+                   and (a.y is None or not intersect(a.y, b.y).empty)
                    for a in u1.rects for b in u2.rects)
 
 
@@ -323,7 +371,7 @@ def two_patch_counterexample(u: RectUnion, pj: ProjectionJudge,
     off_band = subtract_closed_band(u, pj.axis, cert.t0 - delta / 2, cert.t0 + delta / 2)
     hits = [k for k, p in enumerate(cert.fiber_points) if p is not None and k != cert.v_index]
     samples = [("v", cert.fiber_points[cert.v_index]), ("w", cert.fiber_points[hits[0]])]
-    samples += [(f"c{k}", tuple(s.representative() for s in r))
+    samples += [(f"c{k}", tuple(map(representative, r)))
                 for k, r in enumerate(off_band.rects)]
     for name, p in samples:
         if not union_contains(u, p):

@@ -26,15 +26,19 @@ from sheafmealy import (
 from sheafmealy import fixtures as fx
 from sheafmealy import jsonio, tame
 from sheafmealy.errors import InternalConsistencyError, MalformedDocument
-from sheafmealy.tame import merge_intervals
 from tame_oracle import (
     clip_band,
+    coface,
     disjoint,
     interval,
+    library_merge,
+    rect_contains,
     rect_side,
+    representative,
     regions_equal,
     subtract_closed_band,
     union_contains,
+    with_side,
 )
 
 HALF = Fraction(1, 2)
@@ -54,19 +58,19 @@ def seg(lo, hi, lo_open=False, hi_open=False) -> Rect:
 # ------------------------------------------------------------- 1-d plumbing
 
 def test_merge_intervals_touching_flags():
-    assert merge_intervals([interval(0, 1), interval(1, 2)]) == (interval(0, 2),)
-    two_open = merge_intervals([interval(0, 1, False, True),
-                                interval(1, 2, True, False)])
+    assert library_merge([interval(0, 1), interval(1, 2)]) == (interval(0, 2),)
+    two_open = library_merge([interval(0, 1, False, True),
+                              interval(1, 2, True, False)])
     assert len(two_open) == 2
-    assert merge_intervals([interval(0, 1, False, True), interval(1, 2)]) == (
+    assert library_merge([interval(0, 1, False, True), interval(1, 2)]) == (
         interval(0, 2),
     )
-    assert merge_intervals([interval(2, 1), interval(0, 0)]) == (interval(0, 0),)
-    got = merge_intervals([interval(0, 3), interval(1, 2, True, True)])
+    assert library_merge([interval(2, 1), interval(0, 0)]) == (interval(0, 0),)
+    got = library_merge([interval(0, 3), interval(1, 2, True, True)])
     assert got == (interval(0, 3),)
     # [4,7) joins [3,4) to (4,6]: a closed start goes before an open one.
-    got = merge_intervals([interval(3, 4, False, True), interval(4, 6, True, False),
-                           interval(4, 7, False, True)])
+    got = library_merge([interval(3, 4, False, True), interval(4, 6, True, False),
+                         interval(4, 7, False, True)])
     assert got == (interval(3, 7, False, True),)
 
 
@@ -75,7 +79,7 @@ def test_merge_intervals_touching_flags():
                          ids=["reversed", "open-start", "open-end", "open-point"])
 def test_an_empty_side_has_no_representative(side):
     with pytest.raises(CheckerError) as caught:
-        side.representative()
+        representative(side)
     assert type(caught.value) is CheckerError
     assert str(caught.value) == "empty interval has no representative"
 
@@ -181,13 +185,13 @@ def test_rect_is_the_tuple_of_its_sides():
     r = Rect(x, y)
     assert r == Rect.of([x, y]) == (x, y) and len(seg(0, 1)) == 1
     assert (r.x, r.y, seg(0, 1).y) == (x, y, None)
-    assert r.coface(0) == (y,) and r.coface(1) == (x,) and seg(0, 1).coface(0) == ()
-    assert r.with_side(1, x) == Rect(x, x) and r.with_side(0, y) == Rect(y, y)
+    assert coface(r, 0) == (y,) and coface(r, 1) == (x,) and coface(seg(0, 1), 0) == ()
+    assert with_side(r, 1, x) == Rect(x, x) and with_side(r, 0, y) == Rect(y, y)
     assert copy.deepcopy(r) == pickle.loads(pickle.dumps(r)) == r
     assert type(pickle.loads(pickle.dumps(r))) is Rect
     assert eval(repr(r)) == r
-    assert r.contains((HALF, Fraction(3))) and not r.contains((HALF, Fraction(2)))
-    assert not r.contains((HALF,)) and Rect(x, interval(1, 0)).empty
+    assert rect_contains(r, (HALF, Fraction(3))) and not rect_contains(r, (HALF, Fraction(2)))
+    assert not rect_contains(r, (HALF,)) and Rect(x, interval(1, 0)).empty
     with pytest.raises(CheckerError):
         rect_side(r, -1)
 

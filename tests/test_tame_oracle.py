@@ -10,6 +10,8 @@ and certificates.
 and must give the reference's certificate, or None, at every candidate and
 off the midpoints of the gaps.  ``two_patch_counterexample`` cuts on ranks
 and must give the reference's samples, cut on rationals, byte for byte.
+``fiber`` reads the grid and must give the reference's fiber everywhere;
+sides stay cell runs, and an ``Interval`` is built only for the output.
 """
 
 from fractions import Fraction
@@ -441,7 +443,7 @@ def test_merge_intervals_matches_the_atom_grid(rng):
         parts = [_side(rng, 2, 0.5) for _ in range(rng.randint(0, 6))]
         starts = [p.lo for p in parts if not p.empty]
         ties += len(starts) > len(set(starts))
-        assert tame.merge_intervals(parts) == oracle.merge_intervals(parts), (trial, parts)
+        assert oracle.library_merge(parts) == oracle.merge_intervals(parts), (trial, parts)
     assert ties > 500
 
 
@@ -453,7 +455,8 @@ def test_linkage_of_two_intervals_matches_the_atom_grid():
                          for lo in range(4) for hi in range(lo, 4)
                          for a, b in product((False, True), repeat=2)) if not s.empty]
     for a, b in product(sides, repeat=2):
-        assert tame._linked_1d(a, b) == (len(oracle.merge_intervals([a, b])) == 1), (a, b)
+        runs = [r[0] for r in tame._rank_grid(1, [Rect(a), Rect(b)])[1]]
+        assert tame._linked_1d(*runs) == (len(oracle.merge_intervals([a, b])) == 1), (a, b)
 
 
 def test_counterexamples_match_the_rational_cut(rng):
@@ -473,3 +476,75 @@ def test_counterexamples_match_the_rational_cut(rng):
             assert got.assignments == want.assignments
             seen["endpoint" if cert.t0 in crit else "gap"] += 1
     assert seen["endpoint"] > 200 and seen["gap"] > 200, seen
+
+
+def test_fiber_reads_the_grid(rng, monkeypatch):
+    """``fiber`` places ``t`` on the union's grid by one bisection, merges
+    the runs over it and reads the pieces back; it must give the fiber that
+    the reference reads off the boxes, at every candidate, at the point
+    ``(3a + b) / 4`` of every gap ``(a, b)``, and below and above every
+    endpoint, on normalized and raw unions with open and closed edges, on
+    the line and in the plane."""
+    calls = 0
+    position = tame._position
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return position(*args)
+
+    monkeypatch.setattr(tame, "_position", counting)
+    seen = {"split": 0, "open ends": 0, "empty": 0, "1-d": 0}
+    for trial, u, pj in _seeded_unions(rng, 60):
+        crit = tame.critical_values(u, pj.axis)
+        quarters = [(3 * a + b) / 4 for a, b in zip(crit, crit[1:])]
+        outside = [crit[0] - 1, crit[-1] + 1] if crit else [Fraction(0)]
+        for t in [*tame.sheaf_verdict(u, pj).candidates, *quarters, *outside]:
+            calls = 0
+            got = tame.fiber(u, pj, t)
+            assert got == oracle.fiber(u, pj, t), (trial, t)
+            assert calls == 1, (trial, t)
+            seen["split"] += len(got) > 1
+            seen["open ends"] += any(p.lo_open or p.hi_open for p in got)
+            seen["empty"] += not got
+            seen["1-d"] += u.dim == 1
+    assert min(seen.values()) > 100, seen
+
+
+def test_interval_is_an_output_type_only(rng, monkeypatch):
+    """On unions whose grid exists, sides stay runs of cells until they are
+    output: a verdict or a single abscissa with no certificate, and every
+    counterexample, build no ``Interval``; a certificate builds two for each
+    box of its components."""
+    built = 0
+
+    class Counted(tame.Interval):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            nonlocal built
+            built += 1
+            super().__init__(*args)
+
+    def sides(certs) -> int:
+        return 2 * sum(len(comp.rects) for cert in certs for comp in cert.components)
+
+    seen = {"plane verdicts without certificates": 0, "certificates": 0}
+    for trial, u, pj in _seeded_unions(rng, 40):
+        tame.critical_values(u, pj.axis)
+        with monkeypatch.context() as m:
+            m.setattr(tame, "Interval", Counted)
+            built = 0
+            v = tame.sheaf_verdict(u, pj)
+            assert built == sides(v.certificates), trial
+            for t in v.candidates:
+                built = 0
+                cert = tame.robustly_disconnected(u, pj, t)
+                assert built == sides([cert] if cert else []), (trial, t)
+            for cert in v.certificates:
+                built = 0
+                tame.two_patch_counterexample(u, pj, cert)
+                assert built == 0, (trial, cert.t0)
+        seen["plane verdicts without certificates"] += u.dim == 2 and not v.certificates
+        seen["certificates"] += len(v.certificates)
+    assert seen["plane verdicts without certificates"] > 5 and seen["certificates"] > 500, seen
