@@ -566,20 +566,20 @@ def cogerm_equiv(s1: Section, s2: Section) -> CogermWitness | None:
     todo = [*zip(p1.f_b, p2.f_b), *zip(p1.f_a, p2.f_a)]
     fwd: dict[int, int] = {}
     bwd: dict[int, int] = {}
-    pairs: set[tuple[int, int]] = set()
     while todo:
         x, y = todo.pop()
-        if (x, y) in pairs:
+        # Both maps are written together, and a failed write returns at
+        # once, so ``fwd[x] == y`` exactly when the pair is already closed.
+        if fwd.get(x) == y:
             continue
         if fwd.setdefault(x, y) != y or bwd.setdefault(y, x) != x:
             return None
-        pairs.add((x, y))
         for (x2, o1), (y2, o2) in zip(m1.step[x], m2.step[y]):
             if o1 != o2:
                 return None
             todo.append((x2, y2))
     # Carriers are sorted, so index pairs sort as the name pairs do.
-    ordered = sorted(pairs)
+    ordered = sorted(fwd.items())
     at = {p: k for k, p in enumerate(ordered)}
     names = [f"{m1.before[x]}~{m2.before[y]}" for x, y in ordered]
     if len(set(names)) != len(names):

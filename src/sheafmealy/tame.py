@@ -33,12 +33,13 @@ Three facts, proved directly for this class of domains, drive the algorithms:
   band: just left of ``t``, at ``t`` (the fiber) and just right of ``t``.
   Pieces of one cross-section are apart and so are a left and a right
   piece, while a side piece joins a fiber piece exactly when its closure
-  meets it; so the fiber splits exactly when its pieces, joined through
-  side pieces, fall into two or more classes.  Only a band whose fiber
-  splits at an endpoint is clipped, normalized and linked, to build the
-  components of its certificate; each component's first fiber piece
-  gives its fiber point.  ``sheaf_verdict`` and ``robustly_disconnected``
-  both decide a band this way, in ``_split``.
+  meets it.  A side piece is one run, so the fiber pieces it joins are
+  consecutive, and the fiber splits exactly when some gap between two
+  consecutive fiber pieces has no side piece whose closure meets both.
+  Only a band whose fiber splits at an endpoint is clipped, normalized and
+  linked, to build the components of its certificate; each component's
+  first fiber piece gives its fiber point.  ``sheaf_verdict`` and
+  ``robustly_disconnected`` both decide a band this way, in ``_split``.
 
 * Cells, not values.  Every box operation compares endpoints only, so it
   commutes with any strictly increasing relabelling of the coordinates.
@@ -216,10 +217,6 @@ class RectUnion:
     dim: int
     rects: tuple[Rect, ...]
     _grid: _Grid | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def empty(self) -> bool:
-        return not self.rects
 
 
 def _rank_grid(dim: int, boxes: Sequence[Rect],
@@ -440,21 +437,17 @@ def _band(axis: int, boxes: Sequence[_Box], t: int) -> tuple[list[list[_Box]], l
 def _fiber_splits(boxes: Sequence[_Box], axis: int, t: int) -> bool:
     """Whether the fiber at the endpoint of rank ``t`` meets two components
     of the preimage of a band around it, given the plane boxes whose judged
-    sides reach ``t``: whether the fiber's pieces (over cell ``2t``), joined
-    through each piece just left or right of it whose closure meets them,
-    fall into two or more classes; see the candidate-abscissae fact."""
+    sides reach ``t``: whether some gap between consecutive fiber pieces
+    (over cell ``2t``) is spanned by no piece just left or right of it whose
+    closure meets both; see the candidate-abscissae fact."""
     cell, other = 2 * t, 1 - axis
     here = _merge_runs(r[other] for r in boxes if r[axis].first <= cell <= r[axis].last)
     if len(here) < 2:
         return False
-    left = _merge_runs(r[other] for r in boxes if r[axis].first < cell)
-    right = _merge_runs(r[other] for r in boxes if r[axis].last > cell)
-    uf = _UnionFind(len(here))
-    for piece in left + right:
-        met = [j for j, h in enumerate(here) if _closure_meets(piece, h)]
-        for j in met[1:]:
-            uf.union(met[0], j)
-    return len({uf.find(j) for j in range(len(here))}) > 1
+    sides = [*_merge_runs(r[other] for r in boxes if r[axis].first < cell),
+             *_merge_runs(r[other] for r in boxes if r[axis].last > cell)]
+    return not all(any(_closure_meets(s, a) and _closure_meets(s, b) for s in sides)
+                   for a, b in zip(here, here[1:]))
 
 
 def _split(axis: int, boxes: Sequence[_Box],

@@ -20,6 +20,11 @@ the library's sweep.  The side and box predicates (``contains``,
 ``rect_contains``) work on rationals and live only here; the library
 compares runs.  ``library_merge`` is the seam that runs the library's
 sweep on intervals, through the library's encoder.
+
+``fiber_splits`` works on runs, through the library's ``_merge_runs`` and
+``_closure_meets``: it joins fiber pieces through side pieces by a
+union-find and counts the classes, where the library's split test makes
+one closure comparison per gap between consecutive fiber pieces.
 """
 
 from __future__ import annotations
@@ -342,6 +347,25 @@ def robustly_disconnected(u, pj, t0) -> RobustDisconnectionCertificate | None:
     return RobustDisconnectionCertificate(
         sc.t0, sc.t0 - sc.delta, sc.t0 + sc.delta, sc.components, points, hits[0]
     )
+
+
+def fiber_splits(boxes, axis: int, t: int) -> bool:
+    """``tame._fiber_splits`` by classes: the fiber's pieces over cell
+    ``2t``, joined by a union-find through each piece just left or right of
+    it whose closure meets them, fall into two or more classes.  It takes
+    the grid's boxes of runs whose judged sides reach the rank ``t``."""
+    cell, other = 2 * t, 1 - axis
+    here = _tame._merge_runs(r[other] for r in boxes if r[axis].first <= cell <= r[axis].last)
+    if len(here) < 2:
+        return False
+    left = _tame._merge_runs(r[other] for r in boxes if r[axis].first < cell)
+    right = _tame._merge_runs(r[other] for r in boxes if r[axis].last > cell)
+    uf = _UnionFind(len(here))
+    for piece in left + right:
+        met = [j for j, h in enumerate(here) if _tame._closure_meets(piece, h)]
+        for j in met[1:]:
+            uf.union(met[0], j)
+    return len({uf.find(j) for j in range(len(here))}) > 1
 
 
 def sheaf_verdict(u: RectUnion, pj: ProjectionJudge) -> SheafVerdict:

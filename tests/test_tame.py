@@ -136,7 +136,7 @@ def test_components_ignore_empty_boxes():
             padded = RectUnion(u.dim, (*empties[:k], *u.rects, *empties[k:]))
             got = components(padded)
             assert got == want, (u, empties[:k])
-            assert not any(comp.empty for comp in got)
+            assert all(comp.rects for comp in got)
 
 
 # ------------------------------------------------------------------ fibers

@@ -12,6 +12,9 @@ off the midpoints of the gaps.  ``two_patch_counterexample`` cuts on ranks
 and must give the reference's samples, cut on rationals, byte for byte.
 ``fiber`` reads the grid and must give the reference's fiber everywhere;
 sides stay cell runs, and an ``Interval`` is built only for the output.
+``_fiber_splits`` decides an endpoint by one closure comparison per gap
+between consecutive fiber pieces and must give the answer of the
+reference's union-find over the fiber and side pieces.
 """
 
 from fractions import Fraction
@@ -548,3 +551,66 @@ def test_interval_is_an_output_type_only(rng, monkeypatch):
         seen["plane verdicts without certificates"] += u.dim == 2 and not v.certificates
         seen["certificates"] += len(v.certificates)
     assert seen["plane verdicts without certificates"] > 5 and seen["certificates"] > 500, seen
+
+
+def _endpoint_splits(u: RectUnion, axis: int) -> list[tuple[bool, bool]]:
+    """At each endpoint on ``axis``, the library's split test and the
+    reference's, given the boxes whose judged sides reach it."""
+    boxes = tame._grid_of(u).boxes
+    out = []
+    for i in range(len(tame.critical_values(u, axis))):
+        near = [r for r in boxes if r[axis].lo <= 4 * i <= r[axis].hi]
+        out.append((tame._fiber_splits(near, axis, 4 * i), oracle.fiber_splits(near, axis, 4 * i)))
+    return out
+
+
+def test_fiber_splits_matches_the_union_find(rng):
+    """The gap rule gives the union-find's answer at every endpoint of
+    seeded plane unions, closed and with open edges, on both axes."""
+    seen = {"splits": 0, "joined": 0}
+    for trial in range(300):
+        boxes = _boxes(rng, 2, rng.randint(3, 30), (0, 0.3, 0.7)[trial % 3])
+        for u in (tame.rect_union(2, boxes), RectUnion(2, tuple(boxes))):
+            for axis in (0, 1):
+                for got, want in _endpoint_splits(u, axis):
+                    assert got == want, (trial, axis)
+                    seen["splits" if got else "joined"] += 1
+    assert min(seen.values()) > 1000, seen
+
+
+def _splits_at(rects: list[Rect], t) -> bool:
+    """The split test at the endpoint ``t`` on axis 0, held to the reference."""
+    u = tame.rect_union(2, rects)
+    at = tame.critical_values(u, 0).index(Fraction(t))
+    got, want = _endpoint_splits(u, 0)[at]
+    assert got == want
+    return got
+
+
+def test_fiber_splits_hand_cases():
+    # Judged on axis 0 at x = 1: fiber pieces are boxes over [1, 2], side
+    # pieces left of the fiber are boxes over [0, 1).
+    q, over, left = Fraction(1, 4), interval(1, 2), interval(0, 1, hi_open=True)
+    # Fiber pieces [0, 1] and [2, 3]; a side piece (1, 2) touches each only
+    # through its closure's open ends.
+    pieces = [Rect(over, interval(0, 1)), Rect(over, interval(2, 3))]
+    assert not _splits_at([*pieces, Rect(left, interval(1, 2, True, True))], 1)
+    # Fiber pieces open at 1 and 2: the closed side piece [1, 2] meets
+    # neither, and [1/2, 3/2] meets only the lower one.
+    open_pieces = [Rect(over, interval(0, 1, hi_open=True)),
+                   Rect(over, interval(2, 3, lo_open=True))]
+    assert _splits_at([*open_pieces, Rect(left, interval(1, 2))], 1)
+    assert _splits_at([*open_pieces, Rect(left, interval(2 * q, 6 * q))], 1)
+    # Two gaps, each bridged by its own side piece: [1/2, 5/2] and [11/4, 17/4].
+    rows = [Rect(over, interval(2 * k, 2 * k + 1)) for k in range(3)]
+    bridges = [Rect(left, interval(2 * q, 10 * q)), Rect(left, interval(11 * q, 17 * q))]
+    assert not _splits_at([*rows, *bridges], 1)
+    assert _splits_at([*rows, bridges[0]], 1) and _splits_at([*rows, bridges[1]], 1)
+    # A single fiber piece never splits.
+    assert not _splits_at([Rect(interval(0, 2), interval(0, 1)),
+                           Rect(interval(1, 3), interval(2 * q, 3))], 1)
+    # Long rows [0, 8] x [3k, 3k + 1] crossed by ticks [2k, 2k + 1] x [-2, -1]:
+    # each row meets only its own fiber piece, so the first gap splits.
+    long_rows = [Rect(interval(0, 8), interval(3 * k, 3 * k + 1)) for k in range(4)]
+    ticks = [Rect(interval(2 * k, 2 * k + 1), interval(-2, -1)) for k in range(4)]
+    assert all(_splits_at([*long_rows, *ticks], t) for t in (0, 2, 3, 8))
