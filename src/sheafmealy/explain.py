@@ -22,10 +22,10 @@ both directions with matching outputs.  Seeding only before-images would
 accept strictly more pairs; the stronger seeding keeps restriction of
 witness cores pointwise.
 
-An equal behavioral verdict comes from a union-find over state pairs and
-builds no partition; an unequal one refines both machines into behavior
-classes and names one witness, by one rule (:func:`least_witness`): of the
-states whose two images lie in different classes, the one whose separating
+Behavioral comparison builds no partition.  An equal verdict comes from a
+union-find over state pairs; an unequal one names one witness, by one rule
+and one walk over image pairs (:func:`_witness_walk`): of the states whose
+two images emit different outputs on some word, the one whose separating
 word is shortest, then least, then the state itself.  Both
 :func:`behavioral_equiv` and the overlap check of the behavioral gluer use it.
 """
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import CheckerError, HeterogeneousInput, InternalConsistencyError
 from .systems import (
@@ -420,8 +420,6 @@ def _same_behavior(m1: MealySystem, m2: MealySystem, alphabet: tuple[Ident, ...]
     union-find (1971).  A pair is expanded only when its union joins two
     classes; each expanded pair emits equal outputs and steps into one
     class, so on True the classes are a bisimulation up to equivalence."""
-    if not (m1.homogeneous and m2.homogeneous):
-        raise HeterogeneousInput("behavior is defined for homogeneous machines")
     n1, out1, out2 = len(m1.before), m1.outputs, m2.outputs
     cols = [(m1.i_index[c], m2.i_index[c]) for c in alphabet]
     uf = _UnionFind(n1 + len(m2.before))
@@ -456,12 +454,11 @@ def behavioral_equiv(
     must emit identical output sequences on every word over ``alphabet``.
     The two machines may have different output sets, compared only for
     equality, so their outputs need not be ordered.  An equal verdict comes
-    from the union-find of :func:`_same_behavior` and never refines; an
-    unequal one pools and refines the states as in :func:`pooled_behavior`,
-    and an image pair in two classes is separated by the shortest word, least
-    in alphabet order, that the class walk of :func:`block_distinguishing_word`
-    finds.  The witness is the :func:`least_witness` of the patch's
-    before-states.
+    from the union-find of :func:`_same_behavior`.  On an unequal one,
+    :func:`_witness_walk` from the images of the patch's before-states
+    names the before-state and word least by (word length, word, state),
+    each state's word being its shortest separating word least in alphabet
+    order.  Neither refines.
     """
     if s1.patch.source != s2.patch.source:
         raise CheckerError("behavioral comparison needs sections of one patch")
@@ -473,33 +470,88 @@ def behavioral_equiv(
     for c in alphabet:
         if c not in m1.i_index or c not in m2.i_index:
             raise CheckerError(f"alphabet letter {c!r} outside an explanatory interface")
+    if not (m1.homogeneous and m2.homogeneous):
+        raise HeterogeneousInput("behavior is defined for homogeneous machines")
     if _same_behavior(m1, m2, alphabet, zip(s1.psi.f_b, s2.psi.f_b)):
         return BehEquivReport(True)
-    outs, succs, block = _pool((m1, m2), alphabet)
-    out_table, succ_table = _classes(outs, succs, block)
-    n1 = len(m1.before)
-    least = least_witness(
-        ((s, block[x], block[n1 + y])
-         for s, x, y in zip(s1.patch.source.before, s1.psi.f_b, s2.psi.f_b)),
-        lambda b1, b2: _class_word(alphabet, out_table, succ_table, b1, b2))
+    least = _witness_walk(m1, m2, alphabet,
+                          zip(s1.patch.source.before, s1.psi.f_b, s2.psi.f_b))
     return BehEquivReport(True) if least is None else BehEquivReport(False, least[1], least[0])
 
 
-def least_witness(
-    triples: Iterable[tuple[Ident, int, int]],
-    word: Callable[[int, int], tuple[Ident, ...]],
+def _witness_walk(
+    m1: MealySystem,
+    m2: MealySystem,
+    alphabet: tuple[Ident, ...],
+    starts: Iterable[tuple[Ident, int, int]],
 ) -> tuple[tuple[Ident, ...], Ident] | None:
-    """Over the ``(state, class, class)`` triples whose classes differ, the
-    ``(word, state)`` least by (word length, word, state), or None; ``word``
-    separates two classes and is asked once per class pair."""
-    words: dict[tuple[int, int], tuple[Ident, ...]] = {}
-    keys: list[tuple[int, tuple[Ident, ...], Ident]] = []
-    for state, b1, b2 in triples:
-        if b1 != b2:
-            if (b1, b2) not in words:
-                words[b1, b2] = word(b1, b2)
-            keys.append((len(words[b1, b2]), words[b1, b2], state))
-    return min(keys)[1:] if keys else None
+    """Over the ``(key, state of m1, state of m2)`` starts whose states
+    emit different outputs on some word over ``alphabet``, the ``(word,
+    key)`` least by (word length, word, key), where each start's word is
+    its shortest separating word least in alphabet order; or None.
+
+    One walk over state pairs serves every start.  A breadth-first search
+    from all distinct start pairs at once, with one ``seen`` set, expands
+    whole levels until a level holds a pair with a letter on which the
+    outputs differ; that level L is the least separating length.  A pair
+    first met at level d is at least L - d letters from a divergence, or a
+    lower level would hold one.  So a start L letters from a divergence is
+    a level-0 pair, and the first d letters of a shortest separating word
+    lead it to a pair first met at level d and L - d letters away.  A sweep
+    down the levels marks exactly those pairs: at level L the pairs that
+    diverge, and at each lower level d the pairs with a letter into a
+    marked pair of level d + 1.  It keeps, for each, the first such letter
+    in alphabet order, which is the next letter of its least shortest
+    word.  Each explored pair is read at most twice, so the walk reads
+    O(|alphabet| n1 n2) transitions at worst."""
+    cols = [(m1.i_index[c], m2.i_index[c]) for c in alphabet]
+    out1, out2, step1, step2 = m1.outputs, m2.outputs, m1.step, m2.step
+    starts = list(starts)
+    frontier = list(dict.fromkeys((x, y) for _, x, y in starts))
+    seen = set(frontier)
+    levels: list[list[tuple[int, int]]] = []
+    # Each marked pair's next letter and the pair it leads to, None when
+    # the pair diverges on that letter.
+    step_of: dict[tuple[int, int], tuple[int, tuple[int, int] | None]] = {}
+    while frontier:
+        levels.append(frontier)
+        nxt: list[tuple[int, int]] = []
+        for x, y in frontier:
+            r1, r2 = step1[x], step2[y]
+            for k, (k1, k2) in enumerate(cols):
+                (x2, o1), (y2, o2) = r1[k1], r2[k2]
+                if out1[o1] != out2[o2]:
+                    step_of[x, y] = (k, None)
+                    break
+                if (x2, y2) not in seen:
+                    seen.add((x2, y2))
+                    nxt.append((x2, y2))
+        if step_of:
+            break
+        frontier = nxt
+    else:
+        return None
+    marked = dict(step_of)
+    for level in reversed(levels[:-1]):
+        here = {}
+        for x, y in level:
+            r1, r2 = step1[x], step2[y]
+            for k, (k1, k2) in enumerate(cols):
+                p = (r1[k1][0], r2[k2][0])
+                if p in marked:
+                    here[x, y] = (k, p)
+                    break
+        step_of.update(here)
+        marked = here
+    # The sweep ends on level 0: ``marked`` holds the start pairs L letters away.
+    words = {}
+    for p in marked:
+        word, q = [], p
+        while q is not None:
+            k, q = step_of[q]
+            word.append(alphabet[k])
+        words[p] = tuple(word)
+    return min((words[x, y], key) for key, x, y in starts if (x, y) in words)
 
 
 @dataclass(frozen=True)

@@ -45,11 +45,11 @@ from .explain import (
     BehaviorPartition,
     Judge,
     Section,
+    _witness_walk,
     behavioral_equiv,
     block_distinguishing_word,
     check_cogerm_witness,
     cogerm_equiv,
-    least_witness,
     pooled_behavior,
     restrict_section,
     restricted_interface,
@@ -405,20 +405,19 @@ def _check_compatible(
     the shortest, least separating word of two states does not depend on
     which other machines are pooled with them, so this is the comparison of
     the two sections restricted to the overlap.  The first incompatible pair
-    of patches raises :class:`IncompatibleFamily` naming the
-    :func:`explain.least_witness` of their shared before-states."""
-    per_patch = [
-        {x: block_of[k][v] for x, v in zip(p.morphism.f_b, s.psi.f_b)}
-        for k, (p, s) in enumerate(zip(c.patches, sections))
-    ]
+    of patches raises :class:`IncompatibleFamily` naming the witness of
+    :func:`explain.behavioral_equiv`, found by the same walk over the two
+    sections' machines from the images of the shared before-states that
+    the partition separates, keyed by their target positions."""
+    images = [dict(zip(p.morphism.f_b, s.psi.f_b)) for p, s in zip(c.patches, sections)]
     tgt = c.target
-    for a, b in itertools.combinations(range(len(per_patch)), 2):
+    for a, b in itertools.combinations(range(len(images)), 2):
         # Target states are numbered in name order, so the least position is the least name.
-        least = least_witness(
-            ((x, blk, per_patch[b].get(x, blk)) for x, blk in per_patch[a].items()),
-            lambda b1, b2: block_distinguishing_word(part, b1, b2))
-        if least is not None:
-            word, x = least
+        starts = [(x, v, images[b][x]) for x, v in images[a].items()
+                  if x in images[b] and block_of[a][v] != block_of[b][images[b][x]]]
+        if starts:
+            word, x = _witness_walk(sections[a].explanatory, sections[b].explanatory,
+                                    part.alphabet, starts)
             raise IncompatibleFamily(
                 f"patches {a} and {b} disagree behaviorally at state {tgt.before[x]!r} "
                 f"on word {'/'.join(word)}"

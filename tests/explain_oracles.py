@@ -6,19 +6,26 @@ so the seeded tests can compare results field for field:
 * ``pair_level_behavioral_equiv`` labels every state pair of the two
   machines with the length of its shortest distinguishing word, one scan
   of all pairs per word length, and reads each witness off the labels;
+* ``refined_behavioral_equiv`` is the refinement path that the library's
+  walk over image pairs replaced: it pools and refines both machines with
+  the library's kernel, walks the class automaton once per distinct pair
+  of image classes, and keeps the least witness by one rule,
+  ``least_witness``;
 * ``moore_minimize`` and ``moore_pooled`` run Moore's refinement with the
   signatures ranked by ``list.index``, one full round at a time: the plain
   rounds whose block numbering the library's kernel must reproduce.
 
-They are cubic or worse; use them on small machines only.
+All but the refinement path are cubic or worse; use them on small
+machines only.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from sheafmealy import CheckerError, MealySystem, Section, make_system
-from sheafmealy.explain import Judge, validate_judge
+from sheafmealy.explain import Judge, _class_word, _classes, _pool, validate_judge
+from sheafmealy.systems import Ident
 
 
 def _pair_levels(m1, m2, alphabet) -> dict[tuple[str, str], int]:
@@ -63,8 +70,9 @@ def _word_from_pair(m1, m2, alphabet, levels: Mapping, x, y) -> tuple[str, ...]:
     raise AssertionError("level-one pair has no separating letter")
 
 
-def pair_level_behavioral_equiv(s1: Section, s2: Section, alphabet=None):
-    """``(ok, state, word)`` with the witness minimizing (length, word, state)."""
+def _checked_alphabet(s1: Section, s2: Section, alphabet):
+    """The alphabet of a behavioral comparison; bad arguments raise the
+    errors of ``behavioral_equiv``."""
     if s1.patch.source != s2.patch.source:
         raise CheckerError("behavioral comparison needs sections of one patch")
     m1, m2 = s1.explanatory, s2.explanatory
@@ -75,6 +83,13 @@ def pair_level_behavioral_equiv(s1: Section, s2: Section, alphabet=None):
     for c in alphabet:
         if c not in m1.i_index or c not in m2.i_index:
             raise CheckerError(f"alphabet letter {c!r} outside an explanatory interface")
+    return alphabet
+
+
+def pair_level_behavioral_equiv(s1: Section, s2: Section, alphabet=None):
+    """``(ok, state, word)`` with the witness minimizing (length, word, state)."""
+    alphabet = _checked_alphabet(s1, s2, alphabet)
+    m1, m2 = s1.explanatory, s2.explanatory
     levels = _pair_levels(m1, m2, alphabet)
     best = None
     for s in s1.patch.source.before:
@@ -87,6 +102,38 @@ def pair_level_behavioral_equiv(s1: Section, s2: Section, alphabet=None):
     if best is None:
         return (True, None, None)
     return (False, best[2], best[1])
+
+
+def least_witness(
+    triples: Iterable[tuple[Ident, int, int]],
+    word: Callable[[int, int], tuple[Ident, ...]],
+) -> tuple[tuple[Ident, ...], Ident] | None:
+    """Over the ``(state, class, class)`` triples whose classes differ, the
+    ``(word, state)`` least by (word length, word, state), or None; ``word``
+    separates two classes and is asked once per class pair."""
+    words: dict[tuple[int, int], tuple[Ident, ...]] = {}
+    keys: list[tuple[int, tuple[Ident, ...], Ident]] = []
+    for state, b1, b2 in triples:
+        if b1 != b2:
+            if (b1, b2) not in words:
+                words[b1, b2] = word(b1, b2)
+            keys.append((len(words[b1, b2]), words[b1, b2], state))
+    return min(keys)[1:] if keys else None
+
+
+def refined_behavioral_equiv(s1: Section, s2: Section, alphabet=None):
+    """``(ok, state, word)`` from the pooled refinement of both machines,
+    the witness minimizing (length, word, state)."""
+    alphabet = _checked_alphabet(s1, s2, alphabet)
+    m1, m2 = s1.explanatory, s2.explanatory
+    outs, succs, block = _pool((m1, m2), alphabet)
+    out_table, succ_table = _classes(outs, succs, block)
+    n1 = len(m1.before)
+    least = least_witness(
+        ((s, block[x], block[n1 + y])
+         for s, x, y in zip(s1.patch.source.before, s1.psi.f_b, s2.psi.f_b)),
+        lambda b1, b2: _class_word(alphabet, out_table, succ_table, b1, b2))
+    return (True, None, None) if least is None else (False, least[1], least[0])
 
 
 def _moore(states, sig0, succ_of, alphabet) -> dict:

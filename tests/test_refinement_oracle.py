@@ -1,25 +1,33 @@
-"""The refinement kernel of ``explain`` against the direct algorithms.
+"""The behavior kernels of ``explain`` against the direct algorithms.
 
-``behavioral_equiv``, ``minimize`` and ``pooled_behavior`` share one
-partition-refinement kernel.  On seeded random machines, chain machines,
-one-letter and reordered alphabets, and machines with different output
-sets, their results must equal those of the pair-level scan and the
-index-ranked Moore loop in ``explain_oracles``: the same witnesses, the
-same quotient tables and the same block numbers.
+``minimize`` and ``pooled_behavior`` share one partition-refinement
+kernel.  On seeded random machines, chain machines, one-letter and
+reordered alphabets, and machines with different output sets, their
+results and those of ``behavioral_equiv`` must equal those of the
+pair-level scan and the index-ranked Moore loop in ``explain_oracles``:
+the same witnesses, the same quotient tables and the same block numbers.
 
-``behavioral_equiv`` decides an equal pair with a union-find and refines
-only an unequal one.  Its reports must also equal those of the same call
-with the union-find made to report a mismatch, so that the refinement
-decides every pair, and equal comparisons must never reach the refinement.
+``behavioral_equiv`` decides an equal pair with a union-find and names the
+witness of an unequal one with a walk over image pairs; neither refines.
+Its reports must also equal those of the same call with the union-find
+made to report a mismatch, so that the walk decides every pair, and those
+of the refinement path it replaced, ``refined_behavioral_equiv``; no
+comparison may reach the refinement.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
-from explain_oracles import moore_minimize, moore_pooled, pair_level_behavioral_equiv
+from explain_oracles import (
+    moore_minimize,
+    moore_pooled,
+    pair_level_behavioral_equiv,
+    refined_behavioral_equiv,
+)
 from sheafmealy import (
     BehEquivReport,
     CheckerError,
@@ -38,7 +46,7 @@ from sheafmealy import (
     subsystem,
 )
 from sheafmealy import fixtures as fx
-from test_golden_cli import run
+from test_golden_cli import _golden, run
 
 OUTS = ("0", "1", "2")
 
@@ -450,34 +458,110 @@ def test_equal_comparisons_never_refine(rng, monkeypatch):
                 assert rep.locally_equal == (True, True) and rep.globally_equal
 
 
-def test_fixture_separation_checks_refine_only_unequal_pairs(monkeypatch):
+def test_fixture_separation_checks_never_refine(monkeypatch):
     """Every comparison that ``check separation --kind beh`` and ``--kind ri``
-    make on the shipped fixtures: an unequal one refines exactly once, and
-    an equal one answers with the refinement made to raise."""
-    real_equiv, real_refine = explain.behavioral_equiv, explain._refine
-    refined, calls = [], []
-
-    def counting_refine(*args):
-        refined.append(args)
-        return real_refine(*args)
+    make on the shipped fixtures answers as before with the refinement, the
+    pool and the class walk made to raise: each command prints its golden
+    bytes, and each report is the refined path's."""
+    real_equiv = explain.behavioral_equiv
+    calls = []
 
     def recording_equiv(*args):
-        before = len(refined)
         rep = real_equiv(*args)
-        calls.append((args, rep.ok, len(refined) - before))
+        calls.append((args, _report(rep)))
         return rep
 
+    def refuse(*args):
+        raise AssertionError("a behavioral comparison reached the refinement")
+
     with monkeypatch.context() as mp:
-        mp.setattr(explain, "_refine", counting_refine)
+        for name in ("_refine", "_pool", "_class_word"):
+            mp.setattr(explain, name, refuse)
         mp.setattr(localglobal, "behavioral_equiv", recording_equiv)
         for f in fx.all_fixtures():
             if f.kind == "sections":
                 for kind in ("beh", "ri"):
-                    run(["check", "separation", f.name, "--kind", kind])
-    assert {ok for _, ok, _ in calls} == {True, False}
-    assert [n for _, ok, n in calls] == [0 if ok else 1 for _, ok, _ in calls]
-    with monkeypatch.context() as mp:
-        _refuse_refinement(mp)
-        for args, ok, _ in calls:
-            if ok:
-                assert real_equiv(*args).ok
+                    argv = ["check", "separation", f.name, "--kind", kind]
+                    assert run(argv) == next(e for e in _golden() if e["argv"] == argv)
+    assert {rep[0] for _, rep in calls} == {True, False}
+    for args, rep in calls:
+        assert rep == refined_behavioral_equiv(*args)
+
+
+def _walk_and_refined(monkeypatch, s1, s2, alphabet=None) -> tuple:
+    """The report of ``behavioral_equiv``, required to equal its report with
+    the union-find made to report a mismatch, so that the walk decides,
+    and the refined path's."""
+    got = _both_paths(monkeypatch, s1, s2, alphabet)
+    assert got == refined_behavioral_equiv(s1, s2, alphabet)
+    return got
+
+
+def test_walk_matches_refined_path_and_oracle_on_small_machines(rng, monkeypatch):
+    seen: Counter = Counter()
+    for _ in range(200):
+        kind = rng.choice(("random", "chain"))
+        inputs = ["a", "b", "c"][: rng.randint(1, 3)]
+        d1 = _table(rng, kind, "p", inputs)
+        how = rng.choice(("copy", "mutate", "fresh"))
+        d2 = (_table(rng, kind, "q", inputs) if how == "fresh"
+              else _renamed(_mutated(rng, d1, OUTS) if how == "mutate" else d1, "q"))
+        m1, m2 = _machine(d1), _machine(d2)
+        pairs = [(rng.choice(m1.before), rng.choice(m2.before)) for _ in range(rng.randint(0, 2))]
+        if how != "fresh":
+            pairs += [(x, "q" + x) for x in rng.sample(m1.before, min(3, len(m1.before)))]
+        # Repeated pairs: patch states whose images are one start pair.
+        pairs += rng.sample(pairs, rng.randint(0, len(pairs)))
+        rng.shuffle(pairs)
+        shape = rng.choice(("full", "one", "reversed", "empty"))
+        alphabet = {"full": tuple(inputs), "one": (rng.choice(inputs),),
+                    "reversed": tuple(inputs[::-1]), "empty": ()}[shape]
+        s1, s2 = _sections_at(m1, m2, pairs)
+        got = _walk_and_refined(monkeypatch, s1, s2, alphabet)
+        assert got == pair_level_behavioral_equiv(s1, s2, alphabet)
+        seen[shape, got[0]] += 1
+        seen["deep"] += not got[0] and len(got[2]) > 3
+    assert all(seen[shape, False] for shape in ("full", "one", "reversed")), seen
+    assert seen["empty", True] and seen["deep"], seen
+
+
+def test_walk_matches_refined_path_on_large_machines(rng, monkeypatch):
+    seen: Counter = Counter()
+    for trial in range(18):
+        kind = ("random", "chain", "four-copy")[trial % 3]
+        states = _names(rng, "p", rng.randint(30, 200))
+        d = (_chain_table(states, ("a", "b")) if kind == "chain"
+             else _random_table(rng, states, ("a", "b"), OUTS[:2]))
+        if kind == "four-copy":
+            d2, image = _mixed_copy(d, states), (lambda x: f"X.{x}")
+            # A flip in Z shows only on words that mix both letters.
+            flip = (f"Z.{rng.choice(states)}", "a")
+        else:
+            d2, image = _renamed(d, "q"), (lambda x: "q" + x)
+            flip = ("q" + states[-rng.randint(1, 6)], rng.choice("ab"))
+        if trial // 3 % 3:
+            d2[flip] = (d2[flip][0], "2")
+        m1, m2 = _machine(d), _machine(d2)
+        for starts in (states, [states[0]], rng.sample(states, 5)):
+            s1, s2 = _sections_at(m1, m2, [(x, image(x)) for x in starts])
+            got = _walk_and_refined(monkeypatch, s1, s2, ("a", "b"))
+            seen[kind, got[0]] += 1
+            seen["deep"] += not got[0] and len(got[2]) > 20
+    assert all(seen[kind, ok] for kind in ("random", "chain", "four-copy")
+               for ok in (True, False)), seen
+    assert seen["deep"], seen
+
+
+def test_walk_tells_outputs_apart_by_equality(rng, monkeypatch):
+    """One machine emits "0" and "1", the other 0 and 1: no pair of states
+    agrees on a letter, and the walk, the refined path and the pair-level
+    oracle name the same least state and letter."""
+    states = _names(rng, "p", 6)
+    d = _random_table(rng, states, ("a", "b"), OUTS[:2])
+    ints = {(s, c): (s2, int(o)) for (s, c), (s2, o) in _renamed(d, "q").items()}
+    m1, m2 = _machine(d), _machine(ints, (0, 1))
+    s1, s2 = _sections_at(m1, m2, [(x, "q" + x) for x in states])
+    for alphabet in (("a", "b"), ("b", "a"), ("b",)):
+        got = _walk_and_refined(monkeypatch, s1, s2, alphabet)
+        assert got == pair_level_behavioral_equiv(s1, s2, alphabet)
+        assert got == (False, "u0", alphabet[:1])
