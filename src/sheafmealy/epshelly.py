@@ -35,8 +35,8 @@ import itertools
 import math
 import operator
 import random
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     CheckerError,

@@ -9,7 +9,8 @@ byte-identical; golden files can be compared directly.
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+from collections.abc import Mapping
+from typing import Any
 
 from .epshelly import (
     DepthReport,

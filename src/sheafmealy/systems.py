@@ -28,10 +28,11 @@ covering members and are checked structurally rather than through
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Mapping
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Iterable, Mapping
 
 from .errors import (
     CheckerError,
@@ -165,26 +166,6 @@ class Violation:
     detail: str
 
 
-def _position(carrier: tuple) -> Callable[[object], int | None]:
-    """Position of a value in a carrier, or None.  Documents may hold
-    unhashable values (JSON lists and objects); those are no identifiers,
-    so they belong to no carrier."""
-    index: dict[object, int] = {}
-    for k, x in enumerate(carrier):
-        try:
-            index[x] = k
-        except TypeError:
-            pass
-
-    def position(x: object) -> int | None:
-        try:
-            return index.get(x)
-        except TypeError:
-            return None
-
-    return position
-
-
 def system_violations(candidate: Mapping) -> list[Violation]:
     """All structural violations of a candidate system description: a
     mapping with keys ``before_states``, ``after_states``, ``inputs``,
@@ -197,7 +178,8 @@ def system_violations(candidate: Mapping) -> list[Violation]:
 
 def _scan(candidate: Mapping) -> tuple[list[Violation], MealySystem | None]:
     """The violations of :func:`system_violations` and, when there are
-    none, the machine, its step table filled as the rows are read."""
+    none, the machine, its step table filled in one pass over the rows;
+    only a row naming a foreign or unhashable value takes an ``except`` arm."""
     if not isinstance(candidate, Mapping):
         raise MalformedDocument(f"a system must be an object, got {candidate!r}")
     for key in ("before_states", "after_states", "inputs", "outputs"):
@@ -217,9 +199,19 @@ def _scan(candidate: Mapping) -> tuple[list[Violation], MealySystem | None]:
         return [Violation("ForeignElement", f"carriers must hold comparable identifiers ({exc})")], None
     if not i or not o:
         out.append(Violation("EmptyInterface", "inputs and outputs must be non-empty"))
-    pos_b, pos_a, pos_i, pos_o = (_position(x) for x in (b, a, i, o))
-    seen: dict[tuple[int, int], tuple[Ident, Ident]] = {}
-    table: list[list[tuple[int, int] | None]] = [[None] * len(i) for _ in b]
+    # Positions in each carrier.  Unhashable values (JSON lists and objects)
+    # are no identifiers, so they have none.
+    ib, ia, ii, io = positions = ({}, {}, {}, {})
+    for index, carrier in zip(positions, (b, a, i, o)):
+        for k, x in enumerate(carrier):
+            try:
+                index[x] = k
+            except TypeError:
+                pass
+    # Slot ``b * n + i`` holds the last row's step at (b, i): its positions,
+    # None for a foreign part, then the raw ``(s2, o)`` if a part is foreign.
+    n = len(i)
+    flat: list[tuple | None] = [None] * (len(b) * n)
     dynamics = candidate.get("dynamics", [])
     if not isinstance(dynamics, list):
         raise MalformedDocument(f"dynamics must be a list of rows, got {dynamics!r}")
@@ -228,29 +220,38 @@ def _scan(candidate: Mapping) -> tuple[list[Violation], MealySystem | None]:
             s, c, s2, emit = row["s"], row["i"], row["s2"], row["o"]
         except (KeyError, TypeError) as exc:
             raise MalformedDocument(f"dynamics row {k} needs the fields s, i, s2 and o") from exc
-        key = (pos_b(s), pos_i(c))
-        if None in key:
+        try:
+            at = ib[s] * n + ii[c]
+        except (KeyError, TypeError):
             out.append(Violation("ForeignElement", f"dynamics at foreign pair ({s!r}, {c!r})"))
             continue
-        step = (pos_a(s2), pos_o(emit))
-        if step[0] is None:
-            out.append(Violation("ForeignElement", f"successor {s2!r} at ({s!r}, {c!r}) not an after-state"))
-        if step[1] is None:
-            out.append(Violation("ForeignElement", f"output {emit!r} at ({s!r}, {c!r}) not in output set"))
-        if key in seen and seen[key] != (s2, emit):
+        try:
+            step = (ia[s2], io[emit])
+        except (KeyError, TypeError):
+            ka = ko = None
+            with suppress(KeyError, TypeError):
+                ka = ia[s2]
+            with suppress(KeyError, TypeError):
+                ko = io[emit]
+            if ka is None:
+                out.append(Violation("ForeignElement", f"successor {s2!r} at ({s!r}, {c!r}) not an after-state"))
+            if ko is None:
+                out.append(Violation("ForeignElement", f"output {emit!r} at ({s!r}, {c!r}) not in output set"))
+            step = (ka, ko, s2, emit)
+        # Two rows at one pair agree when they wrote equal values.
+        prev = flat[at]
+        if prev is not None and prev != step:
             out.append(Violation("ForeignElement", f"conflicting dynamics entries at ({s!r}, {c!r})"))
-        seen[key] = (s2, emit)
-        table[key[0]][key[1]] = step
-    for kb, s in enumerate(b):
-        for ki, c in enumerate(i):
-            if (kb, ki) not in seen:
-                out.append(Violation("PartialDynamics", f"dynamics missing at ({s!r}, {c!r})"))
+        flat[at] = step
+    if None in flat:
+        out += [Violation("PartialDynamics", f"dynamics missing at ({b[at // n]!r}, {i[at % n]!r})")
+                for at, step in enumerate(flat) if step is None]
     if not out:
         # Every carrier element must be an identifier, also one that no
         # dynamics row names (say an input when there are no before-states).
         out = [Violation("ForeignElement", f"{x!r} is no identifier")
                for x in (*b, *a, *i, *o) if type(x).__hash__ is None]
-    return out, None if out else MealySystem(b, a, i, o, tuple(map(tuple, table)))
+    return out, None if out else MealySystem(b, a, i, o, tuple(zip(*[iter(flat)] * n)))
 
 
 _VIOLATION_ERRORS = {

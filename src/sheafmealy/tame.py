@@ -77,12 +77,13 @@ the fiber.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from collections.abc import Iterable, Mapping, Sequence
 from heapq import heappop, heappush
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from itertools import repeat
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import CheckerError, IncompatibleFamily, InternalConsistencyError, MalformedDocument
 from .explain import Judge, judge as make_judge
