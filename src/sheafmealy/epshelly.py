@@ -8,10 +8,12 @@ feasible set is the intersection of ``eps``-balls around the sample points,
 non-empty exactly when the minimax radius is at most ``eps``.
 
 Domains: all of Euclidean space, an axis-aligned box, or the probability
-simplex.  One move-to-front solver computes the minimax radius on all
-three, exactly up to 1e-12 relative tolerance, with the domain's facets as
-constraints on the center; each recursive call adds one orthogonalized
-rim point to its caller's circumcentre.  The radius is compared with
+simplex.  One solver computes the minimax radius on all three, exactly up
+to 1e-12 relative tolerance, with the domain's facets as constraints on
+the center.  It pivots: the farthest point outside the current ball goes
+on the rim of the ball of the few points that ball rests on, found by
+move-to-front, whose recursive calls each add one orthogonalized rim
+point to their caller's circumcentre.  The radius is compared with
 ``eps`` to 1e-9, and results within that band are flagged marginal, not
 silently classified.
 
@@ -106,10 +108,10 @@ def epsilon_instance(
         raise CheckerError("dimension must be positive")
     vals: list[tuple[str, Vector]] = []
     for raw in sorted(values):
-        p = tuple(float(x) for x in values[raw])
+        p = tuple(map(float, values[raw]))
         if len(p) != dim:
             raise CheckerError(f"value of {raw!r} has wrong dimension")
-        if not all(math.isfinite(x) for x in p):
+        if not all(map(math.isfinite, p)):
             raise CheckerError(f"value of {raw!r} is not finite")
         vals.append((raw, p))
     for raw in values:
@@ -181,11 +183,10 @@ def _push(basis: tuple[Vector, ...], center: Sequence[float], row: Sequence[floa
     return (*basis, tuple([x / norm for x in u])), [c + step * x for c, x in zip(center, u)]
 
 
-def _ball_contains(ball: tuple[Vector, float] | None, p: Vector) -> bool:
-    if ball is None:
-        return False
-    center, r = ball
-    return math.dist(center, p) <= r * (1.0 + MEB_REL_TOL) + 1e-14
+def _reach(radius: float) -> float:
+    """The farthest distance from its center at which a ball of ``radius``
+    holds a point: 1e-12 relative slack, and 1e-14 for a ball of radius 0."""
+    return radius * (1.0 + MEB_REL_TOL) + 1e-14
 
 
 def _minimax(points: Sequence[Sequence[float]], facets: Sequence[Facet] = (),
@@ -193,14 +194,23 @@ def _minimax(points: Sequence[Sequence[float]], facets: Sequence[Facet] = (),
     """Center and radius of the smallest ball holding ``points`` whose
     center keeps every facet, and has coordinate sum one on the simplex.
 
-    Move-to-front computation (Welzl 1991, Gärtner 1999) over the
-    deduplicated points in one fixed shuffled order, inside a recursion
-    over the facets.
-    A point outside the ball joins the boundary and the points before it
-    are redone; once all points are held, a facet the center breaks becomes
-    tight, an equality on the center, and all points and the earlier facets
-    are redone.  A basis has at most d+1 constraints (d on the simplex), so
-    the recursion is at most d+2 calls deep.
+    Gärtner's pivot loop (Gärtner 1999) around move-to-front (Welzl
+    1991), on the deduplicated points in one fixed shuffled order, inside
+    a recursion over the facets.  The loop starts from the ball of the
+    first point.  Each step finds the farthest point in one pass and stops
+    once it is held; otherwise that point, the pivot, goes on the rim of
+    the smallest ball holding the support prefix, and then moves to the
+    front.  The support prefix is the front of the list that the last ball
+    rests on: each move-to-front call starts it empty and extends it by
+    every point at or past it that moves to the front, the pivot too.  In
+    move-to-front a point outside the ball joins the boundary and the
+    points before it are redone.  In exact arithmetic the radius grows at
+    every step; when rounding keeps it from growing the loop stops, and
+    the final check below decides.  Once all points are held, a facet the
+    center breaks becomes tight, an equality on the center, and the loop
+    reruns with it, then the earlier facets are redone.  A basis has at
+    most d+1 constraints (d on the simplex), so the recursion is at most
+    d+2 calls deep.
 
     Each call hands its children a :data:`Frame`, which :func:`_push`
     moves from the first rim point p0 onto the tight facets (and the
@@ -217,10 +227,11 @@ def _minimax(points: Sequence[Sequence[float]], facets: Sequence[Facet] = (),
     every point both hold, every rim point on its rim and every facet both
     centers keep, and has a smaller radius.  So a constraint that the
     optimum without it breaks is tight at the optimum with it, which is
-    the lemma Welzl's proof uses.  Hence the visiting order fixes only the
-    work, never the ball.  A ball that misses a point is refused.
+    the lemma Welzl's proof uses.  Hence the visiting order and the
+    pivots fix only the work, never the ball.  A ball that misses a point
+    is refused.
     """
-    pts = [tuple(float(x) for x in p) for p in points]
+    pts = [tuple(map(float, p)) for p in points]
     if not pts:
         raise EmptyInput("a ball needs at least one point")
     d = len(pts[0])
@@ -229,7 +240,7 @@ def _minimax(points: Sequence[Sequence[float]], facets: Sequence[Facet] = (),
     for p in pts:
         if len(p) != d:
             raise CheckerError("points of mixed dimension")
-        if not all(math.isfinite(x) for x in p):
+        if not all(map(math.isfinite, p)):
             raise CheckerError("points must be finite")
     big = max(map(abs, itertools.chain(*pts)), default=0.0)
     shift = 500 - math.frexp(big)[1] if big > 2.0 ** 500 else 0
@@ -239,6 +250,9 @@ def _minimax(points: Sequence[Sequence[float]], facets: Sequence[Facet] = (),
     uniq = sorted(set(pts))
     random.Random(_ORDER_SEED).shuffle(uniq)
     full = d if simplex else d + 1
+    # The prefix of uniq that the last ball rests on: every mtf call resets
+    # it, and a point at or past it that moves to the front extends it.
+    support = 0
 
     def grow(frame: Frame | None, boundary: list[Vector], p: Vector,
              tight: list[Facet]) -> Frame | None:
@@ -276,21 +290,52 @@ def _minimax(points: Sequence[Sequence[float]], facets: Sequence[Facet] = (),
         boundary's, and ``outer`` is the rim ball of the boundary without
         its last point.  Each point found outside moves to the front of
         ``uniq``."""
+        nonlocal support
+        support = 0
         # On dependent constraints the point added last is on the outer rim.
         rim = frame[0] if frame else outer
-        if len(boundary) + len(tight) == full:
+        if rim is None or len(boundary) + len(tight) == full:
             return rim
         ball = rim
+        center, reach = rim[0], _reach(rim[1])
         for k in range(end):
             p = uniq[k]
-            if not _ball_contains(ball, p):
+            if math.dist(center, p) > reach:
                 ball = mtf(k, boundary + [p], grow(frame, boundary, p, tight), tight, rim)
+                center, reach = ball[0], _reach(ball[1])
+                if k >= support:
+                    support += 1
                 uniq.insert(0, uniq.pop(k))
         return ball
 
+    def pivot(tight: list[Facet]) -> tuple[Vector, float] | None:
+        """Smallest ball holding every point with its center on ``tight``,
+        grown from the ball of ``uniq[0]``: the farthest point outside goes
+        on the rim of the ball of the support prefix, then to the front."""
+        nonlocal support
+        frame = grow(None, [], uniq[0], tight)
+        if frame is None:
+            return None
+        ball, support = frame[0], 1
+        while True:
+            center, radius = ball
+            dists = list(map(math.dist, itertools.repeat(center), uniq))
+            far = max(dists)
+            if far <= _reach(radius):
+                return ball
+            k = dists.index(far)
+            p = uniq[k]
+            ball = mtf(support, [p], grow(None, [], p, tight), tight, None)
+            if k >= support:
+                support += 1
+            uniq.insert(0, uniq.pop(k))
+            # Only rounding keeps the radius from growing.
+            if ball is None or ball[1] <= radius:
+                return ball
+
     def keep(cut: int, tight: list[Facet]) -> tuple[Vector, float] | None:
         """Smallest ball holding every point, centered on ``tight``, keeping ``facets[:cut]``."""
-        ball = mtf(len(uniq), [], None, tight, None)
+        ball = pivot(tight)
         for j in range(cut):
             axis, bound, side = facets[j]
             if ball is not None and side * (ball[0][axis] - bound) < 0.0:
@@ -298,7 +343,7 @@ def _minimax(points: Sequence[Sequence[float]], facets: Sequence[Facet] = (),
         return ball
 
     ball = keep(len(facets), [])
-    if ball is None or not all(_ball_contains(ball, p) for p in uniq):
+    if ball is None or max(map(math.dist, itertools.repeat(ball[0]), uniq)) > _reach(ball[1]):
         raise CheckerError("ball computation failed")
     center, radius = ball
     return tuple(math.ldexp(x, -shift) for x in center), math.ldexp(radius, -shift)
@@ -363,7 +408,7 @@ def feasibility(
 ) -> FeasibilityResult:
     """Whether some domain point is within ``eps`` of every target point."""
     _check_eps(eps)
-    pts = [tuple(float(x) for x in p) for p in points]
+    pts = [tuple(map(float, p)) for p in points]
     if not pts:
         return FeasibilityResult(inst.domain, canonical_point(inst), 0.0, True, False, True)
     if any(len(p) != inst.dim for p in pts):
@@ -412,7 +457,7 @@ def _certified(inst: EpsilonInstance, pts: set[Vector], diameter: float,
     if _jung_clears(diameter, min(inst.dim, len(pts) - 1), eps):
         return True
     centroid = tuple(sum(xs) / len(pts) for xs in zip(*pts))
-    if all(math.dist(centroid, p) < eps - COMPARISON_TOL for p in pts):
+    if max(map(math.dist, itertools.repeat(centroid), pts)) < eps - COMPARISON_TOL:
         return True
     return None
 
@@ -521,12 +566,12 @@ def obstruction_depth(
                     joined[a] |= 1 << b
                     joined[b] |= 1 << a
         for combo in _unjoined(n, size, joined):
-            pairs = list(itertools.combinations_with_replacement(combo, 2))
             for i_prime in inst.interp_inputs:
-                pts = set().union(*(targets[i_prime][k] for k in combo))
+                pts = set().union(*map(targets[i_prime].__getitem__, combo))
                 if not pts:
                     continue
-                diameter = max(far[i_prime][pair] for pair in pairs)
+                diameter = max(map(far[i_prime].__getitem__,
+                                   itertools.combinations_with_replacement(combo, 2)))
                 ok = _certified(inst, pts, diameter, eps)
                 if ok is None:
                     res = feasibility(inst, sorted(pts), eps)

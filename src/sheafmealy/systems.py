@@ -48,11 +48,28 @@ Ident = str
 
 
 def finset(elements: Iterable[Ident]) -> tuple[Ident, ...]:
-    """Normalize identifiers into canonical sorted order, rejecting duplicates."""
+    """Normalize identifiers into canonical sorted order, rejecting duplicates.
+
+    Equal elements are neighbours once sorted, unless a NaN breaks the sort
+    order; a repeat kept apart is named from a set.  A carrier with an
+    unhashable element is left to the caller, which refuses it as no
+    identifier."""
     elems = tuple(sorted(elements))
+    try:
+        distinct = set(elems)
+    except TypeError:
+        distinct = None
+    if distinct is not None and len(distinct) == len(elems):
+        return elems
     for x, y in zip(elems, elems[1:]):
         if x == y:
             raise CheckerError(f"duplicate identifier {x!r}")
+    if distinct is not None:
+        seen: set[Ident] = set()
+        for x in elems:
+            if x in seen:
+                raise CheckerError(f"duplicate identifier {x!r}")
+            seen.add(x)
     return elems
 
 

@@ -40,15 +40,24 @@ import numpy as np
 from sheafmealy import CheckerError, epshelly
 from sheafmealy.epshelly import (
     _ORDER_SEED,
+    MEB_REL_TOL,
     Ball,
     DepthReport,
-    _ball_contains,
     _check_eps,
     _dot,
     _farthest,
     _patch_targets,
     feasibility,
 )
+
+
+def _ball_contains(ball, p) -> bool:
+    """Whether ``ball`` holds ``p``, with the library's slack (1e-12
+    relative, 1e-14 absolute); None holds no point."""
+    if ball is None:
+        return False
+    center, r = ball
+    return math.dist(center, p) <= r * (1.0 + MEB_REL_TOL) + 1e-14
 
 
 def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float] | None:

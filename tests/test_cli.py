@@ -92,6 +92,25 @@ def test_validate_exit_one_on_list_valued_carrier(capsys, tmp_path):
     assert out.startswith("invalid: ForeignElement: carriers must hold comparable identifiers")
 
 
+def test_validate_refuses_a_duplicate_that_sorting_hides(capsys, tmp_path):
+    # NaN compares false both ways, so after sorting 1 and 1.0 are no
+    # neighbours; the carrier still holds the identifier 1 twice.
+    path = tmp_path / "nan-carrier.json"
+    path.write_text('{"before_states": ["p"], "after_states": ["p"], "inputs": ["a"], '
+                    '"outputs": [1, NaN, 1.0], '
+                    '"dynamics": [{"s": "p", "i": "a", "s2": "p", "o": 1}]}')
+    assert _run(capsys, ["validate", str(path)]) == (
+        1, "invalid: ForeignElement: duplicate identifier 1.0\n", "")
+    code, report, err = _json_run(capsys, ["validate", str(path)])
+    assert (code, err, report["valid"]) == (1, "", False)
+    assert report["violations"] == [
+        {"kind": "ForeignElement", "detail": "duplicate identifier 1.0"}]
+    # JSON's NaN parses to one shared float, so this carrier holds it twice.
+    path.write_text(path.read_text().replace("[1, NaN, 1.0]", "[1, NaN, NaN]"))
+    assert _run(capsys, ["validate", str(path)]) == (
+        1, "invalid: ForeignElement: duplicate identifier nan\n", "")
+
+
 @pytest.mark.parametrize("key", ["after_states", "inputs", "outputs"])
 def test_unused_carrier_element_that_is_no_identifier_is_invalid(capsys, tmp_path, key):
     # With no before-states there are no rows, so nothing else flags it.

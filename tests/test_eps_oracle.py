@@ -327,6 +327,20 @@ def test_meb_recursion_stays_shallow():
         assert math.dist(ball.center, want.center) <= 1e-9
 
 
+def test_meb_pivots_on_few_points(monkeypatch):
+    """A plain move-to-front pass over a Gaussian cloud puts dozens of
+    points on a rim (26 and 70 on these two); the pivot loop puts few."""
+    cloud = random.Random(3)
+    clouds = [[tuple(cloud.gauss(0, 1) for _ in range(dim)) for _ in range(n)]
+              for dim, n in ((2, 300), (3, 250))]
+    pushes = _recorded(monkeypatch, "_push")
+    for pts in clouds:
+        pushes.clear()
+        ball = min_enclosing_ball(pts)
+        assert abs(ball.radius - welzl_ball(pts).radius) <= 1e-12 * ball.radius
+        assert len(pushes) <= 15, len(pushes)
+
+
 def _cloud(rng, dim):
     """1 to 40 points: Gaussian, on a line or a plane (dependent rims), on
     a small integer grid, the corners of a cube or the vertices of a
@@ -435,3 +449,93 @@ def test_far_box_bounds_leave_the_targets_unscaled(rng):
         inst = epsilon_instance(dim, "box", values, {raw: "c" for raw in values}, box=box)
         assert not feasibility(inst, targets, want / 2).feasible
         assert feasibility(inst, targets, want).feasible
+
+
+def _frame(rng, dim, k):
+    """``k`` orthonormal vectors in ``dim`` dimensions, from Gaussian ones."""
+    basis = []
+    while len(basis) < k:
+        v = [rng.gauss(0, 1) for _ in range(dim)]
+        for _ in range(2):
+            for q in basis:
+                t = sum(x * y for x, y in zip(v, q))
+                v = [x - t * y for x, y in zip(v, q)]
+        norm = math.sqrt(sum(x * x for x in v))
+        if norm > 1e-3:
+            basis.append([x / norm for x in v])
+    return basis
+
+
+def _placed(rng, dim, shape):
+    """``shape`` (points of k <= dim coordinates) turned into a random
+    k-dimensional subspace, scaled and shifted."""
+    frame = _frame(rng, dim, len(shape[0]))
+    scale, base = rng.uniform(0.1, 10.0), [rng.uniform(-5, 5) for _ in range(dim)]
+    return [tuple(b + scale * sum(t * q[j] for t, q in zip(p, frame)) for j, b in enumerate(base))
+            for p in shape]
+
+
+GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+# Regular polyhedra: tetrahedron, octahedron, icosahedron.
+SOLIDS = (
+    [(1.0, 1.0, 1.0), (1.0, -1.0, -1.0), (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0)],
+    [tuple(s * float(k == m) for k in range(3)) for m in range(3) for s in (1, -1)],
+    [tuple(v[(k - m) % 3] for k in range(3))
+     for m in range(3) for v in ((0.0, a, b * GOLDEN) for a in (1, -1) for b in (1, -1))],
+)
+
+
+def _degenerate(rng, dim, kind):
+    """A degenerate cloud in ``dim`` dimensions: points on a line, on a
+    circle or the sphere of a regular solid, the corners of a cube, a few
+    points repeated, or points on a line moved by 1e-9.  A circle needs two
+    dimensions, so in one the cocircular cloud is collinear."""
+    if kind == "cocircular" and dim == 1:
+        kind = "collinear"
+    if kind in ("collinear", "near-collinear"):
+        line = _placed(rng, dim, [(rng.uniform(-3, 3),) for _ in range(rng.randint(2, 60))])
+        if kind == "collinear":
+            return line
+        return [tuple(x + 1e-9 * rng.gauss(0, 1) for x in p) for p in line]
+    if kind == "cocircular":
+        if dim >= 3 and rng.random() < 0.5:
+            return _placed(rng, dim, rng.choice(SOLIDS))
+        m, turn = rng.randint(3, 24), rng.uniform(0, 2 * math.pi)
+        polygon = [(math.cos(turn + 2 * math.pi * k / m), math.sin(turn + 2 * math.pi * k / m))
+                   for k in range(m)]
+        return _placed(rng, dim, polygon)
+    if kind == "cube":
+        scale, shift = rng.uniform(0.5, 2), [rng.uniform(-3, 3) for _ in range(dim)]
+        return [tuple(shift[k] + scale * ((m >> k) & 1) for k in range(dim))
+                for m in range(2 ** dim)]
+    few = [tuple(rng.gauss(0, 1) for _ in range(dim)) for _ in range(rng.randint(1, 4))]
+    return [rng.choice(few) for _ in range(rng.randint(1, 200))]
+
+
+def test_minimax_on_degenerate_inputs(rng, monkeypatch):
+    """Clouds on lines and circles, regular solids, cube corners, heavy
+    duplicates and 1e-9 jitter in 1 to 8 dimensions, and box (some sides a
+    single point) and simplex instances: the pivot loop finds the Gram
+    reference's radius, holds every point, and never refuses an input."""
+    kinds = ("collinear", "cocircular", "cube", "duplicates", "near-collinear", "box", "simplex")
+    trial = 0
+    for dim, kind in itertools.product(range(1, 9), kinds):
+        for _ in range(12):
+            trial += 1
+            monkeypatch.setattr(epshelly, "_ORDER_SEED", trial)
+            box, facets = None, []
+            if kind == "box":
+                box = dm._box(rng, dim)
+                facets = dm._box_facets(box)
+                pts = dm._targets(rng, kind, dim, box)
+            elif kind == "simplex":
+                facets = [(k, 0.0, 1.0) for k in range(dim)]
+                pts = dm._targets(rng, kind, dim, None)
+            else:
+                pts = _degenerate(rng, dim, kind)
+            center, got = epshelly._minimax(pts, facets, kind == "simplex")
+            _, want = gram_minimax(pts, facets, kind == "simplex")
+            assert abs(got - want) <= 1e-12 * want, (kind, box, pts)
+            assert all(math.dist(center, p) <= got * (1 + 1e-12) + 1e-14 for p in pts)
+            if facets:
+                assert dm._in_domain(center, kind, box), (kind, box, pts, center)
