@@ -27,7 +27,10 @@ union-find over state pairs; an unequal one names one witness, by one rule
 and one walk over image pairs (:func:`_witness_walk`): of the states whose
 two images emit different outputs on some word, the one whose separating
 word is shortest, then least, then the state itself.  Both
-:func:`behavioral_equiv` and the overlap check of the behavioral gluer use it.
+:func:`behavioral_equiv` and the overlap check of the behavioral gluer use it,
+and so does :func:`block_distinguishing_word`, from one pair of classes on
+the class automaton: it names the word of every ``glue_behavioral``
+obstruction.
 """
 
 from __future__ import annotations
@@ -382,37 +385,6 @@ def _classes(
             [tuple([block[t] for t in succs[st]]) for st in firsts])
 
 
-def _class_word(
-    alphabet: tuple[Ident, ...],
-    out_table: Sequence[Sequence[int]],
-    succ_table: Sequence[Sequence[int]],
-    b1: int,
-    b2: int,
-) -> tuple[Ident, ...]:
-    """Breadth-first walk of the class automaton from two distinct classes.
-    Pairs are expanded in the order of the words reaching them and letters
-    in alphabet order, so the first divergence found ends the shortest,
-    lexicographically least separating word."""
-    letters = range(len(alphabet))
-    seen: set[tuple[int, int]] = set()
-    frontier: list[tuple[int, int, tuple[Ident, ...]]] = [(b1, b2, ())]
-    while frontier:
-        nxt: list[tuple[int, int, tuple[Ident, ...]]] = []
-        for x, y, w in frontier:
-            ox, oy = out_table[x], out_table[y]
-            for k in letters:
-                if ox[k] != oy[k]:
-                    return w + (alphabet[k],)
-            sx, sy = succ_table[x], succ_table[y]
-            for k in letters:
-                pair = (sx[k], sy[k])
-                if pair[0] != pair[1] and pair not in seen:
-                    seen.add(pair)
-                    nxt.append((pair[0], pair[1], w + (alphabet[k],)))
-        frontier = nxt
-    raise InternalConsistencyError("distinct behavior classes admit no separating word")
-
-
 def _same_behavior(m1: MealySystem, m2: MealySystem, alphabet: tuple[Ident, ...],
                    starts: Iterable[tuple[int, int]]) -> bool:
     """Whether each start pair (a state of ``m1``, one of ``m2``) emits equal
@@ -737,8 +709,18 @@ def pooled_behavior(machines: Sequence[MealySystem], alphabet: tuple[Ident, ...]
 def block_distinguishing_word(
     part: BehaviorPartition, b1: int, b2: int
 ) -> tuple[Ident, ...] | None:
-    """Shortest lex-least word on which two behavior classes diverge, found
-    by walking the class automaton."""
+    """Shortest lex-least word on which two behavior classes diverge: one
+    start of :func:`_witness_walk` on the class automaton against itself.
+    That machine emits output positions, which the partition compares."""
+    for b in (b1, b2):
+        if not 0 <= b < len(part.blocks):
+            raise CheckerError(f"no behavior class {b!r}: the partition has {len(part.blocks)}")
     if b1 == b2:
         return None
-    return _class_word(part.alphabet, part.out_table, part.succ_table, b1, b2)
+    rows = (zip(succ, out) for succ, out in zip(part.succ_table, part.out_table))
+    machine, pos = _table_system(list(range(len(part.blocks))), part.alphabet,
+                                 tuple(range(len(part.outputs))), rows)
+    least = _witness_walk(machine, machine, part.alphabet, [(None, pos[b1], pos[b2])])
+    if least is None:
+        raise InternalConsistencyError("distinct behavior classes admit no separating word")
+    return least[0]

@@ -1,13 +1,15 @@
 """Reference versions of the epsilon layer's ball solver and depth search.
 
 ``gram_minimax`` is the library's move-to-front solver with facets as it
-stood before the boundary frame: the same dedupe, sort, shuffle, facet
-recursion and refusal, in the library's visiting order at the time of the
-call, but each recursive call solves the Gram system of its whole boundary
-afresh in ``_circumball``.  ``welzl_ball`` is the recursive randomized
-incremental solver (Welzl 1991) on that kernel, by default in the
-library's visiting order, but one recursion level per point, so it needs a
-raised recursion limit on large sets.  ``combination_depth`` is the plain
+stood before the boundary frame: the same dedupe, sort, shuffle by
+``epshelly._ORDER_SEED``, facet recursion and refusal, but one plain
+move-to-front pass with no pivot loop, and each recursive call solves the
+Gram system of its whole boundary afresh in ``_circumball``.  Its points
+are not visited in the library's order, so the tests compare only the
+radius, and check containment on the library's ball alone.  ``welzl_ball`` is
+the recursive randomized incremental solver (Welzl 1991) on that kernel,
+shuffled by the same seed by default, but one recursion level per point,
+so it needs a raised recursion limit on large sets.  ``combination_depth`` is the plain
 obstruction search: the full family, then every subfamily of every size in
 ``itertools.combinations`` order, one ``feasibility`` solve per subfamily
 and judged input.  ``pairwise_depth`` is the library's depth search as it

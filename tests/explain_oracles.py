@@ -11,11 +11,14 @@ so the seeded tests can compare results field for field:
   the library's kernel, walks the class automaton once per distinct pair
   of image classes, and keeps the least witness by one rule,
   ``least_witness``;
+* ``_class_word`` is the breadth-first walk of the class automaton from two
+  distinct classes that ``block_distinguishing_word`` replaced with one
+  start of the library's walk over pairs; the refined path above uses it;
 * ``moore_minimize`` and ``moore_pooled`` run Moore's refinement with the
   signatures ranked by ``list.index``, one full round at a time: the plain
   rounds whose block numbering the library's kernel must reproduce.
 
-All but the refinement path are cubic or worse; use them on small
+All but the refinement path and the class walk are cubic or worse; use them on small
 machines only.
 """
 
@@ -23,8 +26,14 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping, Sequence
 
-from sheafmealy import CheckerError, MealySystem, Section, make_system
-from sheafmealy.explain import Judge, _class_word, _classes, _pool, validate_judge
+from sheafmealy import (
+    CheckerError,
+    InternalConsistencyError,
+    MealySystem,
+    Section,
+    make_system,
+)
+from sheafmealy.explain import Judge, _classes, _pool, validate_judge
 from sheafmealy.systems import Ident
 
 
@@ -102,6 +111,37 @@ def pair_level_behavioral_equiv(s1: Section, s2: Section, alphabet=None):
     if best is None:
         return (True, None, None)
     return (False, best[2], best[1])
+
+
+def _class_word(
+    alphabet: tuple[Ident, ...],
+    out_table: Sequence[Sequence[int]],
+    succ_table: Sequence[Sequence[int]],
+    b1: int,
+    b2: int,
+) -> tuple[Ident, ...]:
+    """Breadth-first walk of the class automaton from two distinct classes.
+    Pairs are expanded in the order of the words reaching them and letters
+    in alphabet order, so the first divergence found ends the shortest,
+    lexicographically least separating word."""
+    letters = range(len(alphabet))
+    seen: set[tuple[int, int]] = set()
+    frontier: list[tuple[int, int, tuple[Ident, ...]]] = [(b1, b2, ())]
+    while frontier:
+        nxt: list[tuple[int, int, tuple[Ident, ...]]] = []
+        for x, y, w in frontier:
+            ox, oy = out_table[x], out_table[y]
+            for k in letters:
+                if ox[k] != oy[k]:
+                    return w + (alphabet[k],)
+            sx, sy = succ_table[x], succ_table[y]
+            for k in letters:
+                pair = (sx[k], sy[k])
+                if pair[0] != pair[1] and pair not in seen:
+                    seen.add(pair)
+                    nxt.append((pair[0], pair[1], w + (alphabet[k],)))
+        frontier = nxt
+    raise InternalConsistencyError("distinct behavior classes admit no separating word")
 
 
 def least_witness(

@@ -6,7 +6,9 @@ checks overlap compatibility pair by pair, restricting both sections to the
 intersection patch and comparing them with :func:`behavioral_equiv`, which
 pools the two machines afresh.  The library reads the same verdict off the
 one partition of all local machines; the seeded tests require the same
-glued sections, obstruction reports and error messages from both.
+glued sections, obstruction reports and error messages from both.  The
+reference names an obstruction's word with ``explain_oracles._class_word``,
+not with the library's walk.
 
 ``enumerate_behavioral_glue`` answers the bounded search by brute force,
 trying every machine table up to the bound.  The library decides the same
@@ -19,6 +21,7 @@ from __future__ import annotations
 import itertools
 from typing import Mapping, Sequence
 
+from explain_oracles import _class_word
 from sheafmealy import (
     CheckerError,
     Covering,
@@ -41,7 +44,6 @@ from sheafmealy import (
     restrict_section,
     validate_section,
 )
-from sheafmealy.explain import block_distinguishing_word
 from site_oracle import reference_glued_section
 
 
@@ -114,7 +116,7 @@ def overlap_glue_behavioral(
     for x in sorted(derived):
         if len(derived[x]) > 1:
             (b1, via1), (b2, via2) = sorted(derived[x].items())[:2]
-            word = block_distinguishing_word(part, b1, b2)
+            word = _class_word(part.alphabet, part.out_table, part.succ_table, b1, b2)
             forced = []
             for blk, via in ((b1, via1), (b2, via2)):
                 mk, rep_state = part.blocks[blk][0]

@@ -365,9 +365,11 @@ def _cloud(rng, dim):
 
 
 def test_minimax_matches_the_gram_reference(rng, monkeypatch):
-    """The boundary frame against the Gram solve it replaces, in the same
-    visiting order: euclidean clouds in 1 to 8 dimensions, and the box and
-    simplex instances of ``test_domain_minimax``."""
+    """The boundary frame against the Gram solve it replaces, on euclidean
+    clouds in 1 to 8 dimensions and the box and simplex instances of
+    ``test_domain_minimax``.  The two visit points in different orders, so
+    only the radius is compared, with the library's ball holding every
+    cloud point and its center in the box or simplex domain."""
     for trial in range(480):
         monkeypatch.setattr(epshelly, "_ORDER_SEED", trial)
         dim = 1 + trial % 8

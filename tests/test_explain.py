@@ -105,6 +105,14 @@ def _one_state_pair():
     return whole, narrow, by_whole, by_narrow
 
 
+def _three_classes():
+    """The pooled partition of a three-state machine whose states emit
+    three different outputs on ``a``: three classes."""
+    m = make_system(["p", "q", "r"], ["p", "q", "r"], ["a"], ["0", "1", "2"],
+                    {("p", "a"): ("q", "0"), ("q", "a"): ("r", "1"), ("r", "a"): ("p", "2")})
+    return pooled_behavior([m], ("a",))
+
+
 @pytest.mark.parametrize("refused, error, text", [
     (lambda w, n, bw, bn: section(identity_patch(w), n, identity_morphism(w)), CheckerError,
      "section morphism must map the patch into the explanatory machine"),
@@ -120,9 +128,18 @@ def _one_state_pair():
      "behavior pooling needs at least one machine"),
     (lambda w, n, bw, bn: pooled_behavior([w], ("a", "z")), CheckerError,
      "letter 'z' missing from a pooled machine"),
+    (lambda *_: block_distinguishing_word(_three_classes(), -1, 0), CheckerError,
+     "no behavior class -1: the partition has 3"),
+    (lambda *_: block_distinguishing_word(_three_classes(), -3, 0), CheckerError,
+     "no behavior class -3: the partition has 3"),
+    (lambda *_: block_distinguishing_word(_three_classes(), 0, 7), CheckerError,
+     "no behavior class 7: the partition has 3"),
+    (lambda *_: block_distinguishing_word(_three_classes(), 3, 0), CheckerError,
+     "no behavior class 3: the partition has 3"),
 ], ids=["section-into-another-machine", "restrict-along-a-foreign-patch",
         "cores-of-two-patches", "cores-of-two-interfaces", "minimize-heterogeneous",
-        "pool-nothing", "pool-a-missing-letter"])
+        "pool-nothing", "pool-a-missing-letter", "class-minus-one", "class-minus-three",
+        "class-far-past-the-last", "class-just-past-the-last"])
 def test_explain_refusals_name_their_cause(refused, error, text):
     with pytest.raises(error) as caught:
         refused(*_one_state_pair())

@@ -23,6 +23,7 @@ from collections import Counter
 import pytest
 
 from explain_oracles import (
+    _class_word,
     moore_minimize,
     moore_pooled,
     pair_level_behavioral_equiv,
@@ -46,6 +47,7 @@ from sheafmealy import (
     subsystem,
 )
 from sheafmealy import fixtures as fx
+from sheafmealy.explain import block_distinguishing_word
 from test_golden_cli import _golden, run
 
 OUTS = ("0", "1", "2")
@@ -216,6 +218,31 @@ def test_pooled_behavior_matches_moore_oracle(rng):
             alphabet = alphabet[::-1]
         part = pooled_behavior(machines, alphabet)
         assert (part.blocks, part.out_table, part.succ_table) == moore_pooled(machines, alphabet)
+
+
+def test_class_words_match_the_class_walk_oracle(rng):
+    """``block_distinguishing_word`` names the word ``_class_word`` names on
+    every ordered pair of distinct classes, and None on a class with itself."""
+    pairs = 0
+    for _ in range(60):
+        inputs = ["a", "b", "c"][: rng.randint(1, 3)]
+        machines = []
+        for k in range(rng.randint(1, 3)):
+            d = _table(rng, rng.choice(("random", "chain")), f"m{k}_", inputs)
+            if machines and rng.random() < 0.5:
+                d = _renamed(_mutated(rng, d, OUTS), f"r{k}_")
+            machines.append(_machine(d))
+        alphabet = tuple(inputs) if rng.random() < 0.7 else tuple(inputs)[::-1]
+        part = pooled_behavior(machines, alphabet)
+        classes = range(len(part.blocks))
+        for b1 in classes:
+            assert block_distinguishing_word(part, b1, b1) is None
+            for b2 in classes:
+                if b1 != b2:
+                    assert block_distinguishing_word(part, b1, b2) == _class_word(
+                        alphabet, part.out_table, part.succ_table, b1, b2)
+                    pairs += 1
+    assert pairs > 10_000
 
 
 def _pooled_matches(machines, alphabet) -> None:
@@ -461,8 +488,10 @@ def test_equal_comparisons_never_refine(rng, monkeypatch):
 def test_fixture_separation_checks_never_refine(monkeypatch):
     """Every comparison that ``check separation --kind beh`` and ``--kind ri``
     make on the shipped fixtures answers as before with the refinement, the
-    pool and the class walk made to raise: each command prints its golden
-    bytes, and each report is the refined path's."""
+    pool and the one entry into the class automaton,
+    ``block_distinguishing_word``, made to raise (also where ``localglobal``
+    binds it): each command prints its golden bytes, and each report is the
+    refined path's."""
     real_equiv = explain.behavioral_equiv
     calls = []
 
@@ -475,8 +504,9 @@ def test_fixture_separation_checks_never_refine(monkeypatch):
         raise AssertionError("a behavioral comparison reached the refinement")
 
     with monkeypatch.context() as mp:
-        for name in ("_refine", "_pool", "_class_word"):
+        for name in ("_refine", "_pool", "block_distinguishing_word"):
             mp.setattr(explain, name, refuse)
+        mp.setattr(localglobal, "block_distinguishing_word", refuse)
         mp.setattr(localglobal, "behavioral_equiv", recording_equiv)
         for f in fx.all_fixtures():
             if f.kind == "sections":
