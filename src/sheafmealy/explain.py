@@ -35,8 +35,11 @@ obstruction.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
+from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CheckerError, HeterogeneousInput, InternalConsistencyError
@@ -216,6 +219,11 @@ def restrict_section(s: Section, n: OpenImmersion) -> Section:
     )
 
 
+# Phase 1 of ``_refine`` goes on while each round ends with more than
+# ``_GROWTH`` times the blocks it started from, plus one block.
+_GROWTH = 9 / 8
+
+
 def _refine(outs: Sequence[tuple[int, ...]], succs: Sequence[tuple[int, ...]]) -> list[int]:
     """Moore partition refinement of states given by their per-letter
     outputs and successor indices; returns a block number per state.
@@ -228,48 +236,95 @@ def _refine(outs: Sequence[tuple[int, ...]], succs: Sequence[tuple[int, ...]]) -
     each round ranks the sorted (block, successor blocks) signatures, and
     the last round that splits a block fixes the numbers.
 
-    Each round works only where the last round split, with Hopcroft's
-    smaller-half bookkeeping (Hopcroft 1971; Valmari & Lehtinen 2008).  Two
-    states of one block have, on each letter, successors in one block of
-    the round before, so their signatures can differ only on letters whose
-    successor block split in the last round.  A round therefore reads the
-    predecessors of the children that the last round split off, except the
-    largest child of each split, and a block holding none of them cannot
-    split.  A state reached from none of them has every successor in a
-    largest child or in a block that did not split, so such states of one
-    block share one signature, read off any one of them.  A state lies
-    outside the largest child of a split at most log2 n times, so the rounds
-    read O(|alphabet| n log n) transitions, and build a signature of
-    |alphabet| entries for each state they reach, plus O(1) per round.
+    The rounds run in two phases.  Phase 1 runs them as written, each in a
+    few C-level passes over all states (zip, set, sort, map), so its
+    numbering is that of the plain rounds because its rounds are those
+    rounds.  It goes on while each round ends with more than ``_GROWTH``
+    times the blocks it started from, plus one; ranking the output rows
+    counts as a round from one block.  The block count thus grows by that
+    factor in every round but the last, and never passes n, so phase 1 runs
+    at most log(n) / log(_GROWTH) + 1 rounds, O(log n), of O(|alphabet| n)
+    work each.  A round that splits nothing, or that leaves every state
+    alone in its block, ends the refinement.  A round that grows the count
+    less ends phase 1, and its partition is where phase 2 starts: a round
+    that splits off a single block, as every round on a chain does,
+    leaves the rest to phase 2, and a chain's output rows, two blocks out
+    of one, hand a chain to phase 2 before any phase-1 round.
+
+    Phase 2 runs the rounds left only where the last round split, with
+    Hopcroft's smaller-half bookkeeping (Hopcroft 1971; Valmari & Lehtinen
+    2008).  Two states of one block have, on each letter, successors in one
+    block of the round before, so their signatures can differ only on
+    letters whose successor block split in the last round.  A round
+    therefore reads the predecessors of the children that the last round
+    split off, except the largest child of each split, and a block holding
+    none of them cannot split.  A state reached from none of them has every
+    successor in a largest child or in a block that did not split, so such
+    states of one block share one signature, read off any one of them.  A
+    state lies outside the largest child of a split at most log2 n times,
+    so the rounds read O(|alphabet| n log n) transitions, and build a
+    signature of |alphabet| entries for each state they reach, plus O(1)
+    per round.
 
     A signature is the tuple, over the letters, of each successor's
-    position among its siblings, the children of its block's last split.
-    On each letter the successors of one block's states are siblings or
-    share a block, and siblings sit in the block order by position, so
-    ordering a block's children by these tuples orders them as the plain
-    rounds do, by the successors' block numbers.  Blocks are kept in a
-    linked list, and each split puts its children, in that order, where the
-    parent sat.  The list is therefore in the order of the last splitting
-    round's sorted signatures, and it is numbered once, at the end."""
-    if not outs:
-        return []
-    rows = sorted(set(outs))
-    rank = {r: k for k, r in enumerate(rows)}
-    blk = [rank[o] for o in outs]
-    members: list[set[int]] = [set() for _ in rows]
+    position.  On each letter the successors of one block's states are the
+    children of one block of the round before, so only the positions of
+    the children of one split are ever compared: a split numbers its
+    children 0, 1, ... in its order, and a block that did not split keeps
+    any position.  Siblings sit in the block order by position, so ordering
+    a block's children by these tuples orders them as the plain rounds do,
+    by the successors' block numbers.  Blocks are kept in a linked list,
+    and each split puts its children, in that order, where the parent sat.
+    The list is therefore in the order of the last splitting round's sorted
+    signatures, and it is numbered once, at the end.
+
+    Phase 2 takes over the last round of phase 1 as if it had run that
+    round itself.  That round numbered its blocks by their sorted
+    signatures, which start with the parent block, so the list holds the
+    blocks in number order, the children of one parent are consecutive in
+    it, and a block's position is its place among them.  Those are the
+    invariants above, so phase 2 ends with the numbering of the plain
+    rounds.  The largest child of each split is left out of the first
+    round's reading, as after any round."""
+    n = len(outs)
+    sig, blk, nb = outs, [0] * n, 1
+    while True:
+        keys = sorted(set(sig))
+        if len(keys) == nb:
+            return blk
+        blk = list(map(dict(zip(keys, range(len(keys)))).__getitem__, sig))
+        grew, nb = len(keys) > _GROWTH * nb + 1, len(keys)
+        if nb == n:
+            return blk
+        if not grew:
+            break
+        if sig is outs:
+            # The successor columns, one per letter, built for the first round.
+            cols = list(zip(*succs))
+        sig = list(zip(blk, *[map(blk.__getitem__, col) for col in cols]))
+    members: list[set[int]] = [set() for _ in keys]
     for s, b in enumerate(blk):
         members[b].add(s)
     pred: list[list[int]] = [[] for _ in outs]
     for s, row in enumerate(succs):
         for t in row:
             pred[t].append(s)
-    # The output rows split the block of all states: each is a child whose
-    # position is its rank, and the largest one goes unread.
-    pos = list(range(len(rows)))
-    nxt = [*range(1, len(rows)), -1]
-    prv = [*range(-1, len(rows) - 1)]
+    # The sizes of the sibling groups, in block order; the ranked output
+    # rows are the children of the block of all states.
+    sizes = [nb] if sig is outs else Counter(map(itemgetter(0), keys)).values()
+    pos = [0] * nb
+    work: list[int] = []
+    first = 0
+    for size in sizes:
+        if size > 1:
+            kids = range(first, first + size)
+            pos[first:first + size] = range(size)
+            largest = max(kids, key=lambda c: len(members[c]))
+            work += [c for c in kids if c != largest]
+        first += size
+    nxt = [*range(1, nb), -1]
+    prv = [*range(-1, nb - 1)]
     head = 0
-    work = sorted(pos, key=lambda b: len(members[b]))[:-1]
     while work:
         hit = set().union(*[pred[t] for c in work for t in members[c]])
         touched: dict[int, list[int]] = {}
@@ -363,26 +418,37 @@ def _pool(
     for m in machines:
         if not m.homogeneous:
             raise HeterogeneousInput("behavior is defined for homogeneous machines")
-        cols = [m.i_index[c] for c in alphabet]
         emit = [number.setdefault(o, len(number)) for o in m.outputs]
-        for row in m.step:
-            outs.append(tuple([emit[row[k][1]] for k in cols]))
-            succs.append(tuple([base + row[k][0] for k in cols]))
+        m_outs, m_succs = _rows(m, [m.i_index[c] for c in alphabet], emit, base)
+        outs += m_outs
+        succs += m_succs
         base += len(m.before)
     return outs, succs, _refine(outs, succs)
+
+
+def _rows(
+    m: MealySystem, cols: Sequence[int], emit: Sequence[int], base: int
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The output and successor rows of ``m``'s states on its letters at
+    ``cols``, built a letter column at a time: outputs are read through
+    ``emit``, and successors are shifted by ``base``."""
+    if not cols:
+        return [()] * len(m.step), [()] * len(m.step)
+    steps = [list(map(itemgetter(k), m.step)) for k in cols]
+    return (list(zip(*[map(emit.__getitem__, map(itemgetter(1), col)) for col in steps])),
+            list(zip(*[map(base.__add__, map(itemgetter(0), col)) for col in steps])))
 
 
 def _classes(
     outs: Sequence[tuple[int, ...]], succs: Sequence[tuple[int, ...]], block: Sequence[int]
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Per-block output and successor-block rows, read off each block's
-    first state."""
-    rep: dict[int, int] = {}
-    for st, b in enumerate(block):
-        rep.setdefault(b, st)
-    firsts = [rep[b] for b in range(len(rep))]
-    return ([outs[st] for st in firsts],
-            [tuple([block[t] for t in succs[st]]) for st in firsts])
+    """Per-block output and successor-block rows, read off one state of
+    each block: its states emit the same outputs and step into the same
+    blocks."""
+    rep = dict(zip(block, range(len(block))))
+    reps = list(map(rep.__getitem__, range(len(rep))))
+    return (list(map(outs.__getitem__, reps)),
+            [tuple(map(block.__getitem__, succs[st])) for st in reps])
 
 
 def _same_behavior(m1: MealySystem, m2: MealySystem, alphabet: tuple[Ident, ...],
@@ -452,15 +518,17 @@ def behavioral_equiv(
 
 
 def _witness_walk(
-    m1: MealySystem,
-    m2: MealySystem,
+    m1: MealySystem | SimpleNamespace,
+    m2: MealySystem | SimpleNamespace,
     alphabet: tuple[Ident, ...],
     starts: Iterable[tuple[Ident, int, int]],
 ) -> tuple[tuple[Ident, ...], Ident] | None:
     """Over the ``(key, state of m1, state of m2)`` starts whose states
     emit different outputs on some word over ``alphabet``, the ``(word,
     key)`` least by (word length, word, key), where each start's word is
-    its shortest separating word least in alphabet order; or None.
+    its shortest separating word least in alphabet order; or None.  The
+    walk reads only the ``step``, ``outputs`` and ``i_index`` of ``m1`` and
+    ``m2``, which may be a partition's class automaton.
 
     One walk over state pairs serves every start.  A breadth-first search
     from all distinct start pairs at once, with one ``seen`` set, expands
@@ -641,17 +709,17 @@ def minimize(system: MealySystem, j: Judge | None = None) -> MinimizeResult:
         validate_judge(j, system)
     outputs = system.outputs if j is None else j.interp_outputs
     out_of = [outputs.index(o if j is None else j.j_o[o]) for o in system.outputs]
-    outs = [tuple([out_of[o] for _, o in row]) for row in system.step]
-    succs = [tuple([a for a, _ in row]) for row in system.step]
+    outs, succs = _rows(system, range(len(system.inputs)), out_of, 0)
     block = _refine(outs, succs)
-    first: dict[int, int] = {}
-    for s, b in enumerate(block):
-        first.setdefault(b, s)
-    number = {b: k for k, b in enumerate(first)}
-    names = [f"p{k}" for k in range(len(first))]
+    # Blocks in the order of their first states, each with its last state,
+    # whose row every state of the block shares.
+    order = list(dict.fromkeys(block))
+    last = dict(zip(block, range(len(block))))
+    label = list(map(dict(zip(order, range(len(order)))).__getitem__, block))
+    names = [f"p{k}" for k in range(len(order))]
     machine, _ = _table_system(names, system.inputs, outputs, (
-        [(number[block[t]], o) for t, o in zip(succs[s], outs[s])] for s in first.values()))
-    state_map = tuple((s, names[number[b]]) for s, b in zip(system.before, block))
+        zip(map(label.__getitem__, succs[last[b]]), outs[last[b]]) for b in order))
+    state_map = tuple(zip(system.before, map(names.__getitem__, label)))
     return MinimizeResult(machine, state_map)
 
 
@@ -684,8 +752,8 @@ def pooled_behavior(machines: Sequence[MealySystem], alphabet: tuple[Ident, ...]
     the last round that split a block (in the first round, the sorted rows
     of outputs over ``alphabet``); :func:`localglobal.glue_behavioral` names
     glued states and picks obstruction classes by these numbers.  Members
-    of a block are sorted, and its table rows are read off its first member
-    in machine-then-carrier order."""
+    of a block are sorted, and its table rows are read off one member, on
+    which all its members agree."""
     if not machines:
         raise CheckerError("behavior pooling needs at least one machine")
     outputs = machines[0].outputs
@@ -706,21 +774,36 @@ def pooled_behavior(machines: Sequence[MealySystem], alphabet: tuple[Ident, ...]
                              tuple(out_rows), tuple(succ_rows), outputs)
 
 
+class _ClassRows(dict):
+    """The ``step`` table of a partition's class automaton: the row of
+    class ``b``, its (successor class, output position) pairs, is zipped
+    from the partition's tables when a walk first reads it."""
+
+    def __init__(self, part: BehaviorPartition) -> None:
+        super().__init__()
+        self.succ_table, self.out_table = part.succ_table, part.out_table
+
+    def __missing__(self, b: int) -> tuple[tuple[int, int], ...]:
+        row = self[b] = tuple(zip(self.succ_table[b], self.out_table[b]))
+        return row
+
+
 def block_distinguishing_word(
     part: BehaviorPartition, b1: int, b2: int
 ) -> tuple[Ident, ...] | None:
     """Shortest lex-least word on which two behavior classes diverge: one
     start of :func:`_witness_walk` on the class automaton against itself.
-    That machine emits output positions, which the partition compares."""
+    The walk reads the partition's tables, and zips a row only for the
+    classes it reaches; the rows hold output positions, which the
+    partition's distinct outputs tell apart exactly."""
     for b in (b1, b2):
         if not 0 <= b < len(part.blocks):
             raise CheckerError(f"no behavior class {b!r}: the partition has {len(part.blocks)}")
     if b1 == b2:
         return None
-    rows = (zip(succ, out) for succ, out in zip(part.succ_table, part.out_table))
-    machine, pos = _table_system(list(range(len(part.blocks))), part.alphabet,
-                                 tuple(range(len(part.outputs))), rows)
-    least = _witness_walk(machine, machine, part.alphabet, [(None, pos[b1], pos[b2])])
+    classes = SimpleNamespace(step=_ClassRows(part), outputs=part.outputs,
+                              i_index=part.letter_index)
+    least = _witness_walk(classes, classes, part.alphabet, [(None, b1, b2)])
     if least is None:
         raise InternalConsistencyError("distinct behavior classes admit no separating word")
     return least[0]

@@ -1,11 +1,14 @@
 """The behavior kernels of ``explain`` against the direct algorithms.
 
 ``minimize`` and ``pooled_behavior`` share one partition-refinement
-kernel.  On seeded random machines, chain machines, one-letter and
-reordered alphabets, and machines with different output sets, their
-results and those of ``behavioral_equiv`` must equal those of the
-pair-level scan and the index-ranked Moore loop in ``explain_oracles``:
-the same witnesses, the same quotient tables and the same block numbers.
+kernel, which runs plain Moore rounds while the partition grows fast and
+then Hopcroft's smaller-half bookkeeping from the partition they leave.
+On seeded random machines, chain machines, one-letter and reordered
+alphabets, machines with different output sets, and machines refined in
+both phases, their results and those of ``behavioral_equiv`` must equal
+those of the pair-level scan and the index-ranked Moore loop in
+``explain_oracles``: the same witnesses, the same quotient tables and the
+same block numbers.
 
 ``behavioral_equiv`` decides an equal pair with a union-find and names the
 witness of an unequal one with a walk over image pairs; neither refines.
@@ -289,6 +292,68 @@ def test_splits_with_tied_largest_children_match_oracle(rng):
         _pooled_matches([m, copy], ("a", "b"))
         _pooled_matches([m, copy], ("b",))
         _pooled_matches([m, _machine(_renamed(_mutated(rng, d, OUTS), "r"))], ("a", "b"))
+
+
+def _head_tail_table(rng, n: int, inputs, prefix: str) -> dict:
+    # A random head over three outputs whose steps reach every state, and
+    # a chain tail of the last few states, which splits off one block per
+    # round once the head has split.
+    names = _names(rng, prefix, n)
+    tail = rng.randint(8, 24)
+    d = _chain_table(names[n - tail:], inputs)
+    for s in names[:n - tail]:
+        for c in inputs:
+            d[(s, c)] = (rng.choice(names), rng.choice(OUTS))
+    return d
+
+
+def _rounds(outs, succs) -> tuple[list[int], int | None]:
+    """The block counts of the plain rounds on the kernel's rows, from
+    the output rows on, and the number of the round after which the
+    kernel's phase 1 hands over to phase 2, or None when it hands over
+    nothing."""
+    n = len(outs)
+    counts, handover, sig = [], None, outs
+    while True:
+        keys = sorted(set(sig))
+        if counts and len(keys) == counts[-1]:
+            return counts, handover
+        nb = counts[-1] if counts else 1
+        if handover is None and len(keys) < n and not len(keys) > explain._GROWTH * nb + 1:
+            handover = len(counts)
+        counts.append(len(keys))
+        rank = {k: r for r, k in enumerate(keys)}
+        blk = [rank[x] for x in sig]
+        sig = [(blk[s], *[blk[t] for t in succs[s]]) for s in range(n)]
+
+
+def test_machines_that_refine_in_both_phases_match_moore_oracle(rng):
+    """Machines whose first rounds grow the partition fast and whose last
+    rounds split off one block each: the kernel runs the first in phase 1
+    and hands the rest to phase 2, and its blocks must still be numbered
+    as the plain rounds number them."""
+    crossed = 0
+    for k in range(8):
+        inputs = ["a", "b", "c"][: 1 + k % 3]
+        n = 60 + 340 * k // 7 if k in (0, 7) else rng.randint(60, 240)
+        d = _head_tail_table(rng, n, inputs, f"h{k}_")
+        m = _machine(d)
+        res = minimize(m)
+        assert (res.machine, res.state_map) == moore_minimize(m)
+        counts, handover = _rounds(*explain._pool([m], m.inputs)[:2])
+        # At least one phase-1 round, and several splitting rounds after it.
+        crossed += handover is not None and 1 <= handover <= len(counts) - 4
+        copy = _machine(_renamed(_mutated(rng, d, OUTS), f"r{k}_"))
+        _pooled_matches([m, copy], tuple(inputs))
+    assert crossed >= 6
+    for digits in (4, 5, 6):
+        shift = _machine(_shift_table(2, digits, "s"))
+        res = minimize(shift)
+        assert (res.machine, res.state_map) == moore_minimize(shift)
+        assert len(res.machine.before) == 2 ** digits
+        head_tail = _machine(_head_tail_table(rng, 60, ["a", "b"], "h"))
+        _pooled_matches([shift, head_tail], ("a", "b"))
+        _pooled_matches([head_tail, shift], ("b", "a"))
 
 
 def _with_duplicates(rng, d: dict, inputs, k: int) -> dict:
